@@ -24,13 +24,13 @@ from .machine import (Configuration, TMSpec, Trace, decode_result, initial_confi
 from .measure import (BatchSummary, HaltingVerdict, MeasurementOutcome, RunReport,
                       halting_demo, majority_error_bound, repeat_error_free,
                       run_error_bounded, run_error_free, sample_outcome)
+from .packing import PackedInstance, PackedSpectra, pack_spectrum
 from .schrodinger import (GridFunctionSet, ObstructionAbsence, ObstructionCertificate,
                           chirped_pair, identical_pair, kinetic_form, make_grid_set,
                           obstruction_certificate, read_grid_functions,
                           write_grid_function_csv)
-from .spectral import (AmplitudeProfile, OrbitSpectrum, PackedInstance, PackedSpectra,
-                       aperiodic_spectrum, eigenbasis, halfstep_profile_aperiodic,
-                       halfstep_profile_periodic, minimal_periodic_spectrum, nu_of,
-                       overlap_at, pack_spectrum)
+from .spectral import (AmplitudeProfile, OrbitSpectrum, aperiodic_spectrum, eigenbasis,
+                       halfstep_profile_aperiodic, halfstep_profile_periodic,
+                       minimal_periodic_spectrum, nu_of, overlap_at)
 
 __version__ = "0.1.0"

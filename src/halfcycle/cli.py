@@ -23,11 +23,11 @@ from .ensemble import get_density, moment_experiment
 from .errors import HalfcycleError
 from .machine import initial_config, load_machine, run
 from .measure import halting_demo
+from .packing import pack_spectrum
 from .schrodinger import (chirped_pair, identical_pair, obstruction_certificate,
                           read_grid_functions)
 from .spectral import (aperiodic_spectrum, halfstep_profile_aperiodic,
-                       halfstep_profile_periodic, minimal_periodic_spectrum,
-                       pack_spectrum)
+                       halfstep_profile_periodic, minimal_periodic_spectrum)
 
 _STREAMS = {"profile": 0, "cycle": 1, "instant": 2, "stats": 3, "pack": 4,
             "schrodinger": 5, "complexity": 6}

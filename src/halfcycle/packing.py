@@ -7,21 +7,40 @@ congruence
     phase_k / 2pi  =  m * 2^-(n + nu_n) + k * 2^-nu_n   (mod 1),
 
 with nu_n a strictly increasing exponent sequence (default nu_n = n).
-Only the integer part of phase/2pi is free.  The assignment below chooses
-those integer parts so that
+Only the nonnegative integer part of phase/2pi is free.  The assignment
+below chooses those integer parts so that
 
   * all instance spectra are pairwise disjoint (exact rational points),
   * each instance's mean phase stays at most 4pi (energy bound),
-  * points keep the even/odd interval parity of their index k wherever
-    collisions allow.
+  * as many points as possible keep the even/odd interval parity of their
+    index k.
 
-Collisions between instances whose fractional parts coincide form "piles";
-within a pile the integer parts must be pairwise distinct, so the pile
-members receive ranks 0, 1, 2, ...  Ranks are handed out by remaining
-energy slack (largest slack takes the largest rank), followed by a swap
-repair pass for any instance pushed past its budget and a parity pass that
-restores index parity where both budgets permit.  All bookkeeping is exact
-(fractions.Fraction); no floating point enters the energy accounting.
+Points whose fractional parts coincide form a "pile"; within a pile the
+integer parts must be pairwise distinct.  One 0/1 program, solved once by
+HiGHS through scipy.optimize.milp, chooses every integer part:
+
+  * a pile of L >= 2 members has one binary x[member, rank] per rank
+    0..L-1; each member takes one rank, each rank goes to one member, and
+    the size-0 anchor point (0, 0, 0) keeps rank 0;
+  * a collision-free point with even k sits at 0; each instance has one
+    integer in [0, #its odd collision-free points] saying how many of
+    those sit at 1, the rest sitting at 0;
+  * each instance's integer parts sum to at most floor(2 * period - sum
+    of its fractional parts), i.e. its mean phase is at most 4pi;
+  * the objective is the number of points whose integer part differs
+    from k mod 2.
+
+The program is exact for feasibility.  Sorting any feasible set of
+distinct nonnegative integer parts of a pile down onto ranks 0..L-1, in
+the same order (so the anchor at 0 stays at 0), and moving every
+collision-free point down to 0 or 1, lowers no point, so every instance
+stays within its budget.  An infeasible program therefore proves that no
+disjoint packing within the energy bound exists, and only then is
+CapacityError raised.  Parity is optimal among the program's solutions.
+
+All bookkeeping is on integer numerators over the single denominator
+2^(n_max + nu_max), the dyadic grid every point lies on, so it is exact;
+fractions.Fraction points are built only for the returned instances.
 """
 
 from __future__ import annotations
@@ -33,6 +52,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapacityError, PreconditionError
+from .spectral import OrbitSpectrum
 
 ENERGY_BUDGET_OVER_2PI = Fraction(2)  # mean phase <= 4pi
 DEFAULT_POINT_CAP = 2 ** 20
@@ -60,8 +80,6 @@ class PackedInstance:
         return float(2 * np.pi * self.mean_phase_over_2pi)
 
     def spectrum(self):
-        from .spectral import OrbitSpectrum
-
         phases = 2.0 * np.pi * np.array([float(x) for x in self.points])
         weights = np.full(self.period, 1.0 / self.period)
         return OrbitSpectrum(phases=phases, weights=weights, period=self.period)
@@ -171,7 +189,7 @@ def _validate_nu(n_max: int, nu_exponents) -> tuple:
 
 def pack_spectrum(n_max: int, nu_exponents=None, point_cap: int = DEFAULT_POINT_CAP) -> PackedSpectra:
     """Assign disjoint bounded-energy spectra to all instances of sizes
-    0..n_max.  See the module docstring for the assignment strategy."""
+    0..n_max.  See the module docstring for the assignment program."""
     if n_max < 0:
         raise PreconditionError("n_max must be nonnegative")
     nu = _validate_nu(n_max, nu_exponents)
@@ -179,135 +197,89 @@ def pack_spectrum(n_max: int, nu_exponents=None, point_cap: int = DEFAULT_POINT_
     if total_points > point_cap:
         raise CapacityError(f"{total_points} eigenvalues exceed cap {point_cap}")
 
-    # Fixed fractional parts, grouped into same-frac piles.
-    fracs: dict = {}
-    piles: dict = {}
-    budgets: dict = {}
-    committed: dict = {}
+    # Every point in (n, m, k) order as a numerator over 2^shift; instance
+    # (n, m) has index 2^n - 1 + m.
+    shift = n_max + nu[-1]
+    denom = 2 ** shift
+    nums, insts, odds, budgets = [], [], [], []
     for n in range(n_max + 1):
-        for m in range(2 ** n):
-            period = 2 ** nu[n]
-            inst_fracs = []
-            for k in range(period):
-                f = (Fraction(m, 2 ** (n + nu[n])) + Fraction(k, period)) % 1
-                fracs[(n, m, k)] = f
-                piles.setdefault(f, []).append((n, m, k))
-                inst_fracs.append(f)
-            budgets[(n, m)] = ENERGY_BUDGET_OVER_2PI * period - sum(inst_fracs, Fraction(0))
-            committed[(n, m)] = Fraction(0)
+        period = 2 ** nu[n]
+        m = np.arange(2 ** n, dtype=np.int64)
+        k = np.arange(period, dtype=np.int64)
+        num = ((m[:, np.newaxis] << (shift - n - nu[n])) + (k << (shift - nu[n]))) % denom
+        nums.append(num.ravel())
+        insts.append(np.repeat(2 ** n - 1 + m, period))
+        odds.append(np.tile(k % 2, 2 ** n))
+        budgets.append((int(ENERGY_BUDGET_OVER_2PI * period * denom) - num.sum(axis=1)) // denom)
+    nums = np.concatenate(nums)
+    pile = np.unique(nums, return_inverse=True)[1]
+    parts = _assign_ranks(np.concatenate(insts), np.concatenate(odds), pile,
+                          np.concatenate(budgets))
 
-    integer_part: dict = {}
-
-    # Singleton piles: no collision, the index parity rule applies directly.
-    multi = []
-    for f, members in piles.items():
-        if len(members) == 1:
-            (n, m, k) = members[0]
-            integer_part[(n, m, k)] = k % 2
-            committed[(n, m)] += k % 2
-        else:
-            multi.append((f, members))
-    multi.sort(key=lambda item: (-len(item[1]), item[0]))
-
-    # Collision piles: the size-0 anchor keeps phase 0; remaining ranks go
-    # largest-rank-to-largest-slack so tight instances stay low.
-    for f, members in multi:
-        pending = list(members)
-        ranks = list(range(len(members)))
-        if (0, 0, 0) in pending:
-            integer_part[(0, 0, 0)] = 0
-            pending.remove((0, 0, 0))
-            ranks.remove(0)
-        for rank in reversed(ranks):
-            pending.sort(key=lambda pt: (-(budgets[pt[:2]] - committed[pt[:2]]), pt))
-            point = pending.pop(0)
-            integer_part[point] = rank
-            committed[point[:2]] += rank
-
-    _repair_overruns(multi, integer_part, committed, budgets,
-                     max_rounds=4 * total_points)
-    over = sorted(nm for nm in budgets if committed[nm] > budgets[nm])
-    if over:
-        raise CapacityError(
-            f"energy bound unreachable for instances {over} with exponents {nu}; "
-            "a faster-growing exponent sequence (e.g. nu_n = 2n) spreads the "
-            "collisions enough")
-    _restore_parity(multi, integer_part, committed, budgets)
-
+    values = (parts * denom + nums).tolist()
     instances = []
+    pos = 0
     for n in range(n_max + 1):
         for m in range(2 ** n):
-            pts = tuple(
-                integer_part[(n, m, k)] + fracs[(n, m, k)] for k in range(2 ** nu[n])
-            )
+            pts = tuple(Fraction(v, denom) for v in values[pos:pos + 2 ** nu[n]])
+            pos += 2 ** nu[n]
             instances.append(PackedInstance(n=n, m=m, points=pts, nu=nu[n]))
     return PackedSpectra(n_max=n_max, nu_exponents=nu, instances=instances)
 
 
-def _repair_overruns(multi, integer_part, committed, budgets, max_rounds: int = 4096) -> None:
-    """Swap ranks inside piles until every instance is back within budget
-    (or no swap helps).  Deterministic order throughout."""
-    for _ in range(max_rounds):
-        over = sorted(
-            (nm for nm in budgets if committed[nm] > budgets[nm]),
-            key=lambda nm: (budgets[nm] - committed[nm], nm),
-        )
-        if not over:
-            return
-        progress = False
-        for nm in over:
-            for f, members in multi:
-                mine = [pt for pt in members if pt[:2] == nm and pt != (0, 0, 0)]
-                if not mine:
-                    continue
-                mine.sort(key=lambda pt: -integer_part[pt])
-                others = sorted(
-                    (pt for pt in members if pt[:2] != nm and pt != (0, 0, 0)),
-                    key=lambda pt: integer_part[pt],
-                )
-                for point in mine:
-                    for other in others:
-                        delta = integer_part[point] - integer_part[other]
-                        if delta <= 0:
-                            continue
-                        onm = other[:2]
-                        if committed[onm] + delta <= budgets[onm]:
-                            integer_part[point], integer_part[other] = (
-                                integer_part[other],
-                                integer_part[point],
-                            )
-                            committed[nm] -= delta
-                            committed[onm] += delta
-                            progress = True
-                            break
-                    if progress:
-                        break
-                if progress:
-                    break
-            if progress:
-                break
-        if not progress:
-            return
+def _assign_ranks(inst, odd, pile, budgets) -> np.ndarray:
+    """Integer part of every point, from one solve of the program in the
+    module docstring.  ``inst``, ``odd`` (k mod 2) and ``pile`` are per
+    point, in (n, m, k) order; ``budgets`` is per instance."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
 
+    size = np.bincount(pile)[pile]
+    member = np.flatnonzero(size >= 2)
+    member = member[np.argsort(pile[member], kind="stable")]
+    n_members, n_inst = member.size, budgets.size
+    # Rows: one per member, one per (pile, rank), one budget per instance.
+    # x[member i, rank r] is variable start[i] + r; its rank row is
+    # n_members + first[i] + r, first[i] being the first member of i's pile.
+    length = size[member]
+    start = np.cumsum(length) - length
+    first = np.searchsorted(pile[member], pile[member])
+    n_x = int(length.sum())
+    owner = np.repeat(np.arange(n_members), length)
+    rank = np.arange(n_x) - start[owner]
+    loaded = rank > 0
+    var = np.arange(n_x)
+    rows = np.concatenate([owner, n_members + first[owner] + rank,
+                           2 * n_members + inst[member[owner[loaded]]],
+                           2 * n_members + np.arange(n_inst)])
+    cols = np.concatenate([var, var, var[loaded], n_x + np.arange(n_inst)])
+    coef = np.concatenate([np.ones(2 * n_x), rank[loaded], np.ones(n_inst)])
+    A = coo_array((coef, (rows, cols)), shape=(2 * n_members + n_inst, n_x + n_inst))
 
-def _restore_parity(multi, integer_part, committed, budgets) -> None:
-    """Swap same-pile pairs whose integer parts both mismatch k mod 2 when
-    the swap fixes both and neither budget breaks."""
-    for f, members in multi:
-        for a, b in combinations(members, 2):
-            if (0, 0, 0) in (a, b):
-                continue
-            ca, cb = integer_part[a], integer_part[b]
-            if ca % 2 == a[2] % 2 or cb % 2 == b[2] % 2:
-                continue
-            if cb % 2 != a[2] % 2 or ca % 2 != b[2] % 2:
-                continue
-            anm, bnm = a[:2], b[:2]
-            da, db = cb - ca, ca - cb
-            if anm == bnm:
-                pass  # same instance: energy unchanged
-            elif (committed[anm] + da > budgets[anm]) or (committed[bnm] + db > budgets[bnm]):
-                continue
-            integer_part[a], integer_part[b] = cb, ca
-            committed[anm] += da
-            committed[bnm] += db
+    odd_single = (size == 1) & (odd == 1)
+    n_odd = np.bincount(inst[odd_single], minlength=n_inst)
+    cost = np.concatenate([(rank % 2 != odd[member[owner]]).astype(float), -np.ones(n_inst)])
+    lower = np.zeros(n_x + n_inst)
+    if n_members and member[0] == 0:
+        lower[0] = 1.0  # point 0 is the anchor; its pile (fraction 0) sorts first
+    upper = np.concatenate([np.ones(n_x), n_odd])
+    row_upper = np.concatenate([np.ones(2 * n_members), budgets])
+    row_lower = np.concatenate([np.ones(2 * n_members), np.zeros(n_inst)])
+    res = milp(cost, integrality=np.ones(n_x + n_inst), bounds=Bounds(lower, upper),
+               constraints=LinearConstraint(A, row_lower, row_upper))
+    if res.status != 0:
+        raise CapacityError(
+            "no disjoint packing within the energy bound: "
+            f"solver status {res.status} ({res.message}); a faster-growing "
+            "exponent sequence (e.g. nu_n = 2n) spreads the collisions enough")
+
+    x = np.rint(res.x).astype(np.int64)
+    parts = np.zeros(pile.size, dtype=np.int64)
+    chosen = np.flatnonzero(x[:n_x])
+    parts[member[owner[chosen]]] = rank[chosen]
+    # The first y_j odd collision-free points of instance j sit at 1.
+    single = np.flatnonzero(odd_single)
+    j = inst[single]
+    within = np.arange(single.size) - (np.cumsum(n_odd) - n_odd)[j]
+    parts[single[within < x[n_x:][j]]] = 1
+    return parts

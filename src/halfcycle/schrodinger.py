@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import PreconditionError
 
@@ -117,6 +116,17 @@ class ObstructionAbsence:
         }
 
 
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal nullspace basis (columns) of a, with the rank cut
+    eps * max(a.shape) * s_max of scipy.linalg.null_space.  The SVD runs on
+    the triangular factor of a QR decomposition, which has the singular
+    values and right singular vectors of a but never forms the
+    rows x rows left factor."""
+    _, s, vh = np.linalg.svd(np.linalg.qr(a, mode="r"))
+    rank = int(np.sum(s > np.finfo(float).eps * max(a.shape) * np.max(s, initial=0.0)))
+    return vh[rank:].T.conj()
+
+
 def obstruction_certificate(gset: GridFunctionSet, tolerance: float | None = None):
     """Search for coefficients proving the functions share no orbit.
 
@@ -133,7 +143,7 @@ def obstruction_certificate(gset: GridFunctionSet, tolerance: float | None = Non
 
     moduli = np.abs(gset.functions) ** 2  # (n, G)
     constraints = np.vstack([np.ones(gset.n), moduli.T * gset.h])
-    basis = null_space(constraints)
+    basis = _null_space(constraints)
     kinetics = np.array([kinetic_form(f, gset.h) for f in gset.functions])
     scale = float(np.max(np.abs(kinetics)))
     tol = tolerance if tolerance is not None else 1e3 * np.finfo(float).eps * scale

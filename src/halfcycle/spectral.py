@@ -187,8 +187,6 @@ def eigenbasis(p: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / p) / np.sqrt(p)
 
 
-from .packing import PackedInstance, PackedSpectra, pack_spectrum  # noqa: E402  (re-export)
-
 __all__ = [
     "OrbitSpectrum",
     "AmplitudeProfile",
@@ -199,7 +197,4 @@ __all__ = [
     "halfstep_profile_aperiodic",
     "nu_of",
     "eigenbasis",
-    "pack_spectrum",
-    "PackedSpectra",
-    "PackedInstance",
 ]

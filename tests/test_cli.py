@@ -1,9 +1,13 @@
 """CLI: subcommand behavior, file output, seeded determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import halfcycle
 from halfcycle.cli import main
 
 
@@ -152,3 +156,11 @@ def test_reports_embed_seed(tmp_path):
     _, payload = run_cli(["instant", "--machine", "incrementer", "--input", "0",
                           "--seed", "321"], tmp_path)
     assert json.loads(payload)["config"]["seed"] == 321
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy costs a fraction of a second to import; only the packing solver
+    # and the test reference need it, so it stays out of start-up
+    src = str(Path(halfcycle.__file__).resolve().parents[1])
+    code = "import halfcycle, halfcycle.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})

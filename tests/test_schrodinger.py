@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from halfcycle import (ObstructionAbsence, ObstructionCertificate, PreconditionError,
                        chirped_pair, identical_pair, kinetic_form, make_grid_set,
                        obstruction_certificate, read_grid_functions,
                        write_grid_function_csv)
+from halfcycle.schrodinger import _null_space
 
 
 def test_chirped_pair_produces_certificate():
@@ -108,3 +110,23 @@ def test_csv_mismatched_grids_rejected(tmp_path):
     write_grid_function_csv(b, np.linspace(-2, 2, 32), np.ones(32))
     with pytest.raises(PreconditionError):
         read_grid_functions([a, b])
+
+
+def _constraints(gset):
+    return np.vstack([np.ones(gset.n), (np.abs(gset.functions) ** 2).T * gset.h])
+
+
+_X = np.linspace(-8, 8, 256)
+
+
+@pytest.mark.parametrize("matrix", [
+    _constraints(make_grid_set(_X, [np.exp(-_X ** 2 / 2), np.exp(-_X ** 2 / 8)])),  # tall
+    _constraints(identical_pair(256)),  # tall, rank-deficient
+    _constraints(make_grid_set(np.linspace(-1.0, 1.0, 8),
+                               np.random.default_rng(5).normal(size=(12, 8)))),  # wide
+], ids=["tall", "rank-deficient", "wide"])
+def test_null_space_matches_scipy_reference(matrix):
+    basis, reference = _null_space(matrix), null_space(matrix)
+    assert basis.shape == reference.shape
+    assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+    assert np.allclose(basis @ basis.T, reference @ reference.T, atol=1e-10)
