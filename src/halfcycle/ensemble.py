@@ -14,11 +14,12 @@ E(nu) = alpha*m2, with standard deviation falling like p^{-1/2}; the
 experiment driver below estimates the moments, the deviation scaling, and
 a calibrated one-sided Chebyshev coverage figure.
 
-Direct summation is the authoritative evaluator throughout (the inner sums
-are computed literally, batched through an FFT, which is the same sum);
-the closed form for the continuous case is evaluated alongside and
-reported, never asserted, since it disagrees with the direct sum on
-deterministic input.
+Direct summation is the authoritative evaluator throughout: every inner
+sum goes through the half-step evaluator of ``spectral`` (one FFT per
+row, which is the same sum).  In the continuous case the functions
+exp(-i*(j - 1/2)*l) are orthogonal on [0, 2pi), so by Parseval the full
+series of squared amplitudes sums to mean(y^2); the truncated direct sum
+obeys Bessel's inequality direct <= mean(y^2), which is asserted.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import ConsistencyError, PreconditionError
+from .spectral import _halfstep_rows
 
 _CHUNK = 4096
+_BESSEL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,17 +109,6 @@ def sample_y(p: int, density: DensitySpec, rng) -> YSample:
     if p < 2:
         raise PreconditionError("period must be at least 2")
     return YSample(p=p, y=density.sample(rng, p) / p)
-
-
-def _halfstep_rows(y_rows: np.ndarray) -> np.ndarray:
-    """Amplitudes c_j = sum_k y_k exp(-2pi*i*k*(j-1/2)/p) for every row.
-
-    The half-step twist exp(i*pi*k/p) folds into the input so a plain DFT
-    over j computes the literal sums for all j = 0..p-1 at once.
-    """
-    p = y_rows.shape[-1]
-    twist = np.exp(1j * np.pi * np.arange(p) / p)
-    return np.fft.fft(y_rows * twist, axis=-1)
 
 
 def nu_from_y(sample: YSample, window) -> float:
@@ -224,24 +216,29 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng,
 
 @dataclass(frozen=True)
 class ContinuousNu:
-    """Both evaluations of the continuous-case success probability.
+    """The continuous-case success probability and its Parseval bound.
 
-    ``direct`` is the truncated amplitude sum (authoritative); ``closed``
-    is the delta-functional form (1/2pi) * integral(y^2 + y(l)*y(l+pi)),
-    reported for comparison only.
+    ``direct`` is the truncated amplitude sum over |j| <= cells;
+    ``parseval`` is mean(y^2), the sum of the full series, which bounds
+    ``direct`` from above (Bessel's inequality, asserted).
     """
 
     direct: float
-    closed: float
+    parseval: float
     cells: int
 
 
 def continuous_nu(cells: int, density: DensitySpec, rng, sample=None) -> ContinuousNu:
     """Draw a piecewise-constant branch imbalance on a 2pi grid and
-    evaluate nu both ways.
+    evaluate nu by direct summation.
 
-    ``sample`` overrides the random draw with a fixed cell vector (used for
-    the deterministic y = 1 and y = 0 checks).
+    The amplitude at u = j - 1/2 is (1/2pi) * integral of y(l)*exp(-i*u*l)
+    over [0, 2pi).  Over cell m of width D = 2pi/cells the integral is
+    exp(-2pi*i*m*u/cells) * (1 - exp(-i*u*D))/(i*u), so the amplitudes are
+    the half-step sums of y, periodic in j with period cells, times
+    (1 - exp(-i*u*D))/(2pi*i*u).  ``sample`` overrides the random draw with
+    a fixed cell vector (used for the deterministic y = 1 and y = 0
+    checks).
     """
     if cells < 2 or cells % 2:
         raise PreconditionError("cell count must be even and at least 2")
@@ -249,14 +246,13 @@ def continuous_nu(cells: int, density: DensitySpec, rng, sample=None) -> Continu
     if y.shape != (cells,):
         raise PreconditionError("sample length must match cell count")
 
-    edges = 2.0 * np.pi * np.arange(cells + 1) / cells
     j = np.arange(-cells, cells + 1)
     u = j - 0.5
-    phase = np.exp(-1j * np.outer(u, edges))
-    cell_int = (phase[:, :-1] - phase[:, 1:]) / (1j * u)[:, np.newaxis]
-    amps = (cell_int @ y) / (2.0 * np.pi)
+    sinc = (1.0 - np.exp(-1j * u * (2.0 * np.pi / cells))) / (2j * np.pi * u)
+    amps = _halfstep_rows(y)[j % cells] * sinc
     direct = float(np.sum(np.abs(amps) ** 2))
-
-    shifted = np.roll(y, -(cells // 2))
-    closed = float(np.mean(y * y + y * shifted))
-    return ContinuousNu(direct=direct, closed=closed, cells=cells)
+    parseval = float(np.mean(y * y))
+    if direct > parseval + _BESSEL_TOL:
+        raise ConsistencyError(
+            f"truncated sum {direct!r} exceeds its Parseval bound {parseval!r}")
+    return ContinuousNu(direct=direct, parseval=parseval, cells=cells)

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -108,28 +107,46 @@ class PackedSpectra:
                 return inst
         raise PreconditionError(f"no instance ({n}, {m})")
 
+    def _grid(self) -> tuple:
+        """Every point as an integer numerator over 2^(n_max + nu_max), in
+        instance order, with each instance's point count and that common
+        denominator.  The checks below run on these numerators, which is
+        exact because every packed point lies on that dyadic grid."""
+        denom = 2 ** (self.n_max + self.nu_exponents[-1])
+        nums = []
+        for inst in self.instances:
+            for x in inst.points:
+                scale, rest = divmod(denom, x.denominator)
+                if rest:
+                    raise PreconditionError(
+                        f"point {x} of instance ({inst.n}, {inst.m}) is off the 1/{denom} grid")
+                nums.append(x.numerator * scale)
+        sizes = np.array([len(inst.points) for inst in self.instances])
+        return np.array(nums, dtype=np.int64), sizes, denom
+
     def all_disjoint(self) -> bool:
-        """Exhaustive pairwise-disjointness scan over all instance spectra."""
-        sets = [frozenset(inst.points) for inst in self.instances]
-        for a, b in combinations(sets, 2):
-            if a & b:
-                return False
-        return all(len(s) == 2 ** inst.nu for s, inst in zip(sets, self.instances))
+        """Exhaustive disjointness check: every instance carries 2^nu
+        points and no two points of the whole assignment coincide."""
+        nums, sizes, _ = self._grid()
+        return (all(size == inst.period for size, inst in zip(sizes, self.instances))
+                and np.unique(nums).size == nums.size)
+
+    def _mean_phases_over_2pi(self) -> list:
+        nums, sizes, denom = self._grid()
+        sums = np.add.reduceat(nums, np.cumsum(sizes) - sizes).tolist()
+        return [Fraction(total, denom * inst.period) for total, inst in zip(sums, self.instances)]
 
     def max_mean_phase_over_2pi(self) -> Fraction:
-        return max(inst.mean_phase_over_2pi for inst in self.instances)
+        return max(self._mean_phases_over_2pi())
 
     def energy_bound_ok(self) -> bool:
         return self.max_mean_phase_over_2pi() <= ENERGY_BUDGET_OVER_2PI
 
     def parity_compliance(self) -> float:
         """Fraction of points whose interval index matches k mod 2."""
-        good = total = 0
-        for inst in self.instances:
-            for k, x in enumerate(inst.points):
-                total += 1
-                good += int(int(x) % 2 == k % 2)
-        return good / total
+        nums, sizes, denom = self._grid()
+        k = np.arange(nums.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        return int(np.count_nonzero((nums // denom) % 2 == k % 2)) / nums.size
 
     def induction_passes(self) -> list:
         """Per-size occupancy snapshots.
@@ -141,34 +158,35 @@ class PackedSpectra:
         that figure is reported, not asserted: the assigned points remain
         a subset of a refining equidistant family either way.
         """
+        nums, sizes, denom = self._grid()
+        size_of = np.repeat([inst.n for inst in self.instances], sizes)
         passes = []
         for n in range(self.n_max + 1):
-            denom = 2 ** (n + self.nu_exponents[n])
-            pts = [x for inst in self.instances if inst.n <= n for x in inst.points]
-            grid_ok = all((x * denom).denominator == 1 for x in pts)
-            occupancy: dict = {}
-            for x in pts:
-                interval = int(x)
-                occupancy[interval] = occupancy.get(interval, 0) + 1
+            nu_n = self.nu_exponents[n]
+            pts = nums[size_of <= n]
+            grid_ok = bool(np.all(pts % (denom >> (n + nu_n)) == 0))
+            intervals, counts = np.unique(pts // denom, return_counts=True)
             report = {
-                k: (count, 2 ** (n - k + self.nu_exponents[n]) if n - k + self.nu_exponents[n] >= 0 else 0)
-                for k, count in sorted(occupancy.items())
+                k: (count, 2 ** (n - k + nu_n) if n - k + nu_n >= 0 else 0)
+                for k, count in zip(intervals.tolist(), counts.tolist())
             }
             passes.append(IntervalPass(n=n, grid_ok=grid_ok, occupancy=report))
         return passes
 
     def to_dict(self) -> dict:
+        means = self._mean_phases_over_2pi()
+        max_mean = max(means)
         return {
             "n_max": self.n_max,
             "nu_exponents": list(self.nu_exponents),
             "disjoint": self.all_disjoint(),
-            "energy_bound_ok": self.energy_bound_ok(),
-            "max_energy": float(2 * np.pi * self.max_mean_phase_over_2pi()),
+            "energy_bound_ok": max_mean <= ENERGY_BUDGET_OVER_2PI,
+            "max_energy": float(2 * np.pi * max_mean),
             "parity_compliance": self.parity_compliance(),
             "grid_ok": all(p.grid_ok for p in self.induction_passes()),
             "instances": [
-                {"n": inst.n, "m": inst.m, "period": inst.period, "energy": inst.energy}
-                for inst in self.instances
+                {"n": inst.n, "m": inst.m, "period": inst.period, "energy": float(2 * np.pi * mean)}
+                for inst, mean in zip(self.instances, means)
             ],
         }
 

@@ -11,15 +11,33 @@ the Fourier transform of the spectral weights; its value at half-integer
 times u = j - 1/2 is the amplitude of the transient state at one half
 machine cycle against computational state j.
 
+Every half-step sum in the package,
+
+    c_j = sum_k y_k * exp(-2pi*i*k*(j - 1/2)/p),   j = 0..p-1,
+
+goes through one evaluator, ``_halfstep_rows``: the twist exp(i*pi*k/p)
+folds into y and one FFT over j gives all p sums in O(p log p) time and
+O(p) memory.  A point spectrum with phases 2pi*(k/p + n_k) for integers
+n_k has overlap(j - 1/2) = c_j with y_k = (-1)^{n_k} * w_k, so the
+profile cross-check, the ensemble's window masses and the continuous
+cell integrals are all this sum.  ``overlap_at`` stays the general
+evaluator at arbitrary u (the complexity bound and zero count use it); it
+works in fixed blocks of u, so its memory does not grow with len(u).
+
 The minimal period-p construction places phase_k = 2pi*(k/p + k mod 2)
 with equal weights 1/p.  Its half-cycle amplitudes have the closed form
 
-    a_j = exp(i*pi*(j - 1/2)/p) / (p * cos(pi*(j - 1/2)/p)),
+    a_j = exp(i*pi*(j - 1/2)/p) / (p * cos(pi*(j - 1/2)/p))
+        = exp(i*pi*(j - 1/2)/p) / (p * sin(pi*(p - 2j + 1)/(2p))),
 
-which peaks at j = p/2 with modulus 1/(p*sin(pi/(2p))) -> 2/pi and sums to
-total probability 1.  The aperiodic (non-halting) counterpart has
-a_k = -1/(pi*i*(k - 1/2)), whose full two-sided square sum is 1 by Euler's
-series; a symmetric truncation to 2K terms captures all but ~2/(pi^2*K).
+evaluated in the sin form: near the peak the cosine of a rounded angle
+loses digits (1.3e-10 at p = 2^22), while p - 2j + 1 is exact.  The
+profile peaks at j = p/2 with modulus 1/(p*sin(pi/(2p))) -> 2/pi and sums
+to total probability 1.  Periods above DEFAULT_PERIOD_CAP raise
+CapacityError before anything is allocated.  The aperiodic (non-halting)
+counterpart has a_k = -1/(pi*i*(k - 1/2)), whose full two-sided square
+sum is 1 by Euler's series; a symmetric truncation to 2K terms captures
+all but ~2/(pi^2*K).
 """
 
 from __future__ import annotations
@@ -28,11 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, PreconditionError
+from .cycle import DEFAULT_PERIOD_CAP
+from .errors import CapacityError, ConsistencyError, PreconditionError
 
 TAU_HALF_CYCLE = 0.5
 _WEIGHT_SUM_TOL = 1e-12
 _PROFILE_TOL = 1e-10
+_OVERLAP_BLOCK = 2 ** 16  # u-times-phase entries overlap_at holds at once
 
 
 @dataclass(frozen=True)
@@ -113,38 +133,66 @@ def minimal_periodic_spectrum(p: int) -> OrbitSpectrum:
     computational states orthogonal while concentrating the half-cycle
     amplitude on the window.
     """
-    if p < 2 or p % 2 != 0:
-        raise PreconditionError("minimal construction needs even p >= 2")
+    _check_even_period(p)
     k = np.arange(p)
     phases = 2.0 * np.pi * (k / p + (k % 2))
     return OrbitSpectrum(phases=phases, weights=np.full(p, 1.0 / p), period=p)
+
+
+def _check_even_period(p: int) -> None:
+    if p < 2 or p % 2 != 0:
+        raise PreconditionError("minimal construction needs even p >= 2")
+
+
+def _halfstep_rows(y_rows: np.ndarray) -> np.ndarray:
+    """Half-step sums c_j = sum_k y_k exp(-2pi*i*k*(j-1/2)/p), j = 0..p-1,
+    along the last axis of ``y_rows``.
+
+    The half-step twist exp(i*pi*k/p) folds into the input so a plain DFT
+    over j computes the literal sums for all j at once.
+    """
+    p = y_rows.shape[-1]
+    twist = np.exp(1j * np.pi * np.arange(p) / p)
+    return np.fft.fft(y_rows * twist, axis=-1)
 
 
 def overlap_at(spec: OrbitSpectrum, u):
     """sum_k w_k * exp(-i*phase_k*u) for scalar or array u.
 
     Only defined for point spectra; aperiodic orbits are handled through
-    their closed-form amplitude profile instead.
+    their closed-form amplitude profile instead.  The u values are taken
+    in blocks of about _OVERLAP_BLOCK / len(phases), so memory stays
+    O(_OVERLAP_BLOCK + len(phases)) whatever the size of u.
     """
     if spec.aperiodic:
         raise PreconditionError("overlap_at needs a point spectrum; "
                                 "use halfstep_profile_aperiodic for aperiodic orbits")
     u_arr = np.asarray(u, dtype=float)
-    vals = np.exp(-1j * np.multiply.outer(u_arr, spec.phases)) @ spec.weights.astype(complex)
-    return complex(vals) if np.isscalar(u) or u_arr.ndim == 0 else vals
+    flat = u_arr.reshape(-1)
+    vals = np.empty(flat.size, dtype=complex)
+    block = max(1, _OVERLAP_BLOCK // spec.phases.size)
+    for start in range(0, flat.size, block):
+        arg = np.multiply.outer(flat[start:start + block], spec.phases)
+        vals.real[start:start + block] = np.cos(arg) @ spec.weights
+        vals.imag[start:start + block] = -(np.sin(arg) @ spec.weights)
+    return complex(vals[0]) if u_arr.ndim == 0 else vals.reshape(u_arr.shape)
 
 
 def halfstep_profile_periodic(p: int) -> AmplitudeProfile:
     """Half-cycle amplitudes of the minimal period-p construction.
 
-    Evaluates the closed form and cross-checks it against the direct
-    spectral sum; disagreement beyond 1e-10 raises ConsistencyError.
+    Evaluates the closed form (sin form, see the module docstring) and
+    cross-checks it against the half-step evaluator on the weights
+    (-1)^k/p, which is the direct spectral sum; disagreement beyond 1e-10
+    raises ConsistencyError.  A period above DEFAULT_PERIOD_CAP raises
+    CapacityError before anything is allocated.
     """
-    spec = minimal_periodic_spectrum(p)
+    _check_even_period(p)
+    if p > DEFAULT_PERIOD_CAP:
+        raise CapacityError(f"period {p} exceeds cap {DEFAULT_PERIOD_CAP}")
     j = np.arange(p)
-    arg = np.pi * (j - 0.5) / p
-    closed = np.exp(1j * arg) / (p * np.cos(arg))
-    direct = overlap_at(spec, j - 0.5)
+    closed = np.exp(1j * np.pi * (j - 0.5) / p) / (p * np.sin(np.pi * (p - 2 * j + 1) / (2 * p)))
+    direct = _halfstep_rows(np.where(j % 2, -1.0, 1.0) / p)
     err = float(np.max(np.abs(closed - direct)))
     if err > _PROFILE_TOL:
         raise ConsistencyError(f"closed form vs direct sum disagree by {err:.3e} at p={p}")
@@ -171,11 +219,16 @@ def halfstep_profile_aperiodic(K: int) -> AmplitudeProfile:
 def nu_of(profile: AmplitudeProfile, window) -> float:
     """Probability of landing in ``window``: sum of |a_j|^2 over j in the
     window.  Raises on indices outside the profile range."""
-    probs = profile.probabilities
-    total = 0.0
-    for j in window:
-        total += float(probs[profile.position(j)])
-    return total
+    if isinstance(window, range):
+        idx = np.arange(window.start, window.stop, window.step)
+    else:
+        idx = np.fromiter(window, dtype=np.int64)
+    pos = idx - profile.indices[0]
+    inside = (pos >= 0) & (pos < profile.indices.size)
+    inside[inside] = profile.indices[pos[inside]] == idx[inside]
+    if not inside.all():
+        raise PreconditionError(f"index {idx[~inside][0]} outside profile range")
+    return float(np.sum(np.abs(profile.amplitudes[pos]) ** 2))
 
 
 def eigenbasis(p: int) -> np.ndarray:

@@ -47,6 +47,11 @@ def test_profile_odd_period_rejected(capsys):
     assert "even" in capsys.readouterr().err
 
 
+def test_profile_period_above_cap_rejected(capsys):
+    assert main(["profile", "--period", "8388608"]) == 2
+    assert "exceeds cap" in capsys.readouterr().err
+
+
 def test_cycle_command(tmp_path):
     code, payload = run_cli(
         ["cycle", "--machine", "incrementer", "--input", "0", "--alpha", "0.75"], tmp_path)

@@ -1,6 +1,7 @@
 """Evolution cost gauge: values, the distance bound, zero counts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,3 +117,17 @@ def point_spectra(draw):
 @settings(max_examples=80, deadline=None)
 def test_lower_bound_holds_for_arbitrary_spectra(spec):
     assert check_lower_bound(spec, np.linspace(0, 2, 200)).ok
+
+
+def test_lower_bound_memory_is_blocked():
+    # a dense 8192 x 1024 complex matrix would take 128 MB
+    spec = minimal_periodic_spectrum(1024)
+    t = np.linspace(0.0, 4.0, 8192)
+    tracemalloc.start()
+    try:
+        report = check_lower_bound(spec, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.n_points == 8192
+    assert peak < 64 * 2 ** 20

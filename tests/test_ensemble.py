@@ -138,18 +138,37 @@ def test_moment_experiment_validates_periods():
 
 
 def test_continuous_nu_deterministic_one():
-    # y = 1 recovers the minimal aperiodic capture; the closed form reads 2
+    # y = 1 recovers the minimal aperiodic capture; its Parseval sum is 1
     res = continuous_nu(512, get_density("uniform"), np.random.default_rng(0),
                         sample=np.ones(512))
     assert 0.995 < res.direct <= 1.0 + 1e-12
-    assert res.closed == pytest.approx(2.0)
+    assert res.parseval == 1.0
+    assert res.direct <= res.parseval
 
 
 def test_continuous_nu_deterministic_zero():
     res = continuous_nu(64, get_density("uniform"), np.random.default_rng(0),
                         sample=np.zeros(64))
     assert res.direct == pytest.approx(0.0, abs=1e-15)
-    assert res.closed == pytest.approx(0.0, abs=1e-15)
+    assert res.parseval == 0.0
+
+
+def _continuous_nu_dense(cells, y):
+    # the (2*cells + 1) x (cells + 1) cell-integral matrix the evaluator replaced
+    edges = 2.0 * np.pi * np.arange(cells + 1) / cells
+    u = np.arange(-cells, cells + 1) - 0.5
+    phase = np.exp(-1j * np.outer(u, edges))
+    cell_int = (phase[:, :-1] - phase[:, 1:]) / (1j * u)[:, np.newaxis]
+    return float(np.sum(np.abs((cell_int @ y) / (2.0 * np.pi)) ** 2))
+
+
+def test_continuous_nu_matches_dense_cell_integrals():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        y = rng.uniform(-1.0, 1.0, 64)
+        res = continuous_nu(64, get_density("uniform"), rng, sample=y)
+        assert res.direct == pytest.approx(_continuous_nu_dense(64, y), abs=1e-14)
+        assert res.direct <= res.parseval == np.mean(y * y)
 
 
 def test_continuous_nu_direct_tracks_second_moment():

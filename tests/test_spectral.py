@@ -1,16 +1,19 @@
 """Spectral core: minimal spectra, overlap values, amplitude profiles."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from halfcycle import (PreconditionError, aperiodic_spectrum, eigenbasis,
+from halfcycle import (CapacityError, PreconditionError, aperiodic_spectrum, eigenbasis,
                        halfstep_profile_aperiodic, halfstep_profile_periodic,
                        minimal_periodic_spectrum, nu_of, overlap_at)
-from halfcycle.spectral import OrbitSpectrum
+from halfcycle.cycle import DEFAULT_PERIOD_CAP
+from halfcycle.spectral import OrbitSpectrum, _halfstep_rows
 
 P_RANGE = [2 ** k for k in range(1, 11)]  # 2, 4, ..., 1024
 
@@ -85,6 +88,38 @@ def test_halfstep_profile_peak():
     assert abs(profile.amplitudes[51]) == pytest.approx(peak)
 
 
+def test_halfstep_profile_peak_keeps_its_digits_at_large_period():
+    # the cosine form lost ~7e-11 relative at this peak; 2 s bounds a p log p
+    # evaluator with ample room (it takes ~0.4 s on 2 vCPUs)
+    p = 2 ** 20
+    start = time.perf_counter()
+    profile = halfstep_profile_periodic(p)
+    assert time.perf_counter() - start < 2.0
+    peak = abs(profile.amplitudes[p // 2])
+    assert peak == pytest.approx(1 / (p * math.sin(math.pi / (2 * p))), rel=1e-14)
+
+
+def test_halfstep_profile_memory_is_linear():
+    tracemalloc.start()
+    try:
+        halfstep_profile_periodic(2 ** 18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_halfstep_profile_refuses_period_above_cap_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="exceeds cap"):
+            halfstep_profile_periodic(DEFAULT_PERIOD_CAP + 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
 def test_halfstep_profile_p2_probabilities():
     profile = halfstep_profile_periodic(2)
     assert np.allclose(profile.probabilities, [0.5, 0.5])
@@ -138,6 +173,24 @@ def test_nu_of_p8_window_matches_brute_force():
 def test_nu_of_rejects_out_of_range():
     with pytest.raises(PreconditionError):
         nu_of(halfstep_profile_periodic(8), [8])
+    with pytest.raises(PreconditionError, match="index -10"):
+        nu_of(halfstep_profile_aperiodic(10), range(-10, 0))
+
+
+def _nu_loop(profile, window):
+    probs = profile.probabilities
+    return sum(float(probs[profile.position(j)]) for j in window)
+
+
+@pytest.mark.parametrize("profile, window", [
+    (halfstep_profile_periodic(1000), range(250, 750)),
+    (halfstep_profile_periodic(1000), range(0, 1000, 3)),
+    (halfstep_profile_periodic(64), [5, 5, 63, 0, 31]),
+    (halfstep_profile_aperiodic(1000), range(-999, 1001)),
+    (halfstep_profile_aperiodic(1000), [j for j in range(-50, 50) if j % 7]),
+])
+def test_nu_of_matches_loop(profile, window):
+    assert nu_of(profile, window) == pytest.approx(_nu_loop(profile, window), abs=1e-12)
 
 
 def test_eigenbasis_small_cases():
@@ -172,6 +225,21 @@ def test_overlap_magnitude_bounded(spec, u):
 @settings(max_examples=50, deadline=None)
 def test_overlap_normalized_at_origin(spec):
     assert overlap_at(spec, 0.0) == pytest.approx(1.0)
+
+
+@given(st.integers(1, 128), st.data())
+@settings(max_examples=60, deadline=None)
+def test_halfstep_evaluator_matches_overlap(half, data):
+    # phases 2pi*(k/p + n_k) give overlap(j - 1/2) = sum_k (-1)^{n_k} w_k e^{-2pi i k (j-1/2)/p}
+    p = 2 * half
+    offsets = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=p, max_size=p)))
+    raw = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=p, max_size=p)))
+    assume(raw.sum() > 0.0)
+    weights = raw / raw.sum()
+    k = np.arange(p)
+    spec = OrbitSpectrum(phases=2 * np.pi * (k / p + offsets), weights=weights, period=p)
+    evaluated = _halfstep_rows(weights * (-1.0) ** offsets)
+    assert np.max(np.abs(evaluated - overlap_at(spec, k - 0.5))) < 1e-12
 
 
 @given(st.integers(1, 9))
