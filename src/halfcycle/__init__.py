@@ -12,8 +12,8 @@ certificates (schrodinger).
 
 from .complexity import (APERIODIC_MEAN_ABS_PHASE, BoundReport, ComplexityReading,
                          check_lower_bound, complexity, zero_count)
-from .cycle import (CycleReport, CycleState, LabeledCycle, alpha_for_period,
-                    build_alpha_cycle, centered_window, cycle_result, verify_cycle)
+from .cycle import (CycleReport, LabeledCycle, alpha_for_period, build_alpha_cycle,
+                    centered_window, cycle_result, verify_cycle)
 from .ensemble import (DENSITIES, ContinuousNu, DensitySpec, StatsReport, StatsRow,
                        YSample, continuous_nu, get_density, nu_from_y, sample_y,
                        moment_experiment)

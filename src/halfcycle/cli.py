@@ -100,8 +100,9 @@ def cmd_profile(args) -> int:
             "captured": profile.captured,
             "peak_index": peak,
             "peak_abs": float(abs(peak_amp)),
-            "amplitudes": [[int(j), float(np.real(a)), float(np.imag(a))]
-                           for j, a in zip(profile.indices, profile.amplitudes)],
+            "amplitudes": [list(row) for row in zip(profile.indices.tolist(),
+                                                    profile.amplitudes.real.tolist(),
+                                                    profile.amplitudes.imag.tolist())],
         }
         _emit(_envelope(config, body), args.out)
     return 0
@@ -119,7 +120,8 @@ def cmd_cycle(args) -> int:
     cyc = build_alpha_cycle(trace, args.alpha, source=f"{spec.name}({args.input})")
     report = verify_cycle(cyc)
     body = {"halted": True, "cycle": cyc.to_dict(),
-            "verified": report.ok, "violations": list(report.violations)}
+            "verified": report.ok, "violations": list(report.violations),
+            "checks": list(report.checks)}
     _emit(_envelope(config, body), args.out)
     return 0 if report.ok else 1
 

@@ -7,10 +7,15 @@ unwinding steps (undoing the wait counter), and the reversed trace.  The
 result window, and its fraction of the period is the waiting ratio the
 cycle was built for.
 
-The cycle is realized at trace level: each cycle state is a (phase,
-counter, configuration) tuple, so all p states are pairwise distinct even
-where the tape content repeats.  Downstream spectral and statistical
-results depend only on the period and the label pattern.
+The cycle is realized on trace indices: it keeps the trace it was built
+from, and position j holds the configuration at trace index
+min(j, s, p - j) (forward, then waiting and unwinding at index s, then
+back).  Each position also carries a (phase, counter) control tag that
+follows from j, s and w, so all p states are pairwise distinct even where
+the tape content repeats.  Equal indices mean equal configurations, so
+the walk's invariants are checked on integers, in O(p), without hashing
+or comparing a single tape.  Downstream spectral and statistical results
+depend only on the period and the label pattern.
 """
 
 from __future__ import annotations
@@ -19,25 +24,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, PreconditionError
-from .machine import Configuration, Trace, tape_content
+from .machine import Trace, tape_content
 
 DEFAULT_PERIOD_CAP = 2 ** 22
 
 
 @dataclass(frozen=True)
-class CycleState:
-    """One position on the cycle: a tape configuration plus the control
-    phase and counter value that keep repeated configurations distinct."""
-
-    phase: str  # "fwd" | "wait" | "unwind" | "rev"
-    counter: int
-    config: Configuration
-
-
-@dataclass(frozen=True)
 class LabeledCycle:
     """A period-p cycle with a boolean label per index (True = the state
-    holds the valid result) and the contiguous result window."""
+    holds the valid result) and the contiguous result window.
+
+    ``trace`` is the halted trace the cycle was built from; the state at
+    each position is read from it through :meth:`trace_index`.
+    """
 
     p: int
     labels: tuple
@@ -47,7 +46,35 @@ class LabeledCycle:
     s: int
     w: int
     source: str
-    states: tuple | None = None
+    trace: Trace | None = None
+
+    def trace_index(self, j: int) -> int:
+        """Trace index of the configuration at cycle position ``j``.
+
+        The walk of length 2s + 2w (the period, on a built cycle) is read
+        cyclically, so position j holds trace index min(j, s, p - j) with
+        j taken mod 2s + 2w.
+        """
+        s = self.s
+        n = 2 * (s + self.w)
+        j %= n
+        if j < s:
+            return j
+        return n - j if n - j < s else s
+
+    def tag(self, j: int) -> tuple:
+        """(phase, counter) control tag of cycle position ``j``: the phase
+        is "fwd", "wait", "unwind" or "rev", and the counter is the number
+        of steps already taken in it (j taken mod 2s + 2w)."""
+        s, w = self.s, self.w
+        j %= 2 * (s + w)
+        if j < s:
+            return ("fwd", j)
+        if j < s + w:
+            return ("wait", j - s)
+        if j < s + 2 * w:
+            return ("unwind", j - s - w)
+        return ("rev", j - s - 2 * w)
 
     def to_dict(self) -> dict:
         return {
@@ -63,10 +90,14 @@ class LabeledCycle:
 
 @dataclass(frozen=True)
 class CycleReport:
+    """Outcome of :func:`verify_cycle`; ``checks`` names every check that
+    ran, in order, whether or not it found a violation."""
+
     ok: bool
     violations: tuple
     p: int
     alpha_actual: Fraction
+    checks: tuple
 
 
 def _ceil_frac(x: Fraction) -> int:
@@ -94,14 +125,6 @@ def build_alpha_cycle(trace: Trace, alpha, period_cap: int = DEFAULT_PERIOD_CAP,
     if p > period_cap:
         raise CapacityError(f"period {p} exceeds cap {period_cap} (alpha too close to 1)")
 
-    configs = trace.steps
-    states = []
-    states.extend(CycleState("fwd", j, configs[j]) for j in range(s))
-    states.extend(CycleState("wait", i, configs[s]) for i in range(w))
-    states.extend(CycleState("unwind", i, configs[s]) for i in range(w))
-    states.extend(CycleState("rev", i, configs[s - i]) for i in range(s))
-    assert len(states) == p
-
     window = range(s, s + 2 * w)
     labels = tuple(j in window for j in range(p))
     return LabeledCycle(
@@ -113,7 +136,7 @@ def build_alpha_cycle(trace: Trace, alpha, period_cap: int = DEFAULT_PERIOD_CAP,
         s=s,
         w=w,
         source=source,
-        states=tuple(states),
+        trace=trace,
     )
 
 
@@ -122,11 +145,15 @@ def verify_cycle(cycle: LabeledCycle) -> CycleReport:
 
     Checks: even period, window contiguity and label agreement, waiting
     ratio at least the requested alpha, window centering, and (when the
-    underlying states are retained) that the configuration sequence is a
-    palindromic closed walk of pairwise distinct states whose window
-    indices all hold the final (result) tape.
+    trace is retained) that the trace halted after s steps and that the
+    walk of trace indices has length p, pairwise distinct (phase, counter)
+    tags, is a closed palindrome, and maps every window position to the
+    final (result) index s.  The walk checks run on integers: equal
+    indices are equal configurations, so no configuration is hashed.
     """
     v = []
+    checks = ["even_period", "labels_on_window", "window_contiguous", "window_nonempty",
+              "waiting_ratio", "midpoint_in_window"]
     if cycle.p % 2 != 0:
         v.append("period is odd")
     if cycle.p != len(cycle.labels):
@@ -143,20 +170,26 @@ def verify_cycle(cycle: LabeledCycle) -> CycleReport:
     if cycle.alpha_actual >= Fraction(1, 2) and cycle.p // 2 not in cycle.window:
         v.append("midpoint p/2 outside window despite waiting ratio >= 1/2")
 
-    if cycle.states is not None:
-        p = cycle.p
-        if len(cycle.states) != p:
+    if cycle.trace is not None:
+        p, s = cycle.p, cycle.s
+        checks += ["trace_halted", "trace_length", "index_walk_length"]
+        if not cycle.trace.halted:
+            v.append("trace did not halt")
+        if len(cycle.trace.steps) != s + 1:
+            v.append("trace length differs from s + 1")
+        if 2 * (s + cycle.w) != p:
             v.append("state sequence length differs from period")
-        else:
-            if len(set(cycle.states)) != p:
+        if s + cycle.w > 0:  # positions are read mod 2(s + w)
+            checks += ["index_tags_distinct", "index_palindrome", "index_window_at_s"]
+            if len(set(map(cycle.tag, range(p)))) != p:
                 v.append("cycle states are not pairwise distinct")
-            seq = [st.config for st in cycle.states]
-            if any(seq[i] != seq[(p - i) % p] for i in range(p)):
+            idx = list(map(cycle.trace_index, range(p)))
+            if idx[1:] != idx[:0:-1]:  # idx(j) == idx(p - j) for 0 < j < p
                 v.append("configuration walk is not a closed palindrome")
-            final = seq[cycle.s] if cycle.s < p else seq[0]
-            if any(cycle.states[j].config != final for j in cycle.window):
+            if set(map(cycle.trace_index, cycle.window)) - {s}:
                 v.append("window states do not all hold the result tape")
-    return CycleReport(ok=not v, violations=tuple(v), p=cycle.p, alpha_actual=cycle.alpha_actual)
+    return CycleReport(ok=not v, violations=tuple(v), p=cycle.p,
+                       alpha_actual=cycle.alpha_actual, checks=tuple(checks))
 
 
 def alpha_for_period(p: int) -> float:
@@ -182,9 +215,7 @@ def cycle_result(cycle: LabeledCycle, index: int) -> tuple:
     """The result variable r = (z, v) carried by cycle state ``index``:
     z = 0 with the final tape inside the window, z = 1 with the local tape
     elsewhere."""
-    if cycle.states is None:
-        raise PreconditionError("cycle was built without retained states")
-    config = cycle.states[index].config
-    if cycle.labels[index]:
-        return (0, tape_content(config))
-    return (1, tape_content(config))
+    if cycle.trace is None:
+        raise PreconditionError("cycle was built without its trace")
+    config = cycle.trace.steps[cycle.trace_index(index)]
+    return (0 if cycle.labels[index] else 1, tape_content(config))

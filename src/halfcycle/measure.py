@@ -109,9 +109,8 @@ class _Sampler:
         self.profile = profile
         self.cum = np.cumsum(profile.probabilities)
         self.captured = float(profile.captured)
-        self.window = frozenset(window)
-        for j in self.window:
-            profile.position(j)  # range check
+        self.in_window = np.zeros(profile.indices.size, dtype=bool)
+        self.in_window[profile.positions(window)] = True
 
     def draw(self, rng) -> MeasurementOutcome:
         u = rng.random()
@@ -120,7 +119,7 @@ class _Sampler:
         pos = int(np.searchsorted(self.cum, u, side="right"))
         pos = min(pos, self.cum.size - 1)
         j = int(self.profile.indices[pos])
-        return MeasurementOutcome(o_value=1, index=j, result_valid=j in self.window)
+        return MeasurementOutcome(o_value=1, index=j, result_valid=bool(self.in_window[pos]))
 
 
 def sample_outcome(profile: AmplitudeProfile, window, rng) -> MeasurementOutcome:

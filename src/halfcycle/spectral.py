@@ -119,6 +119,21 @@ class AmplitudeProfile:
             raise PreconditionError(f"index {index} outside profile range")
         return pos
 
+    def positions(self, indices) -> np.ndarray:
+        """Array positions of the cycle indices ``indices`` (a range or any
+        iterable of ints), range-checked in one vectorised pass; raises
+        PreconditionError naming the first index outside the profile."""
+        if isinstance(indices, range):
+            idx = np.arange(indices.start, indices.stop, indices.step)
+        else:
+            idx = np.fromiter(indices, dtype=np.int64)
+        pos = idx - self.indices[0]
+        inside = (pos >= 0) & (pos < self.indices.size)
+        inside[inside] = self.indices[pos[inside]] == idx[inside]
+        if not inside.all():
+            raise PreconditionError(f"index {idx[~inside][0]} outside profile range")
+        return pos
+
 
 def aperiodic_spectrum() -> OrbitSpectrum:
     """Marker spectrum for non-halting orbits (uniform phase density on
@@ -219,16 +234,7 @@ def halfstep_profile_aperiodic(K: int) -> AmplitudeProfile:
 def nu_of(profile: AmplitudeProfile, window) -> float:
     """Probability of landing in ``window``: sum of |a_j|^2 over j in the
     window.  Raises on indices outside the profile range."""
-    if isinstance(window, range):
-        idx = np.arange(window.start, window.stop, window.step)
-    else:
-        idx = np.fromiter(window, dtype=np.int64)
-    pos = idx - profile.indices[0]
-    inside = (pos >= 0) & (pos < profile.indices.size)
-    inside[inside] = profile.indices[pos[inside]] == idx[inside]
-    if not inside.all():
-        raise PreconditionError(f"index {idx[~inside][0]} outside profile range")
-    return float(np.sum(np.abs(profile.amplitudes[pos]) ** 2))
+    return float(np.sum(np.abs(profile.amplitudes[profile.positions(window)]) ** 2))
 
 
 def eigenbasis(p: int) -> np.ndarray:

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import halfcycle
+from halfcycle import halfstep_profile_aperiodic, halfstep_profile_periodic, reports
 from halfcycle.cli import main
 
 
@@ -42,6 +44,19 @@ def test_profile_aperiodic(tmp_path):
     assert abs(json.loads(payload)["captured"] - 0.9998) < 3e-5
 
 
+@pytest.mark.parametrize("args, profile", [
+    (["profile", "--period", "1024"], lambda: halfstep_profile_periodic(1024)),
+    (["profile", "--aperiodic", "--K", "2000"], lambda: halfstep_profile_aperiodic(2000)),
+])
+def test_profile_rows_match_per_element_conversion(args, profile, tmp_path):
+    _, payload = run_cli(args, tmp_path)
+    prof = profile()
+    expected = json.loads(payload)
+    expected["amplitudes"] = [[int(j), float(np.real(a)), float(np.imag(a))]
+                              for j, a in zip(prof.indices, prof.amplitudes)]
+    assert payload == reports.render_json(expected).encode()
+
+
 def test_profile_odd_period_rejected(capsys):
     assert main(["profile", "--period", "7"]) == 2
     assert "even" in capsys.readouterr().err
@@ -58,6 +73,8 @@ def test_cycle_command(tmp_path):
     assert code == 0
     data = json.loads(payload)
     assert data["verified"] and data["cycle"]["p"] == 24
+    assert data["checks"][-3:] == ["index_tags_distinct", "index_palindrome",
+                                   "index_window_at_s"]
 
 
 def test_instant_incrementer(tmp_path):

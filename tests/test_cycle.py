@@ -1,5 +1,6 @@
 """Cycle builder: construction arithmetic, verification, window helpers."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,42 @@ from halfcycle import (CapacityError, PreconditionError, alpha_for_period,
                        build_alpha_cycle, centered_window, cycle_result,
                        initial_config, load_machine, run, verify_cycle)
 from halfcycle.cycle import LabeledCycle
+from halfcycle.machine import Configuration, Trace
+
+HALTING_MACHINES = {"incrementer": "01", "unary_successor": "1", "parity": "01"}
+
+
+def materialised_states(cycle):
+    """Every (phase, counter, configuration) state of the cycle, read off
+    its trace through the index map."""
+    return [(*cycle.tag(j), cycle.trace.steps[cycle.trace_index(j)]) for j in range(cycle.p)]
+
+
+def stored_states(trace, s, w):
+    """The states as the cycle once stored them, one object per position:
+    forward, waiting, unwinding, then the reversed trace."""
+    configs = trace.steps
+    return ([("fwd", j, configs[j]) for j in range(s)]
+            + [("wait", i, configs[s]) for i in range(w)]
+            + [("unwind", i, configs[s]) for i in range(w)]
+            + [("rev", i, configs[s - i]) for i in range(s)])
+
+
+def content_level_violations(cycle, states):
+    """The walk checks on configuration content, by hashing and ==: the
+    reference the index-level checks of verify_cycle must agree with."""
+    p = cycle.p
+    if len(states) != p:
+        return ["state sequence length differs from period"]
+    v = []
+    if len(set(states)) != p:
+        v.append("cycle states are not pairwise distinct")
+    seq = [config for _, _, config in states]
+    if any(seq[i] != seq[(p - i) % p] for i in range(p)):
+        v.append("configuration walk is not a closed palindrome")
+    if any(seq[j] != seq[cycle.s] for j in cycle.window):
+        v.append("window states do not all hold the result tape")
+    return v
 
 
 def halted_trace(n_steps=2):
@@ -93,9 +130,11 @@ def test_verify_flags_noncontiguous_labels():
 
 def test_cycle_walk_is_closed_palindrome_of_distinct_states():
     cycle = build_alpha_cycle(halted_trace(3), Fraction(1, 2))
-    assert len(set(cycle.states)) == cycle.p
-    seq = [st.config for st in cycle.states]
+    states = materialised_states(cycle)
+    assert len(set(states)) == cycle.p
+    seq = [config for _, _, config in states]
     assert all(seq[i] == seq[(cycle.p - i) % cycle.p] for i in range(cycle.p))
+    assert [cycle.trace_index(j) for j in range(cycle.p)] == [0, 1, 2, 3, 3, 3, 3, 3, 3, 3, 2, 1]
 
 
 def test_cycle_results_window_holds_final_value():
@@ -141,3 +180,105 @@ def test_period_arithmetic_properties(n_steps, alpha):
     assert list(cycle.window) == list(range(cycle.s, cycle.s + 2 * cycle.w))
     assert cycle.p // 2 in cycle.window  # w >= 1 always puts the midpoint inside
     assert verify_cycle(cycle).ok
+
+
+@st.composite
+def built_cycles(draw):
+    name = draw(st.sampled_from(sorted(HALTING_MACHINES)))
+    spec = load_machine(name)
+    word = draw(st.text(alphabet=HALTING_MACHINES[name], max_size=8))
+    trace = run(spec, initial_config(spec, word), 1000)
+    assert trace.halted
+    alpha = draw(st.fractions(Fraction(1, 100), Fraction(99, 100)))
+    cycle = build_alpha_cycle(trace, alpha, source=f"{name}({word})")
+    change = draw(st.sampled_from(["none", "period", "window"]))
+    if change == "period":
+        p = cycle.p + 2 * draw(st.sampled_from([-1, 1, 2]))
+        cycle = replace(cycle, p=p, labels=tuple(j in cycle.window for j in range(p)))
+    elif change == "window":
+        shift = draw(st.integers(-cycle.s, cycle.s).filter(bool))
+        window = range(cycle.window.start + shift, cycle.window.stop + shift)
+        cycle = replace(cycle, window=window,
+                        labels=tuple(j in window for j in range(cycle.p)))
+    return cycle
+
+
+@given(built_cycles())
+@settings(max_examples=120, deadline=None)
+def test_index_checks_agree_with_content_level_checks(cycle):
+    states = stored_states(cycle.trace, cycle.s, cycle.w)
+    if cycle.p == len(states):
+        assert materialised_states(cycle) == states
+    content = content_level_violations(cycle, states)
+    report = verify_cycle(cycle)
+    label_report = verify_cycle(replace(cycle, trace=None))
+    walk = [v for v in report.violations if v not in label_report.violations]
+    assert bool(walk) == bool(content)
+    assert report.ok == (label_report.ok and not content)
+
+
+def test_verify_flags_trace_that_did_not_halt():
+    cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))
+    trace = Trace(steps=cycle.trace.steps, halted=False, budget_exceeded=True, result=None)
+    report = verify_cycle(replace(cycle, trace=trace))
+    assert report.violations == ("trace did not halt",)
+
+
+def test_verify_flags_s_inconsistent_with_trace_length():
+    cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))
+    report = verify_cycle(replace(cycle, trace=halted_trace(3)))
+    assert report.violations == ("trace length differs from s + 1",)
+
+
+def test_verify_flags_walk_longer_than_period():
+    cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))  # s = w = 2, p = 8
+    report = verify_cycle(replace(cycle, p=6, labels=tuple(j in cycle.window for j in range(6))))
+    assert report.violations == ("state sequence length differs from period",
+                                 "configuration walk is not a closed palindrome")
+
+
+def test_verify_flags_walk_repeating_within_period():
+    cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))  # s = w = 2, p = 8
+    report = verify_cycle(replace(cycle, p=10, labels=tuple(j in cycle.window for j in range(10)),
+                                  alpha_requested=Fraction(2, 5), alpha_actual=Fraction(2, 5)))
+    assert report.violations == ("state sequence length differs from period",
+                                 "cycle states are not pairwise distinct",
+                                 "configuration walk is not a closed palindrome")
+
+
+def test_verify_flags_window_off_the_result_index():
+    cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))  # window [2, 6)
+    window = range(1, 5)
+    report = verify_cycle(replace(cycle, window=window,
+                                  labels=tuple(j in window for j in range(cycle.p))))
+    assert report.violations == ("window states do not all hold the result tape",)
+
+
+def test_verify_reports_the_checks_it_ran():
+    cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))
+    label_checks = ("even_period", "labels_on_window", "window_contiguous", "window_nonempty",
+                    "waiting_ratio", "midpoint_in_window")
+    assert verify_cycle(replace(cycle, trace=None)).checks == label_checks
+    assert verify_cycle(cycle).checks == label_checks + (
+        "trace_halted", "trace_length", "index_walk_length", "index_tags_distinct",
+        "index_palindrome", "index_window_at_s")
+
+
+def test_verify_hashes_no_configuration(monkeypatch):
+    inc = load_machine("incrementer")
+    trace = run(inc, initial_config(inc, "1" * 500), 20000)
+    cycle = build_alpha_cycle(trace, Fraction(3, 4))
+    assert cycle.p == 8016
+    calls = 0
+    canonical = Configuration.canonical
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return canonical(self)
+
+    monkeypatch.setattr(Configuration, "canonical", counting)
+    report = verify_cycle(cycle)
+    assert report.ok and calls == 0
+    hash(trace.steps[0])  # the counter sees a hash when one happens
+    assert calls == 1

@@ -80,7 +80,7 @@ def test_error_free_full_window_needs_one_trial():
     full = type(cycle)(p=cycle.p, labels=tuple(True for _ in range(cycle.p)),
                        window=range(cycle.p), alpha_requested=cycle.alpha_requested,
                        alpha_actual=Fraction(1), s=cycle.s, w=cycle.w,
-                       source=cycle.source, states=cycle.states)
+                       source=cycle.source, trace=cycle.trace)
     profile = halfstep_profile_periodic(cycle.p)
     rng = np.random.default_rng(6)
     reps = [run_error_free(full, profile, lambda r: True, rng) for _ in range(100)]
@@ -95,14 +95,14 @@ def test_error_free_mean_trials_matches_inverse_nu():
     nu = nu_of(profile, window)
     labels = tuple(j in window for j in range(p))
     from halfcycle.cycle import LabeledCycle
-    from halfcycle.machine import Configuration
-    from halfcycle.cycle import CycleState
-    states = tuple(CycleState("wait", j, Configuration({0: "1"}, 0, "done")) if labels[j]
-                   else CycleState("fwd", j, Configuration({0: "0"}, 0, "scan"))
-                   for j in range(p))
+    from halfcycle.machine import Configuration, Trace
+    s = window.start
+    final = Configuration({0: "1"}, 0, "done")
+    steps = tuple(Configuration({0: "0"}, 0, "scan") for _ in range(s)) + (final,)
+    trace = Trace(steps=steps, halted=True, budget_exceeded=False, result=(0, "1"))
     cycle = LabeledCycle(p=p, labels=labels, window=window,
                          alpha_requested=Fraction(7, 8), alpha_actual=Fraction(len(window), p),
-                         s=window.start, w=len(window) // 2, source="synthetic", states=states)
+                         s=s, w=len(window) // 2, source="synthetic", trace=trace)
     rng = np.random.default_rng(7)
     counts, summary = repeat_error_free(cycle, profile, lambda r: r[0] == 0, rng, runs=20_000)
     assert summary.invalid_results == 0
@@ -214,6 +214,17 @@ def test_error_free_inconclusive_on_tiny_budget():
     rng = np.random.default_rng(15)
     rep = run_error_free(cycle, profile, lambda r: False, rng, max_trials=30)
     assert rep.inconclusive and rep.result is None
+
+
+def test_out_of_range_window_index_raises():
+    profile = halfstep_profile_periodic(8)
+    rng = np.random.default_rng(9)
+    with pytest.raises(PreconditionError, match="index 8 outside profile range"):
+        sample_outcome(profile, range(2, 9), rng)
+    with pytest.raises(PreconditionError, match="index -1 outside profile range"):
+        run_error_bounded(profile, [3, 4, -1], lambda j: (0, ""), 3, rng)
+    # nothing was drawn: the range check comes before the first trial
+    assert rng.random() == np.random.default_rng(9).random()
 
 
 def test_outcome_invariant_o_zero_has_no_index():
