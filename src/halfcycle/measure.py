@@ -6,7 +6,7 @@ the computational states, so the o-value is 1 with probability equal to
 the profile's captured mass, and conditional on o = 1 the measured cycle
 index follows |a_j|^2 normalized over that mass.
 
-Two procedures drive trials in a loop:
+Two procedures repeat trials:
 
 * error-free: retry until the measured result passes the validation
   predicate; the returned result is valid with certainty and the trial
@@ -15,20 +15,28 @@ Two procedures drive trials in a loop:
   the majority; the analytic error bound is the binomial tail at the
   per-shot validity rate.
 
-All randomness flows through the numpy Generator handed in, so reports are
-bit-reproducible given a seed.
+Trials are drawn in blocks: one ``rng.random(n)`` call and one
+``searchsorted`` map n uniforms to n outcomes, and runs end at their first
+accepted draws.  A block holds only draws that are certainly needed (one
+per unfinished run, one per missing vote), so the numpy Generator handed
+in is consumed exactly as by one ``rng.random()`` per trial: the same
+trial counts, results, votes and final generator state, and reports are
+bit-reproducible given a seed.  Results and validation verdicts are
+computed once per distinct drawn index.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cycle import LabeledCycle, cycle_result
 from .errors import PreconditionError
-from .spectral import AmplitudeProfile, nu_of
+from .spectral import AmplitudeProfile
 
 
 @dataclass(frozen=True)
@@ -46,10 +54,10 @@ class MeasurementOutcome:
 class RunReport:
     """Outcome and event accounting for one procedure run.
 
-    prepares, evolutions and o_measurements all equal the trial count;
-    r_measurements counts the o = 1 events (only then is the result
-    register read).  These stand in for the procedure's per-phase time
-    constants.
+    Every trial is one prepare, one evolution and one o measurement; the
+    result register is read only on the o = 1 events.  ``to_dict`` lists
+    these per-phase counts under ``events``; they stand in for the
+    procedure's per-phase time constants.
     """
 
     procedure: str
@@ -62,22 +70,6 @@ class RunReport:
     majority_m: int | None = None
     votes: dict | None = None
     error_bound: float | None = None
-
-    @property
-    def prepares(self) -> int:
-        return self.trials
-
-    @property
-    def evolutions(self) -> int:
-        return self.trials
-
-    @property
-    def o_measurements(self) -> int:
-        return self.trials
-
-    @property
-    def r_measurements(self) -> int:
-        return self.o_one_count
 
     def to_dict(self) -> dict:
         return {
@@ -92,10 +84,10 @@ class RunReport:
             "votes": [[list(r), c] for r, c in sorted(self.votes.items())] if self.votes else None,
             "error_bound": self.error_bound,
             "events": {
-                "prepare": self.prepares,
-                "evolve": self.evolutions,
-                "measure_o": self.o_measurements,
-                "measure_r": self.r_measurements,
+                "prepare": self.trials,
+                "evolve": self.trials,
+                "measure_o": self.trials,
+                "measure_r": self.o_one_count,
             },
         }
 
@@ -104,22 +96,19 @@ class _Sampler:
     """Inverse-CDF sampler over a profile's defective index distribution."""
 
     def __init__(self, profile: AmplitudeProfile, window):
-        if profile.captured > 1.0 + 1e-12:
-            raise PreconditionError("profile captures more than unit probability")
-        self.profile = profile
-        self.cum = np.cumsum(profile.probabilities)
+        self.indices = profile.indices
+        self.probabilities = profile.probabilities
+        self.cum = np.cumsum(self.probabilities)
         self.captured = float(profile.captured)
-        self.in_window = np.zeros(profile.indices.size, dtype=bool)
-        self.in_window[profile.positions(window)] = True
+        self.window_pos = profile.positions(window)
 
-    def draw(self, rng) -> MeasurementOutcome:
-        u = rng.random()
-        if u >= self.captured:
-            return MeasurementOutcome(o_value=0, index=None, result_valid=False)
-        pos = int(np.searchsorted(self.cum, u, side="right"))
-        pos = min(pos, self.cum.size - 1)
-        j = int(self.profile.indices[pos])
-        return MeasurementOutcome(o_value=1, index=j, result_valid=bool(self.in_window[pos]))
+    def draw(self, rng, n: int):
+        """n trials from n uniforms: the o = 1 mask and the array position
+        of each measured index (meaningful only where o = 1)."""
+        u = rng.random(n)
+        pos = np.searchsorted(self.cum, u, side="right")
+        np.minimum(pos, self.cum.size - 1, out=pos)
+        return u < self.captured, pos
 
 
 def sample_outcome(profile: AmplitudeProfile, window, rng) -> MeasurementOutcome:
@@ -129,7 +118,58 @@ def sample_outcome(profile: AmplitudeProfile, window, rng) -> MeasurementOutcome
     drawn from |a_j|^2 (normalized); result_valid records whether j lies in
     the result window.
     """
-    return _Sampler(profile, window).draw(rng)
+    sampler = _Sampler(profile, window)
+    o, pos = sampler.draw(rng, 1)
+    if not o[0]:
+        return MeasurementOutcome(o_value=0, index=None, result_valid=False)
+    return MeasurementOutcome(o_value=1, index=int(sampler.indices[pos[0]]),
+                              result_valid=bool(pos[0] in sampler.window_pos))
+
+
+def _error_free_runs(cycle: LabeledCycle, profile: AmplitudeProfile, validate, rng,
+                     runs: int, max_trials: int):
+    """``runs`` consecutive error-free runs, drawn in blocks.
+
+    Returns per-run trial counts, per-run o = 1 counts, the accepted
+    position of each run (-1 where the run used up ``max_trials``) and the
+    results by position.  A run ends at its first accepted draw or after
+    ``max_trials`` draws; ``carry_t``/``carry_o`` hold the trials and o = 1
+    draws of the run that a block leaves unfinished.
+    """
+    if max_trials < 1:
+        raise PreconditionError("need at least one trial")
+    sampler = _Sampler(profile, cycle.window)
+    results: dict = {}
+    verdict = np.full(profile.indices.size, -1, dtype=np.int8)  # -1: not drawn yet
+    trials, o_ones, accepted = [], [], []
+    done = carry_t = carry_o = 0
+    while done < runs:
+        n = runs - done  # one draw per unfinished run
+        o, pos = sampler.draw(rng, n)
+        drawn = pos[o]
+        for q in np.unique(drawn[verdict[drawn] < 0]).tolist():
+            results[q] = cycle_result(cycle, int(profile.indices[q]))
+            verdict[q] = bool(validate(results[q]))
+        hit = o.copy()
+        hit[o] = verdict[drawn] == 1
+        succ = np.flatnonzero(hit)
+        # the failures before each success, and those after the last,
+        # end a run at every max_trials-th draw
+        starts = np.concatenate(([-carry_t], succ + 1))
+        cuts = (np.append(succ, n) - starts) // max_trials
+        stretch = np.repeat(np.arange(cuts.size), cuts)
+        nth = np.arange(stretch.size) - np.repeat(np.cumsum(cuts) - cuts, cuts) + 1
+        ends = np.sort(np.concatenate((starts[stretch] + nth * max_trials - 1, succ)))
+        o_cum = np.cumsum(o)
+        trials.append(np.diff(ends, prepend=-carry_t - 1))
+        o_ones.append(np.diff(o_cum[ends], prepend=-carry_o))
+        accepted.append(np.where(hit[ends], pos[ends], -1))
+        if ends.size:
+            carry_t, carry_o = n - 1 - int(ends[-1]), int(o_cum[-1] - o_cum[ends[-1]])
+        else:
+            carry_t, carry_o = carry_t + n, carry_o + int(o_cum[-1])
+        done += ends.size
+    return np.concatenate(trials), np.concatenate(o_ones), np.concatenate(accepted), results
 
 
 def run_error_free(cycle: LabeledCycle, profile: AmplitudeProfile, validate, rng,
@@ -141,30 +181,17 @@ def run_error_free(cycle: LabeledCycle, profile: AmplitudeProfile, validate, rng
     result always passes ``validate``; budget exhaustion yields an
     inconclusive report, never an exception.
     """
-    if max_trials < 1:
-        raise PreconditionError("need at least one trial")
-    sampler = _Sampler(profile, cycle.window)
-    o_ones = 0
-    validations = 0
-    for trial in range(1, max_trials + 1):
-        out = sampler.draw(rng)
-        if out.o_value == 0:
-            continue
-        o_ones += 1
-        r = cycle_result(cycle, out.index)
-        validations += 1
-        if validate(r):
-            return RunReport(
-                procedure="error-free", trials=trial, o_one_count=o_ones,
-                result=r, result_valid=True, inconclusive=False,
-                validations=validations,
-            )
+    trials, o_ones, accepted, results = _error_free_runs(
+        cycle, profile, validate, rng, 1, max_trials)
+    o_one_count, q = int(o_ones[0]), int(accepted[0])
     return RunReport(
-        procedure="error-free", trials=max_trials, o_one_count=o_ones,
-        result=None, result_valid=None, inconclusive=True, validations=validations,
+        procedure="error-free", trials=int(trials[0]), o_one_count=o_one_count,
+        result=results[q] if q >= 0 else None, result_valid=True if q >= 0 else None,
+        inconclusive=q < 0, validations=o_one_count,
     )
 
 
+@functools.lru_cache(maxsize=256)
 def majority_error_bound(epsilon: float, m: int) -> float:
     """Binomial tail: probability that at least ceil(m/2) of m independent
     shots with validity rate epsilon come back invalid."""
@@ -189,36 +216,28 @@ def run_error_bounded(profile: AmplitudeProfile, window, result_of, majority_m: 
     sampler = _Sampler(profile, window)
     if sampler.captured <= 0.0:
         raise PreconditionError("profile has no computational-state mass")
-    epsilon = nu_of(profile, window) / sampler.captured
+    # nu_of(profile, window), summed term by term in the same order
+    epsilon = float(np.sum(sampler.probabilities[sampler.window_pos])) / sampler.captured
     if epsilon <= 0.5:
         raise PreconditionError(f"per-shot validity {epsilon:.4f} is not above 1/2")
 
-    votes: dict = {}
     trials = 0
-    o_ones = 0
-    for _ in range(majority_m):
-        while True:
-            if trials >= max_trials:
-                return RunReport(
-                    procedure="error-bounded", trials=trials, o_one_count=o_ones,
-                    result=None, result_valid=None, inconclusive=True,
-                    majority_m=majority_m, votes=votes,
-                    error_bound=majority_error_bound(epsilon, majority_m),
-                )
-            trials += 1
-            out = sampler.draw(rng)
-            if out.o_value == 1:
-                o_ones += 1
-                break
-        r = result_of(out.index)
-        votes[r] = votes.get(r, 0) + 1
+    shots = []
+    while len(shots) < majority_m and trials < max_trials:
+        n = min(majority_m - len(shots), max_trials - trials)
+        o, pos = sampler.draw(rng, n)
+        trials += n
+        shots.extend(pos[o].tolist())
+    result_at = {q: result_of(int(sampler.indices[q])) for q in dict.fromkeys(shots)}
+    votes = dict(Counter(result_at[q] for q in shots))
+    conclusive = len(shots) == majority_m
     # Plurality winner; a tie between distinct wrong results is broken
     # lexicographically (cannot occur in the two-valued setting, where odd
     # m rules ties out).
-    best = max(sorted(votes), key=lambda r: votes[r])
+    best = max(sorted(votes), key=lambda r: votes[r]) if conclusive else None
     return RunReport(
-        procedure="error-bounded", trials=trials, o_one_count=o_ones,
-        result=best, result_valid=None, inconclusive=False,
+        procedure="error-bounded", trials=trials, o_one_count=len(shots),
+        result=best, result_valid=None, inconclusive=not conclusive,
         majority_m=majority_m, votes=votes,
         error_bound=majority_error_bound(epsilon, majority_m),
     )
@@ -316,28 +335,20 @@ def repeat_error_free(cycle: LabeledCycle, profile: AmplitudeProfile, validate, 
     list and a BatchSummary with the conditional-rate estimates."""
     if runs < 1:
         raise PreconditionError("need at least one run")
-    trial_counts = []
-    invalid = 0
-    inconclusive = 0
-    successes = 0
-    total_trials = 0
-    total_o = 0
-    for _ in range(runs):
-        rep = run_error_free(cycle, profile, validate, rng, max_trials=max_trials)
-        total_trials += rep.trials
-        total_o += rep.o_one_count
-        if rep.inconclusive:
-            inconclusive += 1
-            continue
-        trial_counts.append(rep.trials)
-        successes += 1
-        if not validate(rep.result):
-            invalid += 1
+    trials, o_ones, accepted, results = _error_free_runs(
+        cycle, profile, validate, rng, runs, max_trials)
+    ok = accepted >= 0
+    trial_counts = trials[ok].tolist()
+    successes = len(trial_counts)
+    found, times = np.unique(accepted[ok], return_counts=True)
+    invalid = sum(c for q, c in zip(found.tolist(), times.tolist()) if not validate(results[q]))
+    total_trials = int(trials.sum())
+    total_o = int(o_ones.sum())
     mean_trials = float(np.mean(trial_counts)) if trial_counts else float("nan")
     summary = BatchSummary(
         runs=runs,
         invalid_results=invalid,
-        inconclusive_runs=inconclusive,
+        inconclusive_runs=runs - successes,
         mean_trials=mean_trials,
         total_trials=total_trials,
         total_o_ones=total_o,

@@ -93,7 +93,10 @@ class AmplitudeProfile:
 
     ``indices`` are cycle positions j for periodic profiles, or the
     symmetric index range (-K, K] for aperiodic truncations.  ``captured``
-    is the total probability sum |a|^2 over the stored indices.
+    is the total probability sum |a|^2 over the stored indices; a value
+    that disagrees with that sum by more than 1e-10 is rejected, since the
+    measurement sampler decides o = 1 by ``captured`` and picks the index
+    by the cumulative sum of |a|^2.
     """
 
     amplitudes: np.ndarray
@@ -107,6 +110,10 @@ class AmplitudeProfile:
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int))
         if self.captured > 1.0 + _WEIGHT_SUM_TOL:
             raise PreconditionError("captured probability exceeds 1")
+        total = float(np.sum(self.probabilities))
+        if abs(self.captured - total) > _PROFILE_TOL:
+            raise PreconditionError(
+                f"captured probability {self.captured!r} differs from sum |a|^2 = {total!r}")
 
     @property
     def probabilities(self) -> np.ndarray:

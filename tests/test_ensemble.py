@@ -34,6 +34,18 @@ def test_sampled_moments_match_library(name):
     assert abs(np.mean(draws ** 2) - density.m2) < 3 * se2
 
 
+def test_raised_cosine_sampler_follows_its_cdf():
+    # Kolmogorov-Smirnov distance to F(y) = (1 + y)/2 + sin(pi*y)/(2*pi)
+    # below the alpha = 0.01 critical value 1.63/sqrt(n)
+    n = 100_000
+    draws = np.sort(get_density("raised-cosine").sample(np.random.default_rng(31), n))
+    assert np.all(np.abs(draws) <= 1.0)
+    cdf = (1 + draws) / 2 + np.sin(np.pi * draws) / (2 * np.pi)
+    steps = np.arange(1, n + 1) / n
+    distance = max(np.max(steps - cdf), np.max(cdf - (steps - 1 / n)))
+    assert distance < 1.63 / math.sqrt(n)
+
+
 def test_two_point_sample_support():
     sample = sample_y(16, get_density("two-point"), np.random.default_rng(22))
     assert np.all(np.isin(sample.y, [-1 / 16, 1 / 16]))

@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from halfcycle import (AmplitudeProfile, PreconditionError, build_alpha_cycle,
-                       halfstep_profile_aperiodic,
+                       cycle_result, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, halting_demo, initial_config,
                        load_machine, majority_error_bound, nu_of, repeat_error_free,
                        run, run_error_bounded, run_error_free, sample_outcome)
+from halfcycle.measure import BatchSummary, RunReport
 
 
 def synthetic_profile(probs):
@@ -70,8 +73,9 @@ def test_error_free_returns_only_validated_results():
         rep = run_error_free(cycle, profile, validate, rng)
         assert not rep.inconclusive
         assert rep.result == (0, "1") and rep.result_valid
-        assert rep.prepares == rep.trials == rep.o_measurements
-        assert rep.r_measurements == rep.o_one_count <= rep.trials
+        events = rep.to_dict()["events"]
+        assert events["prepare"] == events["evolve"] == events["measure_o"] == rep.trials
+        assert events["measure_r"] == rep.o_one_count <= rep.trials
 
 
 def test_error_free_full_window_needs_one_trial():
@@ -231,3 +235,190 @@ def test_outcome_invariant_o_zero_has_no_index():
     from halfcycle import MeasurementOutcome
     with pytest.raises(PreconditionError):
         MeasurementOutcome(o_value=0, index=3, result_valid=False)
+
+
+def test_captured_must_match_probability_sum():
+    # captured 1.0 over probabilities summing to 1/2 would send every
+    # u in [0.5, 1) to the last index
+    with pytest.raises(PreconditionError, match="differs from sum"):
+        AmplitudeProfile(amplitudes=np.sqrt([0.25, 0.25]).astype(complex),
+                         indices=np.arange(2), captured=1.0, period=2)
+    assert synthetic_profile([0.25, 0.25]).captured == 0.5
+
+
+# The per-trial loops that the block-drawn procedures replaced, one
+# rng.random() per trial, kept as the reference for the stream identity.
+
+def _reference_draw(profile, in_window, rng):
+    u = rng.random()
+    if u >= profile.captured:
+        return 0, None, False
+    cum = np.cumsum(profile.probabilities)
+    pos = min(int(np.searchsorted(cum, u, side="right")), cum.size - 1)
+    return 1, int(profile.indices[pos]), bool(in_window[pos])
+
+
+def _window_mask(profile, window):
+    mask = np.zeros(profile.indices.size, dtype=bool)
+    mask[profile.positions(window)] = True
+    return mask
+
+
+def _reference_error_free(cycle, profile, validate, rng, max_trials):
+    in_window = _window_mask(profile, cycle.window)
+    o_ones = 0
+    validations = 0
+    for trial in range(1, max_trials + 1):
+        o, index, _ = _reference_draw(profile, in_window, rng)
+        if o == 0:
+            continue
+        o_ones += 1
+        r = cycle_result(cycle, index)
+        validations += 1
+        if validate(r):
+            return RunReport(procedure="error-free", trials=trial, o_one_count=o_ones,
+                             result=r, result_valid=True, inconclusive=False,
+                             validations=validations)
+    return RunReport(procedure="error-free", trials=max_trials, o_one_count=o_ones,
+                     result=None, result_valid=None, inconclusive=True,
+                     validations=validations)
+
+
+def _reference_repeat(cycle, profile, validate, rng, runs, max_trials):
+    trial_counts = []
+    invalid = inconclusive = successes = total_trials = total_o = 0
+    for _ in range(runs):
+        rep = _reference_error_free(cycle, profile, validate, rng, max_trials)
+        total_trials += rep.trials
+        total_o += rep.o_one_count
+        if rep.inconclusive:
+            inconclusive += 1
+            continue
+        trial_counts.append(rep.trials)
+        successes += 1
+        if not validate(rep.result):
+            invalid += 1
+    summary = BatchSummary(
+        runs=runs, invalid_results=invalid, inconclusive_runs=inconclusive,
+        mean_trials=float(np.mean(trial_counts)) if trial_counts else float("nan"),
+        total_trials=total_trials, total_o_ones=total_o,
+        nu_hat=successes / total_trials if total_trials else float("nan"),
+        pi_hat=successes / total_o if total_o else float("nan"),
+        nu_c_hat=1.0 if total_o else float("nan"))
+    return trial_counts, summary
+
+
+def _reference_error_bounded(profile, window, result_of, m, rng, max_trials):
+    in_window = _window_mask(profile, window)
+    epsilon = nu_of(profile, window) / profile.captured
+    bound = majority_error_bound(epsilon, m)
+    votes = {}
+    trials = o_ones = 0
+    for _ in range(m):
+        while True:
+            if trials >= max_trials:
+                return RunReport(procedure="error-bounded", trials=trials, o_one_count=o_ones,
+                                 result=None, result_valid=None, inconclusive=True,
+                                 majority_m=m, votes=votes, error_bound=bound)
+            trials += 1
+            o, index, _ = _reference_draw(profile, in_window, rng)
+            if o == 1:
+                o_ones += 1
+                break
+        r = result_of(index)
+        votes[r] = votes.get(r, 0) + 1
+    best = max(sorted(votes), key=lambda r: votes[r])
+    return RunReport(procedure="error-bounded", trials=trials, o_one_count=o_ones,
+                     result=best, result_valid=None, inconclusive=False,
+                     majority_m=m, votes=votes, error_bound=bound)
+
+
+def _stream_cycle(name, word, alpha):
+    spec = load_machine(name)
+    return build_alpha_cycle(run(spec, initial_config(spec, word), 200), alpha, source=name)
+
+
+_CYCLES = [_stream_cycle("incrementer", "0", Fraction(3, 4)),
+           _stream_cycle("incrementer", "11", Fraction(1, 2)),
+           _stream_cycle("parity", "101", Fraction(1, 3)),
+           _stream_cycle("incrementer", "1", Fraction(1, 10))]
+
+
+@st.composite
+def partial_profiles(draw, size):
+    """Random index distributions over 0..size-1 with captured mass <= 1."""
+    weights = np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    assume(weights.sum() > 0)
+    captured = draw(st.sampled_from([1.0, 0.9, 0.5, 0.2]))
+    return synthetic_profile(weights / weights.sum() * captured)
+
+
+@st.composite
+def error_free_cases(draw):
+    cycle = draw(st.sampled_from(_CYCLES))
+    profile = draw(partial_profiles(cycle.p))
+    results = sorted({cycle_result(cycle, j) for j in range(cycle.p)})
+    accepted = set(draw(st.lists(st.sampled_from(results), unique=True)))
+    mass = sum(profile.probabilities[j] for j in range(cycle.p)
+               if cycle_result(cycle, j) in accepted)
+    max_trials = draw(st.one_of(st.integers(1, 40), st.just(10 ** 6)))
+    assume(max_trials <= 40 or mass > 0.05)
+    return cycle, profile, (lambda r: r in accepted), max_trials
+
+
+@given(error_free_cases(), st.integers(1, 200), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_repeat_error_free_matches_per_trial_loop(case, runs, seed):
+    cycle, profile, validate, max_trials = case
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref_counts, ref_summary = _reference_repeat(cycle, profile, validate, ref_rng, runs,
+                                                max_trials)
+    counts, summary = repeat_error_free(cycle, profile, validate, rng, runs,
+                                        max_trials=max_trials)
+    assert counts == ref_counts
+    assert repr(summary) == repr(ref_summary)  # repr: nan == nan
+    assert rng.random() == ref_rng.random()
+
+
+@given(error_free_cases(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_run_error_free_matches_per_trial_loop(case, seed):
+    cycle, profile, validate, max_trials = case
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        ref = _reference_error_free(cycle, profile, validate, ref_rng, max_trials)
+        rep = run_error_free(cycle, profile, validate, rng, max_trials=max_trials)
+        assert rep == ref
+        assert rep.to_dict() == ref.to_dict()
+    assert rng.random() == ref_rng.random()
+
+
+@st.composite
+def error_bounded_cases(draw):
+    size = draw(st.integers(2, 12))
+    profile = draw(partial_profiles(size))
+    window = draw(st.lists(st.integers(0, size - 1), min_size=1, unique=True))
+    if nu_of(profile, window) <= profile.captured / 2:
+        window = [j for j in range(size) if j not in window]
+    assume(window and nu_of(profile, window) / profile.captured > 0.5)
+    labels = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    m = draw(st.integers(0, 7)) * 2 + 1
+    max_trials = draw(st.one_of(st.integers(1, 3 * m), st.just(10 ** 6)))
+    return profile, window, (lambda j: (labels[j], f"v{labels[j]}")), m, max_trials
+
+
+@given(error_bounded_cases(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_run_error_bounded_and_single_draw_match_per_trial_loop(case, seed):
+    profile, window, result_of, m, max_trials = case
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    in_window = _window_mask(profile, window)
+    for _ in range(20):
+        ref = _reference_error_bounded(profile, window, result_of, m, ref_rng, max_trials)
+        rep = run_error_bounded(profile, window, result_of, m, rng, max_trials=max_trials)
+        assert rep == ref
+        assert rep.to_dict() == ref.to_dict()
+        o, index, valid = _reference_draw(profile, in_window, ref_rng)
+        out = sample_outcome(profile, window, rng)
+        assert (out.o_value, out.index, out.result_valid) == (o, index, valid)
+    assert rng.random() == ref_rng.random()
