@@ -10,8 +10,8 @@ evolution-cost gauge (complexity), and shared-orbit obstruction
 certificates (schrodinger).
 """
 
-from .complexity import (APERIODIC_MEAN_ABS_PHASE, BoundReport, ComplexityReading,
-                         check_lower_bound, complexity, zero_count)
+from .complexity import (APERIODIC_MEAN_ABS_PHASE, BoundReport, check_lower_bound,
+                         complexity, zero_count)
 from .cycle import (CycleReport, LabeledCycle, alpha_for_period, build_alpha_cycle,
                     centered_window, cycle_result, verify_cycle)
 from .ensemble import (DENSITIES, ContinuousNu, DensitySpec, StatsReport, StatsRow,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reports
-from .complexity import check_lower_bound, complexity, zero_count
+from .complexity import check_lower_bound, complexity, mean_abs_phase, zero_count
 from .cycle import build_alpha_cycle, verify_cycle
 from .ensemble import get_density, moment_experiment
 from .errors import HalfcycleError
@@ -181,19 +181,25 @@ def cmd_schrodinger(args) -> int:
 def cmd_complexity(args) -> int:
     config = ExperimentConfig("complexity", period=args.period, out_format=args.format,
                               out_path=args.out, seed=args.seed or 0)
+    if args.grid < 1:
+        print(f"error: grid {args.grid} must be at least 1", file=sys.stderr)
+        return 2
     spec = aperiodic_spectrum() if args.aperiodic else minimal_periodic_spectrum(args.period)
     t_grid = np.linspace(0.0, 1.0, args.grid)
-    readings = [complexity(spec, t) for t in t_grid]
-    zeros = zero_count(spec, max(args.grid, 256)) if not args.aperiodic else None
-    bound = check_lower_bound(spec, t_grid) if not args.aperiodic else None
+    values = complexity(spec, t_grid)
+    bound = zeros = None
+    if not args.aperiodic:
+        bound = check_lower_bound(spec, t_grid)
+        # zero_count needs 256 samples; coarser grids get their own scan
+        zeros = bound.zero_count if args.grid >= 256 else zero_count(spec, 256)
     if args.format == "csv":
-        _emit(reports.complexity_csv(readings, zeros), args.out)
+        _emit(reports.complexity_csv(t_grid, values, mean_abs_phase(spec), zeros), args.out)
         return 0 if bound is None or bound.ok else 1
     body = {
-        "mean_abs_phase": readings[0].mean_abs_phase if readings else None,
+        "mean_abs_phase": mean_abs_phase(spec),
         "zero_count": zeros,
         "lower_bound_ok": None if bound is None else bound.ok,
-        "readings": [[r.t, r.value] for r in readings],
+        "readings": [list(row) for row in zip(t_grid.tolist(), values.tolist())],
     }
     _emit(_envelope(config, body), args.out)
     return 0 if bound is None or bound.ok else 1

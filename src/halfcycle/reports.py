@@ -34,16 +34,9 @@ def _csv_lines(header, rows) -> str:
 
 
 def profile_csv(profile) -> str:
-    rows = (
-        (int(j), np.real(a), np.imag(a), p)
-        for j, a, p in zip(profile.indices, profile.amplitudes, profile.probabilities)
-    )
+    rows = zip(profile.indices.tolist(), profile.amplitudes.real.tolist(),
+               profile.amplitudes.imag.tolist(), profile.probabilities.tolist())
     return _csv_lines(["index", "amplitude_real", "amplitude_imag", "probability"], rows)
-
-
-def spectrum_csv(spec) -> str:
-    rows = ((k, ph, w) for k, (ph, w) in enumerate(zip(spec.phases, spec.weights)))
-    return _csv_lines(["index", "phase", "weight"], rows)
 
 
 def stats_csv(report) -> str:
@@ -57,8 +50,8 @@ def stats_csv(report) -> str:
     )
 
 
-def complexity_csv(readings, zeros: int | None = None) -> str:
-    rows = [(r.t, r.mean_abs_phase, r.value) for r in readings]
+def complexity_csv(t_grid, values, mean_abs_phase: float, zeros: int | None = None) -> str:
+    rows = ((t, mean_abs_phase, v) for t, v in zip(t_grid.tolist(), values.tolist()))
     text = _csv_lines(["t", "mean_abs_phase", "complexity"], rows)
     if zeros is not None:
         text += f"# overlap_zero_count,{zeros}\n"

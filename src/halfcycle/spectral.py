@@ -21,8 +21,8 @@ O(p) memory.  A point spectrum with phases 2pi*(k/p + n_k) for integers
 n_k has overlap(j - 1/2) = c_j with y_k = (-1)^{n_k} * w_k, so the
 profile cross-check, the ensemble's window masses and the continuous
 cell integrals are all this sum.  ``overlap_at`` stays the general
-evaluator at arbitrary u (the complexity bound and zero count use it); it
-works in fixed blocks of u, so its memory does not grow with len(u).
+evaluator at arbitrary u, scanned once for both the complexity bound and
+zero count; its fixed blocks of u keep its memory flat in len(u).
 
 The minimal period-p construction places phase_k = 2pi*(k/p + k mod 2)
 with equal weights 1/p.  Its half-cycle amplitudes have the closed form
@@ -153,7 +153,7 @@ def minimal_periodic_spectrum(p: int) -> OrbitSpectrum:
 
     Needs even p: the alternating mod-2 offsets are what make consecutive
     computational states orthogonal while concentrating the half-cycle
-    amplitude on the window.
+    amplitude on the window.  p > DEFAULT_PERIOD_CAP raises CapacityError.
     """
     _check_even_period(p)
     k = np.arange(p)
@@ -164,6 +164,8 @@ def minimal_periodic_spectrum(p: int) -> OrbitSpectrum:
 def _check_even_period(p: int) -> None:
     if p < 2 or p % 2 != 0:
         raise PreconditionError("minimal construction needs even p >= 2")
+    if p > DEFAULT_PERIOD_CAP:
+        raise CapacityError(f"period {p} exceeds cap {DEFAULT_PERIOD_CAP}")
 
 
 def _halfstep_rows(y_rows: np.ndarray) -> np.ndarray:
@@ -210,8 +212,6 @@ def halfstep_profile_periodic(p: int) -> AmplitudeProfile:
     CapacityError before anything is allocated.
     """
     _check_even_period(p)
-    if p > DEFAULT_PERIOD_CAP:
-        raise CapacityError(f"period {p} exceeds cap {DEFAULT_PERIOD_CAP}")
     j = np.arange(p)
     closed = np.exp(1j * np.pi * (j - 0.5) / p) / (p * np.sin(np.pi * (p - 2 * j + 1) / (2 * p)))
     direct = _halfstep_rows(np.where(j % 2, -1.0, 1.0) / p)

@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, file output, seeded determinism."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import halfcycle
-from halfcycle import halfstep_profile_aperiodic, halfstep_profile_periodic, reports
+from halfcycle import (halfstep_profile_aperiodic, halfstep_profile_periodic, overlap_at,
+                       reports)
 from halfcycle.cli import main
 
 
@@ -47,10 +49,18 @@ def test_profile_aperiodic(tmp_path):
 @pytest.mark.parametrize("args, profile", [
     (["profile", "--period", "1024"], lambda: halfstep_profile_periodic(1024)),
     (["profile", "--aperiodic", "--K", "2000"], lambda: halfstep_profile_aperiodic(2000)),
+    (["profile", "--period", "1024", "--format", "csv"], lambda: halfstep_profile_periodic(1024)),
 ])
 def test_profile_rows_match_per_element_conversion(args, profile, tmp_path):
     _, payload = run_cli(args, tmp_path)
     prof = profile()
+    if "csv" in args:
+        rows = [(int(j), np.real(a), np.imag(a), q)
+                for j, a, q in zip(prof.indices, prof.amplitudes, prof.probabilities)]
+        lines = ["index,amplitude_real,amplitude_imag,probability"]
+        lines += [",".join(reports.fmt(v) for v in row) for row in rows]
+        assert payload == ("\n".join(lines) + "\n").encode()
+        return
     expected = json.loads(payload)
     expected["amplitudes"] = [[int(j), float(np.real(a)), float(np.imag(a))]
                               for j, a in zip(prof.indices, prof.amplitudes)]
@@ -63,8 +73,9 @@ def test_profile_odd_period_rejected(capsys):
 
 
 def test_profile_period_above_cap_rejected(capsys):
-    assert main(["profile", "--period", "8388608"]) == 2
-    assert "exceeds cap" in capsys.readouterr().err
+    for args in (["profile", "--period", "8388608"], ["complexity", "--period", "8388608"]):
+        assert main(args) == 2
+        assert "exceeds cap" in capsys.readouterr().err
 
 
 def test_cycle_command(tmp_path):
@@ -154,6 +165,34 @@ def test_complexity_command(tmp_path):
     data = json.loads(payload)
     assert data["lower_bound_ok"] is True
     assert abs(data["mean_abs_phase"] - 7 * 3.141592653589793 / 4) < 1e-9
+
+
+@pytest.mark.parametrize("args", [
+    ["--period", "8", "--grid", "0"],
+    ["--period", "8", "--grid", "-3"],
+    ["--aperiodic", "--grid", "0"],
+    ["--period", "1099511627776"],
+])
+def test_complexity_bad_input_rejected(args, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["complexity", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_complexity_scans_the_overlap_once(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(spec, u):
+        calls.append(np.size(u))
+        return overlap_at(spec, u)
+
+    # the package's ``complexity`` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("halfcycle.complexity"), "overlap_at", counted)
+    assert main(["complexity", "--period", "64", "--grid", "512",
+                 "--out", str(tmp_path / "out.json")]) == 0
+    assert calls == [512]
 
 
 @pytest.mark.parametrize("args", [

@@ -21,42 +21,42 @@ def single_phase(phase):
 def test_zero_phase_has_zero_cost():
     spec = single_phase(0.0)
     for t in (0.0, 0.5, 1.0, 7.0):
-        assert complexity(spec, t).value == 0.0
+        assert complexity(spec, t) == 0.0
 
 
 def test_minimal_p2_values():
     spec = minimal_periodic_spectrum(2)
-    reading = complexity(spec, 0.5)
-    assert reading.mean_abs_phase == pytest.approx(3 * math.pi / 2)
-    assert reading.value == pytest.approx(3 * math.pi / 4)
+    assert complexity(spec, 1.0) == pytest.approx(3 * math.pi / 2)
+    assert complexity(spec, 0.5) == pytest.approx(3 * math.pi / 4)
 
 
 def test_minimal_p4_mean_abs_phase():
     spec = minimal_periodic_spectrum(4)
-    assert complexity(spec, 1.0).value == pytest.approx(7 * math.pi / 4)
+    assert complexity(spec, 1.0) == pytest.approx(7 * math.pi / 4)
 
 
 def test_aperiodic_mean_abs_phase_is_pi():
-    reading = complexity(aperiodic_spectrum(), 0.5)
-    assert reading.mean_abs_phase == APERIODIC_MEAN_ABS_PHASE == pytest.approx(math.pi)
-    assert reading.value == pytest.approx(math.pi / 2)
+    spec = aperiodic_spectrum()
+    assert complexity(spec, 1.0) == APERIODIC_MEAN_ABS_PHASE == pytest.approx(math.pi)
+    assert complexity(spec, 0.5) == pytest.approx(math.pi / 2)
 
 
 def test_cost_is_linear_in_t():
     spec = minimal_periodic_spectrum(8)
-    assert complexity(spec, 0.8).value == pytest.approx(4 * complexity(spec, 0.2).value)
+    assert complexity(spec, 0.8) == pytest.approx(4 * complexity(spec, 0.2))
 
 
 def test_negative_time_rejected():
-    with pytest.raises(PreconditionError):
-        complexity(minimal_periodic_spectrum(2), -0.1)
+    for t in (-0.1, np.array([0.0, 0.5, -0.1])):
+        with pytest.raises(PreconditionError):
+            complexity(minimal_periodic_spectrum(2), t)
 
 
 def test_lower_bound_p2_halfstep():
     spec = minimal_periodic_spectrum(2)
     lhs = 2 - 2 * (overlap_at(spec, 0.5)).real
     assert lhs == pytest.approx(1.0)
-    assert lhs <= 2 * complexity(spec, 0.5).value
+    assert lhs <= 2 * complexity(spec, 0.5)
 
 
 def test_lower_bound_grid_report():
@@ -70,6 +70,12 @@ def test_lower_bound_grid_report():
 def test_lower_bound_boundary_at_zero():
     report = check_lower_bound(minimal_periodic_spectrum(4), [0.0])
     assert report.ok  # 0 <= 0
+    assert report.zero_count == 0
+
+
+def test_lower_bound_rejects_empty_grid():
+    with pytest.raises(PreconditionError):
+        check_lower_bound(minimal_periodic_spectrum(4), [])
 
 
 def test_orthogonal_evolution_costs_at_least_one():
@@ -77,7 +83,7 @@ def test_orthogonal_evolution_costs_at_least_one():
         spec = minimal_periodic_spectrum(p)
         lhs = 2 - 2 * overlap_at(spec, 1.0).real
         assert lhs == pytest.approx(2.0, abs=1e-9)  # orthogonal after one step
-        assert complexity(spec, 1.0).value >= 1.0
+        assert complexity(spec, 1.0) >= 1.0
 
 
 def test_zero_count_requires_resolution():
@@ -99,7 +105,7 @@ def test_zero_count_frozen_minimal_family():
 
 def test_zero_count_grows_with_mean_abs_phase():
     counts = [zero_count(minimal_periodic_spectrum(p), 4096) for p in (2, 4, 8)]
-    means = [complexity(minimal_periodic_spectrum(p), 1.0).value for p in (2, 4, 8)]
+    means = [complexity(minimal_periodic_spectrum(p), 1.0) for p in (2, 4, 8)]
     assert counts == sorted(counts)
     assert means == sorted(means)
 
@@ -131,3 +137,21 @@ def test_lower_bound_memory_is_blocked():
         tracemalloc.stop()
     assert report.ok and report.n_points == 8192
     assert peak < 64 * 2 ** 20
+
+
+def sign_changes(spec, n):
+    # reference: sign changes of Re and Im on their own overlap evaluation
+    vals = overlap_at(spec, np.linspace(0.0, 1.0, n))
+    signs = [np.sign(vals.real), np.sign(vals.imag)]
+    return sum(int(np.sum(s[:-1] * s[1:] < 0)) for s in signs)
+
+
+@given(point_spectra(), st.integers(256, 2048),
+       st.lists(st.floats(0.0, 10.0), min_size=1, max_size=50))
+@settings(max_examples=60, deadline=None)
+def test_one_scan_gives_zero_count_and_cost(spec, n, times):
+    report = check_lower_bound(spec, np.linspace(0, 1, n))
+    assert report.zero_count == zero_count(spec, n) == sign_changes(spec, n)
+    values = complexity(spec, np.array(times))
+    assert isinstance(values, np.ndarray) and isinstance(complexity(spec, times[0]), float)
+    assert values.tolist() == [complexity(spec, t) for t in times]

@@ -1,4 +1,5 @@
-"""Smoke runs of the demos that drive the Monte-Carlo procedures."""
+"""Smoke runs of the demos that drive the Monte-Carlo procedures and the
+complexity gauge."""
 
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["04_retry_procedures.py", "05_random_implementations.py"])
+@pytest.mark.parametrize("demo", ["04_retry_procedures.py", "05_random_implementations.py",
+                                  "06_packing_and_complexity.py"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,

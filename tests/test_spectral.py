@@ -110,14 +110,15 @@ def test_halfstep_profile_memory_is_linear():
 
 
 def test_halfstep_profile_refuses_period_above_cap_before_allocating():
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError, match="exceeds cap"):
-            halfstep_profile_periodic(DEFAULT_PERIOD_CAP + 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 16
+    for build in (halfstep_profile_periodic, minimal_periodic_spectrum):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="exceeds cap"):
+                build(DEFAULT_PERIOD_CAP + 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
 
 def test_halfstep_profile_p2_probabilities():
