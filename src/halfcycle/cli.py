@@ -20,7 +20,7 @@ from . import reports
 from .complexity import check_lower_bound, complexity, mean_abs_phase, zero_count
 from .cycle import build_alpha_cycle, verify_cycle
 from .ensemble import get_density, moment_experiment
-from .errors import HalfcycleError
+from .errors import HalfcycleError, PreconditionError
 from .machine import initial_config, load_machine, run
 from .measure import halting_demo
 from .packing import pack_spectrum
@@ -67,6 +67,14 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _int_list(text: str, flag: str) -> list:
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise PreconditionError(
+            f"{flag} {text!r} is not a comma-separated list of integers") from None
+
+
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w", newline="") as handle:
@@ -95,7 +103,7 @@ def cmd_profile(args) -> int:
     if args.format == "csv":
         _emit(reports.profile_csv(profile), args.out)
     else:
-        peak_amp = profile.amplitudes[profile.position(peak)]
+        peak_amp = profile.amplitudes[profile.positions([peak])[0]]
         body = {
             "captured": profile.captured,
             "peak_index": peak,
@@ -143,7 +151,7 @@ def cmd_instant(args) -> int:
 
 def cmd_stats(args) -> int:
     seed = _resolve_seed(args)
-    p_list = [int(tok) for tok in args.p.split(",") if tok]
+    p_list = _int_list(args.p, "--p")
     config = ExperimentConfig("stats", density=args.density, trials=args.trials,
                               seed=seed, out_format=args.format, out_path=args.out)
     density = get_density(args.density)
@@ -158,7 +166,7 @@ def cmd_stats(args) -> int:
 
 def cmd_pack(args) -> int:
     config = ExperimentConfig("pack", out_path=args.out, seed=args.seed or 0)
-    nu = [int(tok) for tok in args.nu.split(",")] if args.nu else None
+    nu = _int_list(args.nu, "--nu") if args.nu else None
     packed = pack_spectrum(args.n, nu)
     body = packed.to_dict()
     _emit(_envelope(config, {"pack": body}), args.out)

@@ -104,15 +104,15 @@ def _ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def build_alpha_cycle(trace: Trace, alpha, period_cap: int = DEFAULT_PERIOD_CAP,
-                      source: str = "") -> LabeledCycle:
+def build_alpha_cycle(trace: Trace, alpha, source: str = "") -> LabeledCycle:
     """Turn a halted trace into a waiting cycle with ratio at least ``alpha``.
 
     With s forward steps, the wait count is w = ceil(alpha/(1-alpha) * s),
     floored at one so the window is never empty; the period p = 2s + 2w is
     even by construction (no parity padding is ever needed) and the window
     is [s, s + 2w).  Both s and p are recorded on the cycle so the overhead
-    of the construction can be audited.
+    of the construction can be audited.  A period above DEFAULT_PERIOD_CAP
+    raises CapacityError before anything is allocated.
     """
     if not trace.halted:
         raise PreconditionError("cycle construction needs a halted trace")
@@ -122,8 +122,8 @@ def build_alpha_cycle(trace: Trace, alpha, period_cap: int = DEFAULT_PERIOD_CAP,
     s = trace.n_steps
     w = max(1, _ceil_frac(alpha / (1 - alpha) * s))
     p = 2 * s + 2 * w
-    if p > period_cap:
-        raise CapacityError(f"period {p} exceeds cap {period_cap} (alpha too close to 1)")
+    if p > DEFAULT_PERIOD_CAP:
+        raise CapacityError(f"period {p} exceeds cap {DEFAULT_PERIOD_CAP} (alpha too close to 1)")
 
     window = range(s, s + 2 * w)
     labels = tuple(j in window for j in range(p))

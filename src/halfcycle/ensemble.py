@@ -32,10 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cycle import alpha_for_period, centered_window
 from .errors import ConsistencyError, PreconditionError
 from .spectral import _halfstep_rows
 
 _CHUNK = 4096
+_DELTA = 3.0  # standard deviations below the mean of the Chebyshev threshold
 _BESSEL_TOL = 1e-12
 
 
@@ -168,19 +170,16 @@ class StatsReport:
         }
 
 
-def moment_experiment(p_list, density: DensitySpec, trials: int, rng,
-                        delta: float = 3.0) -> StatsReport:
+def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsReport:
     """Sample nu for each period with the long-waiting window and estimate
     its moments.
 
     Per period p: the window is the centered block of the waiting ratio
     1 - p**-0.5; reported are the sample mean (target alpha*m2), standard
     error, variance, variance*p (the deviation scale), and the fraction of
-    samples below mean - delta*std together with the calibrated constant c
-    making that threshold read m2 - delta/(c*sqrt(p)).
+    samples below mean - delta*std (delta = 3) together with the calibrated
+    constant c making that threshold read m2 - delta/(c*sqrt(p)).
     """
-    from .cycle import alpha_for_period, centered_window
-
     if trials < 1:
         raise PreconditionError("need at least one trial")
     rows = []
@@ -204,9 +203,9 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng,
         std = math.sqrt(var) if trials > 1 else float("nan")
         stderr = std / math.sqrt(trials) if trials > 1 else float("nan")
         if trials > 1 and std > 0:
-            threshold = mean - delta * std
+            threshold = mean - _DELTA * std
             cheb_fraction = float(np.mean(nus < threshold))
-            cheb_c = delta / ((density.m2 - threshold) * math.sqrt(p))
+            cheb_c = _DELTA / ((density.m2 - threshold) * math.sqrt(p))
         else:
             cheb_fraction = float("nan")
             cheb_c = float("nan")
@@ -215,7 +214,7 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng,
             var=var, var_times_p=var * p, cheb_fraction=cheb_fraction,
             cheb_c=cheb_c, target_mean=alpha * density.m2,
         ))
-    return StatsReport(density=density.name, trials=trials, delta=delta, rows=tuple(rows))
+    return StatsReport(density=density.name, trials=trials, delta=_DELTA, rows=tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ Two procedures repeat trials:
   the majority; the analytic error bound is the binomial tail at the
   per-shot validity rate.
 
-Trials are drawn in blocks: one ``rng.random(n)`` call and one
-``searchsorted`` map n uniforms to n outcomes, and runs end at their first
-accepted draws.  A block holds only draws that are certainly needed (one
+Every procedure draws from the profile's own tables: one ``rng.random(n)``
+call and one ``searchsorted`` in ``profile.cdf`` map n uniforms to n
+outcomes, and the per-shot validity rate is ``nu_of``.  Runs end at their
+first accepted draws.  A block holds only draws that are certainly needed (one
 per unfinished run, one per missing vote), so the numpy Generator handed
 in is consumed exactly as by one ``rng.random()`` per trial: the same
 trial counts, results, votes and final generator state, and reports are
@@ -34,9 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle import LabeledCycle, cycle_result
+from .cycle import LabeledCycle, build_alpha_cycle, cycle_result
 from .errors import PreconditionError
-from .spectral import AmplitudeProfile
+from .machine import run
+from .spectral import (AmplitudeProfile, halfstep_profile_aperiodic,
+                       halfstep_profile_periodic, nu_of)
 
 
 @dataclass(frozen=True)
@@ -92,23 +95,14 @@ class RunReport:
         }
 
 
-class _Sampler:
-    """Inverse-CDF sampler over a profile's defective index distribution."""
-
-    def __init__(self, profile: AmplitudeProfile, window):
-        self.indices = profile.indices
-        self.probabilities = profile.probabilities
-        self.cum = np.cumsum(self.probabilities)
-        self.captured = float(profile.captured)
-        self.window_pos = profile.positions(window)
-
-    def draw(self, rng, n: int):
-        """n trials from n uniforms: the o = 1 mask and the array position
-        of each measured index (meaningful only where o = 1)."""
-        u = rng.random(n)
-        pos = np.searchsorted(self.cum, u, side="right")
-        np.minimum(pos, self.cum.size - 1, out=pos)
-        return u < self.captured, pos
+def _draw(profile: AmplitudeProfile, rng, n: int):
+    """n trials from n uniforms: the o = 1 mask and the array position of
+    each measured index (meaningful only where o = 1), by inverse CDF over
+    the profile's defective index distribution."""
+    u = rng.random(n)
+    pos = np.searchsorted(profile.cdf, u, side="right")
+    np.minimum(pos, profile.cdf.size - 1, out=pos)
+    return u < profile.captured, pos
 
 
 def sample_outcome(profile: AmplitudeProfile, window, rng) -> MeasurementOutcome:
@@ -118,12 +112,12 @@ def sample_outcome(profile: AmplitudeProfile, window, rng) -> MeasurementOutcome
     drawn from |a_j|^2 (normalized); result_valid records whether j lies in
     the result window.
     """
-    sampler = _Sampler(profile, window)
-    o, pos = sampler.draw(rng, 1)
+    window_pos = profile.positions(window)
+    o, pos = _draw(profile, rng, 1)
     if not o[0]:
         return MeasurementOutcome(o_value=0, index=None, result_valid=False)
-    return MeasurementOutcome(o_value=1, index=int(sampler.indices[pos[0]]),
-                              result_valid=bool(pos[0] in sampler.window_pos))
+    return MeasurementOutcome(o_value=1, index=int(profile.indices[pos[0]]),
+                              result_valid=bool(pos[0] in window_pos))
 
 
 def _error_free_runs(cycle: LabeledCycle, profile: AmplitudeProfile, validate, rng,
@@ -138,14 +132,14 @@ def _error_free_runs(cycle: LabeledCycle, profile: AmplitudeProfile, validate, r
     """
     if max_trials < 1:
         raise PreconditionError("need at least one trial")
-    sampler = _Sampler(profile, cycle.window)
+    profile.positions(cycle.window)  # range check before the first draw
     results: dict = {}
     verdict = np.full(profile.indices.size, -1, dtype=np.int8)  # -1: not drawn yet
     trials, o_ones, accepted = [], [], []
     done = carry_t = carry_o = 0
     while done < runs:
         n = runs - done  # one draw per unfinished run
-        o, pos = sampler.draw(rng, n)
+        o, pos = _draw(profile, rng, n)
         drawn = pos[o]
         for q in np.unique(drawn[verdict[drawn] < 0]).tolist():
             results[q] = cycle_result(cycle, int(profile.indices[q]))
@@ -213,11 +207,10 @@ def run_error_bounded(profile: AmplitudeProfile, window, result_of, majority_m: 
         raise PreconditionError("majority size must be odd and positive")
     if max_trials < 1:
         raise PreconditionError("need at least one trial")
-    sampler = _Sampler(profile, window)
-    if sampler.captured <= 0.0:
+    nu = nu_of(profile, window)
+    if profile.captured <= 0.0:
         raise PreconditionError("profile has no computational-state mass")
-    # nu_of(profile, window), summed term by term in the same order
-    epsilon = float(np.sum(sampler.probabilities[sampler.window_pos])) / sampler.captured
+    epsilon = nu / profile.captured
     if epsilon <= 0.5:
         raise PreconditionError(f"per-shot validity {epsilon:.4f} is not above 1/2")
 
@@ -225,10 +218,10 @@ def run_error_bounded(profile: AmplitudeProfile, window, result_of, majority_m: 
     shots = []
     while len(shots) < majority_m and trials < max_trials:
         n = min(majority_m - len(shots), max_trials - trials)
-        o, pos = sampler.draw(rng, n)
+        o, pos = _draw(profile, rng, n)
         trials += n
         shots.extend(pos[o].tolist())
-    result_at = {q: result_of(int(sampler.indices[q])) for q in dict.fromkeys(shots)}
+    result_at = {q: result_of(int(profile.indices[q])) for q in dict.fromkeys(shots)}
     votes = dict(Counter(result_at[q] for q in shots))
     conclusive = len(shots) == majority_m
     # Plurality winner; a tie between distinct wrong results is broken
@@ -271,10 +264,6 @@ def halting_demo(spec, config, budget: int, K: int, alpha, rng,
     part of the verdict: this is a statistics-level enactment on a bounded
     classical simulator, and verdicts are relative to it.
     """
-    from .cycle import build_alpha_cycle
-    from .machine import run
-    from .spectral import halfstep_profile_aperiodic, halfstep_profile_periodic
-
     trace = run(spec, config, budget)
     if trace.halted:
         src = f"{spec.name or 'machine'}"

@@ -39,8 +39,10 @@ disjoint packing within the energy bound exists, and only then is
 CapacityError raised.  Parity is optimal among the program's solutions.
 
 All bookkeeping is on integer numerators over the single denominator
-2^(n_max + nu_max), the dyadic grid every point lies on, so it is exact;
-fractions.Fraction points are built only for the returned instances.
+2^(n_max + nu_max), the dyadic grid every point lies on, so it is exact.
+The result keeps those numerators: each instance holds its read-only
+slice of them, the report's checks run on them, and fractions.Fraction
+points are built only when ``PackedInstance.points`` is asked for.
 """
 
 from __future__ import annotations
@@ -57,13 +59,19 @@ ENERGY_BUDGET_OVER_2PI = Fraction(2)  # mean phase <= 4pi
 DEFAULT_POINT_CAP = 2 ** 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackedInstance:
-    """One problem instance's assigned spectrum, in exact units of 2pi."""
+    """One problem instance's assigned spectrum, in exact units of 2pi.
+
+    ``numerators`` (read-only int64, index-aligned with k = 0..2^nu-1) are
+    the points phase/2pi over the common ``denominator`` of the packing;
+    ``points`` builds them as Fractions on request.
+    """
 
     n: int
     m: int
-    points: tuple  # Fractions phase/2pi, index-aligned with k = 0..2^nu-1
+    numerators: np.ndarray
+    denominator: int
     nu: int
 
     @property
@@ -71,15 +79,20 @@ class PackedInstance:
         return 2 ** self.nu
 
     @property
+    def points(self) -> tuple:
+        return tuple(Fraction(v, self.denominator) for v in self.numerators.tolist())
+
+    @property
     def mean_phase_over_2pi(self) -> Fraction:
-        return sum(self.points, Fraction(0)) / self.period
+        return Fraction(int(self.numerators.sum()), self.denominator * self.period)
 
     @property
     def energy(self) -> float:
         return float(2 * np.pi * self.mean_phase_over_2pi)
 
     def spectrum(self):
-        phases = 2.0 * np.pi * np.array([float(x) for x in self.points])
+        # exact: numerators stay below 2^53 and the denominator is a power of 2
+        phases = 2.0 * np.pi * (self.numerators / self.denominator)
         weights = np.full(self.period, 1.0 / self.period)
         return OrbitSpectrum(phases=phases, weights=weights, period=self.period)
 
@@ -108,21 +121,12 @@ class PackedSpectra:
         raise PreconditionError(f"no instance ({n}, {m})")
 
     def _grid(self) -> tuple:
-        """Every point as an integer numerator over 2^(n_max + nu_max), in
-        instance order, with each instance's point count and that common
-        denominator.  The checks below run on these numerators, which is
-        exact because every packed point lies on that dyadic grid."""
-        denom = 2 ** (self.n_max + self.nu_exponents[-1])
-        nums = []
-        for inst in self.instances:
-            for x in inst.points:
-                scale, rest = divmod(denom, x.denominator)
-                if rest:
-                    raise PreconditionError(
-                        f"point {x} of instance ({inst.n}, {inst.m}) is off the 1/{denom} grid")
-                nums.append(x.numerator * scale)
-        sizes = np.array([len(inst.points) for inst in self.instances])
-        return np.array(nums, dtype=np.int64), sizes, denom
+        """Every point's numerator in instance order, each instance's point
+        count and the common denominator 2^(n_max + nu_max); the checks
+        below run on these integers, which is exact."""
+        nums = np.concatenate([inst.numerators for inst in self.instances])
+        sizes = np.array([inst.numerators.size for inst in self.instances])
+        return nums, sizes, 2 ** (self.n_max + self.nu_exponents[-1])
 
     def all_disjoint(self) -> bool:
         """Exhaustive disjointness check: every instance carries 2^nu
@@ -205,15 +209,17 @@ def _validate_nu(n_max: int, nu_exponents) -> tuple:
     return nu
 
 
-def pack_spectrum(n_max: int, nu_exponents=None, point_cap: int = DEFAULT_POINT_CAP) -> PackedSpectra:
+def pack_spectrum(n_max: int, nu_exponents=None) -> PackedSpectra:
     """Assign disjoint bounded-energy spectra to all instances of sizes
-    0..n_max.  See the module docstring for the assignment program."""
+    0..n_max.  See the module docstring for the assignment program; more
+    than DEFAULT_POINT_CAP points in total raise CapacityError before
+    anything is allocated."""
     if n_max < 0:
         raise PreconditionError("n_max must be nonnegative")
     nu = _validate_nu(n_max, nu_exponents)
     total_points = sum(2 ** (n + nu[n]) for n in range(n_max + 1))
-    if total_points > point_cap:
-        raise CapacityError(f"{total_points} eigenvalues exceed cap {point_cap}")
+    if total_points > DEFAULT_POINT_CAP:
+        raise CapacityError(f"{total_points} eigenvalues exceed cap {DEFAULT_POINT_CAP}")
 
     # Every point in (n, m, k) order as a numerator over 2^shift; instance
     # (n, m) has index 2^n - 1 + m.
@@ -234,14 +240,15 @@ def pack_spectrum(n_max: int, nu_exponents=None, point_cap: int = DEFAULT_POINT_
     parts = _assign_ranks(np.concatenate(insts), np.concatenate(odds), pile,
                           np.concatenate(budgets))
 
-    values = (parts * denom + nums).tolist()
+    values = parts * denom + nums
+    values.flags.writeable = False
     instances = []
     pos = 0
     for n in range(n_max + 1):
         for m in range(2 ** n):
-            pts = tuple(Fraction(v, denom) for v in values[pos:pos + 2 ** nu[n]])
+            instances.append(PackedInstance(n=n, m=m, numerators=values[pos:pos + 2 ** nu[n]],
+                                            denominator=denom, nu=nu[n]))
             pos += 2 ** nu[n]
-            instances.append(PackedInstance(n=n, m=m, points=pts, nu=nu[n]))
     return PackedSpectra(n_max=n_max, nu_exponents=nu, instances=instances)
 
 

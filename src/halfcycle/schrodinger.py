@@ -26,6 +26,7 @@ import numpy as np
 from .errors import PreconditionError
 
 _NORM_TOL = 1e-10
+_HALF_WIDTH = 8.0  # the shipped pairs live on [-8, 8]; exp(-x^2/2) < 1e-13 at its ends
 
 
 @dataclass(frozen=True)
@@ -127,26 +128,25 @@ def _null_space(a: np.ndarray) -> np.ndarray:
     return vh[rank:].T.conj()
 
 
-def obstruction_certificate(gset: GridFunctionSet, tolerance: float | None = None):
+def obstruction_certificate(gset: GridFunctionSet):
     """Search for coefficients proving the functions share no orbit.
 
     Solves sum(a) = 0 with sum_k a_k |h_k(x_i)|^2 = 0 at every grid point;
     when the nullspace is nontrivial, evaluates the kinetic mismatch K for
     each basis direction and certifies if some |K| clears the tolerance
-    (default: 1e3 * machine epsilon on the scale of the kinetic forms).
+    1e3 * machine epsilon on the scale of the kinetic forms.
     Absence of a certificate draws no conclusion.
     """
     if gset.n < 2:
         raise PreconditionError("need at least two functions")
-    if gset.size < 8:
-        raise PreconditionError("grid too coarse (fewer than 8 points)")
+    _check_grid(gset.size)
 
     moduli = np.abs(gset.functions) ** 2  # (n, G)
     constraints = np.vstack([np.ones(gset.n), moduli.T * gset.h])
     basis = _null_space(constraints)
     kinetics = np.array([kinetic_form(f, gset.h) for f in gset.functions])
     scale = float(np.max(np.abs(kinetics)))
-    tol = tolerance if tolerance is not None else 1e3 * np.finfo(float).eps * scale
+    tol = 1e3 * np.finfo(float).eps * scale
 
     if basis.size == 0:
         return ObstructionAbsence(reason="moduli constraints admit only zero",
@@ -170,24 +170,30 @@ def obstruction_certificate(gset: GridFunctionSet, tolerance: float | None = Non
 
 # --- shipped examples and CSV interface -------------------------------------
 
-def gaussian(x: np.ndarray, sigma: float = 1.0) -> np.ndarray:
-    return np.exp(-x ** 2 / (2.0 * sigma ** 2)).astype(complex)
+def _check_grid(grid_points: int) -> None:
+    if grid_points < 8:
+        raise PreconditionError(f"grid of {grid_points} points is too coarse (fewer than 8)")
 
 
-def chirped_pair(grid_points: int = 1024, half_width: float = 8.0,
-                 sigma: float = 1.0, chirp: float = 1.0) -> GridFunctionSet:
-    """A Gaussian and its quadratic-phase twin: equal moduli pointwise but
-    distinct kinetic energy, the standard certificate-producing pair."""
-    x = np.linspace(-half_width, half_width, grid_points)
-    base = gaussian(x, sigma)
-    return make_grid_set(x, [base, base * np.exp(1j * chirp * x ** 2)])
+def _unit_gaussian(grid_points: int):
+    """The uniform grid of ``grid_points`` points on [-8, 8] and exp(-x^2/2) on it."""
+    _check_grid(grid_points)
+    x = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, grid_points)
+    return x, np.exp(-x ** 2 / 2.0).astype(complex)
 
 
-def identical_pair(grid_points: int = 1024, half_width: float = 8.0,
-                   sigma: float = 1.0) -> GridFunctionSet:
-    """Two copies of one Gaussian: the control case with no obstruction."""
-    x = np.linspace(-half_width, half_width, grid_points)
-    base = gaussian(x, sigma)
+def chirped_pair(grid_points: int = 1024) -> GridFunctionSet:
+    """The unit Gaussian on [-8, 8] and its twin with phase exp(i*x^2): equal
+    moduli pointwise but distinct kinetic energy, the standard
+    certificate-producing pair."""
+    x, base = _unit_gaussian(grid_points)
+    return make_grid_set(x, [base, base * np.exp(1j * x ** 2)])
+
+
+def identical_pair(grid_points: int = 1024) -> GridFunctionSet:
+    """Two copies of the unit Gaussian on [-8, 8]: the control case with no
+    obstruction."""
+    x, base = _unit_gaussian(grid_points)
     return make_grid_set(x, [base, base.copy()])
 
 

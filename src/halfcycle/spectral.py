@@ -37,19 +37,21 @@ to total probability 1.  Periods above DEFAULT_PERIOD_CAP raise
 CapacityError before anything is allocated.  The aperiodic (non-halting)
 counterpart has a_k = -1/(pi*i*(k - 1/2)), whose full two-sided square
 sum is 1 by Euler's series; a symmetric truncation to 2K terms captures
-all but ~2/(pi^2*K).
+all but ~2/(pi^2*K).  A profile lives on a run of consecutive indices and
+keeps the readout distribution |a|^2 and its running sum as its only
+copies; ``nu_of`` and every measurement draw read them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cycle import DEFAULT_PERIOD_CAP
 from .errors import CapacityError, ConsistencyError, PreconditionError
 
-TAU_HALF_CYCLE = 0.5
 _WEIGHT_SUM_TOL = 1e-12
 _PROFILE_TOL = 1e-10
 _OVERLAP_BLOCK = 2 ** 16  # u-times-phase entries overlap_at holds at once
@@ -91,40 +93,41 @@ class OrbitSpectrum:
 class AmplitudeProfile:
     """Complex overlap amplitudes of the half-cycle state.
 
-    ``indices`` are cycle positions j for periodic profiles, or the
-    symmetric index range (-K, K] for aperiodic truncations.  ``captured``
-    is the total probability sum |a|^2 over the stored indices; a value
-    that disagrees with that sum by more than 1e-10 is rejected, since the
-    measurement sampler decides o = 1 by ``captured`` and picks the index
-    by the cumulative sum of |a|^2.
+    ``indices`` must be a run of consecutive integers: the cycle positions
+    0..p-1 for periodic profiles, or the symmetric range (-K, K] for
+    aperiodic truncations; anything else raises PreconditionError.  The
+    readout distribution |a|^2 is stored once, as ``probabilities``, and
+    its running sum ``cdf`` is taken once, on the first draw.
+    ``captured`` is the total probability sum |a|^2 over the stored
+    indices; a value that disagrees with that sum by more than 1e-10 is
+    rejected, since a measurement decides o = 1 by ``captured`` and picks
+    the index by ``cdf``.
     """
 
     amplitudes: np.ndarray
     indices: np.ndarray
     captured: float
     period: int | None
-    tau: float = TAU_HALF_CYCLE
+    probabilities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int))
+        if self.indices.ndim != 1 or not self.indices.size or np.any(np.diff(self.indices) != 1) \
+                or self.amplitudes.shape != self.indices.shape:
+            raise PreconditionError("need one amplitude per index on consecutive integer indices")
         if self.captured > 1.0 + _WEIGHT_SUM_TOL:
             raise PreconditionError("captured probability exceeds 1")
+        object.__setattr__(self, "probabilities", np.abs(self.amplitudes) ** 2)
         total = float(np.sum(self.probabilities))
         if abs(self.captured - total) > _PROFILE_TOL:
             raise PreconditionError(
                 f"captured probability {self.captured!r} differs from sum |a|^2 = {total!r}")
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def position(self, index: int) -> int:
-        """Array position of cycle index ``index``."""
-        pos = int(index - self.indices[0])
-        if pos < 0 or pos >= self.indices.size or self.indices[pos] != index:
-            raise PreconditionError(f"index {index} outside profile range")
-        return pos
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        """Running sum of ``probabilities``, the inverse-CDF table of a draw."""
+        return np.cumsum(self.probabilities)
 
     def positions(self, indices) -> np.ndarray:
         """Array positions of the cycle indices ``indices`` (a range or any
@@ -135,10 +138,9 @@ class AmplitudeProfile:
         else:
             idx = np.fromiter(indices, dtype=np.int64)
         pos = idx - self.indices[0]
-        inside = (pos >= 0) & (pos < self.indices.size)
-        inside[inside] = self.indices[pos[inside]] == idx[inside]
-        if not inside.all():
-            raise PreconditionError(f"index {idx[~inside][0]} outside profile range")
+        outside = (pos < 0) | (pos >= self.indices.size)
+        if outside.any():
+            raise PreconditionError(f"index {idx[outside][0]} outside profile range")
         return pos
 
 
@@ -241,7 +243,7 @@ def halfstep_profile_aperiodic(K: int) -> AmplitudeProfile:
 def nu_of(profile: AmplitudeProfile, window) -> float:
     """Probability of landing in ``window``: sum of |a_j|^2 over j in the
     window.  Raises on indices outside the profile range."""
-    return float(np.sum(np.abs(profile.amplitudes[profile.positions(window)]) ** 2))
+    return float(np.sum(profile.probabilities[profile.positions(window)]))
 
 
 def eigenbasis(p: int) -> np.ndarray:
@@ -252,15 +254,3 @@ def eigenbasis(p: int) -> np.ndarray:
     j = np.arange(p)
     return np.exp(2j * np.pi * np.outer(j, j) / p) / np.sqrt(p)
 
-
-__all__ = [
-    "OrbitSpectrum",
-    "AmplitudeProfile",
-    "aperiodic_spectrum",
-    "minimal_periodic_spectrum",
-    "overlap_at",
-    "halfstep_profile_periodic",
-    "halfstep_profile_aperiodic",
-    "nu_of",
-    "eigenbasis",
-]

@@ -168,14 +168,20 @@ def test_complexity_command(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["--period", "8", "--grid", "0"],
-    ["--period", "8", "--grid", "-3"],
-    ["--aperiodic", "--grid", "0"],
-    ["--period", "1099511627776"],
+    ["complexity", "--period", "8", "--grid", "0"],
+    ["complexity", "--period", "8", "--grid", "-3"],
+    ["complexity", "--aperiodic", "--grid", "0"],
+    ["complexity", "--period", "1099511627776"],
+    ["schrodinger", "--grid", "0"],
+    ["schrodinger", "--grid", "1"],
+    ["schrodinger", "--builtin", "identical", "--grid", "-5"],
+    ["stats", "--p", "64,x", "--trials", "10", "--seed", "1"],
+    ["pack", "--n", "2", "--nu", "0,x,3"],
 ])
 def test_complexity_bad_input_rejected(args, tmp_path, capsys):
+    # grids, periods and integer lists are checked before anything is built
     out = tmp_path / "out.json"
-    assert main(["complexity", *args, "--out", str(out)]) == 2
+    assert main([*args, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()

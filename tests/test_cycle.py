@@ -1,5 +1,6 @@
 """Cycle builder: construction arithmetic, verification, window helpers."""
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -93,8 +94,15 @@ def test_alpha_bounds_rejected():
 
 
 def test_period_cap():
-    with pytest.raises(CapacityError):
-        build_alpha_cycle(halted_trace(2), Fraction(999999, 1000000), period_cap=1000)
+    # s = 2 and w = 2 * 9999999 give p ~ 4e7, past DEFAULT_PERIOD_CAP = 2^22
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="exceeds cap"):
+            build_alpha_cycle(halted_trace(2), Fraction(9999999, 10 ** 7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_verify_accepts_built_cycle():

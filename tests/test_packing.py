@@ -1,5 +1,6 @@
 """Spectrum packing: disjointness, energy bound, grid structure."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,25 @@ def test_congruence_holds_for_every_point():
         for k, x in enumerate(inst.points):
             expected = (Fraction(inst.m, denom) + Fraction(k, 2 ** inst.nu)) % 1
             assert x - int(x) == expected
+
+
+@pytest.mark.parametrize("n_max, nu", [(4, None), (5, [0, 2, 4, 6, 8, 10])])
+def test_numerators_match_a_fraction_reference(n_max, nu):
+    # each point is its congruence fraction plus the integer part read from
+    # the stored numerator; points, mean phase and float phases must equal
+    # what exact Fraction arithmetic gives, bit for bit
+    packed = pack_spectrum(n_max, nu)
+    for inst in packed.instances:
+        grid = 2 ** (inst.n + packed.nu_exponents[inst.n])
+        ints = (inst.numerators // inst.denominator).tolist()
+        ref = tuple(i + (Fraction(inst.m, grid) + Fraction(k, inst.period)) % 1
+                    for k, i in enumerate(ints))
+        assert inst.points == ref
+        assert inst.mean_phase_over_2pi == sum(ref, Fraction(0)) / inst.period
+        expected = 2.0 * np.pi * np.array([float(x) for x in ref])
+        assert inst.spectrum().phases.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        packed.instances[0].numerators[0] = 1  # read-only, like the frozen instance
 
 
 def test_pairwise_disjoint_n4_exhaustive():
@@ -66,8 +86,15 @@ def test_parity_compliance_reported():
 
 
 def test_capacity_cap():
-    with pytest.raises(CapacityError):
-        pack_spectrum(4, point_cap=10)
+    # sum of 2^(2n) over n <= 10 is ~1.4e6 points, past DEFAULT_POINT_CAP = 2^20
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="exceed cap"):
+            pack_spectrum(10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_energy_infeasibility_is_an_error_not_a_silent_overrun():

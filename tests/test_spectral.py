@@ -13,7 +13,7 @@ from halfcycle import (CapacityError, PreconditionError, aperiodic_spectrum, eig
                        halfstep_profile_aperiodic, halfstep_profile_periodic,
                        minimal_periodic_spectrum, nu_of, overlap_at)
 from halfcycle.cycle import DEFAULT_PERIOD_CAP
-from halfcycle.spectral import OrbitSpectrum, _halfstep_rows
+from halfcycle.spectral import AmplitudeProfile, OrbitSpectrum, _halfstep_rows
 
 P_RANGE = [2 ** k for k in range(1, 11)]  # 2, 4, ..., 1024
 
@@ -128,7 +128,7 @@ def test_halfstep_profile_p2_probabilities():
 
 def test_aperiodic_amplitude_k1():
     profile = halfstep_profile_aperiodic(10)
-    a1 = profile.amplitudes[profile.position(1)]
+    a1 = profile.amplitudes[profile.positions([1])[0]]
     assert abs(a1) == pytest.approx(2 / math.pi)
     # a_k = -1/(pi*i*(k-1/2)) is purely imaginary with sign of (k-1/2)
     assert a1 == pytest.approx(2j / math.pi)
@@ -145,9 +145,9 @@ def test_aperiodic_symmetric_indices():
     profile = halfstep_profile_aperiodic(5)
     assert profile.indices[0] == -4 and profile.indices[-1] == 5
     # |a_k| = |a_{1-k}|: symmetric about k = 1/2
-    probs = profile.probabilities
-    assert probs[profile.position(0)] == pytest.approx(probs[profile.position(1)])
-    assert probs[profile.position(-3)] == pytest.approx(probs[profile.position(4)])
+    probs = profile.probabilities[profile.positions([0, 1, -3, 4])]
+    assert probs[0] == pytest.approx(probs[1])
+    assert probs[2] == pytest.approx(probs[3])
 
 
 def test_nu_of_full_window_is_one():
@@ -179,8 +179,8 @@ def test_nu_of_rejects_out_of_range():
 
 
 def _nu_loop(profile, window):
-    probs = profile.probabilities
-    return sum(float(probs[profile.position(j)]) for j in window)
+    probs = np.abs(profile.amplitudes) ** 2
+    return sum(float(probs[j - profile.indices[0]]) for j in window)
 
 
 @pytest.mark.parametrize("profile, window", [
@@ -192,6 +192,18 @@ def _nu_loop(profile, window):
 ])
 def test_nu_of_matches_loop(profile, window):
     assert nu_of(profile, window) == pytest.approx(_nu_loop(profile, window), abs=1e-12)
+    # the stored |a|^2 gives the same bits as squaring the amplitudes per call
+    pos = np.asarray(window) - profile.indices[0]
+    assert nu_of(profile, window) == float(np.sum(np.abs(profile.amplitudes[pos]) ** 2))
+
+
+@pytest.mark.parametrize("indices", [[0, 2, 5], [3, 2, 1], [0, 0, 1], [[0, 1], [2, 3]], []])
+def test_profile_refuses_indices_that_are_not_consecutive(indices):
+    # positions() reads index j at array position j - indices[0]
+    amplitudes = np.full(np.shape(indices), 0.5, dtype=complex)
+    with pytest.raises(PreconditionError):
+        AmplitudeProfile(amplitudes=amplitudes, indices=indices,
+                         captured=float(np.sum(np.abs(amplitudes) ** 2)), period=None)
 
 
 def test_eigenbasis_small_cases():
