@@ -108,9 +108,8 @@ def cmd_profile(args) -> int:
             "captured": profile.captured,
             "peak_index": peak,
             "peak_abs": float(abs(peak_amp)),
-            "amplitudes": [list(row) for row in zip(profile.indices.tolist(),
-                                                    profile.amplitudes.real.tolist(),
-                                                    profile.amplitudes.imag.tolist())],
+            "amplitudes": list(zip(profile.indices.tolist(), profile.amplitudes.real.tolist(),
+                                   profile.amplitudes.imag.tolist())),
         }
         _emit(_envelope(config, body), args.out)
     return 0
@@ -207,7 +206,7 @@ def cmd_complexity(args) -> int:
         "mean_abs_phase": mean_abs_phase(spec),
         "zero_count": zeros,
         "lower_bound_ok": None if bound is None else bound.ok,
-        "readings": [list(row) for row in zip(t_grid.tolist(), values.tolist())],
+        "readings": list(zip(t_grid.tolist(), values.tolist())),
     }
     _emit(_envelope(config, body), args.out)
     return 0 if bound is None or bound.ok else 1

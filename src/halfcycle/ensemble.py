@@ -32,11 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle import alpha_for_period, centered_window
-from .errors import ConsistencyError, PreconditionError
+from .cycle import DEFAULT_PERIOD_CAP, alpha_for_period, centered_window
+from .errors import CapacityError, ConsistencyError, PreconditionError
 from .spectral import _halfstep_rows
 
-_CHUNK = 4096
+_CHUNK_ROWS = 4096
+_CHUNK_ENTRIES = 2 ** 22  # draws held at once: exactly 4096 rows at p = 1024
 _DELTA = 3.0  # standard deviations below the mean of the Chebyshev threshold
 _BESSEL_TOL = 1e-12
 
@@ -95,7 +96,7 @@ def get_density(name: str) -> DensitySpec:
             f"unknown density {name!r}; choose from {sorted(DENSITIES)}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YSample:
     """Branch imbalances y_j in [-1/p, 1/p] for one sampled implementation."""
 
@@ -179,20 +180,29 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
     error, variance, variance*p (the deviation scale), and the fraction of
     samples below mean - delta*std (delta = 3) together with the calibrated
     constant c making that threshold read m2 - delta/(c*sqrt(p)).
+
+    Trials are drawn in chunks of at most 4096 rows and 2**22 draws, each
+    from its own stream spawned off ``rng``, so the numbers a seed gives
+    depend on the chunk size.  Every period is checked before anything is
+    drawn; p > DEFAULT_PERIOD_CAP raises CapacityError.
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
-    rows = []
     for p in p_list:
         if p < 4 or p % 2:
             raise PreconditionError("periods must be even and at least 4")
+        if p > DEFAULT_PERIOD_CAP:
+            raise CapacityError(f"period {p} exceeds cap {DEFAULT_PERIOD_CAP}")
+    rows = []
+    for p in p_list:
         alpha = alpha_for_period(p)
         window = centered_window(p, alpha)
-        streams = rng.spawn(math.ceil(trials / _CHUNK))
+        chunk = min(_CHUNK_ROWS, _CHUNK_ENTRIES // p)
+        streams = rng.spawn(math.ceil(trials / chunk))
         nus = np.empty(trials)
         done = 0
         for stream in streams:
-            count = min(_CHUNK, trials - done)
+            count = min(chunk, trials - done)
             y = density.sample(stream, (count, p))
             y /= p
             inside = _halfstep_rows(y)[:, window.start:window.stop].view(float)

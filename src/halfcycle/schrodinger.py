@@ -29,7 +29,7 @@ _NORM_TOL = 1e-10
 _HALF_WIDTH = 8.0  # the shipped pairs live on [-8, 8]; exp(-x^2/2) < 1e-13 at its ends
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunctionSet:
     """Complex functions sampled on one uniform grid, each of unit
     discrete norm sum(|f|^2)*h = 1."""
@@ -83,7 +83,7 @@ def kinetic_form(f: np.ndarray, h: float) -> float:
     return float(np.sum(np.abs(diffs) ** 2) / h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObstructionCertificate:
     coefficients: np.ndarray
     kinetic_mismatch: float

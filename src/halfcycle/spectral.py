@@ -57,7 +57,7 @@ _PROFILE_TOL = 1e-10
 _OVERLAP_BLOCK = 2 ** 16  # u-times-phase entries overlap_at holds at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitSpectrum:
     """Eigenphases (radians per machine cycle) with spectral weights.
 
@@ -89,7 +89,7 @@ class OrbitSpectrum:
         return self.period is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeProfile:
     """Complex overlap amplitudes of the half-cycle state.
 
@@ -108,7 +108,7 @@ class AmplitudeProfile:
     indices: np.ndarray
     captured: float
     period: int | None
-    probabilities: np.ndarray = field(init=False, repr=False, compare=False)
+    probabilities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))

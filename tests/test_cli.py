@@ -2,12 +2,16 @@
 
 import importlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import halfcycle
 from halfcycle import (halfstep_profile_aperiodic, halfstep_profile_periodic, overlap_at,
@@ -19,6 +23,19 @@ def run_cli(args, tmp_path, name="out.json"):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
     return code, out.read_bytes()
+
+
+def fmt(x) -> str:
+    """Reference CSV text of one value: 17 significant digits for floats."""
+    if isinstance(x, (bool, np.bool_)):
+        return str(bool(x)).lower()
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    return str(x)
+
+
+def csv_reference(header, rows) -> str:
+    return "".join(",".join(map(fmt, row)) + "\n" for row in [header, *rows])
 
 
 def test_profile_period_json(tmp_path):
@@ -58,7 +75,7 @@ def test_profile_rows_match_per_element_conversion(args, profile, tmp_path):
         rows = [(int(j), np.real(a), np.imag(a), q)
                 for j, a, q in zip(prof.indices, prof.amplitudes, prof.probabilities)]
         lines = ["index,amplitude_real,amplitude_imag,probability"]
-        lines += [",".join(reports.fmt(v) for v in row) for row in rows]
+        lines += [",".join(fmt(v) for v in row) for row in rows]
         assert payload == ("\n".join(lines) + "\n").encode()
         return
     expected = json.loads(payload)
@@ -73,7 +90,8 @@ def test_profile_odd_period_rejected(capsys):
 
 
 def test_profile_period_above_cap_rejected(capsys):
-    for args in (["profile", "--period", "8388608"], ["complexity", "--period", "8388608"]):
+    for args in (["profile", "--period", "8388608"], ["complexity", "--period", "8388608"],
+                 ["stats", "--p", "8388608", "--seed", "1"]):
         assert main(args) == 2
         assert "exceeds cap" in capsys.readouterr().err
 
@@ -231,3 +249,67 @@ def test_import_leaves_scipy_unloaded():
     src = str(Path(halfcycle.__file__).resolve().parents[1])
     code = "import halfcycle, halfcycle.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
+
+
+NUMBERS = st.one_of(
+    st.integers(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e22]))
+TRICKY = ['", "', '"], ["', "[[1, 2], [3]]", "]", "[", "\0", "\\u0000", ""]
+SCALARS = st.one_of(NUMBERS, st.booleans(), st.none(), st.floats().map(np.float64),
+                    st.text(max_size=8), st.sampled_from(TRICKY))
+# empty, one-element and ragged rows; number rows and rows mixing in other values
+ROWS = st.one_of(st.lists(NUMBERS, max_size=4), st.tuples(NUMBERS, NUMBERS),
+                 st.lists(SCALARS, max_size=3))
+PAYLOADS = st.recursive(
+    st.one_of(SCALARS, st.lists(ROWS, max_size=5)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.one_of(st.text(max_size=5),
+                                                      st.sampled_from(TRICKY)),
+                                            inner, max_size=4)),
+    max_leaves=12)
+
+
+@given(st.dictionaries(st.text(max_size=5), PAYLOADS, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_render_json_matches_stock_encoder(payload):
+    expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    assert reports.render_json(payload) == expected
+
+
+FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+STATS_ROWS = st.builds(SimpleNamespace, p=st.integers(4, 2 ** 22), density=st.text(),
+                       trials=st.integers(1, 10 ** 9), mean=FLOATS, stderr=FLOATS, var=FLOATS,
+                       var_times_p=FLOATS, cheb_fraction=FLOATS)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_csv_writers_match_per_value_reference(data):
+    n = data.draw(st.integers(0, 6))
+    floats = st.lists(FLOATS, min_size=n, max_size=n)
+
+    start = data.draw(st.integers(-2 ** 40, 2 ** 40))
+    amplitudes = [complex(a, b) for a, b in zip(data.draw(floats), data.draw(floats))]
+    profile = SimpleNamespace(indices=np.arange(start, start + n),
+                              amplitudes=np.array(amplitudes, dtype=complex),
+                              probabilities=np.array(data.draw(floats)))
+    rows = zip(profile.indices.tolist(), profile.amplitudes.real.tolist(),
+               profile.amplitudes.imag.tolist(), profile.probabilities.tolist())
+    assert reports.profile_csv(profile) == csv_reference(
+        ["index", "amplitude_real", "amplitude_imag", "probability"], rows)
+
+    stats = SimpleNamespace(rows=data.draw(st.lists(STATS_ROWS, max_size=n)))
+    rows = [(r.p, r.density, r.trials, r.mean, r.stderr, r.var, r.var_times_p,
+             r.cheb_fraction) for r in stats.rows]
+    assert reports.stats_csv(stats) == csv_reference(
+        ["p", "density", "trials", "mean", "stderr", "var", "var_p", "chebyshev_fraction"],
+        rows)
+
+    t_grid, values = np.array(data.draw(floats)), np.array(data.draw(floats))
+    phase = data.draw(FLOATS)
+    zeros = data.draw(st.none() | st.integers(0, 100))
+    expected = csv_reference(["t", "mean_abs_phase", "complexity"],
+                             [(t, phase, v) for t, v in zip(t_grid, values)])
+    if zeros is not None:
+        expected += f"# overlap_zero_count,{zeros}\n"
+    assert reports.complexity_csv(t_grid, values, phase, zeros) == expected

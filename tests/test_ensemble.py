@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from halfcycle import (DENSITIES, PreconditionError, YSample, alpha_for_period,
-                       centered_window, continuous_nu, get_density,
+from halfcycle import (DENSITIES, CapacityError, DensitySpec, PreconditionError, YSample,
+                       alpha_for_period, centered_window, continuous_nu, get_density,
                        halfstep_profile_periodic, nu_from_y, nu_of, sample_y,
                        moment_experiment)
+from halfcycle.cycle import DEFAULT_PERIOD_CAP
 
 
 def test_density_library_moments():
@@ -147,6 +148,24 @@ def test_moment_experiment_single_trial_flags_variance():
 def test_moment_experiment_validates_periods():
     with pytest.raises(PreconditionError):
         moment_experiment([63], get_density("uniform"), 10, np.random.default_rng(0))
+    with pytest.raises(CapacityError, match="exceeds cap"):
+        moment_experiment([64, 2 * DEFAULT_PERIOD_CAP], get_density("uniform"), 10,
+                          np.random.default_rng(0))
+
+
+def test_moment_experiment_chunk_shapes():
+    # at most 4096 rows and 2**22 draws a chunk: p <= 1024 keeps 4096-row chunks
+    shapes = []
+    uniform = get_density("uniform")
+
+    def recorded(rng, size):
+        shapes.append(size)
+        return uniform.sample(rng, size)
+
+    density = DensitySpec("recorded", uniform.m2, uniform.m4, recorded)
+    moment_experiment([64, 1024, 2048], density, 4097, np.random.default_rng(0))
+    assert shapes == [(4096, 64), (1, 64), (4096, 1024), (1, 1024),
+                      (2048, 2048), (2048, 2048), (1, 2048)]
 
 
 def test_continuous_nu_deterministic_one():

@@ -1,5 +1,6 @@
 """Spectral core: minimal spectra, overlap values, amplitude profiles."""
 
+import copy
 import math
 import time
 import tracemalloc
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from halfcycle import (CapacityError, PreconditionError, aperiodic_spectrum, eigenbasis,
-                       halfstep_profile_aperiodic, halfstep_profile_periodic,
-                       minimal_periodic_spectrum, nu_of, overlap_at)
+from halfcycle import (CapacityError, PreconditionError, aperiodic_spectrum, chirped_pair,
+                       eigenbasis, get_density, halfstep_profile_aperiodic,
+                       halfstep_profile_periodic, minimal_periodic_spectrum, nu_of,
+                       obstruction_certificate, overlap_at, sample_y)
 from halfcycle.cycle import DEFAULT_PERIOD_CAP
 from halfcycle.spectral import AmplitudeProfile, OrbitSpectrum, _halfstep_rows
 
@@ -264,3 +266,19 @@ def test_peak_modulus_converges_to_two_over_pi(k):
     assert p * math.sin(math.pi / (2 * p)) * peak == pytest.approx(1.0, rel=1e-12)
     if p >= 16:
         assert abs(peak - 2 / math.pi) < 1.0 / p ** 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: minimal_periodic_spectrum(4),
+    lambda: halfstep_profile_periodic(4),
+    lambda: sample_y(8, get_density("uniform"), np.random.default_rng(3)),
+    lambda: chirped_pair(64),
+    lambda: obstruction_certificate(chirped_pair(64)),
+], ids=["OrbitSpectrum", "AmplitudeProfile", "YSample", "GridFunctionSet",
+        "ObstructionCertificate"])
+def test_array_dataclasses_compare_by_identity(make):
+    # the generated __eq__ would compare ndarray fields and raise
+    x = make()
+    assert x == x
+    assert (x == copy.deepcopy(x)) is False
+    assert hash(x) == hash(x)
