@@ -22,7 +22,7 @@ print(f"\nincrementer('0') halts after s = {trace.n_steps} steps")
 for alpha in (Fraction(1, 100), Fraction(1, 2), Fraction(3, 4), Fraction(15, 16)):
     cycle = hc.build_alpha_cycle(trace, alpha, source="incrementer(0)")
     report = hc.verify_cycle(cycle)
-    bar = "".join("#" if lab else "." for lab in cycle.labels)
+    bar = "".join("#" if j in cycle.window else "." for j in range(cycle.p))
     print(f"\nalpha = {alpha}:  p = {cycle.p}, w = {cycle.w}, "
           f"window = [{cycle.window.start}, {cycle.window.stop}), "
           f"actual ratio = {cycle.alpha_actual}")

@@ -12,10 +12,12 @@ from, and position j holds the configuration at trace index
 min(j, s, p - j) (forward, then waiting and unwinding at index s, then
 back).  Each position also carries a (phase, counter) control tag that
 follows from j, s and w, so all p states are pairwise distinct even where
-the tape content repeats.  Equal indices mean equal configurations, so
-the walk's invariants are checked on integers, in O(p), without hashing
-or comparing a single tape.  Downstream spectral and statistical results
-depend only on the period and the label pattern.
+the tape content repeats.  The labels are the window: position j holds
+the result exactly when j lies in it.  Equal indices mean equal
+configurations, so the walk's invariants are closed forms in p, s, w and
+the window, checked in O(1) without hashing or comparing a single tape.
+Downstream spectral and statistical results depend only on the period
+and the window.
 """
 
 from __future__ import annotations
@@ -24,29 +26,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapacityError, PreconditionError
-from .machine import Trace, tape_content
-
-DEFAULT_PERIOD_CAP = 2 ** 22
+from .machine import DEFAULT_PERIOD_CAP, Trace, tape_content
 
 
 @dataclass(frozen=True)
 class LabeledCycle:
-    """A period-p cycle with a boolean label per index (True = the state
-    holds the valid result) and the contiguous result window.
+    """A period-p cycle whose result window is its labelling: position j
+    holds the valid result exactly when ``j in window``.
 
     ``trace`` is the halted trace the cycle was built from; the state at
     each position is read from it through :meth:`trace_index`.
     """
 
     p: int
-    labels: tuple
     window: range
     alpha_requested: Fraction
-    alpha_actual: Fraction
     s: int
     w: int
     source: str
-    trace: Trace | None = None
+    trace: Trace
+
+    @property
+    def alpha_actual(self) -> Fraction:
+        """The waiting ratio: the window's share of the period."""
+        return Fraction(len(self.window), self.p)
 
     def trace_index(self, j: int) -> int:
         """Trace index of the configuration at cycle position ``j``.
@@ -61,20 +64,6 @@ class LabeledCycle:
         if j < s:
             return j
         return n - j if n - j < s else s
-
-    def tag(self, j: int) -> tuple:
-        """(phase, counter) control tag of cycle position ``j``: the phase
-        is "fwd", "wait", "unwind" or "rev", and the counter is the number
-        of steps already taken in it (j taken mod 2s + 2w)."""
-        s, w = self.s, self.w
-        j %= 2 * (s + w)
-        if j < s:
-            return ("fwd", j)
-        if j < s + w:
-            return ("wait", j - s)
-        if j < s + 2 * w:
-            return ("unwind", j - s - w)
-        return ("rev", j - s - 2 * w)
 
     def to_dict(self) -> dict:
         return {
@@ -125,70 +114,64 @@ def build_alpha_cycle(trace: Trace, alpha, source: str = "") -> LabeledCycle:
     if p > DEFAULT_PERIOD_CAP:
         raise CapacityError(f"period {p} exceeds cap {DEFAULT_PERIOD_CAP} (alpha too close to 1)")
 
-    window = range(s, s + 2 * w)
-    labels = tuple(j in window for j in range(p))
-    return LabeledCycle(
-        p=p,
-        labels=labels,
-        window=window,
-        alpha_requested=alpha,
-        alpha_actual=Fraction(2 * w, p),
-        s=s,
-        w=w,
-        source=source,
-        trace=trace,
-    )
+    return LabeledCycle(p=p, window=range(s, s + 2 * w), alpha_requested=alpha,
+                        s=s, w=w, source=source, trace=trace)
 
 
 def verify_cycle(cycle: LabeledCycle) -> CycleReport:
     """Check the structural invariants of a cycle and report violations.
 
     Checks: even period, window contiguity and label agreement, waiting
-    ratio at least the requested alpha, window centering, and (when the
-    trace is retained) that the trace halted after s steps and that the
-    walk of trace indices has length p, pairwise distinct (phase, counter)
-    tags, is a closed palindrome, and maps every window position to the
-    final (result) index s.  The walk checks run on integers: equal
-    indices are equal configurations, so no configuration is hashed.
+    ratio at least the requested alpha, window centering, that the trace
+    halted after s steps, and that the walk of trace indices has length p,
+    pairwise distinct (phase, counter) tags, is a closed palindrome, and
+    maps every window position to the final (result) index s.  Each check
+    is a closed form in p, s, w and the window: O(1) time and memory.  A
+    window with a step other than 1 is not contiguous; the result-index
+    check reads it by its hull.
     """
+    p, s, w, window = cycle.p, cycle.s, cycle.w, cycle.window
     v = []
     checks = ["even_period", "labels_on_window", "window_contiguous", "window_nonempty",
-              "waiting_ratio", "midpoint_in_window"]
-    if cycle.p % 2 != 0:
+              "waiting_ratio", "midpoint_in_window", "trace_halted", "trace_length",
+              "index_walk_length"]
+    if p % 2 != 0:
         v.append("period is odd")
-    if cycle.p != len(cycle.labels):
-        v.append("label sequence length differs from period")
-    true_idx = [j for j, lab in enumerate(cycle.labels) if lab]
-    if true_idx != list(cycle.window):
+    # the labelled positions in order: the window read upwards, cut to [0, p)
+    up = window if window.step > 0 else window[::-1]
+    labelled = up[max(0, -(up.start // up.step)):max(0, -((up.start - p) // up.step))]
+    if labelled != window:
         v.append("labels are not true exactly on the window")
-    if true_idx and true_idx != list(range(true_idx[0], true_idx[-1] + 1)):
+    if len(labelled) > 1 and labelled.step != 1:
         v.append("window is not contiguous")
-    if not true_idx:
+    if not labelled:
         v.append("window is empty")
     if cycle.alpha_actual < cycle.alpha_requested:
         v.append("waiting ratio below requested alpha")
-    if cycle.alpha_actual >= Fraction(1, 2) and cycle.p // 2 not in cycle.window:
+    if cycle.alpha_actual >= Fraction(1, 2) and p // 2 not in window:
         v.append("midpoint p/2 outside window despite waiting ratio >= 1/2")
-
-    if cycle.trace is not None:
-        p, s = cycle.p, cycle.s
-        checks += ["trace_halted", "trace_length", "index_walk_length"]
-        if not cycle.trace.halted:
-            v.append("trace did not halt")
-        if len(cycle.trace.steps) != s + 1:
-            v.append("trace length differs from s + 1")
-        if 2 * (s + cycle.w) != p:
-            v.append("state sequence length differs from period")
-        if s + cycle.w > 0:  # positions are read mod 2(s + w)
-            checks += ["index_tags_distinct", "index_palindrome", "index_window_at_s"]
-            if len(set(map(cycle.tag, range(p)))) != p:
-                v.append("cycle states are not pairwise distinct")
-            idx = list(map(cycle.trace_index, range(p)))
-            if idx[1:] != idx[:0:-1]:  # idx(j) == idx(p - j) for 0 < j < p
-                v.append("configuration walk is not a closed palindrome")
-            if set(map(cycle.trace_index, cycle.window)) - {s}:
+    if not cycle.trace.halted:
+        v.append("trace did not halt")
+    if len(cycle.trace.steps) != s + 1:
+        v.append("trace length differs from s + 1")
+    n = 2 * (s + w)  # length of the walk; positions are read mod n
+    if n != p:
+        v.append("state sequence length differs from period")
+    if n > 0:
+        checks += ["index_tags_distinct", "index_palindrome", "index_window_at_s"]
+        if p > n:  # tags repeat with period n
+            v.append("cycle states are not pairwise distinct")
+        # idx(j) = idx(p - j) for all 0 < j < p iff the walk is constant (s = 0),
+        # read whole (p = 0 mod n), compared only at j = 1 (p <= 2), or read
+        # within one walk whose positions 0 < j < n all sit at index 1 (s = 1)
+        if not (s == 0 or p % n == 0 or p <= 2 or (s == 1 and p < n)):
+            v.append("configuration walk is not a closed palindrome")
+        # position j is at index s iff s <= j mod n <= n - s
+        if s > 0 and window:
+            lo, hi = sorted((window[0], window[-1]))
+            if not (s <= lo % n and lo % n + hi - lo <= n - s):
                 v.append("window states do not all hold the result tape")
-    return CycleReport(ok=not v, violations=tuple(v), p=cycle.p,
+    return CycleReport(ok=not v, violations=tuple(v), p=p,
                        alpha_actual=cycle.alpha_actual, checks=tuple(checks))
 
 
@@ -215,7 +198,5 @@ def cycle_result(cycle: LabeledCycle, index: int) -> tuple:
     """The result variable r = (z, v) carried by cycle state ``index``:
     z = 0 with the final tape inside the window, z = 1 with the local tape
     elsewhere."""
-    if cycle.trace is None:
-        raise PreconditionError("cycle was built without its trace")
     config = cycle.trace.steps[cycle.trace_index(index)]
-    return (0 if cycle.labels[index] else 1, tape_content(config))
+    return (0 if index in cycle.window else 1, tape_content(config))

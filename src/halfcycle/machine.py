@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import MachineSpecError, PreconditionError
+from .errors import CapacityError, MachineSpecError, PreconditionError
 
 MOVES = {"L": -1, "R": +1, "S": 0}
+
+DEFAULT_PERIOD_CAP = 2 ** 22  # of cycles, profiles and random implementations
 
 
 @dataclass(frozen=True)
@@ -91,14 +93,17 @@ class Trace:
 
     ``steps`` includes the initial configuration, so a trace of n steps has
     n + 1 entries.  ``halted`` is set iff a result state was entered within
-    the budget; ``budget_exceeded`` marks the non-halting outcome explicitly
-    (possible non-termination is a value, never an exception).
+    the budget; otherwise the budget was exceeded (possible non-termination
+    is a value, never an exception).
     """
 
     steps: tuple
     halted: bool
-    budget_exceeded: bool
     result: tuple | None
+
+    @property
+    def budget_exceeded(self) -> bool:
+        return not self.halted
 
     @property
     def n_steps(self) -> int:
@@ -143,16 +148,22 @@ def step(spec: TMSpec, config: Configuration) -> Configuration:
 
 
 def run(spec: TMSpec, config: Configuration, max_steps: int) -> Trace:
-    """Run until a result state is entered or the step budget is exhausted."""
+    """Run until a result state is entered or the step budget is exhausted.
+
+    A halted trace of s steps makes a cycle of period at least 2s + 2, so a
+    budget past DEFAULT_PERIOD_CAP // 2 - 1 raises CapacityError at once.
+    """
     if max_steps < 1:
         raise PreconditionError("max_steps must be >= 1")
+    if max_steps > DEFAULT_PERIOD_CAP // 2 - 1:
+        raise CapacityError(f"step budget {max_steps} exceeds cap {DEFAULT_PERIOD_CAP // 2 - 1}")
     steps = [config]
     halted = config.state in spec.result_states
     while not halted and len(steps) - 1 < max_steps:
         steps.append(step(spec, steps[-1]))
         halted = steps[-1].state in spec.result_states
     result = decode_result(spec, steps[-1]) if halted else None
-    return Trace(steps=tuple(steps), halted=halted, budget_exceeded=not halted, result=result)
+    return Trace(steps=tuple(steps), halted=halted, result=result)
 
 
 # --- machine files ---------------------------------------------------------

@@ -195,9 +195,12 @@ def test_complexity_command(tmp_path):
     ["schrodinger", "--builtin", "identical", "--grid", "-5"],
     ["stats", "--p", "64,x", "--trials", "10", "--seed", "1"],
     ["pack", "--n", "2", "--nu", "0,x,3"],
+    ["cycle", "--machine", "loop", "--budget", "50000000"],
+    ["instant", "--machine", "loop", "--budget", "50000000", "--seed", "1"],
 ])
 def test_complexity_bad_input_rejected(args, tmp_path, capsys):
-    # grids, periods and integer lists are checked before anything is built
+    # grids, periods, step budgets and integer lists are checked before
+    # anything is built
     out = tmp_path / "out.json"
     assert main([*args, "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -15,12 +15,76 @@ from halfcycle.cycle import LabeledCycle
 from halfcycle.machine import Configuration, Trace
 
 HALTING_MACHINES = {"incrementer": "01", "unary_successor": "1", "parity": "01"}
+WALK_MESSAGES = {"trace did not halt", "trace length differs from s + 1",
+                 "state sequence length differs from period",
+                 "cycle states are not pairwise distinct",
+                 "configuration walk is not a closed palindrome",
+                 "window states do not all hold the result tape"}
+
+
+def tag(cycle, j):
+    """(phase, counter) control tag of cycle position ``j``: the phase is
+    "fwd", "wait", "unwind" or "rev", and the counter is the number of
+    steps already taken in it (j taken mod 2s + 2w)."""
+    s, w = cycle.s, cycle.w
+    j %= 2 * (s + w)
+    if j < s:
+        return ("fwd", j)
+    if j < s + w:
+        return ("wait", j - s)
+    if j < s + 2 * w:
+        return ("unwind", j - s - w)
+    return ("rev", j - s - 2 * w)
+
+
+def enumerated_verdict(cycle):
+    """``(ok, violations, checks)`` of verify_cycle, found by walking all p
+    positions: the reference its closed forms must agree with."""
+    v = []
+    checks = ["even_period", "labels_on_window", "window_contiguous", "window_nonempty",
+              "waiting_ratio", "midpoint_in_window"]
+    if cycle.p % 2 != 0:
+        v.append("period is odd")
+    true_idx = [j for j in range(cycle.p) if j in cycle.window]
+    if true_idx != list(cycle.window):
+        v.append("labels are not true exactly on the window")
+    if true_idx and true_idx != list(range(true_idx[0], true_idx[-1] + 1)):
+        v.append("window is not contiguous")
+    if not true_idx:
+        v.append("window is empty")
+    if cycle.alpha_actual < cycle.alpha_requested:
+        v.append("waiting ratio below requested alpha")
+    if cycle.alpha_actual >= Fraction(1, 2) and cycle.p // 2 not in cycle.window:
+        v.append("midpoint p/2 outside window despite waiting ratio >= 1/2")
+    p, s = cycle.p, cycle.s
+    checks += ["trace_halted", "trace_length", "index_walk_length"]
+    if not cycle.trace.halted:
+        v.append("trace did not halt")
+    if len(cycle.trace.steps) != s + 1:
+        v.append("trace length differs from s + 1")
+    if 2 * (s + cycle.w) != p:
+        v.append("state sequence length differs from period")
+    if s + cycle.w > 0:
+        checks += ["index_tags_distinct", "index_palindrome", "index_window_at_s"]
+        if len({tag(cycle, j) for j in range(p)}) != p:
+            v.append("cycle states are not pairwise distinct")
+        idx = list(map(cycle.trace_index, range(p)))
+        if idx[1:] != idx[:0:-1]:  # idx(j) == idx(p - j) for 0 < j < p
+            v.append("configuration walk is not a closed palindrome")
+        if set(map(cycle.trace_index, cycle.window)) - {s}:
+            v.append("window states do not all hold the result tape")
+    return not v, tuple(v), tuple(checks)
+
+
+def verdict(cycle):
+    report = verify_cycle(cycle)
+    return report.ok, report.violations, report.checks
 
 
 def materialised_states(cycle):
     """Every (phase, counter, configuration) state of the cycle, read off
     its trace through the index map."""
-    return [(*cycle.tag(j), cycle.trace.steps[cycle.trace_index(j)]) for j in range(cycle.p)]
+    return [(*tag(cycle, j), cycle.trace.steps[cycle.trace_index(j)]) for j in range(cycle.p)]
 
 
 def stored_states(trace, s, w):
@@ -110,30 +174,59 @@ def test_verify_accepts_built_cycle():
     assert report.ok and not report.violations
 
 
+def test_verify_near_the_period_cap_allocates_nothing_per_position():
+    trace = halted_trace(2)
+    tracemalloc.start()
+    try:
+        cycle = build_alpha_cycle(trace, Fraction(99999, 100000))
+        report = verify_cycle(cycle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cycle.p == 400_000 and report.ok
+    assert peak < 2 ** 20
+
+
+def test_closed_form_checks_agree_with_enumeration():
+    # odd and even periods, every walk length up to 2(3 + 3), and windows
+    # that are empty, reversed, or reach outside [0, p) on either side
+    alpha = Fraction(1, 3)
+    cases = 0
+    for s in range(4):
+        trace = Trace(steps=(Configuration({}, 0, "q"),) * (s + 1), halted=True, result=(0, ""))
+        for w in range(4):
+            for p in range(1, 14):
+                for a in range(-2, p + 2):
+                    for b in range(a - 1, p + 3):
+                        for window in (range(a, b), range(b - 1, a - 1, -1)):
+                            cycle = LabeledCycle(p=p, window=window, alpha_requested=alpha,
+                                                 s=s, w=w, source="grid", trace=trace)
+                            assert verdict(cycle) == enumerated_verdict(cycle), cycle
+                            cases += 1
+    assert cases > 20_000
+
+
 def test_verify_flags_odd_period():
-    cycle = LabeledCycle(p=7, labels=(False, False, True, True, True, False, False),
-                         window=range(2, 5), alpha_requested=Fraction(1, 3),
-                         alpha_actual=Fraction(3, 7), s=2, w=1, source="hand")
+    cycle = LabeledCycle(p=7, window=range(2, 5), alpha_requested=Fraction(1, 3),
+                         s=2, w=1, source="hand", trace=halted_trace(2))
     report = verify_cycle(cycle)
     assert not report.ok
     assert any("odd" in v for v in report.violations)
 
 
 def test_verify_flags_short_window():
-    cycle = LabeledCycle(p=8, labels=tuple(j in (3, 4) for j in range(8)),
-                         window=range(3, 5), alpha_requested=Fraction(3, 4),
-                         alpha_actual=Fraction(2, 8), s=3, w=1, source="hand")
+    cycle = LabeledCycle(p=8, window=range(3, 5), alpha_requested=Fraction(3, 4),
+                         s=3, w=1, source="hand", trace=halted_trace(3))
     report = verify_cycle(cycle)
     assert not report.ok
     assert any("below requested" in v for v in report.violations)
 
 
 def test_verify_flags_noncontiguous_labels():
-    labels = (False, True, False, True, False, False, False, False)
-    cycle = LabeledCycle(p=8, labels=labels, window=range(1, 4),
-                         alpha_requested=Fraction(1, 4), alpha_actual=Fraction(1, 4),
-                         s=1, w=1, source="hand")
-    assert not verify_cycle(cycle).ok
+    cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))  # s = w = 2, p = 8
+    cycle = replace(cycle, window=range(2, 6, 2), alpha_requested=Fraction(1, 4))
+    assert verdict(cycle) == enumerated_verdict(cycle)
+    assert verify_cycle(cycle).violations == ("window is not contiguous",)
 
 
 def test_cycle_walk_is_closed_palindrome_of_distinct_states():
@@ -201,13 +294,11 @@ def built_cycles(draw):
     cycle = build_alpha_cycle(trace, alpha, source=f"{name}({word})")
     change = draw(st.sampled_from(["none", "period", "window"]))
     if change == "period":
-        p = cycle.p + 2 * draw(st.sampled_from([-1, 1, 2]))
-        cycle = replace(cycle, p=p, labels=tuple(j in cycle.window for j in range(p)))
+        cycle = replace(cycle, p=cycle.p + 2 * draw(st.sampled_from([-1, 1, 2])))
     elif change == "window":
         shift = draw(st.integers(-cycle.s, cycle.s).filter(bool))
-        window = range(cycle.window.start + shift, cycle.window.stop + shift)
-        cycle = replace(cycle, window=window,
-                        labels=tuple(j in window for j in range(cycle.p)))
+        cycle = replace(cycle, window=range(cycle.window.start + shift,
+                                            cycle.window.stop + shift))
     return cycle
 
 
@@ -219,15 +310,15 @@ def test_index_checks_agree_with_content_level_checks(cycle):
         assert materialised_states(cycle) == states
     content = content_level_violations(cycle, states)
     report = verify_cycle(cycle)
-    label_report = verify_cycle(replace(cycle, trace=None))
-    walk = [v for v in report.violations if v not in label_report.violations]
+    walk = [v for v in report.violations if v in WALK_MESSAGES]
+    labels_ok = len(walk) == len(report.violations)
     assert bool(walk) == bool(content)
-    assert report.ok == (label_report.ok and not content)
+    assert report.ok == (labels_ok and not content)
 
 
 def test_verify_flags_trace_that_did_not_halt():
     cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))
-    trace = Trace(steps=cycle.trace.steps, halted=False, budget_exceeded=True, result=None)
+    trace = Trace(steps=cycle.trace.steps, halted=False, result=None)
     report = verify_cycle(replace(cycle, trace=trace))
     assert report.violations == ("trace did not halt",)
 
@@ -240,15 +331,14 @@ def test_verify_flags_s_inconsistent_with_trace_length():
 
 def test_verify_flags_walk_longer_than_period():
     cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))  # s = w = 2, p = 8
-    report = verify_cycle(replace(cycle, p=6, labels=tuple(j in cycle.window for j in range(6))))
+    report = verify_cycle(replace(cycle, p=6))
     assert report.violations == ("state sequence length differs from period",
                                  "configuration walk is not a closed palindrome")
 
 
 def test_verify_flags_walk_repeating_within_period():
     cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))  # s = w = 2, p = 8
-    report = verify_cycle(replace(cycle, p=10, labels=tuple(j in cycle.window for j in range(10)),
-                                  alpha_requested=Fraction(2, 5), alpha_actual=Fraction(2, 5)))
+    report = verify_cycle(replace(cycle, p=10, alpha_requested=Fraction(2, 5)))
     assert report.violations == ("state sequence length differs from period",
                                  "cycle states are not pairwise distinct",
                                  "configuration walk is not a closed palindrome")
@@ -256,20 +346,16 @@ def test_verify_flags_walk_repeating_within_period():
 
 def test_verify_flags_window_off_the_result_index():
     cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))  # window [2, 6)
-    window = range(1, 5)
-    report = verify_cycle(replace(cycle, window=window,
-                                  labels=tuple(j in window for j in range(cycle.p))))
+    report = verify_cycle(replace(cycle, window=range(1, 5)))
     assert report.violations == ("window states do not all hold the result tape",)
 
 
 def test_verify_reports_the_checks_it_ran():
     cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))
-    label_checks = ("even_period", "labels_on_window", "window_contiguous", "window_nonempty",
-                    "waiting_ratio", "midpoint_in_window")
-    assert verify_cycle(replace(cycle, trace=None)).checks == label_checks
-    assert verify_cycle(cycle).checks == label_checks + (
-        "trace_halted", "trace_length", "index_walk_length", "index_tags_distinct",
-        "index_palindrome", "index_window_at_s")
+    assert verify_cycle(cycle).checks == (
+        "even_period", "labels_on_window", "window_contiguous", "window_nonempty",
+        "waiting_ratio", "midpoint_in_window", "trace_halted", "trace_length",
+        "index_walk_length", "index_tags_distinct", "index_palindrome", "index_window_at_s")
 
 
 def test_verify_hashes_no_configuration(monkeypatch):

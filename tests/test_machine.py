@@ -1,14 +1,16 @@
 """Machine core: hand-traced oracles, bounded runs, file round-trips."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfcycle import (Configuration, MachineSpecError, PreconditionError, TMSpec,
-                       decode_result, initial_config, load_machine, run, save_machine,
-                       step, tape_content)
+from halfcycle import (CapacityError, Configuration, MachineSpecError, PreconditionError,
+                       TMSpec, decode_result, initial_config, load_machine, run,
+                       save_machine, step, tape_content)
+from halfcycle.machine import DEFAULT_PERIOD_CAP
 
 BLANK = "_"
 
@@ -95,6 +97,23 @@ def test_run_rejects_zero_budget():
     inc = load_machine("incrementer")
     with pytest.raises(PreconditionError):
         run(inc, initial_config(inc, "0"), 0)
+
+
+def test_run_refuses_budget_past_the_step_cap():
+    # a halted trace of s steps needs a period of at least 2s + 2
+    cap = DEFAULT_PERIOD_CAP // 2 - 1
+    loop = load_machine("loop")
+    config = initial_config(loop, "")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"step budget {cap + 1} exceeds cap {cap}$"):
+            run(loop, config, cap + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    inc = load_machine("incrementer")
+    assert run(inc, initial_config(inc, "0"), cap).halted
 
 
 def test_step_is_pure():

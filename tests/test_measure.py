@@ -1,6 +1,7 @@
 """Measurement sampling and the retry procedures."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -81,10 +82,7 @@ def test_error_free_returns_only_validated_results():
 def test_error_free_full_window_needs_one_trial():
     # window covering the whole cycle: first o=1 draw is always valid
     cycle = incrementer_cycle()
-    full = type(cycle)(p=cycle.p, labels=tuple(True for _ in range(cycle.p)),
-                       window=range(cycle.p), alpha_requested=cycle.alpha_requested,
-                       alpha_actual=Fraction(1), s=cycle.s, w=cycle.w,
-                       source=cycle.source, trace=cycle.trace)
+    full = replace(cycle, window=range(cycle.p))
     profile = halfstep_profile_periodic(cycle.p)
     rng = np.random.default_rng(6)
     reps = [run_error_free(full, profile, lambda r: True, rng) for _ in range(100)]
@@ -97,15 +95,13 @@ def test_error_free_mean_trials_matches_inverse_nu():
     window = centered_window(p, alpha_for_period(p))
     profile = halfstep_profile_periodic(p)
     nu = nu_of(profile, window)
-    labels = tuple(j in window for j in range(p))
     from halfcycle.cycle import LabeledCycle
     from halfcycle.machine import Configuration, Trace
     s = window.start
     final = Configuration({0: "1"}, 0, "done")
     steps = tuple(Configuration({0: "0"}, 0, "scan") for _ in range(s)) + (final,)
-    trace = Trace(steps=steps, halted=True, budget_exceeded=False, result=(0, "1"))
-    cycle = LabeledCycle(p=p, labels=labels, window=window,
-                         alpha_requested=Fraction(7, 8), alpha_actual=Fraction(len(window), p),
+    trace = Trace(steps=steps, halted=True, result=(0, "1"))
+    cycle = LabeledCycle(p=p, window=window, alpha_requested=Fraction(7, 8),
                          s=s, w=len(window) // 2, source="synthetic", trace=trace)
     rng = np.random.default_rng(7)
     counts, summary = repeat_error_free(cycle, profile, lambda r: r[0] == 0, rng, runs=20_000)
