@@ -2,9 +2,10 @@
 """Run the shipped machines and look at their traces.
 
 Four machines come with the package: a binary incrementer, a unary
-successor, a parity checker, and a machine that never halts.  Each trace
-is a full configuration history, so we can print the tape evolution and
-decode the result r = (z, v) at the end.
+successor, a parity checker, and a machine that never halts.  A trace
+keeps only its two ends and its step count; ``trace.steps`` replays the
+full configuration history, so we can print the tape evolution and decode
+the result r = (z, v) at the end.
 """
 
 import halfcycle as hc
@@ -14,11 +15,12 @@ def show_trace(name, word, budget=100):
     spec = hc.load_machine(name)
     trace = hc.run(spec, hc.initial_config(spec, word), budget)
     print(f"\n{name} on {word!r} (budget {budget}):")
-    for i, config in enumerate(trace.steps):
+    steps = trace.steps  # replayed once here
+    for i, config in enumerate(steps):
         tape = hc.tape_content(config) or "(blank)"
         print(f"  step {i:2d}  state={config.state:6s} head={config.head:+d}  tape={tape}")
-        if i >= 12 and len(trace.steps) > 15:
-            print(f"  ... {len(trace.steps) - i - 1} more configurations")
+        if i >= 12 and len(steps) > 15:
+            print(f"  ... {len(steps) - i - 1} more configurations")
             break
     if trace.halted:
         z, v = trace.result

@@ -91,10 +91,6 @@ def cmd_profile(args) -> int:
     config = ExperimentConfig("profile", period=args.period, truncation=args.K,
                               out_format=args.format, out_path=args.out, seed=args.seed or 0)
     if args.period is not None:
-        if args.period % 2:
-            print(f"error: period {args.period} is odd; the minimal construction "
-                  "needs an even period", file=sys.stderr)
-            return 2
         profile = halfstep_profile_periodic(args.period)
         peak = args.period // 2
     else:

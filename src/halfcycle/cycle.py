@@ -89,6 +89,13 @@ class CycleReport:
     checks: tuple
 
 
+def _ratio(alpha) -> Fraction:
+    """``alpha`` as a Fraction in (0, 1); compared first, so nan and inf are refused."""
+    if not (0 < alpha < 1):
+        raise PreconditionError("alpha must lie strictly between 0 and 1")
+    return Fraction(alpha)
+
+
 def _ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
@@ -105,9 +112,7 @@ def build_alpha_cycle(trace: Trace, alpha, source: str = "") -> LabeledCycle:
     """
     if not trace.halted:
         raise PreconditionError("cycle construction needs a halted trace")
-    alpha = Fraction(alpha)
-    if not (0 < alpha < 1):
-        raise PreconditionError("alpha must lie strictly between 0 and 1")
+    alpha = _ratio(alpha)
     s = trace.n_steps
     w = max(1, _ceil_frac(alpha / (1 - alpha) * s))
     p = 2 * s + 2 * w
@@ -152,7 +157,7 @@ def verify_cycle(cycle: LabeledCycle) -> CycleReport:
         v.append("midpoint p/2 outside window despite waiting ratio >= 1/2")
     if not cycle.trace.halted:
         v.append("trace did not halt")
-    if len(cycle.trace.steps) != s + 1:
+    if cycle.trace.n_steps != s:
         v.append("trace length differs from s + 1")
     n = 2 * (s + w)  # length of the walk; positions are read mod n
     if n != p:
@@ -187,9 +192,7 @@ def centered_window(p: int, alpha) -> range:
     index p/2, as used for synthetic period-p experiments."""
     if p < 2 or p % 2 != 0:
         raise PreconditionError("period must be even and at least 2")
-    alpha = Fraction(alpha)
-    if not (0 < alpha < 1):
-        raise PreconditionError("alpha must lie strictly between 0 and 1")
+    alpha = _ratio(alpha)
     w = max(1, _ceil_frac(alpha * p / 2))
     return range(p // 2 - w, p // 2 + w)
 
@@ -198,5 +201,5 @@ def cycle_result(cycle: LabeledCycle, index: int) -> tuple:
     """The result variable r = (z, v) carried by cycle state ``index``:
     z = 0 with the final tape inside the window, z = 1 with the local tape
     elsewhere."""
-    config = cycle.trace.steps[cycle.trace_index(index)]
+    config = cycle.trace.at(cycle.trace_index(index))
     return (0 if index in cycle.window else 1, tape_content(config))

@@ -3,8 +3,9 @@
 A machine is a total transition table over a finite state set and alphabet.
 Configurations use a sparse, unbounded tape (a dict from cell index to
 symbol) that never stores blank cells, so two configurations are equal
-exactly when their canonical forms coincide.  Distinct configurations stand
-in for mutually orthogonal computational states downstream.
+exactly when their contents coincide.  Distinct configurations stand in for
+mutually orthogonal computational states downstream.  A run steps one tape
+in place and keeps its two ends; the configurations between are replayed.
 """
 
 from __future__ import annotations
@@ -62,52 +63,54 @@ class TMSpec:
             raise MachineSpecError("transition table has entries outside states x alphabet")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Configuration:
-    """An instantaneous machine configuration.
-
-    The tape dict holds only non-blank cells (canonical form); equality and
-    hashing go through :meth:`canonical` so configurations compare by
-    content, not identity.
-    """
+    """An instantaneous machine configuration.  The tape dict holds only
+    non-blank cells, so the generated equality compares configurations by
+    content (dict equality ignores insertion order)."""
 
     tape: dict
     head: int
     state: str
 
-    def canonical(self) -> tuple:
-        return (self.state, self.head, tuple(sorted(self.tape.items())))
-
-    def __eq__(self, other):
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return self.canonical() == other.canonical()
-
-    def __hash__(self):
-        return hash(self.canonical())
-
 
 @dataclass(frozen=True)
 class Trace:
-    """A bounded execution history.
-
-    ``steps`` includes the initial configuration, so a trace of n steps has
-    n + 1 entries.  ``halted`` is set iff a result state was entered within
-    the budget; otherwise the budget was exceeded (possible non-termination
-    is a value, never an exception).
+    """A bounded run, kept as what cannot be derived: the machine, the
+    initial and final configurations and the step count.  ``halted`` iff the
+    final state is a result state, else the budget was exceeded (possible
+    non-termination is a value, never an exception).  :meth:`at` replays
+    any other configuration, so a trace takes O(|tape|) memory.
     """
 
-    steps: tuple
-    halted: bool
-    result: tuple | None
+    spec: TMSpec
+    initial: Configuration
+    final: Configuration
+    n_steps: int
 
     @property
-    def budget_exceeded(self) -> bool:
-        return not self.halted
+    def halted(self) -> bool:
+        return self.final.state in self.spec.result_states
 
     @property
-    def n_steps(self) -> int:
-        return len(self.steps) - 1
+    def result(self) -> tuple | None:
+        return decode_result(self.spec, self.final) if self.halted else None
+
+    def at(self, i: int) -> Configuration:
+        """Configuration ``i``: ``final`` at i = n_steps, otherwise replayed
+        from ``initial`` in O(i) time and O(|tape|) memory."""
+        if not 0 <= i <= self.n_steps:
+            raise IndexError(f"trace index {i} outside [0, {self.n_steps}]")
+        return self.final if i == self.n_steps else _walk(self.spec, self.initial, i)[0]
+
+    @property
+    def steps(self) -> tuple:
+        """All n_steps + 1 configurations, replayed into a new tuple on each
+        access: O(s·|tape|) memory, for inspecting short runs."""
+        configs = [self.initial]
+        for _ in range(self.n_steps):
+            configs.append(step(self.spec, configs[-1]))
+        return tuple(configs)
 
 
 def tape_content(config: Configuration) -> str:
@@ -131,20 +134,37 @@ def initial_config(spec: TMSpec, word: str) -> Configuration:
     return Configuration(tape=tape, head=0, state=spec.initial)
 
 
+def _advance(spec: TMSpec, tape: dict, head: int, state: str) -> tuple:
+    """Apply one transition to ``tape`` in place; returns (head, state).  The
+    table is total, so a missing entry is an unknown state or symbol."""
+    key = (state, tape.get(head, spec.blank))
+    try:
+        nstate, wsymbol, move = spec.transitions[key]
+    except KeyError:
+        raise MachineSpecError(f"unknown state or symbol under head: {key!r}") from None
+    if wsymbol == spec.blank:
+        tape.pop(head, None)
+    else:
+        tape[head] = wsymbol
+    return head + MOVES[move], nstate
+
+
+def _walk(spec: TMSpec, config: Configuration, max_steps: int) -> tuple:
+    """Step one copy of ``config``'s tape until a result state is entered or
+    ``max_steps`` steps are taken; returns (final configuration, steps)."""
+    tape, head, state = dict(config.tape), config.head, config.state
+    n = 0
+    while n < max_steps and state not in spec.result_states:
+        head, state = _advance(spec, tape, head, state)
+        n += 1
+    return Configuration(tape=tape, head=head, state=state), n
+
+
 def step(spec: TMSpec, config: Configuration) -> Configuration:
     """Apply one transition.  Pure: the input configuration is untouched."""
-    if config.state not in spec.states:
-        raise MachineSpecError(f"unknown state {config.state!r}")
-    symbol = config.tape.get(config.head, spec.blank)
-    if symbol not in spec.alphabet:
-        raise MachineSpecError(f"unknown symbol {symbol!r} under head")
-    nstate, wsymbol, move = spec.transitions[(config.state, symbol)]
     tape = dict(config.tape)
-    if wsymbol == spec.blank:
-        tape.pop(config.head, None)
-    else:
-        tape[config.head] = wsymbol
-    return Configuration(tape=tape, head=config.head + MOVES[move], state=nstate)
+    head, state = _advance(spec, tape, config.head, config.state)
+    return Configuration(tape=tape, head=head, state=state)
 
 
 def run(spec: TMSpec, config: Configuration, max_steps: int) -> Trace:
@@ -157,13 +177,8 @@ def run(spec: TMSpec, config: Configuration, max_steps: int) -> Trace:
         raise PreconditionError("max_steps must be >= 1")
     if max_steps > DEFAULT_PERIOD_CAP // 2 - 1:
         raise CapacityError(f"step budget {max_steps} exceeds cap {DEFAULT_PERIOD_CAP // 2 - 1}")
-    steps = [config]
-    halted = config.state in spec.result_states
-    while not halted and len(steps) - 1 < max_steps:
-        steps.append(step(spec, steps[-1]))
-        halted = steps[-1].state in spec.result_states
-    result = decode_result(spec, steps[-1]) if halted else None
-    return Trace(steps=tuple(steps), halted=halted, result=result)
+    final, n_steps = _walk(spec, config, max_steps)
+    return Trace(spec=spec, initial=config, final=final, n_steps=n_steps)
 
 
 # --- machine files ---------------------------------------------------------

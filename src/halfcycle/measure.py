@@ -303,20 +303,6 @@ class BatchSummary:
     def chain_ok(self) -> bool:
         return self.nu_hat <= self.pi_hat + 1e-12 and self.pi_hat <= self.nu_c_hat + 1e-12
 
-    def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "invalid_results": self.invalid_results,
-            "inconclusive_runs": self.inconclusive_runs,
-            "mean_trials": self.mean_trials,
-            "total_trials": self.total_trials,
-            "total_o_ones": self.total_o_ones,
-            "nu_hat": self.nu_hat,
-            "pi_hat": self.pi_hat,
-            "nu_c_hat": self.nu_c_hat,
-            "chain_ok": self.chain_ok(),
-        }
-
 
 def repeat_error_free(cycle: LabeledCycle, profile: AmplitudeProfile, validate, rng,
                       runs: int, max_trials: int = 10 ** 6):

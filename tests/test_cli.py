@@ -197,10 +197,13 @@ def test_complexity_command(tmp_path):
     ["pack", "--n", "2", "--nu", "0,x,3"],
     ["cycle", "--machine", "loop", "--budget", "50000000"],
     ["instant", "--machine", "loop", "--budget", "50000000", "--seed", "1"],
+    ["cycle", "--machine", "incrementer", "--input", "0", "--alpha", "nan"],
+    ["cycle", "--machine", "incrementer", "--input", "0", "--alpha", "inf"],
+    ["instant", "--machine", "incrementer", "--input", "0", "--alpha", "nan", "--seed", "1"],
 ])
 def test_complexity_bad_input_rejected(args, tmp_path, capsys):
-    # grids, periods, step budgets and integer lists are checked before
-    # anything is built
+    # grids, periods, step budgets, waiting ratios and integer lists are
+    # checked before anything is built
     out = tmp_path / "out.json"
     assert main([*args, "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfcycle import (CapacityError, PreconditionError, alpha_for_period,
+from halfcycle import (CapacityError, PreconditionError, TMSpec, alpha_for_period,
                        build_alpha_cycle, centered_window, cycle_result,
                        initial_config, load_machine, run, verify_cycle)
 from halfcycle.cycle import LabeledCycle
@@ -20,6 +20,12 @@ WALK_MESSAGES = {"trace did not halt", "trace length differs from s + 1",
                  "cycle states are not pairwise distinct",
                  "configuration walk is not a closed palindrome",
                  "window states do not all hold the result tape"}
+
+
+def canonical(config):
+    """A hashable form of ``config`` (configurations compare by content but
+    hold a dict)."""
+    return (config.state, config.head, tuple(sorted(config.tape.items())))
 
 
 def tag(cycle, j):
@@ -84,7 +90,8 @@ def verdict(cycle):
 def materialised_states(cycle):
     """Every (phase, counter, configuration) state of the cycle, read off
     its trace through the index map."""
-    return [(*tag(cycle, j), cycle.trace.steps[cycle.trace_index(j)]) for j in range(cycle.p)]
+    configs = cycle.trace.steps
+    return [(*tag(cycle, j), configs[cycle.trace_index(j)]) for j in range(cycle.p)]
 
 
 def stored_states(trace, s, w):
@@ -104,7 +111,7 @@ def content_level_violations(cycle, states):
     if len(states) != p:
         return ["state sequence length differs from period"]
     v = []
-    if len(set(states)) != p:
+    if len({(phase, i, canonical(config)) for phase, i, config in states}) != p:
         v.append("cycle states are not pairwise distinct")
     seq = [config for _, _, config in states]
     if any(seq[i] != seq[(p - i) % p] for i in range(p)):
@@ -112,6 +119,18 @@ def content_level_violations(cycle, states):
     if any(seq[j] != seq[cycle.s] for j in cycle.window):
         v.append("window states do not all hold the result tape")
     return v
+
+
+def still_trace(s):
+    """A halted trace of exactly s steps that never moves the head or
+    writes: states 0..s in a row, s the result state."""
+    states = [str(i) for i in range(s + 1)]
+    spec = TMSpec(states=frozenset(states), alphabet=frozenset("_"), blank="_",
+                  transitions={(q, "_"): (str(min(int(q) + 1, s)), "_", "S") for q in states},
+                  initial="0", result_states=frozenset({str(s)}))
+    trace = run(spec, initial_config(spec, ""), max(s, 1))
+    assert trace.halted and trace.n_steps == s
+    return trace
 
 
 def halted_trace(n_steps=2):
@@ -193,7 +212,7 @@ def test_closed_form_checks_agree_with_enumeration():
     alpha = Fraction(1, 3)
     cases = 0
     for s in range(4):
-        trace = Trace(steps=(Configuration({}, 0, "q"),) * (s + 1), halted=True, result=(0, ""))
+        trace = still_trace(s)
         for w in range(4):
             for p in range(1, 14):
                 for a in range(-2, p + 2):
@@ -232,7 +251,7 @@ def test_verify_flags_noncontiguous_labels():
 def test_cycle_walk_is_closed_palindrome_of_distinct_states():
     cycle = build_alpha_cycle(halted_trace(3), Fraction(1, 2))
     states = materialised_states(cycle)
-    assert len(set(states)) == cycle.p
+    assert len({(phase, i, canonical(config)) for phase, i, config in states}) == cycle.p
     seq = [config for _, _, config in states]
     assert all(seq[i] == seq[(cycle.p - i) % cycle.p] for i in range(cycle.p))
     assert [cycle.trace_index(j) for j in range(cycle.p)] == [0, 1, 2, 3, 3, 3, 3, 3, 3, 3, 2, 1]
@@ -318,7 +337,9 @@ def test_index_checks_agree_with_content_level_checks(cycle):
 
 def test_verify_flags_trace_that_did_not_halt():
     cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))
-    trace = Trace(steps=cycle.trace.steps, halted=False, result=None)
+    suc = load_machine("unary_successor")
+    trace = run(suc, initial_config(suc, "11"), 2)  # halts after 3 steps
+    assert not trace.halted and trace.n_steps == 2
     report = verify_cycle(replace(cycle, trace=trace))
     assert report.violations == ("trace did not halt",)
 
@@ -363,16 +384,17 @@ def test_verify_hashes_no_configuration(monkeypatch):
     trace = run(inc, initial_config(inc, "1" * 500), 20000)
     cycle = build_alpha_cycle(trace, Fraction(3, 4))
     assert cycle.p == 8016
-    calls = 0
-    canonical = Configuration.canonical
+    calls = {"at": 0, "eq": 0}
 
-    def counting(self):
-        nonlocal calls
-        calls += 1
-        return canonical(self)
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
 
-    monkeypatch.setattr(Configuration, "canonical", counting)
+    monkeypatch.setattr(Trace, "at", counting("at", Trace.at))
+    monkeypatch.setattr(Configuration, "__eq__", counting("eq", Configuration.__eq__))
     report = verify_cycle(cycle)
-    assert report.ok and calls == 0
-    hash(trace.steps[0])  # the counter sees a hash when one happens
-    assert calls == 1
+    assert report.ok and calls == {"at": 0, "eq": 0}
+    assert trace.at(0) == trace.initial  # the counters see a read when one happens
+    assert calls == {"at": 1, "eq": 1}

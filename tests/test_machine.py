@@ -15,6 +15,12 @@ from halfcycle.machine import DEFAULT_PERIOD_CAP
 BLANK = "_"
 
 
+def canonical(config):
+    """A hashable form of ``config``; configurations compare by content but
+    hold a dict, so tests that hash them go through this."""
+    return (config.state, config.head, tuple(sorted(config.tape.items())))
+
+
 def simple_spec(transitions, states, initial, results, alphabet=("0", "1", BLANK)):
     return TMSpec(
         states=frozenset(states),
@@ -30,7 +36,7 @@ def test_incrementer_full_trace_on_zero():
     # hand simulation: scan right over "0", bounce off the blank, write the carry
     inc = load_machine("incrementer")
     trace = run(inc, initial_config(inc, "0"), 100)
-    assert trace.halted and not trace.budget_exceeded
+    assert trace.halted
     assert trace.n_steps == 3
     expected = [
         Configuration({0: "0"}, 0, "scan"),
@@ -72,7 +78,6 @@ def test_loop_machine_exhausts_budget():
     loop = load_machine("loop")
     trace = run(loop, initial_config(loop, ""), 50)
     assert not trace.halted
-    assert trace.budget_exceeded
     assert trace.n_steps == 50
     assert trace.result is None
 
@@ -89,7 +94,7 @@ def test_stay_machine_step_is_identity():
 def test_budget_smaller_than_trace():
     inc = load_machine("incrementer")
     trace = run(inc, initial_config(inc, "0"), 1)
-    assert not trace.halted and trace.budget_exceeded
+    assert not trace.halted
     assert trace.n_steps == 1
 
 
@@ -116,24 +121,46 @@ def test_run_refuses_budget_past_the_step_cap():
     assert run(inc, initial_config(inc, "0"), cap).halted
 
 
+def test_run_keeps_one_tape():
+    # 4002 steps over a 2000-cell tape: a trace that kept every configuration
+    # would hold ~4000 tape copies (hundreds of MB)
+    inc = load_machine("incrementer")
+    config = initial_config(inc, "1" * 2000)
+    tracemalloc.start()
+    try:
+        trace = run(inc, config, 10 ** 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.result == (0, "1" + "0" * 2000)
+    assert trace.n_steps == 4002
+    assert peak < 4 * 2 ** 20
+
+
 def test_step_is_pure():
     inc = load_machine("incrementer")
     config = initial_config(inc, "0")
-    before = config.canonical()
+    before = canonical(config)
     step(inc, config)
-    assert config.canonical() == before
+    assert canonical(config) == before
+
+
+def run_ten(spec, config):
+    return run(spec, config, 10)
 
 
 def test_step_rejects_unknown_state():
     inc = load_machine("incrementer")
-    with pytest.raises(MachineSpecError):
-        step(inc, Configuration({}, 0, "nope"))
+    for advance in (step, run_ten):
+        with pytest.raises(MachineSpecError):
+            advance(inc, Configuration({}, 0, "nope"))
 
 
 def test_step_rejects_unknown_symbol():
     inc = load_machine("incrementer")
-    with pytest.raises(MachineSpecError):
-        step(inc, Configuration({0: "x"}, 0, "scan"))
+    for advance in (step, run_ten):
+        with pytest.raises(MachineSpecError):
+            advance(inc, Configuration({0: "x"}, 0, "scan"))
 
 
 def test_partial_transition_table_rejected():
@@ -145,7 +172,9 @@ def test_configuration_equality_is_canonical():
     assert Configuration({0: "1"}, 0, "q") == Configuration({0: "1"}, 0, "q")
     assert Configuration({0: "1"}, 0, "q") != Configuration({0: "1"}, 1, "q")
     assert Configuration({}, 0, "q") != Configuration({1: "1"}, 0, "q")
-    assert hash(Configuration({0: "1"}, 0, "q")) == hash(Configuration({0: "1"}, 0, "q"))
+    assert Configuration({0: "1", 1: "0"}, 0, "q") == Configuration({1: "0", 0: "1"}, 0, "q")
+    assert (hash(canonical(Configuration({0: "1", 1: "0"}, 0, "q")))
+            == hash(canonical(Configuration({1: "0", 0: "1"}, 0, "q"))))
 
 
 def test_decode_result_reads_tape_left_to_right():
@@ -211,13 +240,20 @@ def total_machines(draw):
 @settings(max_examples=60, deadline=None)
 def test_trace_consistency_and_canonical_tape(spec, word, budget):
     trace = run(spec, initial_config(spec, word), budget)
-    for a, b in zip(trace.steps, trace.steps[1:]):
+    steps = trace.steps
+    assert len(steps) == trace.n_steps + 1
+    for a, b in zip(steps, steps[1:]):
         assert step(spec, a) == b
         assert BLANK not in b.tape.values()
+    assert [trace.at(i) for i in range(len(steps))] == list(steps)
+    assert trace.final == steps[-1]
+    for i in (-1, trace.n_steps + 1):
+        with pytest.raises(IndexError):
+            trace.at(i)
     assert trace.n_steps <= budget
     if trace.halted:
-        assert trace.steps[-1].state in spec.result_states
-        assert trace.result == (0, tape_content(trace.steps[-1]))
+        assert steps[-1].state in spec.result_states
+        assert trace.result == (0, tape_content(steps[-1]))
 
 
 @given(total_machines(), st.text(alphabet="01", max_size=4))

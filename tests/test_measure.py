@@ -96,11 +96,16 @@ def test_error_free_mean_trials_matches_inverse_nu():
     profile = halfstep_profile_periodic(p)
     nu = nu_of(profile, window)
     from halfcycle.cycle import LabeledCycle
-    from halfcycle.machine import Configuration, Trace
+    from halfcycle import TMSpec
     s = window.start
-    final = Configuration({0: "1"}, 0, "done")
-    steps = tuple(Configuration({0: "0"}, 0, "scan") for _ in range(s)) + (final,)
-    trace = Trace(steps=steps, halted=True, result=(0, "1"))
+    # waits s - 1 steps on "0", then writes "1" and halts
+    states = [f"q{i}" for i in range(s)] + ["done"]
+    spec = TMSpec(states=frozenset(states), alphabet=frozenset("01_"), blank="_",
+                  transitions={(q, a): (states[min(i + 1, s)], "1" if i == s - 1 else a, "S")
+                               for i, q in enumerate(states) for a in "01_"},
+                  initial="q0", result_states=frozenset({"done"}))
+    trace = run(spec, initial_config(spec, "0"), s)
+    assert trace.n_steps == s and trace.result == (0, "1")
     cycle = LabeledCycle(p=p, window=window, alpha_requested=Fraction(7, 8),
                          s=s, w=len(window) // 2, source="synthetic", trace=trace)
     rng = np.random.default_rng(7)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import halfcycle.cli  # noqa: F401  (loads every halfcycle module the tracer wraps)
+from halfcycle import initial_config, load_machine, run
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -37,3 +38,11 @@ def test_tracer_installs_and_uninstalls_on_the_package():
     finally:
         tracer.uninstall()
     assert [_home(mod, attr) for mod, attr in targets] == originals
+
+
+def test_trace_counts_read_the_trace():
+    # the traced mode counts steps and tape cells off every ``run`` result;
+    # a renamed trace field fails here, not in a traced benchmark run
+    inc = load_machine("incrementer")
+    trace = run(inc, initial_config(inc, "0"), 100)
+    assert _load_spans()._trace_counts((), {}, trace) == {"steps": 3, "cells": 4}
