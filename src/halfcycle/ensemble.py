@@ -17,9 +17,21 @@ density (1 + cos(pi*y))/2 is drawn without rejection: sin(pi*y/2) follows
 the semicircle law, so y = (2/pi)*arcsin(sqrt(U1)*cos(pi*U2)) for two
 uniforms U1, U2.
 
-Direct summation is the authoritative evaluator throughout: every inner
-sum goes through the half-step evaluator of ``spectral`` (one FFT per
-row, which is the same sum).  In the continuous case the functions
+The window covers all but about sqrt(p) of the p bins, and the twisted
+DFT c_j = sum_k y_k exp(-2pi*i*k*(j - 1/2)/p) is unitary up to sqrt(p),
+so by Parseval
+
+    nu = p * sum_k y_k^2 - sum_{j not in window} |c_j|^2.
+
+The experiment driver evaluates the complement as one real matrix product
+with the p x 2m basis [cos | sin] of its m bins, whenever that basis holds
+no more entries than one chunk of draws (p * 2m <= 2**22, every p up to
+16384); larger periods take one FFT per row.  Direct summation stays the
+authoritative evaluator: the half-step evaluator of ``spectral`` (one FFT
+per row, which is the same sum) gives every other window mass and checks
+the first row of every product-path chunk.
+
+In the continuous case the functions
 exp(-i*(j - 1/2)*l) are orthogonal on [0, 2pi), so by Parseval the full
 series of squared amplitudes sums to mean(y^2); the truncated direct sum
 obeys Bessel's inequality direct <= mean(y^2), which is asserted.
@@ -40,6 +52,7 @@ _CHUNK_ROWS = 4096
 _CHUNK_ENTRIES = 2 ** 22  # draws held at once: exactly 4096 rows at p = 1024
 _DELTA = 3.0  # standard deviations below the mean of the Chebyshev threshold
 _BESSEL_TOL = 1e-12
+_CHECK_TOL = 1e-12  # Parseval window mass against direct summation, per checked row
 
 
 @dataclass(frozen=True)
@@ -127,6 +140,54 @@ def nu_from_y(sample: YSample, window) -> float:
     return float(np.sum(np.abs(amps[window]) ** 2))
 
 
+def _direct_window_masses(y, window):
+    """Window masses of the rows of ``y`` by direct summation (one FFT per row)."""
+    inside = _halfstep_rows(y)[:, window.start:window.stop].view(float)
+    return np.einsum("ij,ij->i", inside, inside)
+
+
+def _complement_basis(p: int, window):
+    """The real p x 2m basis [cos | sin] of the m bins j outside ``window``,
+    so that |c_j|^2 = (y @ cos_j)^2 + (y @ sin_j)^2; None when it would hold
+    more than _CHUNK_ENTRIES entries.
+
+    The angles pi*k*(2j - 1)/p are reduced mod 2pi in integers first, so
+    each is one rounding of a value in [0, 2pi) however large k*(2j - 1).
+    """
+    outside = np.r_[0:window.start, window.stop:p]
+    m = outside.size
+    if p * 2 * m > _CHUNK_ENTRIES:
+        return None
+    turns = np.outer(np.arange(p), 2 * outside - 1)
+    turns %= 2 * p
+    angles = turns * (np.pi / p)
+    basis = np.empty((p, 2 * m))
+    np.cos(angles, out=basis[:, :m])
+    np.sin(angles, out=basis[:, m:])
+    return basis
+
+
+def _window_masses(y, window, basis):
+    """Window masses of the rows of ``y``.
+
+    With a complement basis: nu = p*sum(y^2) - |y @ basis|^2 by Parseval,
+    and the first row is checked against direct summation, a disagreement
+    above _CHECK_TOL raising ConsistencyError.  Without one: direct
+    summation for every row.
+    """
+    if basis is None:
+        return _direct_window_masses(y, window)
+    outside = y @ basis
+    nus = np.einsum("ij,ij->i", y, y)
+    nus *= y.shape[1]
+    nus -= np.einsum("ij,ij->i", outside, outside)
+    direct = _direct_window_masses(y[:1], window)[0]
+    if abs(nus[0] - direct) > _CHECK_TOL:
+        raise ConsistencyError(
+            f"Parseval window mass {nus[0]!r} differs from the direct sum {direct!r}")
+    return nus
+
+
 @dataclass(frozen=True)
 class StatsRow:
     p: int
@@ -183,11 +244,18 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
 
     Trials are drawn in chunks of at most 4096 rows and 2**22 draws, each
     from its own stream spawned off ``rng``, so the numbers a seed gives
-    depend on the chunk size.  Every period is checked before anything is
-    drawn; p > DEFAULT_PERIOD_CAP raises CapacityError.
+    depend on the chunk size.  Window masses are computed by Parseval over
+    the m bins outside the window, one matrix product per chunk, whenever
+    p*2m <= 2**22 (every p up to 16384); the first row of each such chunk
+    is checked against the FFT, and a disagreement above 1e-12 raises
+    ConsistencyError.  Larger periods take one FFT per row.  Every period
+    is checked before anything is drawn: an empty list raises
+    PreconditionError and p > DEFAULT_PERIOD_CAP raises CapacityError.
     """
     if trials < 1:
         raise PreconditionError("need at least one trial")
+    if not p_list:
+        raise PreconditionError("need at least one period")
     for p in p_list:
         if p < 4 or p % 2:
             raise PreconditionError("periods must be even and at least 4")
@@ -198,6 +266,7 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
         alpha = alpha_for_period(p)
         window = centered_window(p, alpha)
         chunk = min(_CHUNK_ROWS, _CHUNK_ENTRIES // p)
+        basis = _complement_basis(p, window)
         streams = rng.spawn(math.ceil(trials / chunk))
         nus = np.empty(trials)
         done = 0
@@ -205,8 +274,7 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
             count = min(chunk, trials - done)
             y = density.sample(stream, (count, p))
             y /= p
-            inside = _halfstep_rows(y)[:, window.start:window.stop].view(float)
-            nus[done:done + count] = np.einsum("ij,ij->i", inside, inside)
+            nus[done:done + count] = _window_masses(y, window, basis)
             done += count
         mean = float(np.mean(nus))
         var = float(np.var(nus, ddof=1)) if trials > 1 else float("nan")

@@ -11,16 +11,19 @@ the Fourier transform of the spectral weights; its value at half-integer
 times u = j - 1/2 is the amplitude of the transient state at one half
 machine cycle against computational state j.
 
-Every half-step sum in the package,
+The half-step sums
 
     c_j = sum_k y_k * exp(-2pi*i*k*(j - 1/2)/p),   j = 0..p-1,
 
-goes through one evaluator, ``_halfstep_rows``: the twist exp(i*pi*k/p)
+have one direct evaluator, ``_halfstep_rows``: the twist exp(i*pi*k/p)
 folds into y and one FFT over j gives all p sums in O(p log p) time and
 O(p) memory.  A point spectrum with phases 2pi*(k/p + n_k) for integers
 n_k has overlap(j - 1/2) = c_j with y_k = (-1)^{n_k} * w_k, so the
-profile cross-check, the ensemble's window masses and the continuous
-cell integrals are all this sum.  ``overlap_at`` stays the general
+profile cross-check and the continuous cell integrals are this sum.  The
+ensemble's window masses are too, but where the real p x 2m basis of the
+m bins outside the window holds at most 2**22 entries they are computed by
+Parseval over that complement, with the first row of every chunk checked
+against this evaluator.  ``overlap_at`` stays the general
 evaluator at arbitrary u, scanned once for both the complexity bound and
 zero count; its fixed blocks of u keep its memory flat in len(u).
 

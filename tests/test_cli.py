@@ -194,6 +194,8 @@ def test_complexity_command(tmp_path):
     ["schrodinger", "--grid", "1"],
     ["schrodinger", "--builtin", "identical", "--grid", "-5"],
     ["stats", "--p", "64,x", "--trials", "10", "--seed", "1"],
+    ["stats", "--p", "", "--trials", "10", "--seed", "1"],
+    ["stats", "--p", ",,", "--trials", "10", "--seed", "1"],
     ["pack", "--n", "2", "--nu", "0,x,3"],
     ["cycle", "--machine", "loop", "--budget", "50000000"],
     ["instant", "--machine", "loop", "--budget", "50000000", "--seed", "1"],

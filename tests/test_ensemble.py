@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from halfcycle import (DENSITIES, CapacityError, DensitySpec, PreconditionError, YSample,
-                       alpha_for_period, centered_window, continuous_nu, get_density,
-                       halfstep_profile_periodic, nu_from_y, nu_of, sample_y,
-                       moment_experiment)
+from halfcycle import (DENSITIES, CapacityError, ConsistencyError, DensitySpec,
+                       PreconditionError, YSample, alpha_for_period, centered_window,
+                       continuous_nu, ensemble, get_density, halfstep_profile_periodic,
+                       nu_from_y, nu_of, sample_y, moment_experiment)
 from halfcycle.cycle import DEFAULT_PERIOD_CAP
+from halfcycle.spectral import _halfstep_rows
 
 
 def test_density_library_moments():
@@ -151,6 +152,58 @@ def test_moment_experiment_validates_periods():
     with pytest.raises(CapacityError, match="exceeds cap"):
         moment_experiment([64, 2 * DEFAULT_PERIOD_CAP], get_density("uniform"), 10,
                           np.random.default_rng(0))
+
+
+def test_moment_experiment_rejects_empty_period_list():
+    def untouched(rng, size):
+        raise AssertionError("drew before checking the periods")
+
+    density = DensitySpec("untouched", 1 / 3, 1 / 5, untouched)
+    with pytest.raises(PreconditionError, match="at least one period"):
+        moment_experiment([], density, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("p", [64, 1024, 16384])
+def test_parseval_window_masses_match_direct_sums(p):
+    # 16384 is the largest period whose complement basis fits p*2m <= 2**22
+    window = centered_window(p, alpha_for_period(p))
+    basis = ensemble._complement_basis(p, window)
+    assert basis is not None and basis.shape[0] * basis.shape[1] <= 2 ** 22
+    y = np.random.default_rng(p).uniform(-1.0, 1.0, (16, p)) / p
+    direct = [np.sum(np.abs(_halfstep_rows(row)[window.start:window.stop]) ** 2) for row in y]
+    assert np.max(np.abs(ensemble._window_masses(y, window, basis) - direct)) <= 1e-12
+
+
+def test_moment_experiment_paths_agree_with_direct_sums(monkeypatch):
+    # p = 16384 evaluates by Parseval and checks one row per chunk by FFT;
+    # p = 32768 is past the basis bound and takes one FFT per row
+    uniform = get_density("uniform")
+    draws, fft_shapes = [], []
+
+    def recorded(rng, size):
+        y = uniform.sample(rng, size)
+        draws.append(y.copy())
+        return y
+
+    def counted(y):
+        fft_shapes.append(y.shape)
+        return _halfstep_rows(y)
+
+    monkeypatch.setattr(ensemble, "_halfstep_rows", counted)
+    density = DensitySpec("recorded", uniform.m2, uniform.m4, recorded)
+    report = moment_experiment([16384, 32768], density, 3, np.random.default_rng(0))
+    assert fft_shapes == [(1, 16384), (3, 32768)]
+    for row, y in zip(report.rows, draws):
+        window = centered_window(row.p, alpha_for_period(row.p))
+        assert (ensemble._complement_basis(row.p, window) is None) == (row.p == 32768)
+        direct = [nu_from_y(YSample(p=row.p, y=r / row.p), window) for r in y]
+        assert row.mean == pytest.approx(np.mean(direct), abs=1e-12)
+
+
+def test_moment_experiment_raises_when_parseval_and_fft_disagree(monkeypatch):
+    monkeypatch.setattr(ensemble, "_halfstep_rows", lambda y: _halfstep_rows(y) * 1.001)
+    with pytest.raises(ConsistencyError, match="Parseval window mass"):
+        moment_experiment([64], get_density("uniform"), 10, np.random.default_rng(0))
 
 
 def test_moment_experiment_chunk_shapes():
