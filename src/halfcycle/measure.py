@@ -113,12 +113,11 @@ def sample_outcome(profile: AmplitudeProfile, window, rng) -> MeasurementOutcome
     the result window.
     """
     window_pos = profile.positions(window)
-    u = rng.random()  # the double rng.random(1)[0] would give: _draw's stream
-    if u >= profile.captured:
+    o, pos = _draw(profile, rng, 1)
+    if not o[0]:
         return MeasurementOutcome(o_value=0, index=None, result_valid=False)
-    pos = min(int(np.searchsorted(profile.cdf, u, side="right")), profile.cdf.size - 1)
-    return MeasurementOutcome(o_value=1, index=int(profile.indices[pos]),
-                              result_valid=bool(pos in window_pos))
+    return MeasurementOutcome(o_value=1, index=int(profile.indices[pos[0]]),
+                              result_valid=bool(pos[0] in window_pos))
 
 
 def _error_free_runs(cycle: LabeledCycle, profile: AmplitudeProfile, validate, rng,

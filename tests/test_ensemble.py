@@ -163,13 +163,16 @@ def test_moment_experiment_rejects_empty_period_list():
         moment_experiment([], density, 10, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("p", [64, 1024, 16384])
-def test_parseval_window_masses_match_direct_sums(p):
-    # 16384 is the largest period whose complement basis fits p*2m <= 2**22
+@pytest.mark.parametrize("p, name", [(64, "uniform"), (1024, "uniform"),
+                                     (16384, "uniform"), (8186, "two-point")])
+def test_parseval_window_masses_match_direct_sums(p, name):
+    # 16384 is the largest period whose complement basis fits p*2m <= 2**22;
+    # 8186 = 2*4093 is an FFT length with a large prime factor, where the FFT
+    # is least accurate, and two-point draws gave the largest differences
     window = centered_window(p, alpha_for_period(p))
     basis = ensemble._complement_basis(p, window)
     assert basis is not None and basis.shape[0] * basis.shape[1] <= 2 ** 22
-    y = np.random.default_rng(p).uniform(-1.0, 1.0, (16, p)) / p
+    y = get_density(name).sample(np.random.default_rng(p), (16, p)) / p
     direct = [np.sum(np.abs(_halfstep_rows(row)[window.start:window.stop]) ** 2) for row in y]
     assert np.max(np.abs(ensemble._window_masses(y, window, basis) - direct)) <= 1e-12
 

@@ -15,7 +15,7 @@ from halfcycle import (AmplitudeProfile, PreconditionError, build_alpha_cycle,
                        halfstep_profile_periodic, halting_demo, initial_config,
                        load_machine, majority_error_bound, nu_of, repeat_error_free,
                        run, run_error_bounded, run_error_free, sample_outcome)
-from halfcycle.measure import BatchSummary, RunReport, _draw
+from halfcycle.measure import BatchSummary, RunReport
 
 
 def synthetic_profile(probs):
@@ -63,24 +63,6 @@ def test_partial_capture_o_zero_frequency():
     n = 50_000
     ones = sum(sample_outcome(profile, [0], rng).o_value for _ in range(n))
     assert abs(ones / n - 0.6) < 3 * math.sqrt(0.6 * 0.4 / n)
-
-
-@pytest.mark.parametrize("profile, window", [
-    (halfstep_profile_periodic(8), range(2, 6)),
-    (synthetic_profile([0.3, 0.1, 0.2]), [1, 2]),  # captured 0.6: o = 0 draws too
-])
-def test_sample_outcome_sequence_matches_block_draw(profile, window):
-    # one scalar draw per call consumes the stream as one block of n does
-    n = 2000
-    rng, block_rng = np.random.default_rng(41), np.random.default_rng(41)
-    outs = [sample_outcome(profile, window, rng) for _ in range(n)]
-    o, pos = _draw(profile, block_rng, n)
-    in_window = np.isin(pos, profile.positions(window))
-    assert [out.o_value for out in outs] == o.astype(int).tolist()
-    assert [out.index for out in outs] == [
-        int(profile.indices[q]) if hit else None for q, hit in zip(pos, o)]
-    assert [out.result_valid for out in outs] == (in_window & o).tolist()
-    assert rng.random() == block_rng.random()
 
 
 def test_error_free_returns_only_validated_results():
