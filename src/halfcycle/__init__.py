@@ -21,9 +21,9 @@ from .errors import (CapacityError, ConsistencyError, HalfcycleError,
                      MachineSpecError, PreconditionError)
 from .machine import (Configuration, TMSpec, Trace, decode_result, initial_config,
                       load_machine, run, save_machine, step, tape_content)
-from .measure import (BatchSummary, HaltingVerdict, MeasurementOutcome, RunReport,
-                      halting_demo, majority_error_bound, repeat_error_free,
-                      run_error_bounded, run_error_free, sample_outcome)
+from .measure import (BatchSummary, HaltingVerdict, RunReport, halting_demo,
+                      majority_error_bound, repeat_error_free, run_error_bounded,
+                      run_error_free)
 from .packing import PackedInstance, PackedSpectra, pack_spectrum
 from .schrodinger import (GridFunctionSet, ObstructionAbsence, ObstructionCertificate,
                           chirped_pair, identical_pair, kinetic_form, make_grid_set,

@@ -164,7 +164,7 @@ def cmd_pack(args) -> int:
     nu = _int_list(args.nu, "--nu") if args.nu else None
     packed = pack_spectrum(args.n, nu)
     body = packed.to_dict()
-    _emit(_envelope(config, {"pack": body}), args.out)
+    _emit(_envelope(config, {"pack": body, "diagnostics": packed.diagnostics}), args.out)
     return 0 if body["disjoint"] and body["energy_bound_ok"] and body["grid_ok"] else 1
 
 

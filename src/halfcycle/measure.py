@@ -42,17 +42,6 @@ from .spectral import (AmplitudeProfile, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, nu_of)
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    o_value: int
-    index: int | None
-    result_valid: bool
-
-    def __post_init__(self):
-        if self.o_value == 0 and self.index is not None:
-            raise PreconditionError("o = 0 carries no index")
-
-
 @dataclass
 class RunReport:
     """Outcome and event accounting for one procedure run.
@@ -103,21 +92,6 @@ def _draw(profile: AmplitudeProfile, rng, n: int):
     pos = np.searchsorted(profile.cdf, u, side="right")
     np.minimum(pos, profile.cdf.size - 1, out=pos)
     return u < profile.captured, pos
-
-
-def sample_outcome(profile: AmplitudeProfile, window, rng) -> MeasurementOutcome:
-    """One prepare/evolve/measure trial.
-
-    With probability ``captured`` the observable reads 1 and an index j is
-    drawn from |a_j|^2 (normalized); result_valid records whether j lies in
-    the result window.
-    """
-    window_pos = profile.positions(window)
-    o, pos = _draw(profile, rng, 1)
-    if not o[0]:
-        return MeasurementOutcome(o_value=0, index=None, result_valid=False)
-    return MeasurementOutcome(o_value=1, index=int(profile.indices[pos[0]]),
-                              result_valid=bool(pos[0] in window_pos))
 
 
 def _error_free_runs(cycle: LabeledCycle, profile: AmplitudeProfile, validate, rng,

@@ -16,8 +16,8 @@ below chooses those integer parts so that
     index k.
 
 Points whose fractional parts coincide form a "pile"; within a pile the
-integer parts must be pairwise distinct.  One 0/1 program, solved once by
-HiGHS through scipy.optimize.milp, chooses every integer part:
+integer parts must be pairwise distinct.  One 0/1 program chooses every
+integer part:
 
   * a pile of L >= 2 members has one binary x[member, rank] per rank
     0..L-1; each member takes one rank, each rank goes to one member, and
@@ -27,8 +27,9 @@ HiGHS through scipy.optimize.milp, chooses every integer part:
     those sit at 1, the rest sitting at 0;
   * each instance's integer parts sum to at most floor(2 * period - sum
     of its fractional parts), i.e. its mean phase is at most 4pi;
-  * the objective is the number of points whose integer part differs
-    from k mod 2.
+  * the objective, minimised, is the number of points whose integer part
+    differs from k mod 2, less the number of odd collision-free points
+    (a constant, so the objective is negative).
 
 The program is exact for feasibility.  Sorting any feasible set of
 distinct nonnegative integer parts of a pile down onto ranks 0..L-1, in
@@ -36,7 +37,27 @@ the same order (so the anchor at 0 stays at 0), and moving every
 collision-free point down to 0 or 1, lowers no point, so every instance
 stays within its budget.  An infeasible program therefore proves that no
 disjoint packing within the energy bound exists, and only then is
-CapacityError raised.  Parity is optimal among the program's solutions.
+CapacityError raised.
+
+HiGHS solves the program through scipy.optimize.milp, always at a
+relative gap of 0, in up to three steps:
+
+  1. the LP relaxation.  If it is infeasible, so is the program, and
+     CapacityError is raised;
+  2. the restricted solve: every variable the LP left integral (within
+     1e-9) is fixed at its rounded value, and the program is solved over
+     the few fractional ones that remain.  Its solution is checked against
+     every bound and row in exact integer arithmetic;
+  3. the full program, if the restricted solve is infeasible or its
+     objective lies above the LP bound.
+
+All costs are integers, so the LP optimum rounded up is a lower bound on
+the program's optimum (it is rounded up after a relative slack of 1e-6
+is taken off, which can only lower it).  An integer solution that reaches
+the bound is optimal; the full program decides every other case.  Either
+way parity is optimal among the program's solutions.  PackedSpectra
+keeps the step that gave the answer, the objective, the LP bound, the
+proven gap (0) and the node count as ``diagnostics``.
 
 All bookkeeping is on integer numerators over the single denominator
 2^(n_max + nu_max), the dyadic grid every point lies on, so it is exact.
@@ -47,6 +68,7 @@ points are built only when ``PackedInstance.points`` is asked for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,6 +79,8 @@ from .spectral import OrbitSpectrum
 
 ENERGY_BUDGET_OVER_2PI = Fraction(2)  # mean phase <= 4pi
 DEFAULT_POINT_CAP = 2 ** 20
+_INTEGRAL_TOLERANCE = 1e-9  # an LP value this close to an integer is fixed there
+_LP_SLACK = 1e-6  # relative; taken off the LP optimum before rounding it up
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +137,7 @@ class PackedSpectra:
     n_max: int
     nu_exponents: tuple
     instances: list
+    diagnostics: dict  # how the solver reached the assignment (_solve)
 
     def instance(self, n: int, m: int) -> PackedInstance:
         for inst in self.instances:
@@ -237,8 +262,8 @@ def pack_spectrum(n_max: int, nu_exponents=None) -> PackedSpectra:
         budgets.append((int(ENERGY_BUDGET_OVER_2PI * period * denom) - num.sum(axis=1)) // denom)
     nums = np.concatenate(nums)
     pile = np.unique(nums, return_inverse=True)[1]
-    parts = _assign_ranks(np.concatenate(insts), np.concatenate(odds), pile,
-                          np.concatenate(budgets))
+    parts, diagnostics = _assign_ranks(np.concatenate(insts), np.concatenate(odds), pile,
+                                       np.concatenate(budgets))
 
     values = parts * denom + nums
     values.flags.writeable = False
@@ -249,14 +274,16 @@ def pack_spectrum(n_max: int, nu_exponents=None) -> PackedSpectra:
             instances.append(PackedInstance(n=n, m=m, numerators=values[pos:pos + 2 ** nu[n]],
                                             denominator=denom, nu=nu[n]))
             pos += 2 ** nu[n]
-    return PackedSpectra(n_max=n_max, nu_exponents=nu, instances=instances)
+    return PackedSpectra(n_max=n_max, nu_exponents=nu, instances=instances,
+                         diagnostics=diagnostics)
 
 
-def _assign_ranks(inst, odd, pile, budgets) -> np.ndarray:
-    """Integer part of every point, from one solve of the program in the
-    module docstring.  ``inst``, ``odd`` (k mod 2) and ``pile`` are per
-    point, in (n, m, k) order; ``budgets`` is per instance."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
+def _assign_ranks(inst, odd, pile, budgets) -> tuple:
+    """Integer part of every point, from an optimal solution of the program
+    in the module docstring, and the solver's diagnostics.  ``inst``,
+    ``odd`` (k mod 2) and ``pile`` are per point, in (n, m, k) order;
+    ``budgets`` is per instance."""
+    from scipy.optimize import LinearConstraint
     from scipy.sparse import coo_array
 
     size = np.bincount(pile)[pile]
@@ -290,15 +317,8 @@ def _assign_ranks(inst, odd, pile, budgets) -> np.ndarray:
     upper = np.concatenate([np.ones(n_x), n_odd])
     row_upper = np.concatenate([np.ones(2 * n_members), budgets])
     row_lower = np.concatenate([np.ones(2 * n_members), np.zeros(n_inst)])
-    res = milp(cost, integrality=np.ones(n_x + n_inst), bounds=Bounds(lower, upper),
-               constraints=LinearConstraint(A, row_lower, row_upper))
-    if res.status != 0:
-        raise CapacityError(
-            "no disjoint packing within the energy bound: "
-            f"solver status {res.status} ({res.message}); a faster-growing "
-            "exponent sequence (e.g. nu_n = 2n) spreads the collisions enough")
+    x, diagnostics = _solve(cost, lower, upper, LinearConstraint(A, row_lower, row_upper))
 
-    x = np.rint(res.x).astype(np.int64)
     parts = np.zeros(pile.size, dtype=np.int64)
     chosen = np.flatnonzero(x[:n_x])
     parts[member[owner[chosen]]] = rank[chosen]
@@ -307,4 +327,76 @@ def _assign_ranks(inst, odd, pile, budgets) -> np.ndarray:
     j = inst[single]
     within = np.arange(single.size) - (np.cumsum(n_odd) - n_odd)[j]
     parts[single[within < x[n_x:][j]]] = 1
-    return parts
+    return parts, diagnostics
+
+
+def _solve(cost, lower, upper, constraints) -> tuple:
+    """An optimal integer solution of the program and its diagnostics: the
+    LP bound, then the restricted solve, then the full MILP if need be
+    (module docstring)."""
+    lp = _milp(cost, np.zeros(cost.size), lower, upper, constraints)
+    if lp.status == 2:
+        raise _infeasible(lp)
+    bound = None
+    if lp.status == 0:
+        # integer costs: the MILP optimum is at least the LP optimum rounded
+        # up; the slack can only lower the bound
+        bound = math.ceil(lp.fun - _LP_SLACK * max(1.0, abs(lp.fun)))
+        found = _restricted_solve(cost, lower, upper, constraints, lp.x)
+        if found is not None:
+            x, nodes = found
+            objective = int(cost @ x)
+            if objective <= bound:
+                return x, {"path": "lp+restricted", "objective": objective, "lp_bound": bound,
+                           "gap": 0.0, "nodes": nodes}
+    res = _milp(cost, np.ones(cost.size), lower, upper, constraints)
+    if res.status != 0:
+        raise _infeasible(res)
+    x = np.rint(res.x).astype(np.int64)
+    return x, {"path": "milp", "objective": int(cost @ x), "lp_bound": bound,
+               "gap": float(res.mip_gap), "nodes": int(res.mip_node_count)}
+
+
+def _restricted_solve(cost, lower, upper, constraints, x_lp):
+    """The MILP over the variables the LP left fractional, every other one
+    fixed at its rounded LP value: the integer solution and the solver's
+    node count, or None if it is infeasible.  The solution is checked
+    against every bound and row in exact integer arithmetic."""
+    from scipy.optimize import LinearConstraint
+
+    x = np.rint(x_lp)
+    free = np.abs(x_lp - x) > _INTEGRAL_TOLERANCE
+    A = constraints.A.tocsc()
+    nodes = 0
+    if free.any():
+        A_free = A[:, free]
+        used = np.diff(A_free.tocsr().indptr) > 0
+        fixed = A[:, ~free] @ x[~free]
+        res = _milp(cost[free], np.ones(int(free.sum())), lower[free], upper[free],
+                    LinearConstraint(A_free[used], (constraints.lb - fixed)[used],
+                                     (constraints.ub - fixed)[used]))
+        if res.status != 0:
+            return None
+        x[free] = np.rint(res.x)
+        nodes = int(res.mip_node_count)
+    row = A @ x  # integer coefficients and values: exact in float64
+    if (np.all((lower <= x) & (x <= upper))
+            and np.all((constraints.lb <= row) & (row <= constraints.ub))):
+        return x.astype(np.int64), nodes
+    return None
+
+
+def _milp(cost, integrality, lower, upper, constraints):
+    """One HiGHS solve through scipy, at a relative gap of 0: a MILP
+    answer is optimal, not just within HiGHS's default gap of 1e-4."""
+    from scipy.optimize import Bounds, milp
+
+    return milp(cost, integrality=integrality, bounds=Bounds(lower, upper),
+                constraints=constraints, options={"mip_rel_gap": 0})
+
+
+def _infeasible(res) -> CapacityError:
+    return CapacityError(
+        "no disjoint packing within the energy bound: "
+        f"solver status {res.status} ({res.message}); a faster-growing "
+        "exponent sequence (e.g. nu_n = 2n) spreads the collisions enough")

@@ -162,8 +162,12 @@ def test_stats_unknown_density(capsys):
 def test_pack_command(tmp_path):
     code, payload = run_cli(["pack", "--n", "3"], tmp_path)
     assert code == 0
-    data = json.loads(payload)["pack"]
+    report = json.loads(payload)
+    data = report["pack"]
     assert data["disjoint"] and data["energy_bound_ok"] and data["grid_ok"]
+    # the solver's figures sit beside the report body, not inside it
+    assert report["diagnostics"] == {"path": "lp+restricted", "objective": -15,
+                                     "lp_bound": -15, "gap": 0.0, "nodes": 0}
 
 
 def test_schrodinger_builtin_pair(tmp_path):

@@ -14,8 +14,8 @@ from halfcycle import (AmplitudeProfile, PreconditionError, build_alpha_cycle,
                        cycle_result, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, halting_demo, initial_config,
                        load_machine, majority_error_bound, nu_of, repeat_error_free,
-                       run, run_error_bounded, run_error_free, sample_outcome)
-from halfcycle.measure import BatchSummary, RunReport
+                       run, run_error_bounded, run_error_free)
+from halfcycle.measure import BatchSummary, RunReport, _draw
 
 
 def synthetic_profile(probs):
@@ -23,6 +23,15 @@ def synthetic_profile(probs):
     return AmplitudeProfile(amplitudes=np.sqrt(probs).astype(complex),
                             indices=np.arange(probs.size),
                             captured=float(probs.sum()), period=probs.size)
+
+
+def draw_outcomes(profile, window, rng, n):
+    """n prepare/evolve/measure trials through the procedures' draw path:
+    the o-values, the measured cycle indices (-1 where o = 0) and whether
+    each measurement landed in ``window``."""
+    window_pos = profile.positions(window)
+    o, pos = _draw(profile, rng, n)
+    return o, np.where(o, profile.indices[pos], -1), o & np.isin(pos, window_pos)
 
 
 def incrementer_cycle(alpha=Fraction(3, 4)):
@@ -34,16 +43,15 @@ def incrementer_cycle(alpha=Fraction(3, 4)):
 def test_minimal_profile_always_yields_o_one():
     profile = halfstep_profile_periodic(8)
     rng = np.random.default_rng(1)
-    outs = [sample_outcome(profile, range(2, 6), rng) for _ in range(500)]
-    assert all(o.o_value == 1 for o in outs)
-    assert all(o.index is not None for o in outs)
+    o, index, _ = draw_outcomes(profile, range(2, 6), rng, 500)
+    assert o.all() and (index >= 0).all()
 
 
 def test_zero_profile_never_yields():
     profile = synthetic_profile([0.0, 0.0, 0.0])
     rng = np.random.default_rng(2)
-    outs = [sample_outcome(profile, [0], rng) for _ in range(200)]
-    assert all(o.o_value == 0 and o.index is None for o in outs)
+    o, index, valid = draw_outcomes(profile, [0], rng, 200)
+    assert not o.any() and (index == -1).all() and not valid.any()
 
 
 def test_sampled_window_frequency_matches_nu():
@@ -52,7 +60,7 @@ def test_sampled_window_frequency_matches_nu():
     nu = nu_of(profile, window)
     rng = np.random.default_rng(3)
     n = 100_000
-    hits = sum(sample_outcome(profile, window, rng).result_valid for _ in range(n))
+    hits = int(draw_outcomes(profile, window, rng, n)[2].sum())
     se = math.sqrt(nu * (1 - nu) / n)
     assert abs(hits / n - nu) < 3 * se
 
@@ -61,7 +69,7 @@ def test_partial_capture_o_zero_frequency():
     profile = synthetic_profile([0.3, 0.3])  # captured 0.6
     rng = np.random.default_rng(4)
     n = 50_000
-    ones = sum(sample_outcome(profile, [0], rng).o_value for _ in range(n))
+    ones = int(draw_outcomes(profile, [0], rng, n)[0].sum())
     assert abs(ones / n - 0.6) < 3 * math.sqrt(0.6 * 0.4 / n)
 
 
@@ -225,17 +233,11 @@ def test_out_of_range_window_index_raises():
     profile = halfstep_profile_periodic(8)
     rng = np.random.default_rng(9)
     with pytest.raises(PreconditionError, match="index 8 outside profile range"):
-        sample_outcome(profile, range(2, 9), rng)
+        run_error_bounded(profile, range(2, 9), lambda j: (0, ""), 3, rng)
     with pytest.raises(PreconditionError, match="index -1 outside profile range"):
         run_error_bounded(profile, [3, 4, -1], lambda j: (0, ""), 3, rng)
     # nothing was drawn: the range check comes before the first trial
     assert rng.random() == np.random.default_rng(9).random()
-
-
-def test_outcome_invariant_o_zero_has_no_index():
-    from halfcycle import MeasurementOutcome
-    with pytest.raises(PreconditionError):
-        MeasurementOutcome(o_value=0, index=3, result_valid=False)
 
 
 def test_captured_must_match_probability_sum():
@@ -420,6 +422,6 @@ def test_run_error_bounded_and_single_draw_match_per_trial_loop(case, seed):
         assert rep == ref
         assert rep.to_dict() == ref.to_dict()
         o, index, valid = _reference_draw(profile, in_window, ref_rng)
-        out = sample_outcome(profile, window, rng)
-        assert (out.o_value, out.index, out.result_valid) == (o, index, valid)
+        (o_out,), (index_out,), (valid_out,) = draw_outcomes(profile, window, rng, 1)
+        assert (o_out, index_out, valid_out) == (o, -1 if index is None else index, valid)
     assert rng.random() == ref_rng.random()

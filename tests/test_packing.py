@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import halfcycle.packing
 from halfcycle import CapacityError, PreconditionError, overlap_at, pack_spectrum
 
 
@@ -111,6 +112,53 @@ def test_default_exponents_pack_at_size_five():
     assert packed.max_mean_phase_over_2pi() <= 2
     assert all(p.grid_ok for p in packed.induction_passes())
 
+
+def test_every_solve_asks_for_a_zero_gap(monkeypatch):
+    # at HiGHS's default relative gap of 1e-4 a MILP may stop short of the
+    # optimum (it does at (6, nu = 2n), too slow to run here), so no solve
+    # may leave the gap at its default
+    import scipy.optimize
+    solve, gaps = scipy.optimize.milp, []
+
+    def spy(*args, **kwargs):
+        gaps.append((kwargs.get("options") or {}).get("mip_rel_gap"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    assert pack_spectrum(5).diagnostics["path"] == "milp"  # LP, restricted, full MILP
+    assert pack_spectrum(5, [0, 2, 4, 6, 8, 10]).diagnostics["path"] == "lp+restricted"
+    assert len(gaps) >= 4 and all(gap == 0 for gap in gaps)
+
+
+def full_milp(monkeypatch, n_max, nu):
+    """pack_spectrum with the restricted solve turned off, so that the full
+    MILP decides."""
+    with monkeypatch.context() as patch:
+        patch.setattr(halfcycle.packing, "_restricted_solve", lambda *args: None)
+        return pack_spectrum(n_max, nu)
+
+
+@pytest.mark.parametrize("n_max, nu, path", [
+    (0, None, None), (1, None, None), (2, None, None), (3, None, None),
+    (4, None, "lp+restricted"),
+    (5, None, "milp"),  # the restricted solve is infeasible
+    (5, [0, 2, 4, 6, 8, 10], "lp+restricted"),
+    (3, [0, 3, 5, 7], None), (4, [1, 2, 3, 5, 6], None),
+    (4, [0, 1, 2, 4, 5], None), (4, [0, 2, 4, 6, 8], None),
+])
+def test_lp_path_reaches_the_full_milp_optimum(monkeypatch, n_max, nu, path):
+    packed = pack_spectrum(n_max, nu)
+    reference = full_milp(monkeypatch, n_max, nu)
+    got, ref = packed.diagnostics, reference.diagnostics
+    assert ref["path"] == "milp" and ref["gap"] == 0 and got["gap"] == 0
+    if path:
+        assert got["path"] == path
+    assert got["objective"] == ref["objective"] >= got["lp_bound"] == ref["lp_bound"]
+    if got["path"] == "lp+restricted":
+        assert got["objective"] == got["lp_bound"]  # proven optimal by the bound
+    assert packed.parity_compliance() == reference.parity_compliance()
+    assert packed.all_disjoint() and packed.energy_bound_ok()
+    assert all(p.grid_ok for p in packed.induction_passes())
 
 
 def test_nu_sequence_validation():
