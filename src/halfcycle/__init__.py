@@ -8,6 +8,11 @@ spectrum packing (spectral, packing), the simulated measurement and retry
 procedures (measure), random-implementation statistics (ensemble), the
 evolution-cost gauge (complexity), and shared-orbit obstruction
 certificates (schrodinger).
+
+This namespace exports what the command line, the demos and the
+benchmark call.  Helpers used only inside their own module
+(``machine.decode_result``, ``measure.majority_error_bound``,
+``schrodinger.kinetic_form``) are imported from that module.
 """
 
 from .complexity import (APERIODIC_MEAN_ABS_PHASE, BoundReport, check_lower_bound,
@@ -19,17 +24,16 @@ from .ensemble import (DENSITIES, ContinuousNu, DensitySpec, StatsReport, StatsR
                        moment_experiment)
 from .errors import (CapacityError, ConsistencyError, HalfcycleError,
                      MachineSpecError, PreconditionError)
-from .machine import (Configuration, TMSpec, Trace, decode_result, initial_config,
-                      load_machine, run, save_machine, step, tape_content)
+from .machine import (Configuration, TMSpec, Trace, initial_config, load_machine, run,
+                      save_machine, tape_content)
 from .measure import (BatchSummary, HaltingVerdict, RunReport, halting_demo,
-                      majority_error_bound, repeat_error_free, run_error_bounded,
-                      run_error_free)
+                      repeat_error_free, run_error_bounded, run_error_free)
 from .packing import PackedInstance, PackedSpectra, pack_spectrum
 from .schrodinger import (GridFunctionSet, ObstructionAbsence, ObstructionCertificate,
-                          chirped_pair, identical_pair, kinetic_form, make_grid_set,
+                          chirped_pair, identical_pair, make_grid_set,
                           obstruction_certificate, read_grid_functions,
                           write_grid_function_csv)
-from .spectral import (AmplitudeProfile, OrbitSpectrum, aperiodic_spectrum, eigenbasis,
+from .spectral import (AmplitudeProfile, OrbitSpectrum, aperiodic_spectrum,
                        halfstep_profile_aperiodic, halfstep_profile_periodic,
                        minimal_periodic_spectrum, nu_of, overlap_at)
 

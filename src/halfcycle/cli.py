@@ -104,7 +104,7 @@ def cmd_profile(args) -> int:
             "captured": profile.captured,
             "peak_index": peak,
             "peak_abs": float(abs(peak_amp)),
-            "amplitudes": list(zip(profile.indices.tolist(), profile.amplitudes.real.tolist(),
+            "amplitudes": list(zip(profile.indices, profile.amplitudes.real.tolist(),
                                    profile.amplitudes.imag.tolist())),
         }
         _emit(_envelope(config, body), args.out)

@@ -44,9 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle import DEFAULT_PERIOD_CAP, alpha_for_period, centered_window
-from .errors import CapacityError, ConsistencyError, PreconditionError
-from .spectral import _halfstep_rows
+from .cycle import alpha_for_period, centered_window
+from .errors import ConsistencyError, PreconditionError
+from .spectral import _check_even_period, _halfstep_rows
 
 _CHUNK_ROWS = 4096
 _CHUNK_ENTRIES = 2 ** 22  # draws held at once: exactly 4096 rows at p = 1024
@@ -257,10 +257,7 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
     if not p_list:
         raise PreconditionError("need at least one period")
     for p in p_list:
-        if p < 4 or p % 2:
-            raise PreconditionError("periods must be even and at least 4")
-        if p > DEFAULT_PERIOD_CAP:
-            raise CapacityError(f"period {p} exceeds cap {DEFAULT_PERIOD_CAP}")
+        _check_even_period(p, 4)
     rows = []
     for p in p_list:
         alpha = alpha_for_period(p)

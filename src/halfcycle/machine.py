@@ -107,9 +107,11 @@ class Trace:
     def steps(self) -> tuple:
         """All n_steps + 1 configurations, replayed into a new tuple on each
         access: O(s·|tape|) memory, for inspecting short runs."""
+        tape, head, state = dict(self.initial.tape), self.initial.head, self.initial.state
         configs = [self.initial]
         for _ in range(self.n_steps):
-            configs.append(step(self.spec, configs[-1]))
+            head, state = _advance(self.spec, tape, head, state)
+            configs.append(Configuration(tape=dict(tape), head=head, state=state))
         return tuple(configs)
 
 
@@ -158,13 +160,6 @@ def _walk(spec: TMSpec, config: Configuration, max_steps: int) -> tuple:
         head, state = _advance(spec, tape, head, state)
         n += 1
     return Configuration(tape=tape, head=head, state=state), n
-
-
-def step(spec: TMSpec, config: Configuration) -> Configuration:
-    """Apply one transition.  Pure: the input configuration is untouched."""
-    tape = dict(config.tape)
-    head, state = _advance(spec, tape, config.head, config.state)
-    return Configuration(tape=tape, head=head, state=state)
 
 
 def run(spec: TMSpec, config: Configuration, max_steps: int) -> Trace:

@@ -108,7 +108,7 @@ def _error_free_runs(cycle: LabeledCycle, profile: AmplitudeProfile, validate, r
         raise PreconditionError("need at least one trial")
     profile.positions(cycle.window)  # range check before the first draw
     results: dict = {}
-    verdict = np.full(profile.indices.size, -1, dtype=np.int8)  # -1: not drawn yet
+    verdict = np.full(len(profile.indices), -1, dtype=np.int8)  # -1: not drawn yet
     trials, o_ones, accepted = [], [], []
     done = carry_t = carry_o = 0
     while done < runs:
@@ -116,7 +116,7 @@ def _error_free_runs(cycle: LabeledCycle, profile: AmplitudeProfile, validate, r
         o, pos = _draw(profile, rng, n)
         drawn = pos[o]
         for q in np.unique(drawn[verdict[drawn] < 0]).tolist():
-            results[q] = cycle_result(cycle, int(profile.indices[q]))
+            results[q] = cycle_result(cycle, profile.indices[q])
             verdict[q] = bool(validate(results[q]))
         hit = o.copy()
         hit[o] = verdict[drawn] == 1
@@ -195,7 +195,7 @@ def run_error_bounded(profile: AmplitudeProfile, window, result_of, majority_m: 
         o, pos = _draw(profile, rng, n)
         trials += n
         shots.extend(pos[o].tolist())
-    result_at = {q: result_of(int(profile.indices[q])) for q in dict.fromkeys(shots)}
+    result_at = {q: result_of(profile.indices[q]) for q in dict.fromkeys(shots)}
     votes = dict(Counter(result_at[q] for q in shots))
     conclusive = len(shots) == majority_m
     # Plurality winner; a tie between distinct wrong results is broken

@@ -61,9 +61,10 @@ proven gap (0) and the node count as ``diagnostics``.
 
 All bookkeeping is on integer numerators over the single denominator
 2^(n_max + nu_max), the dyadic grid every point lies on, so it is exact.
-The result keeps those numerators: each instance holds its read-only
-slice of them, the report's checks run on them, and fractions.Fraction
-points are built only when ``PackedInstance.points`` is asked for.
+The result keeps those numerators in one read-only array: each instance
+holds a view of its slice, the report's checks run on them, and
+fractions.Fraction points are built only when ``PackedInstance.points``
+is asked for.
 """
 
 from __future__ import annotations
@@ -130,52 +131,42 @@ class IntervalPass:
     occupancy: dict  # interval index -> (count, equidistant slot capacity 2^(n-k+nu_n))
 
 
-@dataclass
+@dataclass(eq=False)
 class PackedSpectra:
-    """The full assignment for sizes 0..n_max."""
+    """The full assignment for sizes 0..n_max.
+
+    ``values`` (read-only int64) holds every point phase/2pi as a numerator
+    over ``denominator`` = 2^(n_max + nu_max), in (n, m, k) order, so the
+    points of all sizes <= n are a prefix of it; each instance's
+    ``numerators`` is a view into it.  The checks below run on these
+    integers, which is exact.
+    """
 
     n_max: int
     nu_exponents: tuple
+    values: np.ndarray
+    denominator: int
     instances: list
     diagnostics: dict  # how the solver reached the assignment (_solve)
-
-    def instance(self, n: int, m: int) -> PackedInstance:
-        for inst in self.instances:
-            if inst.n == n and inst.m == m:
-                return inst
-        raise PreconditionError(f"no instance ({n}, {m})")
-
-    def _grid(self) -> tuple:
-        """Every point's numerator in instance order, each instance's point
-        count and the common denominator 2^(n_max + nu_max); the checks
-        below run on these integers, which is exact."""
-        nums = np.concatenate([inst.numerators for inst in self.instances])
-        sizes = np.array([inst.numerators.size for inst in self.instances])
-        return nums, sizes, 2 ** (self.n_max + self.nu_exponents[-1])
 
     def all_disjoint(self) -> bool:
         """Exhaustive disjointness check: every instance carries 2^nu
         points and no two points of the whole assignment coincide."""
-        nums, sizes, _ = self._grid()
-        return (all(size == inst.period for size, inst in zip(sizes, self.instances))
-                and np.unique(nums).size == nums.size)
-
-    def _mean_phases_over_2pi(self) -> list:
-        nums, sizes, denom = self._grid()
-        sums = np.add.reduceat(nums, np.cumsum(sizes) - sizes).tolist()
-        return [Fraction(total, denom * inst.period) for total, inst in zip(sums, self.instances)]
+        return (all(inst.numerators.size == inst.period for inst in self.instances)
+                and np.unique(self.values).size == self.values.size)
 
     def max_mean_phase_over_2pi(self) -> Fraction:
-        return max(self._mean_phases_over_2pi())
+        return max(inst.mean_phase_over_2pi for inst in self.instances)
 
     def energy_bound_ok(self) -> bool:
         return self.max_mean_phase_over_2pi() <= ENERGY_BUDGET_OVER_2PI
 
     def parity_compliance(self) -> float:
         """Fraction of points whose interval index matches k mod 2."""
-        nums, sizes, denom = self._grid()
-        k = np.arange(nums.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        return int(np.count_nonzero((nums // denom) % 2 == k % 2)) / nums.size
+        matches = sum(int(np.count_nonzero((inst.numerators // self.denominator) % 2
+                                           == np.arange(inst.period) % 2))
+                      for inst in self.instances)
+        return matches / self.values.size
 
     def induction_passes(self) -> list:
         """Per-size occupancy snapshots.
@@ -187,14 +178,13 @@ class PackedSpectra:
         that figure is reported, not asserted: the assigned points remain
         a subset of a refining equidistant family either way.
         """
-        nums, sizes, denom = self._grid()
-        size_of = np.repeat([inst.n for inst in self.instances], sizes)
         passes = []
-        for n in range(self.n_max + 1):
-            nu_n = self.nu_exponents[n]
-            pts = nums[size_of <= n]
-            grid_ok = bool(np.all(pts % (denom >> (n + nu_n)) == 0))
-            intervals, counts = np.unique(pts // denom, return_counts=True)
+        end = 0
+        for n, nu_n in enumerate(self.nu_exponents):
+            end += 2 ** (n + nu_n)
+            pts = self.values[:end]
+            grid_ok = bool(np.all(pts % (self.denominator >> (n + nu_n)) == 0))
+            intervals, counts = np.unique(pts // self.denominator, return_counts=True)
             report = {
                 k: (count, 2 ** (n - k + nu_n) if n - k + nu_n >= 0 else 0)
                 for k, count in zip(intervals.tolist(), counts.tolist())
@@ -203,7 +193,7 @@ class PackedSpectra:
         return passes
 
     def to_dict(self) -> dict:
-        means = self._mean_phases_over_2pi()
+        means = [inst.mean_phase_over_2pi for inst in self.instances]
         max_mean = max(means)
         return {
             "n_max": self.n_max,
@@ -274,8 +264,8 @@ def pack_spectrum(n_max: int, nu_exponents=None) -> PackedSpectra:
             instances.append(PackedInstance(n=n, m=m, numerators=values[pos:pos + 2 ** nu[n]],
                                             denominator=denom, nu=nu[n]))
             pos += 2 ** nu[n]
-    return PackedSpectra(n_max=n_max, nu_exponents=nu, instances=instances,
-                         diagnostics=diagnostics)
+    return PackedSpectra(n_max=n_max, nu_exponents=nu, values=values, denominator=denom,
+                         instances=instances, diagnostics=diagnostics)
 
 
 def _assign_ranks(inst, odd, pile, budgets) -> tuple:

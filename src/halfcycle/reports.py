@@ -90,7 +90,7 @@ def _csv(header, template: str, rows) -> str:
 
 
 def profile_csv(profile) -> str:
-    rows = zip(profile.indices.tolist(), profile.amplitudes.real.tolist(),
+    rows = zip(profile.indices, profile.amplitudes.real.tolist(),
                profile.amplitudes.imag.tolist(), profile.probabilities.tolist())
     return _csv(["index", "amplitude_real", "amplitude_imag", "probability"],
                 "%d,%.17g,%.17g,%.17g\n", rows)

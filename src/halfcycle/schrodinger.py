@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -212,7 +211,8 @@ def read_grid_functions(paths) -> GridFunctionSet:
     share the same grid."""
     xs, funcs = [], []
     for path in paths:
-        rows = list(csv.reader(Path(path).open()))
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
         if rows and rows[0][:1] == ["x"]:
             rows = rows[1:]
         try:

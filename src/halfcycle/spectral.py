@@ -40,8 +40,9 @@ to total probability 1.  Periods above DEFAULT_PERIOD_CAP raise
 CapacityError before anything is allocated.  The aperiodic (non-halting)
 counterpart has a_k = -1/(pi*i*(k - 1/2)), whose full two-sided square
 sum is 1 by Euler's series; a symmetric truncation to 2K terms captures
-all but ~2/(pi^2*K).  A profile lives on a run of consecutive indices and
-keeps the readout distribution |a|^2 and its running sum as its only
+all but ~2/(pi^2*K); 2K above DEFAULT_PERIOD_CAP raises CapacityError
+too.  A profile lives on a run of consecutive indices, kept as a range,
+and keeps the readout distribution |a|^2 and its running sum as its only
 copies; ``nu_of`` and every measurement draw read them.
 """
 
@@ -96,9 +97,12 @@ class OrbitSpectrum:
 class AmplitudeProfile:
     """Complex overlap amplitudes of the half-cycle state.
 
-    ``indices`` must be a run of consecutive integers: the cycle positions
-    0..p-1 for periodic profiles, or the symmetric range (-K, K] for
-    aperiodic truncations; anything else raises PreconditionError.  The
+    ``indices`` is a run of consecutive integers, stored as a ``range``:
+    the cycle positions 0..p-1 for periodic profiles, or the symmetric
+    range (-K, K] for aperiodic truncations.  An integer array is accepted
+    and turned into that range; a range with another step, an empty run, a
+    non-integer array or one that is not one consecutive run raises
+    PreconditionError.  The
     readout distribution |a|^2 is stored once, as ``probabilities``, and
     its running sum ``cdf`` is taken once, on the first draw.
     ``captured`` is the total probability sum |a|^2 over the stored
@@ -108,16 +112,21 @@ class AmplitudeProfile:
     """
 
     amplitudes: np.ndarray
-    indices: np.ndarray
+    indices: range
     captured: float
     period: int | None
     probabilities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int))
-        if self.indices.ndim != 1 or not self.indices.size or np.any(np.diff(self.indices) != 1) \
-                or self.amplitudes.shape != self.indices.shape:
+        indices = self.indices
+        if not isinstance(indices, range):
+            idx = np.asarray(indices)
+            consecutive = (idx.ndim == 1 and idx.size and idx.dtype.kind in "iu"
+                           and not np.any(np.diff(idx) != 1))
+            indices = range(int(idx[0]), int(idx[0]) + idx.size) if consecutive else range(0)
+        object.__setattr__(self, "indices", indices)
+        if indices.step != 1 or not indices or self.amplitudes.shape != (len(indices),):
             raise PreconditionError("need one amplitude per index on consecutive integer indices")
         if self.captured > 1.0 + _WEIGHT_SUM_TOL:
             raise PreconditionError("captured probability exceeds 1")
@@ -134,14 +143,15 @@ class AmplitudeProfile:
 
     def positions(self, indices) -> np.ndarray:
         """Array positions of the cycle indices ``indices`` (a range or any
-        iterable of ints), range-checked in one vectorised pass; raises
-        PreconditionError naming the first index outside the profile."""
+        iterable of ints), index j at position j - indices.start,
+        range-checked in one vectorised pass; raises PreconditionError
+        naming the first index outside the profile."""
         if isinstance(indices, range):
             idx = np.arange(indices.start, indices.stop, indices.step)
         else:
             idx = np.fromiter(indices, dtype=np.int64)
-        pos = idx - self.indices[0]
-        outside = (pos < 0) | (pos >= self.indices.size)
+        pos = idx - self.indices.start
+        outside = (pos < 0) | (pos >= len(self.indices))
         if outside.any():
             raise PreconditionError(f"index {idx[outside][0]} outside profile range")
         return pos
@@ -166,9 +176,11 @@ def minimal_periodic_spectrum(p: int) -> OrbitSpectrum:
     return OrbitSpectrum(phases=phases, weights=np.full(p, 1.0 / p), period=p)
 
 
-def _check_even_period(p: int) -> None:
-    if p < 2 or p % 2 != 0:
-        raise PreconditionError("minimal construction needs even p >= 2")
+def _check_even_period(p: int, minimum: int = 2) -> None:
+    """The one period rule: even, at least ``minimum``, at most
+    DEFAULT_PERIOD_CAP; checked before anything of size p is allocated."""
+    if p < minimum or p % 2 != 0:
+        raise PreconditionError(f"period {p} must be even and at least {minimum}")
     if p > DEFAULT_PERIOD_CAP:
         raise CapacityError(f"period {p} exceeds cap {DEFAULT_PERIOD_CAP}")
 
@@ -226,34 +238,30 @@ def halfstep_profile_periodic(p: int) -> AmplitudeProfile:
     captured = float(np.sum(np.abs(closed) ** 2))
     if abs(captured - 1.0) > _PROFILE_TOL:
         raise ConsistencyError(f"minimal profile capture {captured!r} differs from 1 at p={p}")
-    return AmplitudeProfile(amplitudes=closed, indices=j, captured=min(captured, 1.0), period=p)
+    return AmplitudeProfile(amplitudes=closed, indices=range(p), captured=min(captured, 1.0),
+                            period=p)
 
 
 def halfstep_profile_aperiodic(K: int) -> AmplitudeProfile:
     """Truncated aperiodic amplitudes a_k = -1/(pi*i*(k-1/2)), -K < k <= K.
 
     The truncation tail is ~2/(pi^2*K); the full two-sided series sums
-    to 1.
+    to 1.  The 2K amplitudes count against DEFAULT_PERIOD_CAP like a
+    period's: 2K above the cap raises CapacityError before anything is
+    allocated.
     """
     if K < 1:
         raise PreconditionError("K must be at least 1")
+    _check_even_period(2 * K)
     k = np.arange(-K + 1, K + 1)
     amps = -1.0 / (np.pi * 1j * (k - 0.5))
     captured = float(np.sum(np.abs(amps) ** 2))
-    return AmplitudeProfile(amplitudes=amps, indices=k, captured=captured, period=None)
+    return AmplitudeProfile(amplitudes=amps, indices=range(-K + 1, K + 1), captured=captured,
+                            period=None)
 
 
 def nu_of(profile: AmplitudeProfile, window) -> float:
     """Probability of landing in ``window``: sum of |a_j|^2 over j in the
     window.  Raises on indices outside the profile range."""
     return float(np.sum(profile.probabilities[profile.positions(window)]))
-
-
-def eigenbasis(p: int) -> np.ndarray:
-    """The p x p unitary with entries exp(2pi*i*j*k/p)/sqrt(p) mapping
-    computational states to the orbit eigenvectors."""
-    if p < 1:
-        raise PreconditionError("dimension must be at least 1")
-    j = np.arange(p)
-    return np.exp(2j * np.pi * np.outer(j, j) / p) / np.sqrt(p)
 

@@ -91,7 +91,9 @@ def test_profile_odd_period_rejected(capsys):
 
 def test_profile_period_above_cap_rejected(capsys):
     for args in (["profile", "--period", "8388608"], ["complexity", "--period", "8388608"],
-                 ["stats", "--p", "8388608", "--seed", "1"]):
+                 ["stats", "--p", "8388608", "--seed", "1"],
+                 ["profile", "--aperiodic", "--K", "2097153"],
+                 ["instant", "--machine", "loop", "--budget", "10", "--K", "2097153"]):
         assert main(args) == 2
         assert "exceeds cap" in capsys.readouterr().err
 

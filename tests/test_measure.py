@@ -13,9 +13,9 @@ from scipy import stats
 from halfcycle import (AmplitudeProfile, PreconditionError, build_alpha_cycle,
                        cycle_result, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, halting_demo, initial_config,
-                       load_machine, majority_error_bound, nu_of, repeat_error_free,
-                       run, run_error_bounded, run_error_free)
-from halfcycle.measure import BatchSummary, RunReport, _draw
+                       load_machine, nu_of, repeat_error_free, run, run_error_bounded,
+                       run_error_free)
+from halfcycle.measure import BatchSummary, RunReport, _draw, majority_error_bound
 
 
 def synthetic_profile(probs):
@@ -31,7 +31,7 @@ def draw_outcomes(profile, window, rng, n):
     each measurement landed in ``window``."""
     window_pos = profile.positions(window)
     o, pos = _draw(profile, rng, n)
-    return o, np.where(o, profile.indices[pos], -1), o & np.isin(pos, window_pos)
+    return o, np.where(o, profile.indices.start + pos, -1), o & np.isin(pos, window_pos)
 
 
 def incrementer_cycle(alpha=Fraction(3, 4)):
@@ -262,7 +262,7 @@ def _reference_draw(profile, in_window, rng):
 
 
 def _window_mask(profile, window):
-    mask = np.zeros(profile.indices.size, dtype=bool)
+    mask = np.zeros(len(profile.indices), dtype=bool)
     mask[profile.positions(window)] = True
     return mask
 

@@ -10,9 +10,16 @@ import halfcycle.packing
 from halfcycle import CapacityError, PreconditionError, overlap_at, pack_spectrum
 
 
+def instance(packed, n, m):
+    """Instance (n, m): the instances run in (n, m) order, 2^n per size."""
+    inst = packed.instances[2 ** n - 1 + m]
+    assert (inst.n, inst.m) == (n, m)
+    return inst
+
+
 def test_size_zero_anchor_is_phase_zero():
     packed = pack_spectrum(0)
-    inst = packed.instance(0, 0)
+    inst = instance(packed, 0, 0)
     assert inst.points == (Fraction(0),)
     assert inst.mean_phase_over_2pi == 0
 
@@ -32,15 +39,22 @@ def test_numerators_match_a_fraction_reference(n_max, nu):
     # the stored numerator; points, mean phase and float phases must equal
     # what exact Fraction arithmetic gives, bit for bit
     packed = pack_spectrum(n_max, nu)
+    parity = 0
     for inst in packed.instances:
         grid = 2 ** (inst.n + packed.nu_exponents[inst.n])
         ints = (inst.numerators // inst.denominator).tolist()
         ref = tuple(i + (Fraction(inst.m, grid) + Fraction(k, inst.period)) % 1
                     for k, i in enumerate(ints))
+        parity += sum(int(x) % 2 == k % 2 for k, x in enumerate(ref))
+        assert np.shares_memory(inst.numerators, packed.values)
+        assert inst.denominator == packed.denominator
         assert inst.points == ref
         assert inst.mean_phase_over_2pi == sum(ref, Fraction(0)) / inst.period
         expected = 2.0 * np.pi * np.array([float(x) for x in ref])
         assert inst.spectrum().phases.tobytes() == expected.tobytes()
+    assert packed.parity_compliance() == parity / packed.values.size
+    assert np.array_equal(np.concatenate([inst.numerators for inst in packed.instances]),
+                          packed.values)
     with pytest.raises(ValueError):
         packed.instances[0].numerators[0] = 1  # read-only, like the frozen instance
 
@@ -67,7 +81,7 @@ def test_grid_membership_every_pass():
 
 def test_instance_spectrum_object():
     packed = pack_spectrum(2)
-    spec = packed.instance(2, 3).spectrum()
+    spec = instance(packed, 2, 3).spectrum()
     assert spec.period == 4
     assert abs(overlap_at(spec, 0) - 1.0) < 1e-12
 
@@ -75,7 +89,7 @@ def test_instance_spectrum_object():
 def test_generic_instances_keep_index_parity():
     # instances without collisions follow the interval parity rule exactly
     packed = pack_spectrum(3)
-    inst = packed.instance(3, 3)  # m not divisible by 4: collision-free
+    inst = instance(packed, 3, 3)  # m not divisible by 4: collision-free
     assert all(int(x) == k % 2 for k, x in enumerate(inst.points))
 
 

@@ -1,14 +1,17 @@
 """Shared-orbit obstruction certificates on the grid."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import null_space
 
 from halfcycle import (ObstructionAbsence, ObstructionCertificate, PreconditionError,
-                       chirped_pair, identical_pair, kinetic_form, make_grid_set,
+                       chirped_pair, identical_pair, make_grid_set,
                        obstruction_certificate, read_grid_functions,
                        write_grid_function_csv)
-from halfcycle.schrodinger import _null_space
+from halfcycle.schrodinger import _null_space, kinetic_form
 
 
 def test_chirped_pair_produces_certificate():
@@ -102,6 +105,21 @@ def test_csv_round_trip(tmp_path):
     assert np.allclose(again.functions, gset.functions, atol=1e-12)
     result = obstruction_certificate(again)
     assert isinstance(result, ObstructionCertificate)
+
+
+def test_csv_reader_closes_every_file(tmp_path):
+    a, b, bad = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "bad.csv"
+    write_grid_function_csv(a, np.linspace(-1, 1, 32), np.ones(32))
+    write_grid_function_csv(b, np.linspace(-2, 2, 32), np.ones(32))
+    bad.write_text("x,re,im\n0,zero,0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        read_grid_functions([a, a])
+        for paths in ([a, b], [bad]):
+            with pytest.raises(PreconditionError):
+                read_grid_functions(paths)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_csv_mismatched_grids_rejected(tmp_path):

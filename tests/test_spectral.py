@@ -11,10 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from halfcycle import (CapacityError, PreconditionError, aperiodic_spectrum, chirped_pair,
-                       eigenbasis, get_density, halfstep_profile_aperiodic,
+                       get_density, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, minimal_periodic_spectrum, nu_of,
-                       obstruction_certificate, overlap_at, sample_y)
+                       obstruction_certificate, overlap_at, pack_spectrum, sample_y)
 from halfcycle.cycle import DEFAULT_PERIOD_CAP
+from halfcycle.measure import _draw
 from halfcycle.spectral import AmplitudeProfile, OrbitSpectrum, _halfstep_rows
 
 P_RANGE = [2 ** k for k in range(1, 11)]  # 2, 4, ..., 1024
@@ -123,6 +124,17 @@ def test_halfstep_profile_refuses_period_above_cap_before_allocating():
         assert peak < 2 ** 16
 
 
+def test_aperiodic_profile_refuses_2k_above_cap_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"period {DEFAULT_PERIOD_CAP + 2} exceeds cap"):
+            halfstep_profile_aperiodic(DEFAULT_PERIOD_CAP // 2 + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
 def test_halfstep_profile_p2_probabilities():
     profile = halfstep_profile_periodic(2)
     assert np.allclose(profile.probabilities, [0.5, 0.5])
@@ -199,24 +211,36 @@ def test_nu_of_matches_loop(profile, window):
     assert nu_of(profile, window) == float(np.sum(np.abs(profile.amplitudes[pos]) ** 2))
 
 
-@pytest.mark.parametrize("indices", [[0, 2, 5], [3, 2, 1], [0, 0, 1], [[0, 1], [2, 3]], []])
+def test_builders_index_by_a_range():
+    assert halfstep_profile_periodic(8).indices == range(8)
+    assert halfstep_profile_aperiodic(5).indices == range(-4, 6)
+
+
+@pytest.mark.parametrize("start, size", [(0, 8), (-3, 8), (5, 1)])
+def test_profile_from_array_matches_profile_from_range(start, size):
+    probs = np.arange(1.0, size + 1) / (size * (size + 1))
+    built = [AmplitudeProfile(amplitudes=np.sqrt(probs), indices=idx,
+                              captured=float(probs.sum()), period=None)
+             for idx in (np.arange(start, start + size), range(start, start + size))]
+    windows = [range(start, start + size), [start + size - 1, start, start], []]
+    for profile in built:
+        assert profile.indices == range(start, start + size)
+        assert isinstance(profile.indices, range)
+    for window in windows:
+        assert np.array_equal(built[0].positions(window), built[1].positions(window))
+        assert nu_of(built[0], window) == nu_of(built[1], window)
+    draws = [_draw(profile, np.random.default_rng(3), 500) for profile in built]
+    assert all(np.array_equal(a, b) for a, b in zip(*draws))
+
+
+@pytest.mark.parametrize("indices", [[0, 2, 5], [3, 2, 1], [0, 0, 1], [[0, 1], [2, 3]], [],
+                                     [0.5, 1.5], range(0, 6, 2), range(3, 0, -1), range(0)])
 def test_profile_refuses_indices_that_are_not_consecutive(indices):
     # positions() reads index j at array position j - indices[0]
     amplitudes = np.full(np.shape(indices), 0.5, dtype=complex)
     with pytest.raises(PreconditionError):
         AmplitudeProfile(amplitudes=amplitudes, indices=indices,
                          captured=float(np.sum(np.abs(amplitudes) ** 2)), period=None)
-
-
-def test_eigenbasis_small_cases():
-    assert np.allclose(eigenbasis(1), [[1.0]])
-    expected = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    assert np.allclose(eigenbasis(2), expected)
-
-
-def test_eigenbasis_unitary_p64():
-    U = eigenbasis(64)
-    assert np.max(np.abs(U @ U.conj().T - np.eye(64))) < 1e-10
 
 
 # --- properties -------------------------------------------------------------
@@ -274,8 +298,9 @@ def test_peak_modulus_converges_to_two_over_pi(k):
     lambda: sample_y(8, get_density("uniform"), np.random.default_rng(3)),
     lambda: chirped_pair(64),
     lambda: obstruction_certificate(chirped_pair(64)),
+    lambda: pack_spectrum(2),
 ], ids=["OrbitSpectrum", "AmplitudeProfile", "YSample", "GridFunctionSet",
-        "ObstructionCertificate"])
+        "ObstructionCertificate", "PackedSpectra"])
 def test_array_dataclasses_compare_by_identity(make):
     # the generated __eq__ would compare ndarray fields and raise
     x = make()
