@@ -4,7 +4,9 @@ Subcommands: profile, cycle, instant, stats, pack, schrodinger,
 complexity.  Every report embeds the seed; one root seed feeds a named
 sub-stream per subcommand, so rerunning a command with the same arguments
 and seed writes byte-identical output.  Exit code 0 means no check in the
-run reported a violation.
+run reported a violation.  Sizes (periods, K, budgets, trials, grids,
+majority sizes) obey the size rule of ``errors.check_length``; a
+violation exits 2 with an ``error:`` line before anything is built.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import secrets
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from . import reports
 from .complexity import check_lower_bound, complexity, mean_abs_phase, zero_count
 from .cycle import build_alpha_cycle, verify_cycle
 from .ensemble import get_density, moment_experiment
-from .errors import HalfcycleError, PreconditionError
+from .errors import HalfcycleError, PreconditionError, check_length
 from .machine import initial_config, load_machine, run
 from .measure import halting_demo
 from .packing import pack_spectrum
@@ -31,28 +32,6 @@ from .spectral import (aperiodic_spectrum, halfstep_profile_aperiodic,
 
 _STREAMS = {"profile": 0, "cycle": 1, "instant": 2, "stats": 3, "pack": 4,
             "schrodinger": 5, "complexity": 6}
-
-
-@dataclass
-class ExperimentConfig:
-    subcommand: str
-    machine: str | None = None
-    input_word: str = ""
-    alpha: float | None = None
-    period: int | None = None
-    truncation: int | None = None
-    density: str | None = None
-    trials: int | None = None
-    majority: int | None = None
-    budget: int | None = None
-    seed: int | None = None
-    out_format: str = "json"
-    out_path: str | None = None
-
-    def to_dict(self) -> dict:
-        # out_path stays out of the report so reruns to different files
-        # stay byte-identical
-        return {k: v for k, v in vars(self).items() if v is not None and k != "out_path"}
 
 
 def _rng_for(seed: int, subcommand: str):
@@ -83,14 +62,21 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _envelope(config: ExperimentConfig, body: dict) -> str:
-    return reports.render_json({"config": config.to_dict(), **body})
+def _envelope(config: dict, body: dict) -> str:
+    """The JSON report: ``config`` without its None values, then ``body``.
+    Every config carries ``input_word`` and ``out_format`` ("" and "json"
+    unless the command sets them).  The output path stays out, so reruns
+    to different files are byte-identical."""
+    config = {"input_word": "", "out_format": "json", **config}
+    return reports.render_json(
+        {"config": {k: v for k, v in config.items() if v is not None}, **body})
 
 
 def cmd_profile(args) -> int:
-    config = ExperimentConfig("profile", period=args.period, truncation=args.K,
-                              out_format=args.format, out_path=args.out, seed=args.seed or 0)
+    config = dict(subcommand="profile", period=args.period, truncation=args.K,
+                  out_format=args.format, seed=args.seed or 0)
     if args.period is not None:
+        check_length("K", args.K)  # unused here, but refused all the same
         profile = halfstep_profile_periodic(args.period)
         peak = args.period // 2
     else:
@@ -112,9 +98,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_cycle(args) -> int:
-    config = ExperimentConfig("cycle", machine=args.machine, input_word=args.input,
-                              alpha=args.alpha, budget=args.budget,
-                              out_path=args.out, seed=args.seed or 0)
+    config = dict(subcommand="cycle", machine=args.machine, input_word=args.input,
+                  alpha=args.alpha, budget=args.budget, seed=args.seed or 0)
     spec = load_machine(args.machine)
     trace = run(spec, initial_config(spec, args.input), args.budget)
     if not trace.halted:
@@ -131,10 +116,9 @@ def cmd_cycle(args) -> int:
 
 def cmd_instant(args) -> int:
     seed = _resolve_seed(args)
-    config = ExperimentConfig("instant", machine=args.machine, input_word=args.input,
-                              alpha=args.alpha, truncation=args.K, majority=args.majority,
-                              budget=args.budget, trials=args.trials, seed=seed,
-                              out_path=args.out)
+    config = dict(subcommand="instant", machine=args.machine, input_word=args.input,
+                  alpha=args.alpha, truncation=args.K, majority=args.majority,
+                  budget=args.budget, trials=args.trials, seed=seed)
     spec = load_machine(args.machine)
     rng = _rng_for(seed, "instant")
     verdict = halting_demo(spec, initial_config(spec, args.input), args.budget,
@@ -147,8 +131,8 @@ def cmd_instant(args) -> int:
 def cmd_stats(args) -> int:
     seed = _resolve_seed(args)
     p_list = _int_list(args.p, "--p")
-    config = ExperimentConfig("stats", density=args.density, trials=args.trials,
-                              seed=seed, out_format=args.format, out_path=args.out)
+    config = dict(subcommand="stats", density=args.density, trials=args.trials,
+                  seed=seed, out_format=args.format)
     density = get_density(args.density)
     rng = _rng_for(seed, "stats")
     report = moment_experiment(p_list, density, args.trials, rng)
@@ -160,7 +144,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    config = ExperimentConfig("pack", out_path=args.out, seed=args.seed or 0)
+    config = dict(subcommand="pack", seed=args.seed or 0)
     nu = _int_list(args.nu, "--nu") if args.nu else None
     packed = pack_spectrum(args.n, nu)
     body = packed.to_dict()
@@ -169,7 +153,7 @@ def cmd_pack(args) -> int:
 
 
 def cmd_schrodinger(args) -> int:
-    config = ExperimentConfig("schrodinger", out_path=args.out, seed=args.seed or 0)
+    config = dict(subcommand="schrodinger", seed=args.seed or 0)
     if args.functions:
         gset = read_grid_functions(args.functions)
     elif args.builtin == "identical":
@@ -182,11 +166,9 @@ def cmd_schrodinger(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    config = ExperimentConfig("complexity", period=args.period, out_format=args.format,
-                              out_path=args.out, seed=args.seed or 0)
-    if args.grid < 1:
-        print(f"error: grid {args.grid} must be at least 1", file=sys.stderr)
-        return 2
+    config = dict(subcommand="complexity", period=args.period, out_format=args.format,
+                  seed=args.seed or 0)
+    check_length("grid", args.grid)
     spec = aperiodic_spectrum() if args.aperiodic else minimal_periodic_spectrum(args.period)
     t_grid = np.linspace(0.0, 1.0, args.grid)
     values = complexity(spec, t_grid)
@@ -215,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seed_default=None):
-        p.add_argument("--seed", type=int, default=seed_default)
+    def common(p):
+        p.add_argument("--seed", type=int)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("profile", help="half-cycle amplitude table")

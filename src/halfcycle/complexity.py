@@ -14,7 +14,8 @@ diagnostic: efficient implementations admit a uniform bound on it.
 
 Both readings come from one overlap scan: ``check_lower_bound`` evaluates
 the overlap once and reports the bound and the sign changes along its grid;
-``zero_count`` is that report on linspace(0, 1, resolution).
+``zero_count`` is that report on linspace(0, 1, resolution); the
+resolution obeys the size rule of ``errors.check_length``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_length
 from .spectral import OrbitSpectrum, overlap_at
 
 APERIODIC_MEAN_ABS_PHASE = float(np.pi)  # uniform phase density on [0, 2pi)
@@ -87,6 +88,5 @@ def zero_count(spec: OrbitSpectrum, resolution: int = 1024) -> int:
     Sampled at ``resolution`` points; tangential zeros (touches without a
     sign change) are not counted, which is acceptable for a diagnostic.
     """
-    if resolution < 256:
-        raise PreconditionError("resolution must be at least 256 samples per cycle")
+    check_length("resolution", resolution, 256)
     return check_lower_bound(spec, np.linspace(0.0, 1.0, resolution)).zero_count

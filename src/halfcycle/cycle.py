@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapacityError, PreconditionError
-from .machine import DEFAULT_PERIOD_CAP, Trace, tape_content
+from .errors import PreconditionError, check_length
+from .machine import Trace, tape_content
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,8 @@ def build_alpha_cycle(trace: Trace, alpha, source: str = "") -> LabeledCycle:
     floored at one so the window is never empty; the period p = 2s + 2w is
     even by construction (no parity padding is ever needed) and the window
     is [s, s + 2w).  Both s and p are recorded on the cycle so the overhead
-    of the construction can be audited.  A period above DEFAULT_PERIOD_CAP
-    raises CapacityError before anything is allocated.
+    of the construction can be audited.  The period obeys the size rule of
+    ``errors.check_length``.
     """
     if not trace.halted:
         raise PreconditionError("cycle construction needs a halted trace")
@@ -116,8 +116,7 @@ def build_alpha_cycle(trace: Trace, alpha, source: str = "") -> LabeledCycle:
     s = trace.n_steps
     w = max(1, _ceil_frac(alpha / (1 - alpha) * s))
     p = 2 * s + 2 * w
-    if p > DEFAULT_PERIOD_CAP:
-        raise CapacityError(f"period {p} exceeds cap {DEFAULT_PERIOD_CAP} (alpha too close to 1)")
+    check_length("period", p)
 
     return LabeledCycle(p=p, window=range(s, s + 2 * w), alpha_requested=alpha,
                         s=s, w=w, source=source, trace=trace)
@@ -182,16 +181,14 @@ def verify_cycle(cycle: LabeledCycle) -> CycleReport:
 
 def alpha_for_period(p: int) -> float:
     """The waiting ratio 1 - p**-0.5 targeted by the long-period experiments."""
-    if p < 4:
-        raise PreconditionError("period must be at least 4")
+    check_length("period", p, 4)
     return 1.0 - p ** -0.5
 
 
 def centered_window(p: int, alpha) -> range:
     """The contiguous result window of length 2*ceil(alpha*p/2) centered on
     index p/2, as used for synthetic period-p experiments."""
-    if p < 2 or p % 2 != 0:
-        raise PreconditionError("period must be even and at least 2")
+    check_length("period", p, 2, even=True)
     alpha = _ratio(alpha)
     w = max(1, _ceil_frac(alpha * p / 2))
     return range(p // 2 - w, p // 2 + w)

@@ -35,6 +35,9 @@ In the continuous case the functions
 exp(-i*(j - 1/2)*l) are orthogonal on [0, 2pi), so by Parseval the full
 series of squared amplitudes sums to mean(y^2); the truncated direct sum
 obeys Bessel's inequality direct <= mean(y^2), which is asserted.
+
+Periods, trial counts and cell counts obey the size rule of
+``errors.check_length``.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import alpha_for_period, centered_window
-from .errors import ConsistencyError, PreconditionError
-from .spectral import _check_even_period, _halfstep_rows
+from .errors import ConsistencyError, PreconditionError, check_length
+from .spectral import _halfstep_rows
 
 _CHUNK_ROWS = 4096
 _CHUNK_ENTRIES = 2 ** 22  # draws held at once: exactly 4096 rows at p = 1024
@@ -126,8 +129,7 @@ class YSample:
 
 def sample_y(p: int, density: DensitySpec, rng) -> YSample:
     """p i.i.d. draws from the density rescaled to [-1/p, 1/p]."""
-    if p < 2:
-        raise PreconditionError("period must be at least 2")
+    check_length("period", p, 2)
     return YSample(p=p, y=density.sample(rng, p) / p)
 
 
@@ -248,16 +250,15 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
     the m bins outside the window, one matrix product per chunk, whenever
     p*2m <= 2**22 (every p up to 16384); the first row of each such chunk
     is checked against the FFT, and a disagreement above 1e-12 raises
-    ConsistencyError.  Larger periods take one FFT per row.  Every period
-    is checked before anything is drawn: an empty list raises
-    PreconditionError and p > DEFAULT_PERIOD_CAP raises CapacityError.
+    ConsistencyError.  Larger periods take one FFT per row.  The trial
+    count and every period (even, at least 4) are checked before anything
+    is drawn, and an empty list raises PreconditionError.
     """
-    if trials < 1:
-        raise PreconditionError("need at least one trial")
+    check_length("trials", trials)
     if not p_list:
         raise PreconditionError("need at least one period")
     for p in p_list:
-        _check_even_period(p, 4)
+        check_length("period", p, 4, even=True)
     rows = []
     for p in p_list:
         alpha = alpha_for_period(p)
@@ -318,8 +319,7 @@ def continuous_nu(cells: int, density: DensitySpec, rng, sample=None) -> Continu
     a fixed cell vector (used for the deterministic y = 1 and y = 0
     checks).
     """
-    if cells < 2 or cells % 2:
-        raise PreconditionError("cell count must be even and at least 2")
+    check_length("cell count", cells, 2, even=True)
     y = np.asarray(sample, dtype=float) if sample is not None else density.sample(rng, cells)
     if y.shape != (cells,):
         raise PreconditionError("sample length must match cell count")

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import CapacityError, MachineSpecError, PreconditionError
+from .errors import DEFAULT_PERIOD_CAP, MachineSpecError, check_length
 
 MOVES = {"L": -1, "R": +1, "S": 0}
-
-DEFAULT_PERIOD_CAP = 2 ** 22  # of cycles, profiles and random implementations
 
 
 @dataclass(frozen=True)
@@ -166,12 +164,9 @@ def run(spec: TMSpec, config: Configuration, max_steps: int) -> Trace:
     """Run until a result state is entered or the step budget is exhausted.
 
     A halted trace of s steps makes a cycle of period at least 2s + 2, so a
-    budget past DEFAULT_PERIOD_CAP // 2 - 1 raises CapacityError at once.
+    budget past DEFAULT_PERIOD_CAP // 2 - 1 is refused before the first step.
     """
-    if max_steps < 1:
-        raise PreconditionError("max_steps must be >= 1")
-    if max_steps > DEFAULT_PERIOD_CAP // 2 - 1:
-        raise CapacityError(f"step budget {max_steps} exceeds cap {DEFAULT_PERIOD_CAP // 2 - 1}")
+    check_length("step budget", max_steps, cap=DEFAULT_PERIOD_CAP // 2 - 1)
     final, n_steps = _walk(spec, config, max_steps)
     return Trace(spec=spec, initial=config, final=final, n_steps=n_steps)
 

@@ -23,7 +23,8 @@ per unfinished run, one per missing vote), so the numpy Generator handed
 in is consumed exactly as by one ``rng.random()`` per trial: the same
 trial counts, results, votes and final generator state, and reports are
 bit-reproducible given a seed.  Results and validation verdicts are
-computed once per distinct drawn index.
+computed once per distinct drawn index.  Run counts, majority sizes and
+K obey the size rule of ``errors.check_length``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import LabeledCycle, build_alpha_cycle, cycle_result
-from .errors import PreconditionError
+from .errors import PreconditionError, check_length
 from .machine import run
 from .spectral import (AmplitudeProfile, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, nu_of)
@@ -177,8 +178,9 @@ def run_error_bounded(profile: AmplitudeProfile, window, result_of, majority_m: 
     (captured mass) must exceed 1/2.  Reports the analytic binomial-tail
     error bound next to the vote.
     """
-    if majority_m < 1 or majority_m % 2 == 0:
-        raise PreconditionError("majority size must be odd and positive")
+    check_length("majority size", majority_m)
+    if majority_m % 2 == 0:
+        raise PreconditionError(f"majority size {majority_m} must be odd")
     if max_trials < 1:
         raise PreconditionError("need at least one trial")
     nu = nu_of(profile, window)
@@ -236,8 +238,11 @@ def halting_demo(spec, config, budget: int, K: int, alpha, rng,
     profile stands in: every computational-state draw carries z != 0, so
     the no-halt verdict is certain conditional on o = 1.  The budget is
     part of the verdict: this is a statistics-level enactment on a bounded
-    classical simulator, and verdicts are relative to it.
+    classical simulator, and verdicts are relative to it.  K is checked
+    before the machine runs, so whether it is refused does not depend on
+    whether the machine halts.
     """
+    check_length("K", K)
     trace = run(spec, config, budget)
     if trace.halted:
         src = f"{spec.name or 'machine'}"
@@ -282,8 +287,7 @@ def repeat_error_free(cycle: LabeledCycle, profile: AmplitudeProfile, validate, 
                       runs: int, max_trials: int = 10 ** 6):
     """Run the error-free procedure ``runs`` times; returns the trial-count
     list and a BatchSummary with the conditional-rate estimates."""
-    if runs < 1:
-        raise PreconditionError("need at least one run")
+    check_length("runs", runs)
     trials, o_ones, accepted, results = _error_free_runs(
         cycle, profile, validate, rng, runs, max_trials)
     ok = accepted >= 0

@@ -13,6 +13,8 @@ linear system whose nullspace is computed by SVD, and the kinetic forms
 use the second-order finite-difference Laplacian with decaying-boundary
 convention.  Grid-pointwise moduli equality is stricter than equality of
 the continuum integrals, which only makes certificates conservative.
+Grids have at least 8 points and obey the size rule of
+``errors.check_length``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_length
 
 _NORM_TOL = 1e-10
 _HALF_WIDTH = 8.0  # the shipped pairs live on [-8, 8]; exp(-x^2/2) < 1e-13 at its ends
@@ -138,7 +140,7 @@ def obstruction_certificate(gset: GridFunctionSet):
     """
     if gset.n < 2:
         raise PreconditionError("need at least two functions")
-    _check_grid(gset.size)
+    check_length("grid", gset.size, 8)
 
     moduli = np.abs(gset.functions) ** 2  # (n, G)
     constraints = np.vstack([np.ones(gset.n), moduli.T * gset.h])
@@ -169,14 +171,9 @@ def obstruction_certificate(gset: GridFunctionSet):
 
 # --- shipped examples and CSV interface -------------------------------------
 
-def _check_grid(grid_points: int) -> None:
-    if grid_points < 8:
-        raise PreconditionError(f"grid of {grid_points} points is too coarse (fewer than 8)")
-
-
 def _unit_gaussian(grid_points: int):
     """The uniform grid of ``grid_points`` points on [-8, 8] and exp(-x^2/2) on it."""
-    _check_grid(grid_points)
+    check_length("grid", grid_points, 8)
     x = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, grid_points)
     return x, np.exp(-x ** 2 / 2.0).astype(complex)
 

@@ -36,14 +36,14 @@ with equal weights 1/p.  Its half-cycle amplitudes have the closed form
 evaluated in the sin form: near the peak the cosine of a rounded angle
 loses digits (1.3e-10 at p = 2^22), while p - 2j + 1 is exact.  The
 profile peaks at j = p/2 with modulus 1/(p*sin(pi/(2p))) -> 2/pi and sums
-to total probability 1.  Periods above DEFAULT_PERIOD_CAP raise
-CapacityError before anything is allocated.  The aperiodic (non-halting)
-counterpart has a_k = -1/(pi*i*(k - 1/2)), whose full two-sided square
-sum is 1 by Euler's series; a symmetric truncation to 2K terms captures
-all but ~2/(pi^2*K); 2K above DEFAULT_PERIOD_CAP raises CapacityError
-too.  A profile lives on a run of consecutive indices, kept as a range,
-and keeps the readout distribution |a|^2 and its running sum as its only
-copies; ``nu_of`` and every measurement draw read them.
+to total probability 1.  The aperiodic (non-halting) counterpart has
+a_k = -1/(pi*i*(k - 1/2)), whose full two-sided square sum is 1 by
+Euler's series; a symmetric truncation to 2K terms captures all but
+~2/(pi^2*K).  Periods, K and the 2K amplitudes of a truncation (held to
+the cap like a period) obey the size rule of ``errors.check_length``.  A
+profile lives on a run of consecutive indices, kept as a range, and keeps
+the readout distribution |a|^2 and its running sum as its only copies;
+``nu_of`` and every measurement draw read them.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cycle import DEFAULT_PERIOD_CAP
-from .errors import CapacityError, ConsistencyError, PreconditionError
+from .errors import ConsistencyError, PreconditionError, check_length
 
 _WEIGHT_SUM_TOL = 1e-12
 _PROFILE_TOL = 1e-10
@@ -168,21 +167,12 @@ def minimal_periodic_spectrum(p: int) -> OrbitSpectrum:
 
     Needs even p: the alternating mod-2 offsets are what make consecutive
     computational states orthogonal while concentrating the half-cycle
-    amplitude on the window.  p > DEFAULT_PERIOD_CAP raises CapacityError.
+    amplitude on the window.
     """
-    _check_even_period(p)
+    check_length("period", p, 2, even=True)
     k = np.arange(p)
     phases = 2.0 * np.pi * (k / p + (k % 2))
     return OrbitSpectrum(phases=phases, weights=np.full(p, 1.0 / p), period=p)
-
-
-def _check_even_period(p: int, minimum: int = 2) -> None:
-    """The one period rule: even, at least ``minimum``, at most
-    DEFAULT_PERIOD_CAP; checked before anything of size p is allocated."""
-    if p < minimum or p % 2 != 0:
-        raise PreconditionError(f"period {p} must be even and at least {minimum}")
-    if p > DEFAULT_PERIOD_CAP:
-        raise CapacityError(f"period {p} exceeds cap {DEFAULT_PERIOD_CAP}")
 
 
 def _halfstep_rows(y_rows: np.ndarray) -> np.ndarray:
@@ -225,10 +215,9 @@ def halfstep_profile_periodic(p: int) -> AmplitudeProfile:
     Evaluates the closed form (sin form, see the module docstring) and
     cross-checks it against the half-step evaluator on the weights
     (-1)^k/p, which is the direct spectral sum; disagreement beyond 1e-10
-    raises ConsistencyError.  A period above DEFAULT_PERIOD_CAP raises
-    CapacityError before anything is allocated.
+    raises ConsistencyError.
     """
-    _check_even_period(p)
+    check_length("period", p, 2, even=True)
     j = np.arange(p)
     closed = np.exp(1j * np.pi * (j - 0.5) / p) / (p * np.sin(np.pi * (p - 2 * j + 1) / (2 * p)))
     direct = _halfstep_rows(np.where(j % 2, -1.0, 1.0) / p)
@@ -246,13 +235,10 @@ def halfstep_profile_aperiodic(K: int) -> AmplitudeProfile:
     """Truncated aperiodic amplitudes a_k = -1/(pi*i*(k-1/2)), -K < k <= K.
 
     The truncation tail is ~2/(pi^2*K); the full two-sided series sums
-    to 1.  The 2K amplitudes count against DEFAULT_PERIOD_CAP like a
-    period's: 2K above the cap raises CapacityError before anything is
-    allocated.
+    to 1.
     """
-    if K < 1:
-        raise PreconditionError("K must be at least 1")
-    _check_even_period(2 * K)
+    check_length("K", K)
+    check_length("period", 2 * K)
     k = np.arange(-K + 1, K + 1)
     amps = -1.0 / (np.pi * 1j * (k - 0.5))
     captured = float(np.sum(np.abs(amps) ** 2))

@@ -208,10 +208,19 @@ def test_complexity_command(tmp_path):
     ["cycle", "--machine", "incrementer", "--input", "0", "--alpha", "nan"],
     ["cycle", "--machine", "incrementer", "--input", "0", "--alpha", "inf"],
     ["instant", "--machine", "incrementer", "--input", "0", "--alpha", "nan", "--seed", "1"],
+    # 4194305 is DEFAULT_PERIOD_CAP + 1
+    ["stats", "--trials", "4194305", "--seed", "1"],
+    ["complexity", "--period", "8", "--grid", "4194305"],
+    ["schrodinger", "--grid", "4194305"],
+    ["instant", "--machine", "incrementer", "--input", "1", "--majority", "4194305",
+     "--seed", "1"],
+    # K is checked even where the command does not use it
+    ["instant", "--machine", "incrementer", "--input", "1", "--K", "0", "--seed", "1"],
+    ["profile", "--period", "8", "--K", "-5"],
 ])
 def test_complexity_bad_input_rejected(args, tmp_path, capsys):
-    # grids, periods, step budgets, waiting ratios and integer lists are
-    # checked before anything is built
+    # grids, periods, K, step budgets, trial and majority counts, waiting
+    # ratios and integer lists are checked before anything is built
     out = tmp_path / "out.json"
     assert main([*args, "--out", str(out)]) == 2
     err = capsys.readouterr().err

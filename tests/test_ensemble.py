@@ -9,7 +9,7 @@ from halfcycle import (DENSITIES, CapacityError, ConsistencyError, DensitySpec,
                        PreconditionError, YSample, alpha_for_period, centered_window,
                        continuous_nu, ensemble, get_density, halfstep_profile_periodic,
                        nu_from_y, nu_of, sample_y, moment_experiment)
-from halfcycle.cycle import DEFAULT_PERIOD_CAP
+from halfcycle.errors import DEFAULT_PERIOD_CAP
 from halfcycle.spectral import _halfstep_rows
 
 

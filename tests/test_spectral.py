@@ -14,7 +14,7 @@ from halfcycle import (CapacityError, PreconditionError, aperiodic_spectrum, chi
                        get_density, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, minimal_periodic_spectrum, nu_of,
                        obstruction_certificate, overlap_at, pack_spectrum, sample_y)
-from halfcycle.cycle import DEFAULT_PERIOD_CAP
+from halfcycle.errors import DEFAULT_PERIOD_CAP
 from halfcycle.measure import _draw
 from halfcycle.spectral import AmplitudeProfile, OrbitSpectrum, _halfstep_rows
 
