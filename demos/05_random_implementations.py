@@ -49,7 +49,8 @@ print()
 print("=" * 64)
 print("  Continuous (aperiodic) case: direct sum and Parseval bound")
 print("=" * 64)
-res1 = hc.continuous_nu(256, hc.get_density("uniform"), rng, sample=np.ones(256))
+ones = hc.DensitySpec("y = 1", m2=1.0, m4=1.0, sample=lambda rng, size: np.ones(size))
+res1 = hc.continuous_nu(256, ones, rng)
 print(f"\n  deterministic y = 1: direct = {res1.direct:.6f}, Parseval mean(y^2) = {res1.parseval:.6f}")
 print("  (the truncated direct sum matches the minimal aperiodic capture and")
 print("   stays below the full-series value mean(y^2), as Bessel's inequality says)")

@@ -11,28 +11,25 @@ certificates (schrodinger).
 
 This namespace exports what the command line, the demos and the
 benchmark call.  Helpers used only inside their own module
-(``machine.decode_result``, ``measure.majority_error_bound``,
-``schrodinger.kinetic_form``) are imported from that module.
+(``measure.majority_error_bound``, ``schrodinger.kinetic_form``,
+``complexity.APERIODIC_MEAN_ABS_PHASE``) are imported from that module.
 """
 
-from .complexity import (APERIODIC_MEAN_ABS_PHASE, BoundReport, check_lower_bound,
-                         complexity, zero_count)
+from .complexity import BoundReport, check_lower_bound, complexity, zero_count
 from .cycle import (CycleReport, LabeledCycle, alpha_for_period, build_alpha_cycle,
                     centered_window, cycle_result, verify_cycle)
 from .ensemble import (DENSITIES, ContinuousNu, DensitySpec, StatsReport, StatsRow,
-                       YSample, continuous_nu, get_density, nu_from_y, sample_y,
-                       moment_experiment)
+                       YSample, continuous_nu, get_density, nu_from_y, moment_experiment)
 from .errors import (CapacityError, ConsistencyError, HalfcycleError,
                      MachineSpecError, PreconditionError)
 from .machine import (Configuration, TMSpec, Trace, initial_config, load_machine, run,
-                      save_machine, tape_content)
+                      tape_content)
 from .measure import (BatchSummary, HaltingVerdict, RunReport, halting_demo,
                       repeat_error_free, run_error_bounded, run_error_free)
 from .packing import PackedInstance, PackedSpectra, pack_spectrum
 from .schrodinger import (GridFunctionSet, ObstructionAbsence, ObstructionCertificate,
                           chirped_pair, identical_pair, make_grid_set,
-                          obstruction_certificate, read_grid_functions,
-                          write_grid_function_csv)
+                          obstruction_certificate, read_grid_functions)
 from .spectral import (AmplitudeProfile, OrbitSpectrum, aperiodic_spectrum,
                        halfstep_profile_aperiodic, halfstep_profile_periodic,
                        minimal_periodic_spectrum, nu_of, overlap_at)

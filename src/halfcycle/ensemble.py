@@ -127,12 +127,6 @@ class YSample:
             raise PreconditionError("imbalances must lie in [-1/p, 1/p]")
 
 
-def sample_y(p: int, density: DensitySpec, rng) -> YSample:
-    """p i.i.d. draws from the density rescaled to [-1/p, 1/p]."""
-    check_length("period", p, 2)
-    return YSample(p=p, y=density.sample(rng, p) / p)
-
-
 def nu_from_y(sample: YSample, window) -> float:
     """Window mass of the sampled implementation, by direct summation."""
     window = np.asarray(list(window), dtype=int)
@@ -206,9 +200,6 @@ class StatsRow:
     @property
     def variance_defined(self) -> bool:
         return math.isfinite(self.var)
-
-    def mean_within(self, k_sigma: float = 3.0) -> bool:
-        return abs(self.mean - self.target_mean) < k_sigma * self.stderr
 
 
 @dataclass(frozen=True)
@@ -307,7 +298,7 @@ class ContinuousNu:
     cells: int
 
 
-def continuous_nu(cells: int, density: DensitySpec, rng, sample=None) -> ContinuousNu:
+def continuous_nu(cells: int, density: DensitySpec, rng) -> ContinuousNu:
     """Draw a piecewise-constant branch imbalance on a 2pi grid and
     evaluate nu by direct summation.
 
@@ -315,14 +306,11 @@ def continuous_nu(cells: int, density: DensitySpec, rng, sample=None) -> Continu
     over [0, 2pi).  Over cell m of width D = 2pi/cells the integral is
     exp(-2pi*i*m*u/cells) * (1 - exp(-i*u*D))/(i*u), so the amplitudes are
     the half-step sums of y, periodic in j with period cells, times
-    (1 - exp(-i*u*D))/(2pi*i*u).  ``sample`` overrides the random draw with
-    a fixed cell vector (used for the deterministic y = 1 and y = 0
-    checks).
+    (1 - exp(-i*u*D))/(2pi*i*u).  A density whose ``sample`` returns a
+    fixed vector gives a deterministic y.
     """
     check_length("cell count", cells, 2, even=True)
-    y = np.asarray(sample, dtype=float) if sample is not None else density.sample(rng, cells)
-    if y.shape != (cells,):
-        raise PreconditionError("sample length must match cell count")
+    y = density.sample(rng, cells)
 
     j = np.arange(-cells, cells + 1)
     u = j - 0.5

@@ -92,7 +92,9 @@ class Trace:
 
     @property
     def result(self) -> tuple | None:
-        return decode_result(self.spec, self.final) if self.halted else None
+        """r = (z, v) of a halted trace: z = 0 and v its non-blank tape
+        content; None if the budget was exceeded."""
+        return (0, tape_content(self.final)) if self.halted else None
 
     def at(self, i: int) -> Configuration:
         """Configuration ``i``: ``final`` at i = n_steps, otherwise replayed
@@ -105,24 +107,15 @@ class Trace:
     def steps(self) -> tuple:
         """All n_steps + 1 configurations, replayed into a new tuple on each
         access: O(s·|tape|) memory, for inspecting short runs."""
-        tape, head, state = dict(self.initial.tape), self.initial.head, self.initial.state
         configs = [self.initial]
         for _ in range(self.n_steps):
-            head, state = _advance(self.spec, tape, head, state)
-            configs.append(Configuration(tape=dict(tape), head=head, state=state))
+            configs.append(_walk(self.spec, configs[-1], 1)[0])
         return tuple(configs)
 
 
 def tape_content(config: Configuration) -> str:
     """Non-blank tape content read left to right."""
     return "".join(symbol for _, symbol in sorted(config.tape.items()))
-
-
-def decode_result(spec: TMSpec, config: Configuration) -> tuple:
-    """Decode r = (z, v): z = 0 iff the state is a result state, v is the
-    non-blank tape content."""
-    z = 0 if config.state in spec.result_states else 1
-    return (z, tape_content(config))
 
 
 def initial_config(spec: TMSpec, word: str) -> Configuration:
@@ -134,28 +127,25 @@ def initial_config(spec: TMSpec, word: str) -> Configuration:
     return Configuration(tape=tape, head=0, state=spec.initial)
 
 
-def _advance(spec: TMSpec, tape: dict, head: int, state: str) -> tuple:
-    """Apply one transition to ``tape`` in place; returns (head, state).  The
-    table is total, so a missing entry is an unknown state or symbol."""
-    key = (state, tape.get(head, spec.blank))
-    try:
-        nstate, wsymbol, move = spec.transitions[key]
-    except KeyError:
-        raise MachineSpecError(f"unknown state or symbol under head: {key!r}") from None
-    if wsymbol == spec.blank:
-        tape.pop(head, None)
-    else:
-        tape[head] = wsymbol
-    return head + MOVES[move], nstate
-
-
 def _walk(spec: TMSpec, config: Configuration, max_steps: int) -> tuple:
     """Step one copy of ``config``'s tape until a result state is entered or
-    ``max_steps`` steps are taken; returns (final configuration, steps)."""
+    ``max_steps`` steps are taken; returns (final configuration, steps).
+    This is the one loop that steps a machine.  The table is total, so a
+    missing entry is an unknown state or symbol."""
     tape, head, state = dict(config.tape), config.head, config.state
+    transitions, blank, results = spec.transitions, spec.blank, spec.result_states
     n = 0
-    while n < max_steps and state not in spec.result_states:
-        head, state = _advance(spec, tape, head, state)
+    while n < max_steps and state not in results:
+        key = (state, tape.get(head, blank))
+        try:
+            state, wsymbol, move = transitions[key]
+        except KeyError:
+            raise MachineSpecError(f"unknown state or symbol under head: {key!r}") from None
+        if wsymbol == blank:
+            tape.pop(head, None)
+        else:
+            tape[head] = wsymbol
+        head += MOVES[move]
         n += 1
     return Configuration(tape=tape, head=head, state=state), n
 
@@ -173,28 +163,32 @@ def run(spec: TMSpec, config: Configuration, max_steps: int) -> Trace:
 
 # --- machine files ---------------------------------------------------------
 
-def spec_to_dict(spec: TMSpec) -> dict:
-    return {
-        "states": sorted(spec.states),
-        "alphabet": sorted(spec.alphabet),
-        "blank": spec.blank,
-        "transitions": [
-            [state, symbol, nstate, wsymbol, move]
-            for (state, symbol), (nstate, wsymbol, move) in sorted(spec.transitions.items())
-        ],
-        "initial": spec.initial,
-        "result_states": sorted(spec.result_states),
-    }
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def spec_from_dict(data: dict, name: str = "") -> TMSpec:
+    """The machine of a parsed machine file: a JSON object whose
+    ``states``, ``alphabet`` and ``result_states`` are lists of strings,
+    ``blank`` and ``initial`` strings, and ``transitions`` a list of
+    [state, symbol, next_state, written_symbol, move] lists of strings."""
+    if not isinstance(data, dict):
+        raise MachineSpecError("machine file must hold a JSON object")
     for key in ("states", "alphabet", "blank", "transitions", "initial", "result_states"):
         if key not in data:
             raise MachineSpecError(f"machine file missing field {key!r}")
+    for key in ("states", "alphabet", "result_states"):
+        if not _strings(data[key]):
+            raise MachineSpecError(f"field {key!r} must be a list of strings")
+    for key in ("blank", "initial"):
+        if not isinstance(data[key], str):
+            raise MachineSpecError(f"field {key!r} must be a string")
+    if not isinstance(data["transitions"], list):
+        raise MachineSpecError("field 'transitions' must be a list")
     transitions = {}
     for i, entry in enumerate(data["transitions"]):
-        if len(entry) != 5:
-            raise MachineSpecError(f"transitions[{i}] is not a 5-tuple: {entry!r}")
+        if not _strings(entry) or len(entry) != 5:
+            raise MachineSpecError(f"transitions[{i}] is not a list of five strings: {entry!r}")
         state, symbol, nstate, wsymbol, move = entry
         if (state, symbol) in transitions:
             raise MachineSpecError(f"transitions[{i}] duplicates ({state!r}, {symbol!r})")
@@ -219,7 +213,7 @@ def load_machine(source) -> TMSpec:
     if path.suffix == ".json" or path.exists():
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise MachineSpecError(f"cannot read machine file {source!r}: {exc}") from exc
         name = path.stem
     else:
@@ -232,8 +226,7 @@ def load_machine(source) -> TMSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MachineSpecError(f"machine file {name}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise MachineSpecError(f"machine file {name}: JSON nested too deeply") from None
     return spec_from_dict(data, name=name)
 
-
-def save_machine(spec: TMSpec, path) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n")

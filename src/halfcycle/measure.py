@@ -163,10 +163,26 @@ def run_error_free(cycle: LabeledCycle, profile: AmplitudeProfile, validate, rng
 @functools.lru_cache(maxsize=256)
 def majority_error_bound(epsilon: float, m: int) -> float:
     """Binomial tail: probability that at least ceil(m/2) of m independent
-    shots with validity rate epsilon come back invalid."""
+    shots with validity rate epsilon > 1/2 come back invalid.
+
+    The largest term, k = ceil(m/2), is formed in log space, so no
+    binomial coefficient overflows and no term underflows on the way; the
+    ratio of consecutive terms adds the rest until a term falls below
+    2**-60 of the sum.  Exactly 0.0 at epsilon = 1 (or a rounding above).
+    """
     q = 1.0 - epsilon
-    need = (m + 1) // 2
-    return float(sum(math.comb(m, k) * q ** k * epsilon ** (m - k) for k in range(need, m + 1)))
+    if q <= 0.0:
+        return 0.0
+    k = (m + 1) // 2
+    log_lead = (math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
+                + k * math.log(q) + (m - k) * math.log(epsilon))
+    odds = q / epsilon
+    total = term = 1.0
+    while k < m and term >= 2.0 ** -60 * total:
+        term *= (m - k) / (k + 1) * odds
+        total += term
+        k += 1
+    return math.exp(log_lead) * total
 
 
 def run_error_bounded(profile: AmplitudeProfile, window, result_of, majority_m: int,

@@ -80,6 +80,7 @@ from .spectral import OrbitSpectrum
 
 ENERGY_BUDGET_OVER_2PI = Fraction(2)  # mean phase <= 4pi
 DEFAULT_POINT_CAP = 2 ** 20
+_POINT_CAP_LOG2 = DEFAULT_POINT_CAP.bit_length() - 1
 _INTEGRAL_TOLERANCE = 1e-9  # an LP value this close to an integer is fixed there
 _LP_SLACK = 1e-6  # relative; taken off the LP optimum before rounding it up
 
@@ -158,9 +159,6 @@ class PackedSpectra:
     def max_mean_phase_over_2pi(self) -> Fraction:
         return max(inst.mean_phase_over_2pi for inst in self.instances)
 
-    def energy_bound_ok(self) -> bool:
-        return self.max_mean_phase_over_2pi() <= ENERGY_BUDGET_OVER_2PI
-
     def parity_compliance(self) -> float:
         """Fraction of points whose interval index matches k mod 2."""
         matches = sum(int(np.count_nonzero((inst.numerators // self.denominator) % 2
@@ -210,7 +208,17 @@ class PackedSpectra:
         }
 
 
+def _largest_size_fits(n_max: int, exponent: int) -> None:
+    """Size n_max alone holds 2^exponent points; refuse more than the cap."""
+    if exponent > _POINT_CAP_LOG2:
+        raise CapacityError(f"size {n_max} holds at least 2**{exponent} eigenvalues, "
+                            f"which exceed cap {DEFAULT_POINT_CAP}")
+
+
 def _validate_nu(n_max: int, nu_exponents) -> tuple:
+    if n_max < 0:
+        raise PreconditionError("n_max must be nonnegative")
+    _largest_size_fits(n_max, 2 * n_max)  # nu_n >= n, before any sequence is built
     if nu_exponents is None:
         nu = tuple(range(n_max + 1))
     else:
@@ -221,16 +229,15 @@ def _validate_nu(n_max: int, nu_exponents) -> tuple:
         raise PreconditionError("exponents must be nonnegative")
     if any(b <= a for a, b in zip(nu, nu[1:])):
         raise PreconditionError("exponent sequence must be strictly increasing")
+    _largest_size_fits(n_max, n_max + nu[-1])  # before any power is formed
     return nu
 
 
 def pack_spectrum(n_max: int, nu_exponents=None) -> PackedSpectra:
     """Assign disjoint bounded-energy spectra to all instances of sizes
     0..n_max.  See the module docstring for the assignment program; more
-    than DEFAULT_POINT_CAP points in total raise CapacityError before
-    anything is allocated."""
-    if n_max < 0:
-        raise PreconditionError("n_max must be nonnegative")
+    than DEFAULT_POINT_CAP points in size n_max alone (so every n_max > 10)
+    or in total raise CapacityError before anything is allocated."""
     nu = _validate_nu(n_max, nu_exponents)
     total_points = sum(2 ** (n + nu[n]) for n in range(n_max + 1))
     if total_points > DEFAULT_POINT_CAP:

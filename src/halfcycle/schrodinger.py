@@ -68,6 +68,8 @@ class GridFunctionSet:
 def make_grid_set(x, functions) -> GridFunctionSet:
     """Normalize each function to unit discrete norm and bundle with the grid."""
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise PreconditionError("grid must be one-dimensional with at least two points")
     functions = np.atleast_2d(np.asarray(functions, dtype=complex))
     h = float(x[1] - x[0])
     norms = np.sqrt(np.sum(np.abs(functions) ** 2, axis=1) * h)
@@ -193,23 +195,17 @@ def identical_pair(grid_points: int = 1024) -> GridFunctionSet:
     return make_grid_set(x, [base, base.copy()])
 
 
-def write_grid_function_csv(path, x: np.ndarray, f: np.ndarray) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "re", "im"])
-        for xi, fi in zip(x, f):
-            writer.writerow([format(float(xi), ".17g"),
-                             format(float(np.real(fi)), ".17g"),
-                             format(float(np.imag(fi)), ".17g")])
-
-
 def read_grid_functions(paths) -> GridFunctionSet:
     """Load one function per CSV file (columns x, re, im); all files must
-    share the same grid."""
+    share the same grid.  A file that cannot be read raises
+    PreconditionError naming it."""
     xs, funcs = [], []
     for path in paths:
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
+        try:
+            with open(path, newline="") as handle:
+                rows = list(csv.reader(handle))
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise PreconditionError(f"cannot read grid file {str(path)!r}: {exc}") from exc
         if rows and rows[0][:1] == ["x"]:
             rows = rows[1:]
         try:

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -191,6 +192,25 @@ def test_complexity_command(tmp_path):
     assert abs(data["mean_abs_phase"] - 7 * 3.141592653589793 / 4) < 1e-9
 
 
+INCREMENTER = json.loads((resources.files("halfcycle") / "machines/incrementer.json").read_text())
+BAD_MACHINES = {
+    "transitions-number.json": {"transitions": 5},
+    "states-number.json": {"states": 7},
+    "state-list.json": {"transitions": [["scan", "0", ["scan"], "0", "R"]]},
+    "move-list.json": {"transitions": [["scan", "0", "scan", "0", ["R"]]]},
+    # read as the 5-tuple ("a", "_", "a", "_", "S") before it was refused
+    "transition-string.json": {"states": ["a"], "alphabet": ["_"], "blank": "_",
+                               "initial": "a", "result_states": ["a"],
+                               "transitions": ["a_a_S"]},
+}
+BAD_FILES = {"one.csv": b"x,re,im\n0,1,0\n",
+             "binary.csv": b"\xff\xfe", "binary.json": b"\xff\xfe",
+             "deep.json": b"[" * 100_000 + b"]" * 100_000,  # deeper than json recurses
+             "wide.csv": b"x,re,im\n" + b"1" * 200_000 + b",0,0\n",  # past csv's field limit
+             **{name: json.dumps({**INCREMENTER, **bad}).encode()
+                for name, bad in BAD_MACHINES.items()}}
+
+
 @pytest.mark.parametrize("args", [
     ["complexity", "--period", "8", "--grid", "0"],
     ["complexity", "--period", "8", "--grid", "-3"],
@@ -217,15 +237,40 @@ def test_complexity_command(tmp_path):
     # K is checked even where the command does not use it
     ["instant", "--machine", "incrementer", "--input", "1", "--K", "0", "--seed", "1"],
     ["profile", "--period", "8", "--K", "-5"],
+    # packings whose largest size alone holds more than 2**20 points
+    ["pack", "--n", "100000"],
+    ["pack", "--n", "1000000000"],
+    ["pack", "--n", "2", "--nu", "0,1,100000000"],
+    # missing, unreadable and one-point grid files; {tmp} holds BAD_FILES
+    ["schrodinger", "{tmp}/missing.csv"],
+    ["schrodinger", "{tmp}"],
+    ["schrodinger", "{tmp}/one.csv", "{tmp}/one.csv"],
+    ["schrodinger", "{tmp}/binary.csv"],
+    ["schrodinger", "{tmp}/wide.csv"],
+    ["cycle", "--machine", "{tmp}/binary.json"],
+    ["cycle", "--machine", "{tmp}/deep.json"],
+    # machine files with the wrong JSON types
+    *[["cycle", "--machine", f"{{tmp}}/{name}"] for name in BAD_MACHINES],
 ])
 def test_complexity_bad_input_rejected(args, tmp_path, capsys):
     # grids, periods, K, step budgets, trial and majority counts, waiting
-    # ratios and integer lists are checked before anything is built
+    # ratios, integer lists and input files are checked before anything is built
+    for name, data in BAD_FILES.items():
+        (tmp_path / name).write_bytes(data)
     out = tmp_path / "out.json"
-    assert main([*args, "--out", str(out)]) == 2
+    assert main([*(a.replace("{tmp}", str(tmp_path)) for a in args), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_instant_large_majority(tmp_path):
+    # the binomial tail of a majority past 1029 votes no longer overflows
+    code, payload = run_cli(["instant", "--machine", "incrementer", "--input", "1",
+                             "--majority", "2001", "--seed", "1"], tmp_path)
+    report = json.loads(payload)["verdict"]["report"]
+    assert code == 0 and report["majority_m"] == 2001
+    assert 0.0 <= report["error_bound"] < 1e-100
 
 
 def test_complexity_scans_the_overlap_once(monkeypatch, tmp_path):

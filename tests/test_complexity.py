@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfcycle import (APERIODIC_MEAN_ABS_PHASE, PreconditionError, aperiodic_spectrum,
-                       check_lower_bound, complexity, minimal_periodic_spectrum,
-                       overlap_at, zero_count)
+from halfcycle import (PreconditionError, aperiodic_spectrum, check_lower_bound, complexity,
+                       minimal_periodic_spectrum, overlap_at, zero_count)
+from halfcycle.complexity import APERIODIC_MEAN_ABS_PHASE
 from halfcycle.spectral import OrbitSpectrum
 
 

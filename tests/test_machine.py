@@ -1,15 +1,17 @@
 """Machine core: hand-traced oracles, bounded runs, file round-trips."""
 
 import json
+import shutil
 import tracemalloc
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfcycle import (CapacityError, Configuration, MachineSpecError, PreconditionError,
-                       TMSpec, initial_config, load_machine, run, save_machine, tape_content)
-from halfcycle.machine import DEFAULT_PERIOD_CAP, decode_result
+                       TMSpec, initial_config, load_machine, run, tape_content)
+from halfcycle.machine import DEFAULT_PERIOD_CAP
 
 BLANK = "_"
 
@@ -184,11 +186,11 @@ def test_configuration_equality_is_canonical():
             == hash(canonical(Configuration({1: "0", 0: "1"}, 0, "q"))))
 
 
-def test_decode_result_reads_tape_left_to_right():
+def test_result_reads_tape_left_to_right():
     par = load_machine("parity")
     config = Configuration({-2: "1", 3: "0", 0: "1"}, 0, "done")
-    assert decode_result(par, config) == (0, "110")
-    assert decode_result(par, Configuration({}, 0, "even")) == (1, "")
+    assert run(par, config, 5).result == (0, "110")
+    assert run(par, Configuration({0: "1"}, 0, "even"), 1).result is None  # not halted
 
 
 def test_initial_config_rejects_foreign_symbols():
@@ -200,7 +202,8 @@ def test_initial_config_rejects_foreign_symbols():
 def test_machine_file_round_trip(tmp_path):
     inc = load_machine("incrementer")
     path = tmp_path / "inc.json"
-    save_machine(inc, path)
+    with resources.as_file(resources.files("halfcycle") / "machines/incrementer.json") as shipped:
+        shutil.copy(shipped, path)
     again = load_machine(path)
     assert again.transitions == inc.transitions
     assert again.result_states == inc.result_states
@@ -219,6 +222,35 @@ def test_missing_field_reported(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"states": ["q"], "alphabet": ["_"]}))
     with pytest.raises(MachineSpecError, match="blank"):
+        load_machine(path)
+
+
+SHIPPED = json.loads((resources.files("halfcycle") / "machines/incrementer.json").read_text())
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("transitions", 5, "'transitions' must be a list$"),
+    ("states", 7, "'states' must be a list of strings"),
+    ("alphabet", ["0", 1, "_"], "'alphabet' must be a list of strings"),
+    ("result_states", "done", "'result_states' must be a list of strings"),
+    ("blank", ["_"], "'blank' must be a string"),
+    ("initial", None, "'initial' must be a string"),
+    ("transitions", [["scan", "0", ["scan"], "0", "R"]], "transitions.0. is not a list of five"),
+    ("transitions", [["scan", "0", "scan", "0", ["R"]]], "transitions.0. is not a list of five"),
+    ("transitions", ["scan0"], "transitions.0. is not a list of five"),
+    ("transitions", [["scan", "0", "scan", "0"]], "transitions.0. is not a list of five"),
+])
+def test_machine_file_with_wrong_json_types_rejected(tmp_path, field, value, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**SHIPPED, field: value}))
+    with pytest.raises(MachineSpecError, match=message):
+        load_machine(path)
+
+
+def test_machine_file_must_hold_an_object(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(list(SHIPPED)))
+    with pytest.raises(MachineSpecError, match="JSON object"):
         load_machine(path)
 
 

@@ -1,6 +1,7 @@
 """Measurement sampling and the retry procedures."""
 
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -145,6 +146,20 @@ def test_majority_error_bound_values():
     # binomial tail sum_{k>=8} C(15,k) (1/4)^k (3/4)^(15-k)
     assert majority_error_bound(0.75, 15) == pytest.approx(0.017299838364, abs=1e-12)
     assert majority_error_bound(0.75, 15) == pytest.approx(float(stats.binom.sf(7, 15, 0.25)))
+
+
+@pytest.mark.parametrize("m", [1, 15, 1029, 2001])
+@pytest.mark.parametrize("epsilon", [0.51, 0.6, 0.75, 0.9, 0.99, 0.999])
+def test_majority_error_bound_matches_the_binomial_tail(epsilon, m):
+    # summed from its largest term in log space: comb(m, k) no longer
+    # overflows past m = 1029, and the terms no longer underflow one by one
+    reference = float(stats.binom.sf((m - 1) // 2, m, 1.0 - epsilon))
+    bound = majority_error_bound(epsilon, m)
+    if reference >= sys.float_info.min:
+        assert bound == pytest.approx(reference, rel=1e-12)
+    else:
+        assert 0.0 <= bound < sys.float_info.min
+    assert majority_error_bound(1.0, m) == 0.0
 
 
 def test_error_bounded_rejects_even_m_and_weak_validity():

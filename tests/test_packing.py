@@ -66,7 +66,7 @@ def test_pairwise_disjoint_n4_exhaustive():
 
 def test_energy_bound_n4():
     packed = pack_spectrum(4)
-    assert packed.energy_bound_ok()
+    assert packed.to_dict()["energy_bound_ok"]
     assert packed.max_mean_phase_over_2pi() <= 2
     for inst in packed.instances:
         assert inst.energy <= 4 * np.pi + 1e-12
@@ -112,12 +112,27 @@ def test_capacity_cap():
     assert peak < 2 ** 16
 
 
+@pytest.mark.parametrize("n_max, nu", [(11, None), (10 ** 5, None), (10 ** 9, None),
+                                       (2, [0, 1, 10 ** 8]), (4, [0, 1, 2, 3, 17])])
+def test_largest_size_past_the_cap_is_refused_before_building(n_max, nu):
+    # size n_max alone holds 2^(n_max + nu_max) >= 4^n_max points; it is
+    # refused before the default exponents or any power of two are formed
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="exceed cap"):
+            pack_spectrum(n_max, nu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 10
+
+
 def test_energy_infeasibility_is_an_error_not_a_silent_overrun():
     # nu_n = n is proven infeasible at size 6; a faster-growing sequence is fine
     with pytest.raises(CapacityError, match="solver status 2"):
         pack_spectrum(6)
     packed = pack_spectrum(5, [0, 2, 4, 6, 8, 10])
-    assert packed.all_disjoint() and packed.energy_bound_ok()
+    assert packed.all_disjoint() and packed.max_mean_phase_over_2pi() <= 2
 
 
 def test_default_exponents_pack_at_size_five():
@@ -171,7 +186,7 @@ def test_lp_path_reaches_the_full_milp_optimum(monkeypatch, n_max, nu, path):
     if got["path"] == "lp+restricted":
         assert got["objective"] == got["lp_bound"]  # proven optimal by the bound
     assert packed.parity_compliance() == reference.parity_compliance()
-    assert packed.all_disjoint() and packed.energy_bound_ok()
+    assert packed.all_disjoint() and packed.max_mean_phase_over_2pi() <= 2
     assert all(p.grid_ok for p in packed.induction_passes())
 
 

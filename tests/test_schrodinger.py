@@ -1,6 +1,7 @@
 """Shared-orbit obstruction certificates on the grid."""
 
 import gc
+import re
 import warnings
 
 import numpy as np
@@ -9,9 +10,14 @@ from scipy.linalg import null_space
 
 from halfcycle import (ObstructionAbsence, ObstructionCertificate, PreconditionError,
                        chirped_pair, identical_pair, make_grid_set,
-                       obstruction_certificate, read_grid_functions,
-                       write_grid_function_csv)
+                       obstruction_certificate, read_grid_functions)
 from halfcycle.schrodinger import _null_space, kinetic_form
+
+
+def write_csv(path, x, f):
+    """One grid function as CSV rows x, re, im under a header."""
+    rows = zip(x.tolist(), np.asarray(f, dtype=complex).tolist())
+    path.write_text("x,re,im\n" + "".join(f"{a!r},{b.real!r},{b.imag!r}\n" for a, b in rows))
 
 
 def test_chirped_pair_produces_certificate():
@@ -99,7 +105,7 @@ def test_csv_round_trip(tmp_path):
     paths = []
     for i, f in enumerate(gset.functions):
         path = tmp_path / f"f{i}.csv"
-        write_grid_function_csv(path, gset.x, f)
+        write_csv(path, gset.x, f)
         paths.append(path)
     again = read_grid_functions(paths)
     assert np.allclose(again.functions, gset.functions, atol=1e-12)
@@ -109,8 +115,8 @@ def test_csv_round_trip(tmp_path):
 
 def test_csv_reader_closes_every_file(tmp_path):
     a, b, bad = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "bad.csv"
-    write_grid_function_csv(a, np.linspace(-1, 1, 32), np.ones(32))
-    write_grid_function_csv(b, np.linspace(-2, 2, 32), np.ones(32))
+    write_csv(a, np.linspace(-1, 1, 32), np.ones(32))
+    write_csv(b, np.linspace(-2, 2, 32), np.ones(32))
     bad.write_text("x,re,im\n0,zero,0\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -124,10 +130,26 @@ def test_csv_reader_closes_every_file(tmp_path):
 
 def test_csv_mismatched_grids_rejected(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_grid_function_csv(a, np.linspace(-1, 1, 32), np.ones(32))
-    write_grid_function_csv(b, np.linspace(-2, 2, 32), np.ones(32))
+    write_csv(a, np.linspace(-1, 1, 32), np.ones(32))
+    write_csv(b, np.linspace(-2, 2, 32), np.ones(32))
     with pytest.raises(PreconditionError):
         read_grid_functions([a, b])
+
+
+def test_csv_unreadable_file_names_it(tmp_path):
+    for path in (tmp_path / "missing.csv", tmp_path):
+        with pytest.raises(PreconditionError, match=re.escape(f"cannot read grid file {str(path)!r}")):
+            read_grid_functions([path])
+
+
+def test_one_point_grid_rejected(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_csv(a, np.array([0.0]), np.ones(1))
+    write_csv(b, np.array([0.0]), np.ones(1))
+    with pytest.raises(PreconditionError, match="at least two points"):
+        read_grid_functions([a, b])
+    with pytest.raises(PreconditionError, match="at least two points"):
+        make_grid_set([0.0], [[1.0]])
 
 
 def _constraints(gset):

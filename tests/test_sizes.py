@@ -13,7 +13,7 @@ from halfcycle import (CapacityError, PreconditionError, alpha_for_period, build
                        halfstep_profile_aperiodic, halfstep_profile_periodic, halting_demo,
                        identical_pair, initial_config, load_machine, minimal_periodic_spectrum,
                        moment_experiment, obstruction_certificate, repeat_error_free, run,
-                       run_error_bounded, sample_y, zero_count)
+                       run_error_bounded, zero_count)
 from halfcycle.cli import cmd_complexity
 from halfcycle.errors import DEFAULT_PERIOD_CAP as CAP
 from halfcycle.errors import check_length
@@ -47,7 +47,6 @@ ROWS = {
     "minimal_periodic_spectrum": (minimal_periodic_spectrum, 0, CAP + 2),
     "halfstep_profile_periodic": (halfstep_profile_periodic, 0, CAP + 2),
     "halfstep_profile_aperiodic-K": (halfstep_profile_aperiodic, 0, CAP // 2 + 1),
-    "sample_y": (lambda n: sample_y(n, UNIFORM, rng()), 1, CAP + 1),
     "moment_experiment-period": (lambda n: moment_experiment([n], UNIFORM, 10, rng()),
                                  2, CAP + 2),
     "moment_experiment-trials": (lambda n: moment_experiment([64], UNIFORM, n, rng()),

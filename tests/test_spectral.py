@@ -10,10 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from halfcycle import (CapacityError, PreconditionError, aperiodic_spectrum, chirped_pair,
-                       get_density, halfstep_profile_aperiodic,
-                       halfstep_profile_periodic, minimal_periodic_spectrum, nu_of,
-                       obstruction_certificate, overlap_at, pack_spectrum, sample_y)
+from halfcycle import (CapacityError, PreconditionError, YSample, aperiodic_spectrum,
+                       chirped_pair, halfstep_profile_aperiodic, halfstep_profile_periodic,
+                       minimal_periodic_spectrum, nu_of, obstruction_certificate, overlap_at,
+                       pack_spectrum)
 from halfcycle.errors import DEFAULT_PERIOD_CAP
 from halfcycle.measure import _draw
 from halfcycle.spectral import AmplitudeProfile, OrbitSpectrum, _halfstep_rows
@@ -295,7 +295,7 @@ def test_peak_modulus_converges_to_two_over_pi(k):
 @pytest.mark.parametrize("make", [
     lambda: minimal_periodic_spectrum(4),
     lambda: halfstep_profile_periodic(4),
-    lambda: sample_y(8, get_density("uniform"), np.random.default_rng(3)),
+    lambda: YSample(p=8, y=np.zeros(8)),
     lambda: chirped_pair(64),
     lambda: obstruction_certificate(chirped_pair(64)),
     lambda: pack_spectrum(2),
