@@ -185,6 +185,7 @@ def cmd_complexity(args) -> int:
         "zero_count": zeros,
         "lower_bound_ok": None if bound is None else bound.ok,
         "readings": list(zip(t_grid.tolist(), values.tolist())),
+        "diagnostics": None if bound is None else bound.diagnostics,
     }
     _emit(_envelope(config, body), args.out)
     return 0 if bound is None or bound.ok else 1

@@ -28,7 +28,24 @@ evaluator at arbitrary u, scanned once for both the complexity bound and
 zero count; its fixed blocks of u keep its memory flat in len(u).
 
 The minimal period-p construction places phase_k = 2pi*(k/p + k mod 2)
-with equal weights 1/p.  Its half-cycle amplitudes have the closed form
+with equal weights 1/p.  Its overlap is a geometric sum over the even and
+the odd k,
+
+    overlap(u) = (1 + exp(-2pi*i*u*(1/p + 1)))/p * D(u),
+    D(u) = sum_{r < n} exp(-i*theta*r)
+         = exp(-i*theta*(n - 1)/2) * sin(pi*u) / sin(theta/2),
+
+with n = p/2 and theta = 4pi*u/p, and D = n exactly where sin(theta/2) = 0.
+``overlap_at`` evaluates it in O(len(u)) for any p, taking every sine and
+phase of u reduced exactly to its nearest integer or multiple of p/2, so
+whole cycles give an exact 0 (an exact 1 at multiples of p); the ratio
+form (1 - z^n)/(1 - z) would lose digits as z -> 1 (1.5e-2 at p = 65536).
+Each call checks about _OVERLAP_BLOCK / p of its points against the
+direct sum, to that sum's own rounding, and raises ConsistencyError
+beyond it; ``recorded_checks`` hands the figures to a report.  Only the
+spectrum ``minimal_periodic_spectrum`` returns is marked ``minimal``;
+every other spectrum takes the direct sum.  The minimal half-cycle
+amplitudes have the closed form
 
     a_j = exp(i*pi*(j - 1/2)/p) / (p * cos(pi*(j - 1/2)/p))
         = exp(i*pi*(j - 1/2)/p) / (p * sin(pi*(p - 2j + 1)/(2p))),
@@ -48,6 +65,8 @@ the readout distribution |a|^2 and its running sum as its only copies;
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 from dataclasses import dataclass, field
 
@@ -58,6 +77,9 @@ from .errors import ConsistencyError, PreconditionError, check_length
 _WEIGHT_SUM_TOL = 1e-12
 _PROFILE_TOL = 1e-10
 _OVERLAP_BLOCK = 2 ** 16  # u-times-phase entries overlap_at holds at once
+_CLOSED_FORM_TOL = 1e-12  # per unit of |u|, closed-form overlap vs direct sum
+# (points, residual) of each closed-form cross-check, while recorded_checks is open
+_CHECKS = contextvars.ContextVar("overlap_checks", default=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,12 +88,14 @@ class OrbitSpectrum:
 
     ``period`` is the orbit period for point spectra and None for the
     aperiodic (absolutely continuous) case, which carries no finite phase
-    list at all.
+    list at all.  ``minimal`` is set only by ``minimal_periodic_spectrum``,
+    whose arrays are read-only, and sends ``overlap_at`` to the closed form.
     """
 
     phases: np.ndarray
     weights: np.ndarray
     period: int | None
+    minimal: bool = field(init=False, default=False)
 
     def __post_init__(self):
         object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
@@ -171,8 +195,11 @@ def minimal_periodic_spectrum(p: int) -> OrbitSpectrum:
     """
     check_length("period", p, 2, even=True)
     k = np.arange(p)
-    phases = 2.0 * np.pi * (k / p + (k % 2))
-    return OrbitSpectrum(phases=phases, weights=np.full(p, 1.0 / p), period=p)
+    spec = OrbitSpectrum(phases=2.0 * np.pi * (k / p + (k % 2)), weights=np.full(p, 1.0 / p),
+                         period=p)
+    spec.phases.flags.writeable = spec.weights.flags.writeable = False
+    object.__setattr__(spec, "minimal", True)
+    return spec
 
 
 def _halfstep_rows(y_rows: np.ndarray) -> np.ndarray:
@@ -191,22 +218,91 @@ def overlap_at(spec: OrbitSpectrum, u):
     """sum_k w_k * exp(-i*phase_k*u) for scalar or array u.
 
     Only defined for point spectra; aperiodic orbits are handled through
-    their closed-form amplitude profile instead.  The u values are taken
-    in blocks of about _OVERLAP_BLOCK / len(phases), so memory stays
-    O(_OVERLAP_BLOCK + len(phases)) whatever the size of u.
+    their closed-form amplitude profile instead.  A minimal spectrum takes
+    the closed form, cross-checked on one block of the direct sum
+    (``_cross_check``); every other spectrum takes the direct sum, whose u
+    values go in blocks of about _OVERLAP_BLOCK / len(phases), so memory
+    stays O(_OVERLAP_BLOCK + len(phases)) whatever the size of u.
     """
     if spec.aperiodic:
         raise PreconditionError("overlap_at needs a point spectrum; "
                                 "use halfstep_profile_aperiodic for aperiodic orbits")
     u_arr = np.asarray(u, dtype=float)
     flat = u_arr.reshape(-1)
-    vals = np.empty(flat.size, dtype=complex)
+    if spec.minimal:
+        vals = _minimal_overlap(spec.period, flat)
+        check, log = _cross_check(spec, flat, vals), _CHECKS.get()
+        if log is not None:
+            log.append(check)
+    else:
+        vals = _direct_overlap(spec, flat)
+    return complex(vals[0]) if u_arr.ndim == 0 else vals.reshape(u_arr.shape)
+
+
+@contextlib.contextmanager
+def recorded_checks():
+    """Yield a list to which ``overlap_at`` appends (points, residual) of
+    each closed-form cross-check it makes in this context, for reports."""
+    checks = []
+    token = _CHECKS.set(checks)
+    try:
+        yield checks
+    finally:
+        _CHECKS.reset(token)
+
+
+def _direct_overlap(spec: OrbitSpectrum, u: np.ndarray) -> np.ndarray:
+    """The direct sum at the 1-d times ``u``, in blocks of u."""
+    vals = np.empty(u.size, dtype=complex)
     block = max(1, _OVERLAP_BLOCK // spec.phases.size)
-    for start in range(0, flat.size, block):
-        arg = np.multiply.outer(flat[start:start + block], spec.phases)
+    for start in range(0, u.size, block):
+        arg = np.multiply.outer(u[start:start + block], spec.phases)
         vals.real[start:start + block] = np.cos(arg) @ spec.weights
         vals.imag[start:start + block] = -(np.sin(arg) @ spec.weights)
-    return complex(vals[0]) if u_arr.ndim == 0 else vals.reshape(u_arr.shape)
+    return vals
+
+
+def _nearest(u: np.ndarray, d: float) -> tuple:
+    """u = n*d + f with n the integer nearest u/d.  n*d is exact and f is
+    exact by Sterbenz's lemma, so sin(pi*u/d) = (-1)^n sin(pi*f/d) with
+    an exact 0 wherever u is a multiple of d."""
+    n = np.rint(u / d)
+    return n, u - n * d
+
+
+def _minimal_overlap(p: int, u: np.ndarray) -> np.ndarray:
+    """The closed form of the minimal period-p overlap at the 1-d times
+    ``u`` (module docstring), with u = n1 + f and 2u/p = n2 + x."""
+    _, f = _nearest(u, 1.0)
+    n2, half = _nearest(u, p / 2)
+    x = half / (p / 2)
+    den = np.sin(np.pi * x)
+    # D/p = n/p where sin(pi*x) is 0, or subnormal (then |u| < 1e-300 and
+    # the limit holds to every digit, while subnormals would lose them)
+    ratio = np.full(u.size, 0.5)
+    np.divide(np.sin(np.pi * f), p * den, out=ratio, where=np.abs(den) >= np.finfo(float).tiny)
+    # real ratio last: complex division would round n/n away from 1
+    return ((1.0 + np.where(n2 % 2, -1.0, 1.0) * np.exp(-1j * np.pi * (2 * f + x)))
+            * np.exp(-1j * np.pi * (f - x)) * ratio)
+
+
+def _cross_check(spec: OrbitSpectrum, u: np.ndarray, vals: np.ndarray) -> tuple:
+    """Compare closed-form values ``vals`` at the 1-d times ``u`` with the
+    direct sum on one block: about _OVERLAP_BLOCK / p points (at least
+    one) spread over the interior of u, or all of u if it is shorter.
+    Returns (points, max residual).  The tolerance is the direct sum's
+    rounding: p*eps for accumulating p terms, plus _CLOSED_FORM_TOL per
+    unit of the largest |u| checked (at least 1) for the rounded phases
+    times u; a residual above it raises ConsistencyError."""
+    m = max(1, _OVERLAP_BLOCK // spec.phases.size)
+    idx = np.arange(u.size) if u.size <= m else np.arange(1, m + 1) * u.size // (m + 1)
+    residual = float(np.max(np.abs(_direct_overlap(spec, u[idx]) - vals[idx]), initial=0.0))
+    tol = (spec.phases.size * np.finfo(float).eps
+           + _CLOSED_FORM_TOL * np.max(np.abs(u[idx]), initial=1.0))
+    if residual > tol:
+        raise ConsistencyError(f"overlap closed form vs direct sum disagree by "
+                               f"{residual:.3e} at p={spec.period}")
+    return idx.size, residual
 
 
 def halfstep_profile_periodic(p: int) -> AmplitudeProfile:

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -190,6 +191,24 @@ def test_complexity_command(tmp_path):
     data = json.loads(payload)
     assert data["lower_bound_ok"] is True
     assert abs(data["mean_abs_phase"] - 7 * 3.141592653589793 / 4) < 1e-9
+    diagnostics = data["diagnostics"]
+    assert diagnostics["path"] == "closed_form" and diagnostics["cross_check_points"] == 512
+    assert 0.0 <= diagnostics["cross_check_residual"] < 1e-14
+    assert diagnostics["max_slack_violation"] <= 0.0 <= diagnostics["worst_t"] <= 1.0
+    code, payload = run_cli(["complexity", "--aperiodic", "--grid", "50"], tmp_path)
+    assert code == 0 and json.loads(payload)["diagnostics"] is None
+
+
+def test_complexity_cost_does_not_grow_with_the_period(tmp_path):
+    # the closed form costs O(grid); the direct sum took ~2 s at 65536 x 1024
+    # and would take minutes at the cap
+    main(["complexity", "--period", "64", "--grid", "300", "--out", str(tmp_path / "warm")])
+    for period, grid, limit in (("65536", "1024", 0.1), ("4194304", "10000", 1.0)):
+        start = time.perf_counter()
+        code, payload = run_cli(["complexity", "--period", period, "--grid", grid], tmp_path)
+        assert time.perf_counter() - start < limit
+        data = json.loads(payload)
+        assert code == 0 and data["diagnostics"]["cross_check_points"] == 1
 
 
 INCREMENTER = json.loads((resources.files("halfcycle") / "machines/incrementer.json").read_text())

@@ -7,16 +7,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from halfcycle import (CapacityError, PreconditionError, YSample, aperiodic_spectrum,
-                       chirped_pair, halfstep_profile_aperiodic, halfstep_profile_periodic,
-                       minimal_periodic_spectrum, nu_of, obstruction_certificate, overlap_at,
-                       pack_spectrum)
+from halfcycle import (CapacityError, ConsistencyError, PreconditionError, YSample,
+                       aperiodic_spectrum, chirped_pair, halfstep_profile_aperiodic,
+                       halfstep_profile_periodic, minimal_periodic_spectrum, nu_of,
+                       obstruction_certificate, overlap_at, pack_spectrum, spectral)
 from halfcycle.errors import DEFAULT_PERIOD_CAP
 from halfcycle.measure import _draw
-from halfcycle.spectral import AmplitudeProfile, OrbitSpectrum, _halfstep_rows
+from halfcycle.spectral import AmplitudeProfile, OrbitSpectrum, _halfstep_rows, recorded_checks
 
 P_RANGE = [2 ** k for k in range(1, 11)]  # 2, 4, ..., 1024
 
@@ -307,3 +307,86 @@ def test_array_dataclasses_compare_by_identity(make):
     assert x == x
     assert (x == copy.deepcopy(x)) is False
     assert hash(x) == hash(x)
+
+
+# --- the minimal overlap in closed form ---------------------------------------
+
+def direct(spec):
+    # the same phases and weights, unmarked: overlap_at takes the direct sum
+    return OrbitSpectrum(phases=spec.phases, weights=spec.weights, period=spec.period)
+
+
+@given(st.integers(1, 2048), st.lists(st.floats(-8.0, 8.0), max_size=20),
+       st.lists(st.integers(-8, 8), max_size=8), st.integers(-4, 4))
+@settings(max_examples=200, deadline=None)
+@example(half=49, floats=[], ints=[], m=0)  # complex division by p = 98 rounds 1 down
+@example(half=2, floats=[2.2250738585e-313], ints=[], m=0)  # subnormal u
+@example(half=1020, floats=[], ints=[], m=4)  # u = 2p
+def test_minimal_overlap_closed_form_matches_direct_sum(half, floats, ints, m):
+    p = 2 * half
+    spec = minimal_periodic_spectrum(p)
+    u = np.array(floats + ints + [m * half], dtype=float)  # m*p/2: the D = n limit
+    closed = overlap_at(spec, u)
+    # the direct sum rounds u*phase, so its error grows with |u| past 8
+    error = np.abs(closed - overlap_at(direct(spec), u))
+    assert np.all(error < 1e-12 * np.maximum(1.0, np.abs(u)))
+    # whole cycles: the Kronecker delta mod p, exactly
+    whole = u == np.rint(u)
+    assert closed[whole].tolist() == np.where(u[whole] % p == 0, 1.0, 0.0).tolist()
+
+
+@pytest.mark.parametrize("p", [2 ** 18, 2 ** 22])
+def test_minimal_overlap_closed_form_at_large_period(p):
+    spec = minimal_periodic_spectrum(p)
+    u = np.array([1e-7, 0.25, 0.5 + 1 / p, 1.0, -3.75, p / 2 + 0.5])
+    closed = overlap_at(spec, u)
+    error = np.abs(closed - overlap_at(direct(spec), u))
+    assert np.all(error < 1e-12 * np.maximum(1.0, np.abs(u)))
+    assert closed[3] == 0.0
+
+
+def test_only_minimal_periodic_spectrum_marks_its_spectrum():
+    spec = minimal_periodic_spectrum(8)
+    assert spec.minimal and not direct(spec).minimal
+    with pytest.raises(ValueError):
+        spec.phases[0] = 1.0
+
+
+@pytest.mark.parametrize("p", [8, 1024])
+def test_perturbed_closed_form_raises(monkeypatch, p):
+    closed_form = spectral._minimal_overlap
+    monkeypatch.setattr(spectral, "_minimal_overlap",
+                        lambda period, u: closed_form(period, u) + 1e-9)
+    with pytest.raises(ConsistencyError, match="closed form vs direct sum"):
+        overlap_at(minimal_periodic_spectrum(p), np.linspace(0.0, 1.0, 5000))
+
+
+def test_closed_form_checks_one_block_of_interior_points(monkeypatch):
+    # about _OVERLAP_BLOCK / p points, never the two ends of u
+    checked = []
+    direct_sum = spectral._direct_overlap
+    monkeypatch.setattr(spectral, "_direct_overlap",
+                        lambda spec, u: checked.append(u) or direct_sum(spec, u))
+    spec = minimal_periodic_spectrum(1024)
+    with recorded_checks() as checks:
+        overlap_at(spec, np.linspace(0.0, 1.0, 10_000))
+    (points, residual), = checks
+    assert points == 64 == checked[0].size and 0.0 <= residual < 1e-14
+    assert 0.0 < checked[0].min() and checked[0].max() < 1.0
+    with recorded_checks() as checks:
+        overlap_at(minimal_periodic_spectrum(2 ** 20), [0.5, 0.25])
+        overlap_at(direct(spec), [0.5, 0.25])
+    assert [points for points, _ in checks] == [1]
+    assert overlap_at(spec, []).shape == (0,)
+
+
+def test_direct_sum_memory_is_blocked():
+    # a dense 8192 x 1024 complex matrix would take 128 MB
+    spec = direct(minimal_periodic_spectrum(1024))
+    tracemalloc.start()
+    try:
+        overlap_at(spec, np.linspace(0.0, 4.0, 8192))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
