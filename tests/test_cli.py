@@ -201,14 +201,18 @@ def test_complexity_command(tmp_path):
 
 def test_complexity_cost_does_not_grow_with_the_period(tmp_path):
     # the closed form costs O(grid); the direct sum took ~2 s at 65536 x 1024
-    # and would take minutes at the cap
+    # and would take minutes at the cap.  The fastest of three runs is timed,
+    # so a moment of load on the host does not fail the test.
     main(["complexity", "--period", "64", "--grid", "300", "--out", str(tmp_path / "warm")])
     for period, grid, limit in (("65536", "1024", 0.1), ("4194304", "10000", 1.0)):
-        start = time.perf_counter()
-        code, payload = run_cli(["complexity", "--period", period, "--grid", grid], tmp_path)
-        assert time.perf_counter() - start < limit
-        data = json.loads(payload)
-        assert code == 0 and data["diagnostics"]["cross_check_points"] == 1
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            code, payload = run_cli(["complexity", "--period", period, "--grid", grid], tmp_path)
+            times.append(time.perf_counter() - start)
+            data = json.loads(payload)
+            assert code == 0 and data["diagnostics"]["cross_check_points"] == 1
+        assert min(times) < limit
 
 
 INCREMENTER = json.loads((resources.files("halfcycle") / "machines/incrementer.json").read_text())

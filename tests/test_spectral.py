@@ -21,6 +21,11 @@ from halfcycle.spectral import AmplitudeProfile, OrbitSpectrum, _halfstep_rows, 
 P_RANGE = [2 ** k for k in range(1, 11)]  # 2, 4, ..., 1024
 
 
+def direct(spec):
+    # the same phases and weights, unmarked: overlap_at takes the direct sum
+    return OrbitSpectrum(phases=spec.phases, weights=spec.weights, period=spec.period)
+
+
 def test_minimal_spectrum_p2():
     spec = minimal_periodic_spectrum(2)
     assert np.allclose(sorted(spec.phases), [0.0, 3 * np.pi])
@@ -76,8 +81,10 @@ def test_overlap_is_kronecker_delta_at_integers(p):
 @pytest.mark.parametrize("p", P_RANGE)
 def test_halfstep_profile_closed_form_matches_direct_sum(p):
     profile = halfstep_profile_periodic(p)
-    direct = overlap_at(minimal_periodic_spectrum(p), np.arange(p) - 0.5)
-    assert np.max(np.abs(profile.amplitudes - direct)) < 1e-10
+    spec, u = minimal_periodic_spectrum(p), np.arange(p) - 0.5
+    summed = overlap_at(direct(spec), u)
+    assert np.max(np.abs(profile.amplitudes - summed)) < 1e-10
+    assert np.max(np.abs(overlap_at(spec, u) - summed)) < 1e-10  # the overlap's closed form
     assert abs(sum(abs(a) ** 2 for a in profile.amplitudes) - 1.0) < 1e-10
 
 
@@ -310,11 +317,6 @@ def test_array_dataclasses_compare_by_identity(make):
 
 
 # --- the minimal overlap in closed form ---------------------------------------
-
-def direct(spec):
-    # the same phases and weights, unmarked: overlap_at takes the direct sum
-    return OrbitSpectrum(phases=spec.phases, weights=spec.weights, period=spec.period)
-
 
 @given(st.integers(1, 2048), st.lists(st.floats(-8.0, 8.0), max_size=20),
        st.lists(st.integers(-8, 8), max_size=8), st.integers(-4, 4))
