@@ -172,16 +172,17 @@ def cmd_complexity(args) -> int:
     spec = aperiodic_spectrum() if args.aperiodic else minimal_periodic_spectrum(args.period)
     t_grid = np.linspace(0.0, 1.0, args.grid)
     values = complexity(spec, t_grid)
+    phase = mean_abs_phase(spec)
     bound = zeros = None
     if not args.aperiodic:
         bound = check_lower_bound(spec, t_grid)
         # zero_count needs 256 samples; coarser grids get their own scan
         zeros = bound.zero_count if args.grid >= 256 else zero_count(spec, 256)
     if args.format == "csv":
-        _emit(reports.complexity_csv(t_grid, values, mean_abs_phase(spec), zeros), args.out)
+        _emit(reports.complexity_csv(t_grid, values, phase, zeros), args.out)
         return 0 if bound is None or bound.ok else 1
     body = {
-        "mean_abs_phase": mean_abs_phase(spec),
+        "mean_abs_phase": phase,
         "zero_count": zeros,
         "lower_bound_ok": None if bound is None else bound.ok,
         "readings": list(zip(t_grid.tolist(), values.tolist())),

@@ -367,6 +367,47 @@ def test_render_json_matches_stock_encoder(payload):
     assert reports.render_json(payload) == expected
 
 
+def stock_lines(payload) -> list:
+    # lists of lines, since pytest takes minutes to diff two long texts
+    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n").split("\n")
+
+
+def test_render_json_matches_stock_encoder_on_large_tables():
+    rng = np.random.default_rng(7)
+    big = [(i, *rng.standard_normal(2).tolist()) for i in range(10 ** 4)]
+    big[-1] = (big[-1][0], big[-1][1], math.nan)
+    ragged = [[1, 2.5], [3], [4.0, -0.0, 5]]
+    finite = [[i, i / 3] for i in range(50)]
+    for payload in ({"rows": big}, {"rows": ragged, "n": 1},
+                    {"outer": {"inner": {"rows": finite}}, "rows": finite}):
+        assert reports.render_json(payload).split("\n") == stock_lines(payload)
+
+
+@pytest.mark.parametrize("args", [
+    ["profile", "--period", "64"],
+    ["profile", "--aperiodic", "--K", "1000"],
+    ["complexity", "--period", "16", "--grid", "300"],
+])
+def test_cli_reports_match_stock_encoder(args, tmp_path):
+    _, payload = run_cli(args, tmp_path)
+    assert payload.decode().split("\n") == stock_lines(json.loads(payload))
+
+
+@pytest.mark.parametrize("args, table", [
+    (["profile", "--aperiodic", "--K", "100"], "amplitudes"),
+    (["complexity", "--period", "16", "--grid", "300"], "readings"),
+])
+def test_report_tables_take_the_template_path(args, table, tmp_path, monkeypatch):
+    # the stock encoder gives the same bytes, so only this shows a fallback
+    payloads = []
+    render = reports.render_json
+    monkeypatch.setattr(reports, "render_json", lambda p: payloads.append(p) or render(p))
+    run_cli(args, tmp_path)
+    tables = []
+    lifted = reports._lift_tables(payloads[0], tables)
+    assert lifted[table] == reports._MARK + "0" and len(tables) == 1
+
+
 FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
 STATS_ROWS = st.builds(SimpleNamespace, p=st.integers(4, 2 ** 22), density=st.text(),
                        trials=st.integers(1, 10 ** 9), mean=FLOATS, stderr=FLOATS, var=FLOATS,
