@@ -139,7 +139,8 @@ def cmd_stats(args) -> int:
     if args.format == "csv":
         _emit(reports.stats_csv(report), args.out)
     else:
-        _emit(_envelope(config, {"stats": report.to_dict()}), args.out)
+        _emit(_envelope(config, {"stats": report.to_dict(), "diagnostics": report.diagnostics}),
+              args.out)
     return 0
 
 

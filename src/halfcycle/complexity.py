@@ -44,9 +44,8 @@ _ZERO_FLOOR = 1e-12  # overlap components this small count as zero
 
 
 def mean_abs_phase(spec: OrbitSpectrum) -> float:
-    if spec.aperiodic:
-        return APERIODIC_MEAN_ABS_PHASE
-    return float(np.dot(spec.weights, np.abs(spec.phases)))
+    """sum w|phase|, evaluated once per spectrum however often it is read."""
+    return APERIODIC_MEAN_ABS_PHASE if spec.aperiodic else spec._mean_abs_phase
 
 
 def complexity(spec: OrbitSpectrum, t):

@@ -13,9 +13,13 @@ even density of second moment m2 and window fraction alpha,
 E(nu) = alpha*m2, with standard deviation falling like p^{-1/2}; the
 experiment driver below estimates the moments, the deviation scaling, and
 a calibrated one-sided Chebyshev coverage figure.  The raised-cosine
-density (1 + cos(pi*y))/2 is drawn without rejection: sin(pi*y/2) follows
-the semicircle law, so y = (2/pi)*arcsin(sqrt(U1)*cos(pi*U2)) for two
-uniforms U1, U2.
+density (1 + cos(pi*y))/2 is drawn by rejection: sin(pi*y/2) follows the
+semicircle law, which is the law of the x-coordinate of a uniform point in
+the unit disk, so y = (2/pi)*arcsin(a) for the first coordinate a of the
+points of [-1, 1) x [0, 1) that land inside the disk (von Neumann's
+rejection, accepting pi/4 of the points).  No cosine is evaluated, and
+the points go in fixed blocks of _DRAW_BLOCK outputs, so the draw holds
+no temporary larger than a block.
 
 The window covers all but about sqrt(p) of the p bins, and the twisted
 DFT c_j = sum_k y_k exp(-2pi*i*k*(j - 1/2)/p) is unitary up to sqrt(p),
@@ -23,13 +27,15 @@ so by Parseval
 
     nu = p * sum_k y_k^2 - sum_{j not in window} |c_j|^2.
 
-The experiment driver evaluates the complement as one real matrix product
-with the p x 2m basis [cos | sin] of its m bins, whenever that basis holds
-no more entries than one chunk of draws (p * 2m <= 2**22, every p up to
-16384); larger periods take one FFT per row.  Direct summation stays the
-authoritative evaluator: the half-step evaluator of ``spectral`` (one FFT
-per row, which is the same sum) gives every other window mass and checks
-the first row of every product-path chunk.
+The experiment driver never rescales its draws x = p*y: it evaluates
+nu = sum_k x_k^2/p - sum_{j not in window} |c_j(x)|^2/p^2, the complement
+as one real matrix product with the p x 2m basis [cos | sin] of its m
+bins, whenever that basis holds no more entries than one chunk of draws
+(p * 2m <= 2**22, every p up to 16384); larger periods take one FFT per
+row.  Direct summation stays the authoritative evaluator: the half-step
+evaluator of ``spectral`` (one FFT per row, which is the same sum) gives
+every other window mass and checks the first row of every product-path
+chunk.
 
 In the continuous case the functions
 exp(-i*(j - 1/2)*l) are orthogonal on [0, 2pi), so by Parseval the full
@@ -56,6 +62,7 @@ _CHUNK_ENTRIES = 2 ** 22  # draws held at once: exactly 4096 rows at p = 1024
 _DELTA = 3.0  # standard deviations below the mean of the Chebyshev threshold
 _BESSEL_TOL = 1e-12
 _CHECK_TOL = 1e-12  # Parseval window mass against direct summation, per checked row
+_DRAW_BLOCK = 2 ** 16  # raised-cosine outputs per block of disk points
 
 
 @dataclass(frozen=True)
@@ -78,15 +85,25 @@ def _sample_two_point(rng, size):
 
 def _sample_raised_cosine(rng, size):
     # (1 + cos(pi*y))/2 = cos(pi*y/2)^2, so sin(pi*y/2) follows the
-    # semicircle law: it is the x-coordinate sqrt(U1)*cos(pi*U2) of a
-    # uniform point in the unit disk.  No rejection loop; |y| <= 1 exactly,
-    # since arcsin(1) rounds to pi/2.
-    y = rng.random(size)
-    np.sqrt(y, out=y)
-    c = rng.random(size)
-    c *= np.pi
-    np.cos(c, out=c)
-    y *= c
+    # semicircle law: it is the x-coordinate a of a uniform point (a, b) of
+    # the upper half disk, drawn by rejection from [-1, 1) x [0, 1) (rate
+    # pi/4).  A block of at most _DRAW_BLOCK outputs draws 4/3 as many
+    # points plus 64 and writes the first accepted a straight into y; a
+    # block that falls short leaves the rest to the next one.  |y| <= 1 exactly: |a| < 1, and
+    # dividing arcsin(a) <= fl(pi/2) by fl(pi/2) is monotone.
+    y = np.empty(size)
+    flat = y.reshape(-1)
+    done = 0
+    while done < flat.size:
+        want = min(_DRAW_BLOCK, flat.size - done)
+        a, b = rng.random((2, 4 * want // 3 + 64))
+        a *= 2.0
+        a -= 1.0
+        b *= b
+        b += a * a
+        inside = np.compress(b < 1.0, a)[:want]
+        flat[done:done + inside.size] = inside
+        done += inside.size
     np.arcsin(y, out=y)
     y /= np.pi / 2
     return y
@@ -163,25 +180,32 @@ def _complement_basis(p: int, window):
     return basis
 
 
-def _window_masses(y, window, basis):
-    """Window masses of the rows of ``y``.
+def _window_masses(x, window, basis):
+    """Window masses of the implementations y = x/p, one per row of the
+    unscaled draws ``x``, and the residual of the checked row.
 
-    With a complement basis: nu = p*sum(y^2) - |y @ basis|^2 by Parseval,
-    and the first row is checked against direct summation, a disagreement
-    above _CHECK_TOL raising ConsistencyError.  Without one: direct
-    summation for every row.
+    With a complement basis: nu = sum(x^2)/p - |x @ basis|^2/p^2 by
+    Parseval, and the first row is checked against direct summation of
+    x[0]/p, a disagreement above _CHECK_TOL raising ConsistencyError; the
+    residual is that disagreement.  Without one: direct summation for
+    every row, nu = nu(x)/p^2, and the residual is None.
     """
+    p = x.shape[1]
     if basis is None:
-        return _direct_window_masses(y, window)
-    outside = y @ basis
-    nus = np.einsum("ij,ij->i", y, y)
-    nus *= y.shape[1]
+        nus = _direct_window_masses(x, window)
+        nus /= p * p
+        return nus, None
+    outside = x @ basis
+    outside /= p
+    nus = np.einsum("ij,ij->i", x, x)
+    nus /= p
     nus -= np.einsum("ij,ij->i", outside, outside)
-    direct = _direct_window_masses(y[:1], window)[0]
-    if abs(nus[0] - direct) > _CHECK_TOL:
+    direct = _direct_window_masses(x[:1] / p, window)[0]
+    residual = abs(nus[0] - direct)
+    if residual > _CHECK_TOL:
         raise ConsistencyError(
             f"Parseval window mass {nus[0]!r} differs from the direct sum {direct!r}")
-    return nus
+    return nus, float(residual)
 
 
 @dataclass(frozen=True)
@@ -208,6 +232,7 @@ class StatsReport:
     trials: int
     delta: float
     rows: tuple
+    diagnostics: dict  # per period: how the window masses were evaluated and checked
 
     def var_p_spread(self) -> float:
         vals = [r.var_times_p for r in self.rows if math.isfinite(r.var_times_p)]
@@ -237,20 +262,25 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
 
     Trials are drawn in chunks of at most 4096 rows and 2**22 draws, each
     from its own stream spawned off ``rng``, so the numbers a seed gives
-    depend on the chunk size.  Window masses are computed by Parseval over
-    the m bins outside the window, one matrix product per chunk, whenever
-    p*2m <= 2**22 (every p up to 16384); the first row of each such chunk
-    is checked against the FFT, and a disagreement above 1e-12 raises
-    ConsistencyError.  Larger periods take one FFT per row.  The trial
-    count and every period (even, at least 4) are checked before anything
-    is drawn, and an empty list raises PreconditionError.
+    depend on the chunk size.  The draws x in [-1, 1] stay unscaled: the
+    masses of y = x/p are computed from x, which at a power-of-two p gives
+    the bits that scaling x first would.  Window masses are computed by
+    Parseval over the m bins outside the window, one matrix product per
+    chunk, whenever p*2m <= 2**22 (every p up to 16384); the first row of
+    each such chunk is checked against the FFT, and a disagreement above
+    1e-12 raises ConsistencyError.  Larger periods take one FFT per row.
+    ``diagnostics`` gives, per period, the path ("parseval" or "fft"), the
+    rows checked against the FFT and the largest residual among them
+    (None when no row was checked).  The trial count and every period
+    (even, at least 4) are checked before anything is drawn, and an empty
+    list raises PreconditionError.
     """
     check_length("trials", trials)
     if not p_list:
         raise PreconditionError("need at least one period")
     for p in p_list:
         check_length("period", p, 4, even=True)
-    rows = []
+    rows, checks = [], []
     for p in p_list:
         alpha = alpha_for_period(p)
         window = centered_window(p, alpha)
@@ -258,13 +288,18 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
         basis = _complement_basis(p, window)
         streams = rng.spawn(math.ceil(trials / chunk))
         nus = np.empty(trials)
+        residuals = []
         done = 0
         for stream in streams:
             count = min(chunk, trials - done)
-            y = density.sample(stream, (count, p))
-            y /= p
-            nus[done:done + count] = _window_masses(y, window, basis)
+            nus[done:done + count], residual = _window_masses(
+                density.sample(stream, (count, p)), window, basis)
+            if residual is not None:
+                residuals.append(residual)
             done += count
+        checks.append({"p": p, "path": "fft" if basis is None else "parseval",
+                      "checked_rows": len(residuals),
+                      "max_residual": max(residuals, default=None)})
         mean = float(np.mean(nus))
         var = float(np.var(nus, ddof=1)) if trials > 1 else float("nan")
         std = math.sqrt(var) if trials > 1 else float("nan")
@@ -281,7 +316,8 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
             var=var, var_times_p=var * p, cheb_fraction=cheb_fraction,
             cheb_c=cheb_c, target_mean=alpha * density.m2,
         ))
-    return StatsReport(density=density.name, trials=trials, delta=_DELTA, rows=tuple(rows))
+    return StatsReport(density=density.name, trials=trials, delta=_DELTA, rows=tuple(rows),
+                       diagnostics={"periods": checks})
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,13 @@ class OrbitSpectrum:
     def aperiodic(self) -> bool:
         return self.period is None
 
+    @functools.cached_property
+    def _mean_abs_phase(self) -> float:
+        """sum w_k |phase_k| of a point spectrum for
+        ``complexity.mean_abs_phase``, taken once, on first use, like
+        ``AmplitudeProfile.cdf``: later writes to the arrays are not seen."""
+        return float(np.dot(self.weights, np.abs(self.phases)))
+
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeProfile:

@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, file output, seeded determinism."""
 
+import functools
 import importlib
 import json
 import math
@@ -19,6 +20,7 @@ import halfcycle
 from halfcycle import (halfstep_profile_aperiodic, halfstep_profile_periodic, overlap_at,
                        reports)
 from halfcycle.cli import main
+from halfcycle.spectral import OrbitSpectrum
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -158,6 +160,17 @@ def test_stats_single_trial_flagged_not_crashed(tmp_path):
     assert row["variance_defined"] is False
 
 
+def test_stats_diagnostics_beside_the_report(tmp_path):
+    code, payload = run_cli(
+        ["stats", "--p", "64,32768", "--trials", "5000", "--seed", "9"], tmp_path)
+    assert code == 0
+    small, large = json.loads(payload)["diagnostics"]["periods"]
+    # 5000 trials at p = 64 are two chunks, each with its first row checked
+    assert (small["p"], small["path"], small["checked_rows"]) == (64, "parseval", 2)
+    assert 0.0 <= small["max_residual"] <= 1e-12
+    assert large == {"p": 32768, "path": "fft", "checked_rows": 0, "max_residual": None}
+
+
 def test_stats_unknown_density(capsys):
     assert main(["stats", "--density", "cauchy", "--trials", "10", "--seed", "1"]) == 2
     assert "unknown density" in capsys.readouterr().err
@@ -213,6 +226,23 @@ def test_complexity_cost_does_not_grow_with_the_period(tmp_path):
             data = json.loads(payload)
             assert code == 0 and data["diagnostics"]["cross_check_points"] == 1
         assert min(times) < limit
+
+
+def test_complexity_takes_the_mean_abs_phase_once(tmp_path, monkeypatch):
+    # complexity, check_lower_bound and the report body all read it
+    original = OrbitSpectrum.__dict__["_mean_abs_phase"].func
+    periods = []
+
+    def counted(spec):
+        periods.append(spec.period)
+        return original(spec)
+
+    cached = functools.cached_property(counted)
+    cached.__set_name__(OrbitSpectrum, "_mean_abs_phase")
+    monkeypatch.setattr(OrbitSpectrum, "_mean_abs_phase", cached)
+    code, payload = run_cli(["complexity", "--period", "64", "--grid", "300"], tmp_path)
+    assert code == 0 and periods == [64]
+    assert json.loads(payload)["mean_abs_phase"] == original(halfcycle.minimal_periodic_spectrum(64))
 
 
 INCREMENTER = json.loads((resources.files("halfcycle") / "machines/incrementer.json").read_text())

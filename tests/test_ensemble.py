@@ -48,16 +48,59 @@ def test_sampled_moments_match_library(name):
     assert abs(np.mean(draws ** 2) - density.m2) < 3 * se2
 
 
-def test_raised_cosine_sampler_follows_its_cdf():
-    # Kolmogorov-Smirnov distance to F(y) = (1 + y)/2 + sin(pi*y)/(2*pi)
-    # below the alpha = 0.01 critical value 1.63/sqrt(n)
-    n = 100_000
-    draws = np.sort(get_density("raised-cosine").sample(np.random.default_rng(31), n))
-    assert np.all(np.abs(draws) <= 1.0)
+def raised_cosine_ks_distance(draws):
+    """Kolmogorov-Smirnov distance of ``draws`` to the raised-cosine CDF
+    F(y) = (1 + y)/2 + sin(pi*y)/(2*pi)."""
+    draws = np.sort(draws, axis=None)
+    n = draws.size
     cdf = (1 + draws) / 2 + np.sin(np.pi * draws) / (2 * np.pi)
     steps = np.arange(1, n + 1) / n
-    distance = max(np.max(steps - cdf), np.max(cdf - (steps - 1 / n)))
-    assert distance < 1.63 / math.sqrt(n)
+    return max(np.max(steps - cdf), np.max(cdf - (steps - 1 / n)))
+
+
+def test_raised_cosine_sampler_follows_its_cdf():
+    # KS distance below the alpha = 0.01 critical value 1.63/sqrt(n)
+    n = 100_000
+    draws = get_density("raised-cosine").sample(np.random.default_rng(31), n)
+    assert np.all(np.abs(draws) <= 1.0)
+    assert raised_cosine_ks_distance(draws) < 1.63 / math.sqrt(n)
+
+
+class HalfRejected:
+    """A generator whose every other disk point lands outside the disk, so
+    that every block of the raised-cosine sampler falls short."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.blocks = 0
+
+    def random(self, size):
+        self.blocks += 1
+        points = self.rng.random(size)
+        points[:, ::2] = 0.999  # a = 0.998, b = 0.999: a^2 + b^2 > 1
+        return points
+
+
+def test_raised_cosine_sampler_tops_up_short_blocks():
+    rng = HalfRejected(32)
+    draws = get_density("raised-cosine").sample(rng, (40, 2500))
+    assert draws.shape == (40, 2500)
+    assert rng.blocks > math.ceil(draws.size / ensemble._DRAW_BLOCK) + 1
+    assert np.all(np.abs(draws) <= 1.0)
+    assert raised_cosine_ks_distance(draws) < 1.63 / math.sqrt(draws.size)
+
+
+def test_raised_cosine_sampler_is_reproducible_across_blocks():
+    size = (3, ensemble._DRAW_BLOCK // 2 + 7)  # 1.5 blocks and a little more
+    first, second = (get_density("raised-cosine").sample(np.random.default_rng(33), size)
+                     for _ in range(2))
+    assert first.size % ensemble._DRAW_BLOCK and first.tobytes() == second.tobytes()
+
+
+def test_raised_cosine_sampler_empty_draw():
+    rng = np.random.default_rng(34)
+    assert get_density("raised-cosine").sample(rng, 0).shape == (0,)
+    assert get_density("raised-cosine").sample(rng, (0, 64)).shape == (0, 64)
 
 
 def test_two_point_sample_support():
@@ -176,17 +219,21 @@ def test_moment_experiment_rejects_empty_period_list():
 
 
 @pytest.mark.parametrize("p, name", [(64, "uniform"), (1024, "uniform"),
-                                     (16384, "uniform"), (8186, "two-point")])
+                                     (16384, "uniform"), (8186, "two-point"),
+                                     (16342, "two-point")])
 def test_parseval_window_masses_match_direct_sums(p, name):
-    # 16384 is the largest period whose complement basis fits p*2m <= 2**22;
-    # 8186 = 2*4093 is an FFT length with a large prime factor, where the FFT
-    # is least accurate, and two-point draws gave the largest differences
+    # 16384 is the largest power of two whose complement basis fits
+    # p*2m <= 2**22; 8186 = 2*4093 and 16342 = 2*8171 are FFT lengths with a
+    # large prime factor, where the FFT is least accurate, and two-point
+    # draws gave the largest differences, so those take 256 rows
     window = centered_window(p, alpha_for_period(p))
     basis = ensemble._complement_basis(p, window)
     assert basis is not None and basis.shape[0] * basis.shape[1] <= 2 ** 22
-    y = get_density(name).sample(np.random.default_rng(p), (16, p)) / p
-    direct = [np.sum(np.abs(_halfstep_rows(row)[window.start:window.stop]) ** 2) for row in y]
-    assert np.max(np.abs(ensemble._window_masses(y, window, basis) - direct)) <= 1e-12
+    x = get_density(name).sample(np.random.default_rng(p), (256 if name == "two-point" else 16, p))
+    direct = [np.sum(np.abs(_halfstep_rows(row / p)[window.start:window.stop]) ** 2) for row in x]
+    nus, residual = ensemble._window_masses(x, window, basis)
+    assert np.max(np.abs(nus - direct)) <= 1e-12
+    assert 0.0 <= residual <= 1e-12
 
 
 def test_moment_experiment_paths_agree_with_direct_sums(monkeypatch):
@@ -213,6 +260,23 @@ def test_moment_experiment_paths_agree_with_direct_sums(monkeypatch):
         assert (ensemble._complement_basis(row.p, window) is None) == (row.p == 32768)
         direct = [nu_from_y(YSample(p=row.p, y=r / row.p), window) for r in y]
         assert row.mean == pytest.approx(np.mean(direct), abs=1e-12)
+    parseval, fft = report.diagnostics["periods"]
+    assert parseval["path"] == "parseval" and parseval["checked_rows"] == 1
+    assert 0.0 <= parseval["max_residual"] <= 1e-12
+    assert fft == {"p": 32768, "path": "fft", "checked_rows": 0, "max_residual": None}
+
+
+def test_unscaled_window_masses_match_scaled_bits_at_power_of_two_periods():
+    # dividing by p = 2**k is exact, so the masses of x/p computed from x
+    # are the bits that scaling the draws first gives
+    p = 256
+    window = centered_window(p, alpha_for_period(p))
+    basis = ensemble._complement_basis(p, window)
+    x = get_density("uniform").sample(np.random.default_rng(36), (64, p))
+    y = x / p
+    outside = y @ basis
+    scaled = np.einsum("ij,ij->i", y, y) * p - np.einsum("ij,ij->i", outside, outside)
+    assert ensemble._window_masses(x, window, basis)[0].tobytes() == scaled.tobytes()
 
 
 def test_moment_experiment_raises_when_parseval_and_fft_disagree(monkeypatch):
