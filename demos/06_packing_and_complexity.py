@@ -18,7 +18,7 @@ packed = hc.pack_spectrum(4)
 print(f"\ninstances: {len(packed.instances)}  "
       f"(2^n per size n, each with 2^n eigenphases)")
 print(f"pairwise disjoint (exhaustive): {packed.all_disjoint()}")
-print(f"max instance energy: {float(2 * np.pi * packed.max_mean_phase_over_2pi()):.4f} "
+print(f"max instance energy: {packed.to_dict()['max_energy']:.4f} "
       f"<= 4pi = {4 * np.pi:.4f}")
 print(f"index-parity compliance: {packed.parity_compliance():.3f}")
 

@@ -18,7 +18,7 @@ grid; ``zero_count`` is that report on linspace(0, 1, resolution); the
 resolution obeys the size rule of ``errors.check_length``.  On a minimal
 spectrum the scan is the closed form of ``spectral.overlap_at``, which
 costs O(grid) whatever the period, and the report keeps its cross-check
-(points and largest residual against the direct sum) with the largest
+(points and residual, from ``errors.recorded_checks``) with the largest
 slack of the bound and where it fell, as ``diagnostics``.
 
 Zero rule: a component (Re or Im) with |value| <= 1e-12 counts as zero
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, check_length
-from .spectral import OrbitSpectrum, overlap_at, recorded_checks
+from .errors import PreconditionError, check_length, recorded_checks
+from .spectral import OrbitSpectrum, overlap_at
 
 APERIODIC_MEAN_ABS_PHASE = float(np.pi)  # uniform phase density on [0, 2pi)
 _ZERO_FLOOR = 1e-12  # overlap components this small count as zero
@@ -50,10 +50,11 @@ def mean_abs_phase(spec: OrbitSpectrum) -> float:
 
 def complexity(spec: OrbitSpectrum, t):
     """C(t) = t * sum w|phase|, a float for scalar t and an ndarray for an
-    array; for aperiodic orbits the mean absolute phase is pi (uniform density)."""
+    array; for aperiodic orbits the mean absolute phase is pi (uniform density).
+    A negative, NaN or infinite t raises PreconditionError."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise PreconditionError("time must be nonnegative")
+    if not np.all((t_arr >= 0) & np.isfinite(t_arr)):
+        raise PreconditionError("time must be finite and nonnegative")
     value = t_arr * mean_abs_phase(spec)
     return float(value) if t_arr.ndim == 0 else value
 

@@ -35,12 +35,11 @@ bins, whenever that basis holds no more entries than one chunk of draws
 row.  Direct summation stays the authoritative evaluator: the half-step
 evaluator of ``spectral`` (one FFT per row, which is the same sum) gives
 every other window mass and checks the first row of every product-path
-chunk.
+chunk by ``errors.check_residual``.
 
-In the continuous case the functions
-exp(-i*(j - 1/2)*l) are orthogonal on [0, 2pi), so by Parseval the full
-series of squared amplitudes sums to mean(y^2); the truncated direct sum
-obeys Bessel's inequality direct <= mean(y^2), which is asserted.
+In the continuous case the functions exp(-i*(j - 1/2)*l) are orthogonal
+on [0, 2pi), so by Parseval the full series of squared amplitudes sums to
+mean(y^2); the truncated direct sum obeys Bessel's inequality, checked.
 
 Periods, trial counts and cell counts obey the size rule of
 ``errors.check_length``.
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import alpha_for_period, centered_window
-from .errors import ConsistencyError, PreconditionError, check_length
+from .errors import PreconditionError, check_length, check_residual, recorded_checks
 from .spectral import _halfstep_rows
 
 _CHUNK_ROWS = 4096
@@ -182,30 +181,22 @@ def _complement_basis(p: int, window):
 
 def _window_masses(x, window, basis):
     """Window masses of the implementations y = x/p, one per row of the
-    unscaled draws ``x``, and the residual of the checked row.
-
-    With a complement basis: nu = sum(x^2)/p - |x @ basis|^2/p^2 by
-    Parseval, and the first row is checked against direct summation of
-    x[0]/p, a disagreement above _CHECK_TOL raising ConsistencyError; the
-    residual is that disagreement.  Without one: direct summation for
-    every row, nu = nu(x)/p^2, and the residual is None.
+    unscaled draws ``x``.  With a complement basis: nu = sum(x^2)/p -
+    |x @ basis|^2/p^2 by Parseval, and the first row is checked against
+    direct summation of x[0]/p to _CHECK_TOL by ``errors.check_residual``.
+    Without one: direct summation for every row, nu = nu(x)/p^2, no check.
     """
     p = x.shape[1]
     if basis is None:
-        nus = _direct_window_masses(x, window)
-        nus /= p * p
-        return nus, None
+        return _direct_window_masses(x, window) / (p * p)
     outside = x @ basis
     outside /= p
     nus = np.einsum("ij,ij->i", x, x)
     nus /= p
     nus -= np.einsum("ij,ij->i", outside, outside)
     direct = _direct_window_masses(x[:1] / p, window)[0]
-    residual = abs(nus[0] - direct)
-    if residual > _CHECK_TOL:
-        raise ConsistencyError(
-            f"Parseval window mass {nus[0]!r} differs from the direct sum {direct!r}")
-    return nus, float(residual)
+    check_residual("Parseval window mass vs direct sum", abs(nus[0] - direct), _CHECK_TOL)
+    return nus
 
 
 @dataclass(frozen=True)
@@ -267,13 +258,13 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
     the bits that scaling x first would.  Window masses are computed by
     Parseval over the m bins outside the window, one matrix product per
     chunk, whenever p*2m <= 2**22 (every p up to 16384); the first row of
-    each such chunk is checked against the FFT, and a disagreement above
-    1e-12 raises ConsistencyError.  Larger periods take one FFT per row.
-    ``diagnostics`` gives, per period, the path ("parseval" or "fft"), the
-    rows checked against the FFT and the largest residual among them
-    (None when no row was checked).  The trial count and every period
-    (even, at least 4) are checked before anything is drawn, and an empty
-    list raises PreconditionError.
+    each such chunk is checked against the FFT to 1e-12.  Larger periods
+    take one FFT per row.  ``diagnostics`` gives, per period, the path
+    ("parseval" or "fft"), the rows checked against the FFT and the
+    largest residual among them (None when no row was checked), read from
+    one ``errors.recorded_checks`` per period.  The trial count and every
+    period (even, at least 4) are checked before anything is drawn, and an
+    empty list raises PreconditionError.
     """
     check_length("trials", trials)
     if not p_list:
@@ -286,33 +277,27 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
         window = centered_window(p, alpha)
         chunk = min(_CHUNK_ROWS, _CHUNK_ENTRIES // p)
         basis = _complement_basis(p, window)
-        streams = rng.spawn(math.ceil(trials / chunk))
         nus = np.empty(trials)
-        residuals = []
         done = 0
-        for stream in streams:
-            count = min(chunk, trials - done)
-            nus[done:done + count], residual = _window_masses(
-                density.sample(stream, (count, p)), window, basis)
-            if residual is not None:
-                residuals.append(residual)
-            done += count
+        with recorded_checks() as recorded:
+            for stream in rng.spawn(math.ceil(trials / chunk)):
+                count = min(chunk, trials - done)
+                nus[done:done + count] = _window_masses(
+                    density.sample(stream, (count, p)), window, basis)
+                done += count
         checks.append({"p": p, "path": "fft" if basis is None else "parseval",
-                      "checked_rows": len(residuals),
-                      "max_residual": max(residuals, default=None)})
+                      "checked_rows": len(recorded),
+                      "max_residual": max((r for _, r in recorded), default=None)})
         mean = float(np.mean(nus))
         var = float(np.var(nus, ddof=1)) if trials > 1 else float("nan")
-        std = math.sqrt(var) if trials > 1 else float("nan")
-        stderr = std / math.sqrt(trials) if trials > 1 else float("nan")
-        if trials > 1 and std > 0:
+        std = math.sqrt(var)
+        cheb_fraction = cheb_c = float("nan")
+        if std > 0:  # false for the NaN of one trial
             threshold = mean - _DELTA * std
             cheb_fraction = float(np.mean(nus < threshold))
             cheb_c = _DELTA / ((density.m2 - threshold) * math.sqrt(p))
-        else:
-            cheb_fraction = float("nan")
-            cheb_c = float("nan")
         rows.append(StatsRow(
-            p=p, density=density.name, trials=trials, mean=mean, stderr=stderr,
+            p=p, density=density.name, trials=trials, mean=mean, stderr=std / math.sqrt(trials),
             var=var, var_times_p=var * p, cheb_fraction=cheb_fraction,
             cheb_c=cheb_c, target_mean=alpha * density.m2,
         ))
@@ -326,7 +311,7 @@ class ContinuousNu:
 
     ``direct`` is the truncated amplitude sum over |j| <= cells;
     ``parseval`` is mean(y^2), the sum of the full series, which bounds
-    ``direct`` from above (Bessel's inequality, asserted).
+    ``direct`` from above (Bessel's inequality, checked).
     """
 
     direct: float
@@ -354,7 +339,5 @@ def continuous_nu(cells: int, density: DensitySpec, rng) -> ContinuousNu:
     amps = _halfstep_rows(y)[j % cells] * sinc
     direct = float(np.sum(np.abs(amps) ** 2))
     parseval = float(np.mean(y * y))
-    if direct > parseval + _BESSEL_TOL:
-        raise ConsistencyError(
-            f"truncated sum {direct!r} exceeds its Parseval bound {parseval!r}")
+    check_residual("truncated sum vs its Parseval bound", direct - parseval, _BESSEL_TOL)
     return ContinuousNu(direct=direct, parseval=parseval, cells=cells)

@@ -156,9 +156,6 @@ class PackedSpectra:
         return (all(inst.numerators.size == inst.period for inst in self.instances)
                 and np.unique(self.values).size == self.values.size)
 
-    def max_mean_phase_over_2pi(self) -> Fraction:
-        return max(inst.mean_phase_over_2pi for inst in self.instances)
-
     def parity_compliance(self) -> float:
         """Fraction of points whose interval index matches k mod 2."""
         matches = sum(int(np.count_nonzero((inst.numerators // self.denominator) % 2

@@ -33,7 +33,7 @@ _HALF_WIDTH = 8.0  # the shipped pairs live on [-8, 8]; exp(-x^2/2) < 1e-13 at i
 @dataclass(frozen=True, eq=False)
 class GridFunctionSet:
     """Complex functions sampled on one uniform grid, each of unit
-    discrete norm sum(|f|^2)*h = 1."""
+    discrete norm sum(|f|^2)*h = 1 (a NaN norm is refused)."""
 
     x: np.ndarray
     functions: np.ndarray  # shape (n, G)
@@ -49,7 +49,7 @@ class GridFunctionSet:
         if self.functions.shape[1] != self.x.size:
             raise PreconditionError("functions must be sampled on the grid")
         norms = np.sum(np.abs(self.functions) ** 2, axis=1) * self.h
-        if np.any(np.abs(norms - 1.0) > _NORM_TOL):
+        if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):
             raise PreconditionError("functions must have unit discrete norm")
 
     @property
@@ -75,6 +75,8 @@ def make_grid_set(x, functions) -> GridFunctionSet:
     norms = np.sqrt(np.sum(np.abs(functions) ** 2, axis=1) * h)
     if np.any(norms == 0):
         raise PreconditionError("cannot normalize a zero function")
+    if not np.all(np.isfinite(norms)):
+        raise PreconditionError("cannot normalize a non-finite function")
     return GridFunctionSet(x=x, functions=functions / norms[:, np.newaxis])
 
 
@@ -197,8 +199,8 @@ def identical_pair(grid_points: int = 1024) -> GridFunctionSet:
 
 def read_grid_functions(paths) -> GridFunctionSet:
     """Load one function per CSV file (columns x, re, im); all files must
-    share the same grid.  A file that cannot be read raises
-    PreconditionError naming it."""
+    share the same grid.  A file that cannot be read, or holds a NaN or
+    infinite value, raises PreconditionError naming it."""
     xs, funcs = [], []
     for path in paths:
         try:
@@ -214,6 +216,8 @@ def read_grid_functions(paths) -> GridFunctionSet:
             raise PreconditionError(f"{path}: expected numeric rows x, re, im") from exc
         if data.ndim != 2 or data.shape[1] != 3:
             raise PreconditionError(f"{path}: expected three columns x, re, im")
+        if not np.all(np.isfinite(data)):
+            raise PreconditionError(f"{path}: grid and function values must be finite")
         xs.append(data[:, 0])
         funcs.append(data[:, 1] + 1j * data[:, 2])
     if not xs:

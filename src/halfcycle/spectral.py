@@ -19,11 +19,8 @@ have one direct evaluator, ``_halfstep_rows``: the twist exp(i*pi*k/p)
 folds into y and one FFT over j gives all p sums in O(p log p) time and
 O(p) memory.  A point spectrum with phases 2pi*(k/p + n_k) for integers
 n_k has overlap(j - 1/2) = c_j with y_k = (-1)^{n_k} * w_k, so the
-profile cross-check and the continuous cell integrals are this sum.  The
-ensemble's window masses are too, but where the real p x 2m basis of the
-m bins outside the window holds at most 2**22 entries they are computed by
-Parseval over that complement, with the first row of every chunk checked
-against this evaluator.  ``overlap_at`` stays the general
+profile cross-check, the continuous cell integrals and the check of the
+ensemble's window masses are this sum.  ``overlap_at`` stays the general
 evaluator at arbitrary u, scanned once for both the complexity bound and
 zero count; its fixed blocks of u keep its memory flat in len(u).
 
@@ -41,8 +38,8 @@ phase of u reduced exactly to its nearest integer or multiple of p/2, so
 whole cycles give an exact 0 (an exact 1 at multiples of p); the ratio
 form (1 - z^n)/(1 - z) would lose digits as z -> 1 (1.5e-2 at p = 65536).
 Each call checks about _OVERLAP_BLOCK / p of its points against the
-direct sum, to that sum's own rounding, and raises ConsistencyError
-beyond it; ``recorded_checks`` hands the figures to a report.  Only the
+direct sum, to that sum's own rounding, by ``errors.check_residual``;
+a NaN or infinite u is refused before anything is evaluated.  Only the
 spectrum ``minimal_periodic_spectrum`` returns is marked ``minimal``;
 every other spectrum takes the direct sum.  The minimal half-cycle
 amplitudes have the closed form
@@ -53,33 +50,31 @@ amplitudes have the closed form
 evaluated in the sin form: near the peak the cosine of a rounded angle
 loses digits (1.3e-10 at p = 2^22), while p - 2j + 1 is exact.  The
 profile peaks at j = p/2 with modulus 1/(p*sin(pi/(2p))) -> 2/pi and sums
-to total probability 1.  The aperiodic (non-halting) counterpart has
-a_k = -1/(pi*i*(k - 1/2)), whose full two-sided square sum is 1 by
-Euler's series; a symmetric truncation to 2K terms captures all but
-~2/(pi^2*K).  Periods, K and the 2K amplitudes of a truncation (held to
-the cap like a period) obey the size rule of ``errors.check_length``.  A
-profile lives on a run of consecutive indices, kept as a range, and keeps
-the readout distribution |a|^2 and its running sum as its only copies;
-``nu_of`` and every measurement draw read them.
+to total probability 1; its closed form is checked against the FFT and
+its capture against 1, both to 1e-10 by ``errors.check_residual``.  The
+aperiodic (non-halting) counterpart has a_k = -1/(pi*i*(k - 1/2)), whose
+full two-sided square sum is 1 by Euler's series; a symmetric truncation
+to 2K terms captures all but ~2/(pi^2*K).  Periods, K and the 2K
+amplitudes of a truncation (held to the cap like a period) obey the size
+rule of ``errors.check_length``.  A profile lives on a run of consecutive
+indices, kept as a range, and keeps the readout distribution |a|^2 and
+its running sum as its only copies; ``nu_of`` and every measurement draw
+read them.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, PreconditionError, check_length
+from .errors import PreconditionError, check_length, check_residual
 
 _WEIGHT_SUM_TOL = 1e-12
 _PROFILE_TOL = 1e-10
 _OVERLAP_BLOCK = 2 ** 16  # u-times-phase entries overlap_at holds at once
 _CLOSED_FORM_TOL = 1e-12  # per unit of |u|, closed-form overlap vs direct sum
-# (points, residual) of each closed-form cross-check, while recorded_checks is open
-_CHECKS = contextvars.ContextVar("overlap_checks", default=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +103,7 @@ class OrbitSpectrum:
             raise PreconditionError("phases and weights must have matching shapes")
         if np.any(self.weights < 0):
             raise PreconditionError("spectral weights must be nonnegative")
-        if abs(float(self.weights.sum()) - 1.0) > _WEIGHT_SUM_TOL:
+        if not abs(float(self.weights.sum()) - 1.0) <= _WEIGHT_SUM_TOL:
             raise PreconditionError("spectral weights must sum to 1")
 
     @property
@@ -132,13 +127,12 @@ class AmplitudeProfile:
     range (-K, K] for aperiodic truncations.  An integer array is accepted
     and turned into that range; a range with another step, an empty run, a
     non-integer array or one that is not one consecutive run raises
-    PreconditionError.  The
-    readout distribution |a|^2 is stored once, as ``probabilities``, and
-    its running sum ``cdf`` is taken once, on the first draw.
-    ``captured`` is the total probability sum |a|^2 over the stored
-    indices; a value that disagrees with that sum by more than 1e-10 is
-    rejected, since a measurement decides o = 1 by ``captured`` and picks
-    the index by ``cdf``.
+    PreconditionError.  The readout distribution |a|^2 is stored once, as
+    ``probabilities``, and its running sum ``cdf`` is taken once, on the
+    first draw.  ``captured`` is the total probability sum |a|^2 over the
+    stored indices; a value that is NaN or disagrees with that sum by more
+    than 1e-10 is rejected, since a measurement decides o = 1 by
+    ``captured`` and picks the index by ``cdf``.
     """
 
     amplitudes: np.ndarray
@@ -158,11 +152,11 @@ class AmplitudeProfile:
         object.__setattr__(self, "indices", indices)
         if indices.step != 1 or not indices or self.amplitudes.shape != (len(indices),):
             raise PreconditionError("need one amplitude per index on consecutive integer indices")
-        if self.captured > 1.0 + _WEIGHT_SUM_TOL:
+        if not self.captured <= 1.0 + _WEIGHT_SUM_TOL:
             raise PreconditionError("captured probability exceeds 1")
         object.__setattr__(self, "probabilities", np.abs(self.amplitudes) ** 2)
         total = float(np.sum(self.probabilities))
-        if abs(self.captured - total) > _PROFILE_TOL:
+        if not abs(self.captured - total) <= _PROFILE_TOL:
             raise PreconditionError(
                 f"captured probability {self.captured!r} differs from sum |a|^2 = {total!r}")
 
@@ -229,33 +223,22 @@ def overlap_at(spec: OrbitSpectrum, u):
     the closed form, cross-checked on one block of the direct sum
     (``_cross_check``); every other spectrum takes the direct sum, whose u
     values go in blocks of about _OVERLAP_BLOCK / len(phases), so memory
-    stays O(_OVERLAP_BLOCK + len(phases)) whatever the size of u.
+    stays O(_OVERLAP_BLOCK + len(phases)) whatever the size of u.  A
+    NaN or infinite u raises PreconditionError.
     """
     if spec.aperiodic:
         raise PreconditionError("overlap_at needs a point spectrum; "
                                 "use halfstep_profile_aperiodic for aperiodic orbits")
     u_arr = np.asarray(u, dtype=float)
     flat = u_arr.reshape(-1)
+    if not np.all(np.isfinite(flat)):
+        raise PreconditionError("overlap_at needs finite times")
     if spec.minimal:
         vals = _minimal_overlap(spec.period, flat)
-        check, log = _cross_check(spec, flat, vals), _CHECKS.get()
-        if log is not None:
-            log.append(check)
+        _cross_check(spec, flat, vals)
     else:
         vals = _direct_overlap(spec, flat)
     return complex(vals[0]) if u_arr.ndim == 0 else vals.reshape(u_arr.shape)
-
-
-@contextlib.contextmanager
-def recorded_checks():
-    """Yield a list to which ``overlap_at`` appends (points, residual) of
-    each closed-form cross-check it makes in this context, for reports."""
-    checks = []
-    token = _CHECKS.set(checks)
-    try:
-        yield checks
-    finally:
-        _CHECKS.reset(token)
 
 
 def _direct_overlap(spec: OrbitSpectrum, u: np.ndarray) -> np.ndarray:
@@ -293,23 +276,19 @@ def _minimal_overlap(p: int, u: np.ndarray) -> np.ndarray:
             * np.exp(-1j * np.pi * (f - x)) * ratio)
 
 
-def _cross_check(spec: OrbitSpectrum, u: np.ndarray, vals: np.ndarray) -> tuple:
-    """Compare closed-form values ``vals`` at the 1-d times ``u`` with the
-    direct sum on one block: about _OVERLAP_BLOCK / p points (at least
-    one) spread over the interior of u, or all of u if it is shorter.
-    Returns (points, max residual).  The tolerance is the direct sum's
-    rounding: p*eps for accumulating p terms, plus _CLOSED_FORM_TOL per
-    unit of the largest |u| checked (at least 1) for the rounded phases
-    times u; a residual above it raises ConsistencyError."""
+def _cross_check(spec: OrbitSpectrum, u: np.ndarray, vals: np.ndarray) -> None:
+    """Check closed-form ``vals`` at the 1-d times ``u`` against the direct
+    sum on one block of about _OVERLAP_BLOCK / p points (at least one)
+    spread over the interior of u, or all of u if it is shorter, to the
+    direct sum's rounding: p*eps for its p terms, plus _CLOSED_FORM_TOL per
+    unit of the largest |u| checked (at least 1) for the rounded phase*u."""
     m = max(1, _OVERLAP_BLOCK // spec.phases.size)
     idx = np.arange(u.size) if u.size <= m else np.arange(1, m + 1) * u.size // (m + 1)
-    residual = float(np.max(np.abs(_direct_overlap(spec, u[idx]) - vals[idx]), initial=0.0))
     tol = (spec.phases.size * np.finfo(float).eps
            + _CLOSED_FORM_TOL * np.max(np.abs(u[idx]), initial=1.0))
-    if residual > tol:
-        raise ConsistencyError(f"overlap closed form vs direct sum disagree by "
-                               f"{residual:.3e} at p={spec.period}")
-    return idx.size, residual
+    check_residual(f"overlap closed form vs direct sum at p={spec.period}",
+                   np.max(np.abs(_direct_overlap(spec, u[idx]) - vals[idx]), initial=0.0),
+                   tol, points=idx.size)
 
 
 def halfstep_profile_periodic(p: int) -> AmplitudeProfile:
@@ -317,19 +296,17 @@ def halfstep_profile_periodic(p: int) -> AmplitudeProfile:
 
     Evaluates the closed form (sin form, see the module docstring) and
     cross-checks it against the half-step evaluator on the weights
-    (-1)^k/p, which is the direct spectral sum; disagreement beyond 1e-10
-    raises ConsistencyError.
+    (-1)^k/p, which is the direct spectral sum, and its capture against
+    1, both to 1e-10 by ``errors.check_residual``.
     """
     check_length("period", p, 2, even=True)
     j = np.arange(p)
     closed = np.exp(1j * np.pi * (j - 0.5) / p) / (p * np.sin(np.pi * (p - 2 * j + 1) / (2 * p)))
     direct = _halfstep_rows(np.where(j % 2, -1.0, 1.0) / p)
-    err = float(np.max(np.abs(closed - direct)))
-    if err > _PROFILE_TOL:
-        raise ConsistencyError(f"closed form vs direct sum disagree by {err:.3e} at p={p}")
+    check_residual(f"profile closed form vs direct sum at p={p}",
+                   np.max(np.abs(closed - direct)), _PROFILE_TOL, points=p)
     captured = float(np.sum(np.abs(closed) ** 2))
-    if abs(captured - 1.0) > _PROFILE_TOL:
-        raise ConsistencyError(f"minimal profile capture {captured!r} differs from 1 at p={p}")
+    check_residual(f"minimal profile capture vs 1 at p={p}", abs(captured - 1.0), _PROFILE_TOL)
     return AmplitudeProfile(amplitudes=closed, indices=range(p), captured=min(captured, 1.0),
                             period=p)
 

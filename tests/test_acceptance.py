@@ -143,7 +143,7 @@ def test_criterion_09_majority_bound():
 def test_criterion_10_packing():
     packed = hc.pack_spectrum(4)
     assert packed.all_disjoint()
-    maxmean = packed.max_mean_phase_over_2pi()
+    maxmean = max(inst.mean_phase_over_2pi for inst in packed.instances)
     assert maxmean <= 2  # exact rational comparison: energy <= 4pi
     print(f"ACCEPTANCE 10 PASS n_max=4 packing: all spectra pairwise disjoint, "
           f"max energy {float(2 * np.pi * maxmean):.4f} <= 4pi")

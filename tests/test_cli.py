@@ -264,6 +264,20 @@ BAD_FILES = {"one.csv": b"x,re,im\n0,1,0\n",
                 for name, bad in BAD_MACHINES.items()}}
 
 
+def gaussian_csv(bad_row=None, bad_cell=""):
+    """A 64-point Gaussian as CSV rows x, re, im; row ``bad_row`` (if any)
+    gets ``bad_cell`` in place of its last cell."""
+    x = np.linspace(-8.0, 8.0, 64)
+    rows = [[repr(v), repr(float(np.exp(-v * v / 2))), "0.0"] for v in x.tolist()]
+    if bad_row is not None:
+        rows[bad_row][2] = bad_cell
+    return ("x,re,im\n" + "".join(",".join(r) + "\n" for r in rows)).encode()
+
+
+BAD_FILES |= {"gauss.csv": gaussian_csv(), "nan.csv": gaussian_csv(10, "nan"),
+              "inf.csv": gaussian_csv(40, "inf")}
+
+
 @pytest.mark.parametrize("args", [
     ["complexity", "--period", "8", "--grid", "0"],
     ["complexity", "--period", "8", "--grid", "-3"],
@@ -304,6 +318,9 @@ BAD_FILES = {"one.csv": b"x,re,im\n0,1,0\n",
     ["cycle", "--machine", "{tmp}/deep.json"],
     # machine files with the wrong JSON types
     *[["cycle", "--machine", f"{{tmp}}/{name}"] for name in BAD_MACHINES],
+    # a Gaussian pair with a NaN or an infinite function value
+    ["schrodinger", "{tmp}/gauss.csv", "{tmp}/nan.csv"],
+    ["schrodinger", "{tmp}/inf.csv", "{tmp}/gauss.csv"],
 ])
 def test_complexity_bad_input_rejected(args, tmp_path, capsys):
     # grids, periods, K, step budgets, trial and majority counts, waiting

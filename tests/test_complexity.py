@@ -52,6 +52,16 @@ def test_negative_time_rejected():
             complexity(minimal_periodic_spectrum(2), t)
 
 
+def test_non_finite_time_rejected():
+    spec = minimal_periodic_spectrum(8)
+    for t in (np.nan, np.inf, np.array([0.0, np.nan]), np.array([0.5, np.inf])):
+        with pytest.raises(PreconditionError, match="finite"):
+            complexity(spec, t)
+    for s in (spec, single_phase(1.0)):
+        with pytest.raises(PreconditionError, match="finite times"):
+            check_lower_bound(s, [0.0, np.nan])
+
+
 def test_lower_bound_p2_halfstep():
     spec = minimal_periodic_spectrum(2)
     lhs = 2 - 2 * (overlap_at(spec, 0.5)).real

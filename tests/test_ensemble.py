@@ -9,7 +9,7 @@ from halfcycle import (DENSITIES, CapacityError, ConsistencyError, DensitySpec,
                        PreconditionError, YSample, alpha_for_period, centered_window,
                        continuous_nu, ensemble, get_density, halfstep_profile_periodic,
                        nu_from_y, nu_of, moment_experiment)
-from halfcycle.errors import DEFAULT_PERIOD_CAP
+from halfcycle.errors import DEFAULT_PERIOD_CAP, recorded_checks
 from halfcycle.spectral import _halfstep_rows
 
 
@@ -231,9 +231,11 @@ def test_parseval_window_masses_match_direct_sums(p, name):
     assert basis is not None and basis.shape[0] * basis.shape[1] <= 2 ** 22
     x = get_density(name).sample(np.random.default_rng(p), (256 if name == "two-point" else 16, p))
     direct = [np.sum(np.abs(_halfstep_rows(row / p)[window.start:window.stop]) ** 2) for row in x]
-    nus, residual = ensemble._window_masses(x, window, basis)
+    with recorded_checks() as checks:
+        nus = ensemble._window_masses(x, window, basis)
     assert np.max(np.abs(nus - direct)) <= 1e-12
-    assert 0.0 <= residual <= 1e-12
+    (points, residual), = checks
+    assert points == 1 and 0.0 <= residual <= 1e-12
 
 
 def test_moment_experiment_paths_agree_with_direct_sums(monkeypatch):
@@ -276,11 +278,21 @@ def test_unscaled_window_masses_match_scaled_bits_at_power_of_two_periods():
     y = x / p
     outside = y @ basis
     scaled = np.einsum("ij,ij->i", y, y) * p - np.einsum("ij,ij->i", outside, outside)
-    assert ensemble._window_masses(x, window, basis)[0].tobytes() == scaled.tobytes()
+    assert ensemble._window_masses(x, window, basis).tobytes() == scaled.tobytes()
 
 
 def test_moment_experiment_raises_when_parseval_and_fft_disagree(monkeypatch):
     monkeypatch.setattr(ensemble, "_halfstep_rows", lambda y: _halfstep_rows(y) * 1.001)
+    with pytest.raises(ConsistencyError, match="Parseval window mass"):
+        moment_experiment([64], get_density("uniform"), 10, np.random.default_rng(0))
+
+
+def nan_rows(y):
+    return np.full_like(_halfstep_rows(y), np.nan)
+
+
+def test_moment_experiment_raises_on_a_nan_direct_sum(monkeypatch):
+    monkeypatch.setattr(ensemble, "_halfstep_rows", nan_rows)
     with pytest.raises(ConsistencyError, match="Parseval window mass"):
         moment_experiment([64], get_density("uniform"), 10, np.random.default_rng(0))
 
@@ -330,6 +342,16 @@ def test_continuous_nu_matches_dense_cell_integrals():
         res = continuous_nu(64, fixed(y), rng)
         assert res.direct == pytest.approx(_continuous_nu_dense(64, y), abs=1e-14)
         assert res.direct <= res.parseval == np.mean(y * y)
+
+
+def test_continuous_nu_records_its_bessel_check(monkeypatch):
+    y = np.random.default_rng(32).uniform(-1.0, 1.0, 64)
+    with recorded_checks() as checks:
+        res = continuous_nu(64, fixed(y), np.random.default_rng(0))
+    assert checks == [(1, res.direct - res.parseval)] and checks[0][1] < 0.0
+    monkeypatch.setattr(ensemble, "_halfstep_rows", nan_rows)
+    with pytest.raises(ConsistencyError, match="Parseval bound"):
+        continuous_nu(64, fixed(y), np.random.default_rng(0))
 
 
 def test_continuous_nu_direct_tracks_second_moment():

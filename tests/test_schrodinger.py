@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from halfcycle import (ObstructionAbsence, ObstructionCertificate, PreconditionError,
-                       chirped_pair, identical_pair, make_grid_set,
+from halfcycle import (GridFunctionSet, ObstructionAbsence, ObstructionCertificate,
+                       PreconditionError, chirped_pair, identical_pair, make_grid_set,
                        obstruction_certificate, read_grid_functions)
 from halfcycle.schrodinger import _null_space, kinetic_form
 
@@ -140,6 +140,32 @@ def test_csv_unreadable_file_names_it(tmp_path):
     for path in (tmp_path / "missing.csv", tmp_path):
         with pytest.raises(PreconditionError, match=re.escape(f"cannot read grid file {str(path)!r}")):
             read_grid_functions([path])
+
+
+def test_csv_non_finite_value_names_the_file(tmp_path):
+    x = np.linspace(-8.0, 8.0, 64)
+    good = tmp_path / "good.csv"
+    write_csv(good, x, np.exp(-x ** 2 / 2))
+    for name, value in (("re.csv", np.nan), ("im.csv", complex(0.0, -np.inf))):
+        f = np.exp(-x ** 2 / 2).astype(complex)
+        f[10] = value
+        bad = tmp_path / name
+        write_csv(bad, x, f)
+        with pytest.raises(PreconditionError, match=re.escape(f"{bad}: grid and function "
+                                                              f"values must be finite")):
+            read_grid_functions([good, bad])
+    bad = tmp_path / "x.csv"
+    write_csv(bad, np.r_[x[:-1], np.nan], np.exp(-x ** 2 / 2))
+    with pytest.raises(PreconditionError, match="x.csv"):
+        read_grid_functions([bad, good])
+
+
+def test_grid_function_set_refuses_a_nan_norm():
+    x = np.linspace(-1.0, 1.0, 8)
+    with pytest.raises(PreconditionError, match="unit discrete norm"):
+        GridFunctionSet(x=x, functions=[np.full(8, np.nan)])
+    with pytest.raises(PreconditionError, match="cannot normalize"):
+        make_grid_set(x, [np.r_[np.ones(7), np.nan]])
 
 
 def test_one_point_grid_rejected(tmp_path):

@@ -14,9 +14,9 @@ from halfcycle import (CapacityError, ConsistencyError, PreconditionError, YSamp
                        aperiodic_spectrum, chirped_pair, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, minimal_periodic_spectrum, nu_of,
                        obstruction_certificate, overlap_at, pack_spectrum, spectral)
-from halfcycle.errors import DEFAULT_PERIOD_CAP
+from halfcycle.errors import DEFAULT_PERIOD_CAP, check_residual, recorded_checks
 from halfcycle.measure import _draw
-from halfcycle.spectral import AmplitudeProfile, OrbitSpectrum, _halfstep_rows, recorded_checks
+from halfcycle.spectral import AmplitudeProfile, OrbitSpectrum, _halfstep_rows
 
 P_RANGE = [2 ** k for k in range(1, 11)]  # 2, 4, ..., 1024
 
@@ -250,6 +250,19 @@ def test_profile_refuses_indices_that_are_not_consecutive(indices):
                          captured=float(np.sum(np.abs(amplitudes) ** 2)), period=None)
 
 
+def test_spectrum_refuses_nan_weights():
+    for weights in ([np.nan], [np.inf], [0.5, np.nan]):
+        with pytest.raises(PreconditionError, match="sum to 1"):
+            OrbitSpectrum(phases=np.zeros(len(weights)), weights=weights, period=len(weights))
+
+
+def test_profile_refuses_a_nan_capture():
+    for amplitudes, captured in (([1.0], np.nan), ([np.nan], np.nan), ([np.nan], 1.0)):
+        with pytest.raises(PreconditionError, match="captured probability"):
+            AmplitudeProfile(amplitudes=amplitudes, indices=range(1), captured=captured,
+                             period=None)
+
+
 # --- properties -------------------------------------------------------------
 
 @st.composite
@@ -380,6 +393,70 @@ def test_closed_form_checks_one_block_of_interior_points(monkeypatch):
         overlap_at(direct(spec), [0.5, 0.25])
     assert [points for points, _ in checks] == [1]
     assert overlap_at(spec, []).shape == (0,)
+
+
+def test_overlap_refuses_non_finite_times():
+    for spec in (minimal_periodic_spectrum(8), direct(minimal_periodic_spectrum(8))):
+        for u in (np.nan, np.inf, [0.5, -np.inf], [[0.0], [np.nan]]):
+            with pytest.raises(PreconditionError, match="finite times"):
+                overlap_at(spec, u)
+
+
+# --- the self-check rule -------------------------------------------------------
+
+def test_check_residual_fails_on_nan_and_records_into_the_innermost_recorder():
+    with recorded_checks() as outer:
+        assert check_residual("a", np.float64(0.5), 1.0, points=3) == 0.5
+        with recorded_checks() as inner:
+            check_residual("b", 1.0, 1.0)
+        for bad in (np.nan, 1.5, np.inf):
+            with pytest.raises(ConsistencyError, match="b: residual"):
+                check_residual("b", bad, 1.0)
+    assert outer == [(3, 0.5)] and inner == [(1, 1.0)]
+    assert type(outer[0][1]) is float
+    check_residual("c", 0.0, 0.0)  # no recorder open: nothing to record
+
+
+def nan_like(f):
+    """``f`` with every value it returns replaced by NaN."""
+    return lambda *args: np.full_like(f(*args), np.nan)
+
+
+def test_nan_overlap_reference_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "_direct_overlap", nan_like(spectral._direct_overlap))
+    with pytest.raises(ConsistencyError, match="closed form vs direct sum"):
+        overlap_at(minimal_periodic_spectrum(8), [0.25, 0.5])
+
+
+def test_nan_profile_reference_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "_halfstep_rows", nan_like(_halfstep_rows))
+    with pytest.raises(ConsistencyError, match="profile closed form vs direct sum"):
+        halfstep_profile_periodic(8)
+
+
+class _NanSum:
+    """numpy, except that ``sum`` returns NaN: the profile's capture."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def sum(*args, **kwargs):
+        return np.nan
+
+
+def test_nan_profile_capture_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "np", _NanSum())
+    with pytest.raises(ConsistencyError, match="minimal profile capture vs 1"):
+        halfstep_profile_periodic(8)
+
+
+def test_profile_records_its_two_checks():
+    with recorded_checks() as checks:
+        halfstep_profile_periodic(64)
+    (points, fft), (one, capture) = checks
+    assert (points, one) == (64, 1)
+    assert 0.0 <= fft <= 1e-10 and 0.0 <= capture <= 1e-10
 
 
 def test_direct_sum_memory_is_blocked():
