@@ -139,7 +139,7 @@ class YSample:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         if self.y.shape != (self.p,):
             raise PreconditionError("need one imbalance per phase class")
-        if np.any(np.abs(self.y) > 1.0 / self.p + 1e-15):
+        if not np.all(np.abs(self.y) <= 1.0 / self.p + 1e-15):
             raise PreconditionError("imbalances must lie in [-1/p, 1/p]")
 
 

@@ -18,10 +18,11 @@ Two procedures repeat trials:
 Every procedure draws from the profile's own tables: one ``rng.random(n)``
 call and one ``searchsorted`` in ``profile.cdf`` map n uniforms to n
 outcomes, and the per-shot validity rate is ``nu_of``.  Runs end at their
-first accepted draws.  A block holds only draws that are certainly needed (one
-per unfinished run, one per missing vote), so the numpy Generator handed
-in is consumed exactly as by one ``rng.random()`` per trial: the same
-trial counts, results, votes and final generator state, and reports are
+first accepted draws.  A block holds only draws that are certainly needed (at
+most one per unfinished run and no more than the run it carries over may
+still take; one per missing vote), so the numpy Generator handed in is
+consumed exactly as by one ``rng.random()`` per trial: the same trial
+counts, results, votes and final generator state, and reports are
 bit-reproducible given a seed.  Results and validation verdicts are
 computed once per distinct drawn index.  Run counts, majority sizes and
 K obey the size rule of ``errors.check_length``.
@@ -113,7 +114,9 @@ def _error_free_runs(cycle: LabeledCycle, profile: AmplitudeProfile, validate, r
     trials, o_ones, accepted = [], [], []
     done = carry_t = carry_o = 0
     while done < runs:
-        n = runs - done  # one draw per unfinished run
+        # one draw per unfinished run, and no more than the carried run may
+        # still take, so only that run can reach max_trials in the block
+        n = min(runs - done, max_trials - carry_t)
         o, pos = _draw(profile, rng, n)
         drawn = pos[o]
         for q in np.unique(drawn[verdict[drawn] < 0]).tolist():
@@ -121,14 +124,9 @@ def _error_free_runs(cycle: LabeledCycle, profile: AmplitudeProfile, validate, r
             verdict[q] = bool(validate(results[q]))
         hit = o.copy()
         hit[o] = verdict[drawn] == 1
-        succ = np.flatnonzero(hit)
-        # the failures before each success, and those after the last,
-        # end a run at every max_trials-th draw
-        starts = np.concatenate(([-carry_t], succ + 1))
-        cuts = (np.append(succ, n) - starts) // max_trials
-        stretch = np.repeat(np.arange(cuts.size), cuts)
-        nth = np.arange(stretch.size) - np.repeat(np.cumsum(cuts) - cuts, cuts) + 1
-        ends = np.sort(np.concatenate((starts[stretch] + nth * max_trials - 1, succ)))
+        ends = np.flatnonzero(hit)
+        if not ends.size and n == max_trials - carry_t:
+            ends = np.array([n - 1])
         o_cum = np.cumsum(o)
         trials.append(np.diff(ends, prepend=-carry_t - 1))
         o_ones.append(np.diff(o_cum[ends], prepend=-carry_o))

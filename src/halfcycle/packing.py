@@ -62,9 +62,7 @@ proven gap (0) and the node count as ``diagnostics``.
 All bookkeeping is on integer numerators over the single denominator
 2^(n_max + nu_max), the dyadic grid every point lies on, so it is exact.
 The result keeps those numerators in one read-only array: each instance
-holds a view of its slice, the report's checks run on them, and
-fractions.Fraction points are built only when ``PackedInstance.points``
-is asked for.
+holds a view of its slice and the report's checks run on them.
 """
 
 from __future__ import annotations
@@ -90,8 +88,7 @@ class PackedInstance:
     """One problem instance's assigned spectrum, in exact units of 2pi.
 
     ``numerators`` (read-only int64, index-aligned with k = 0..2^nu-1) are
-    the points phase/2pi over the common ``denominator`` of the packing;
-    ``points`` builds them as Fractions on request.
+    the points phase/2pi over the common ``denominator`` of the packing.
     """
 
     n: int
@@ -103,10 +100,6 @@ class PackedInstance:
     @property
     def period(self) -> int:
         return 2 ** self.nu
-
-    @property
-    def points(self) -> tuple:
-        return tuple(Fraction(v, self.denominator) for v in self.numerators.tolist())
 
     @property
     def mean_phase_over_2pi(self) -> Fraction:

@@ -9,14 +9,14 @@ Reports are mostly tables: lists of rows of one width that hold only
 table, in both formats, is written by one printf-style row template
 applied to all of its values at once (``_rows``).  In CSV, ``%.17g`` and
 ``%d`` give the same text as ``format(x, ".17g")`` and ``str``.  In JSON,
-the template holds ``%r`` fields and the padding of the depth the table
-sits at; ``%r`` gives the stock encoder's text for every int and finite
-float, and the small envelope around the tables goes through the stock
-``indent=2, sort_keys=True`` encoder, so the result is the text that
-encoder gives for the whole payload.  Tables with ragged rows, with rows
-holding anything else (bools, strings, None, numpy scalars) or with a
-nan or infinity (``%r`` writes ``nan``/``inf``, JSON ``NaN``/``Infinity``)
-stay with the stock encoder as ordinary values.
+one recursive pass (``_encode``) writes every report as the stock
+``indent=2, sort_keys=True`` encoder would; only tables take the row
+template, which holds ``%r`` fields and the padding of the depth the table
+sits at (``%r`` gives the stock encoder's text for every int and finite
+float).  Tables with ragged rows, with rows holding anything else (bools,
+strings, None, numpy scalars) or with a nan or infinity (``%r`` writes
+``nan``/``inf``, JSON ``NaN``/``Infinity``) are written like any other
+list.
 """
 
 from __future__ import annotations
@@ -26,15 +26,6 @@ from itertools import chain
 
 _NUMBERS = {int, float}
 _ARRAYS = {list, tuple}
-# A table's place in the envelope holds "\0<index>", which the encoder
-# writes as "\u0000<index>"; every other occurrence of that escape sends
-# the payload back to the stock encoder.
-_MARK = "\0"
-_MARK_TEXT = '"\\u0000'
-
-
-def _stock_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
 
 
 def _is_table(rows) -> bool:
@@ -58,35 +49,37 @@ def _json_table(rows, indent: int) -> str:
     return f"[{_rows(row, rows)[:-1]}\n{' ' * indent}]"
 
 
-def _lift_tables(obj, tables: list, indent: int = 0):
-    """A copy of the payload's dicts and arrays with each table of finite
-    numbers replaced by its mark; the tables' text is appended to ``tables``.
-    ``obj`` starts on a line indented by ``indent``; its members add 2."""
-    kind = type(obj)
-    if kind is dict:
-        return {key: _lift_tables(value, tables, indent + 2) for key, value in obj.items()}
-    if kind in _ARRAYS:
-        if not _is_table(obj):
-            return [_lift_tables(value, tables, indent + 2) for value in obj]
-        text = _json_table(obj, indent)
-        if "n" in text:
-            return obj
-        tables.append(text)
-        return f"{_MARK}{len(tables) - 1}"
-    return obj
+def _encode(obj, indent: int, out: list) -> None:
+    """Append to ``out`` the stock indented text of ``obj``, which starts on
+    a line indented by ``indent`` spaces; its members add 2."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        out.append(json.dumps(obj))
+        return
+    pad = "\n" + " " * (indent + 2)
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("report keys must be str")
+        brackets, items = "{}", [(f"{pad}{json.dumps(key)}: ", obj[key]) for key in sorted(obj)]
+    elif _is_table(obj) and "n" not in (text := _json_table(obj, indent)):
+        out.append(text)
+        return
+    else:
+        brackets, items = "[]", [(pad, item) for item in obj]
+    out.append(brackets[0])
+    for head, value in items:
+        out.append(head)
+        _encode(value, indent + 2, out)
+        out.append(",")
+    out[-1] = f"\n{' ' * indent}{brackets[1]}"
 
 
 def render_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)``
-    and a final newline, with the tables written by row templates."""
-    tables = []
-    head, *marked = _stock_json(_lift_tables(payload, tables)).split(_MARK_TEXT)
-    if len(marked) != len(tables):
-        return _stock_json(payload) + "\n"
-    out = [head]
-    for index, tail in (piece.split('"', 1) for piece in marked):
-        out += [tables[int(index)], tail]
-    return "".join(out + ["\n"])
+    """The stock ``indent=2, sort_keys=True`` JSON text of ``payload`` and a
+    final newline, with the tables written by row templates."""
+    out = []
+    _encode(payload, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def profile_csv(profile) -> str:

@@ -101,6 +101,8 @@ class OrbitSpectrum:
             return
         if self.phases.shape != self.weights.shape:
             raise PreconditionError("phases and weights must have matching shapes")
+        if not np.all(np.isfinite(self.phases)):
+            raise PreconditionError("spectral phases must be finite")
         if np.any(self.weights < 0):
             raise PreconditionError("spectral weights must be nonnegative")
         if not abs(float(self.weights.sum()) - 1.0) <= _WEIGHT_SUM_TOL:

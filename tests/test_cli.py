@@ -445,14 +445,26 @@ def test_cli_reports_match_stock_encoder(args, tmp_path):
     (["complexity", "--period", "16", "--grid", "300"], "readings"),
 ])
 def test_report_tables_take_the_template_path(args, table, tmp_path, monkeypatch):
-    # the stock encoder gives the same bytes, so only this shows a fallback
-    payloads = []
-    render = reports.render_json
+    # the stock encoder gives the same bytes, so only this shows a table
+    # written value by value
+    payloads, templated = [], []
+    render, template = reports.render_json, reports._json_table
+
+    def spy(rows, indent):
+        templated.append((rows, template(rows, indent)))
+        return templated[-1][1]
+
     monkeypatch.setattr(reports, "render_json", lambda p: payloads.append(p) or render(p))
+    monkeypatch.setattr(reports, "_json_table", spy)
     run_cli(args, tmp_path)
-    tables = []
-    lifted = reports._lift_tables(payloads[0], tables)
-    assert lifted[table] == reports._MARK + "0" and len(tables) == 1
+    assert sum(rows is payloads[0][table] and "n" not in text for rows, text in templated) == 1
+
+
+@pytest.mark.parametrize("payload", [{1: 2}, {"a": [{"b": 0, None: 0}]}, {"a": {1.5: [1]}}])
+def test_render_json_refuses_keys_that_are_not_str(payload):
+    # the stock encoder would write these keys as strings
+    with pytest.raises(TypeError, match="report keys must be str"):
+        reports.render_json(payload)
 
 
 FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))

@@ -1,4 +1,4 @@
-"""Smoke runs of every demo."""
+"""Smoke runs of every demo, with every warning an error."""
 
 import os
 import subprocess
@@ -13,6 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / demo)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

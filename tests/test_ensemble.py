@@ -119,8 +119,9 @@ def test_uniform_sample_scaled_moments():
 
 
 def test_ysample_validates_range():
-    with pytest.raises(PreconditionError):
-        YSample(p=4, y=np.array([0.5, 0.0, 0.0, 0.0]))
+    for y in ([0.5, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -np.inf]):
+        with pytest.raises(PreconditionError, match="must lie in"):
+            YSample(p=4, y=np.array(y))
 
 
 @pytest.mark.parametrize("p", [8, 64, 256])

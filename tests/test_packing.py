@@ -20,7 +20,7 @@ def instance(packed, n, m):
 def test_size_zero_anchor_is_phase_zero():
     packed = pack_spectrum(0)
     inst = instance(packed, 0, 0)
-    assert inst.points == (Fraction(0),)
+    assert [Fraction(v, inst.denominator) for v in inst.numerators.tolist()] == [0]
     assert inst.mean_phase_over_2pi == 0
 
 
@@ -28,7 +28,8 @@ def test_congruence_holds_for_every_point():
     packed = pack_spectrum(3)
     for inst in packed.instances:
         denom = 2 ** (inst.n + packed.nu_exponents[inst.n])
-        for k, x in enumerate(inst.points):
+        for k, v in enumerate(inst.numerators.tolist()):
+            x = Fraction(v, inst.denominator)
             expected = (Fraction(inst.m, denom) + Fraction(k, 2 ** inst.nu)) % 1
             assert x - int(x) == expected
 
@@ -48,7 +49,7 @@ def test_numerators_match_a_fraction_reference(n_max, nu):
         parity += sum(int(x) % 2 == k % 2 for k, x in enumerate(ref))
         assert np.shares_memory(inst.numerators, packed.values)
         assert inst.denominator == packed.denominator
-        assert inst.points == ref
+        assert tuple(Fraction(v, inst.denominator) for v in inst.numerators.tolist()) == ref
         assert inst.mean_phase_over_2pi == sum(ref, Fraction(0)) / inst.period
         expected = 2.0 * np.pi * np.array([float(x) for x in ref])
         assert inst.spectrum().phases.tobytes() == expected.tobytes()
@@ -90,7 +91,8 @@ def test_generic_instances_keep_index_parity():
     # instances without collisions follow the interval parity rule exactly
     packed = pack_spectrum(3)
     inst = instance(packed, 3, 3)  # m not divisible by 4: collision-free
-    assert all(int(x) == k % 2 for k, x in enumerate(inst.points))
+    assert all(int(Fraction(v, inst.denominator)) == k % 2
+               for k, v in enumerate(inst.numerators.tolist()))
 
 
 def test_parity_compliance_reported():

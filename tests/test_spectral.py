@@ -250,10 +250,14 @@ def test_profile_refuses_indices_that_are_not_consecutive(indices):
                          captured=float(np.sum(np.abs(amplitudes) ** 2)), period=None)
 
 
-def test_spectrum_refuses_nan_weights():
+def test_spectrum_refuses_non_finite_phases_and_weights():
     for weights in ([np.nan], [np.inf], [0.5, np.nan]):
         with pytest.raises(PreconditionError, match="sum to 1"):
             OrbitSpectrum(phases=np.zeros(len(weights)), weights=weights, period=len(weights))
+    for phases in ([np.nan], [np.inf], [0.0, -np.inf]):
+        with pytest.raises(PreconditionError, match="phases must be finite"):
+            OrbitSpectrum(phases=phases, weights=np.full(len(phases), 1 / len(phases)),
+                          period=len(phases))
 
 
 def test_profile_refuses_a_nan_capture():
