@@ -10,28 +10,25 @@ evolution-cost gauge (complexity), and shared-orbit obstruction
 certificates (schrodinger).
 
 This namespace exports what the command line, the demos and the
-benchmark call.  Helpers used only inside their own module
+benchmark call or name.  Helpers used only inside their own module
 (``measure.majority_error_bound``, ``schrodinger.kinetic_form``,
-``complexity.APERIODIC_MEAN_ABS_PHASE``) are imported from that module.
+``complexity.APERIODIC_MEAN_ABS_PHASE``) and result types that callers
+receive but never name (``cycle.CycleReport``, ``measure.RunReport``) are
+imported from that module.
 """
 
-from .complexity import BoundReport, check_lower_bound, complexity, zero_count
-from .cycle import (CycleReport, LabeledCycle, alpha_for_period, build_alpha_cycle,
-                    centered_window, cycle_result, verify_cycle)
-from .ensemble import (DENSITIES, ContinuousNu, DensitySpec, StatsReport, StatsRow,
-                       YSample, continuous_nu, get_density, nu_from_y, moment_experiment)
+from .complexity import check_lower_bound, complexity, zero_count
+from .cycle import alpha_for_period, build_alpha_cycle, centered_window, cycle_result, verify_cycle
+from .ensemble import (DENSITIES, DensitySpec, YSample, continuous_nu, get_density, nu_from_y,
+                       moment_experiment)
 from .errors import (CapacityError, ConsistencyError, HalfcycleError,
                      MachineSpecError, PreconditionError)
-from .machine import (Configuration, TMSpec, Trace, initial_config, load_machine, run,
-                      tape_content)
-from .measure import (BatchSummary, HaltingVerdict, RunReport, halting_demo,
-                      repeat_error_free, run_error_bounded, run_error_free)
-from .packing import PackedInstance, PackedSpectra, pack_spectrum
-from .schrodinger import (GridFunctionSet, ObstructionAbsence, ObstructionCertificate,
-                          chirped_pair, identical_pair, make_grid_set,
-                          obstruction_certificate, read_grid_functions)
-from .spectral import (AmplitudeProfile, OrbitSpectrum, aperiodic_spectrum,
-                       halfstep_profile_aperiodic, halfstep_profile_periodic,
-                       minimal_periodic_spectrum, nu_of, overlap_at)
+from .machine import initial_config, load_machine, run, tape_content
+from .measure import halting_demo, repeat_error_free, run_error_bounded, run_error_free
+from .packing import PackedSpectra, pack_spectrum
+from .schrodinger import (chirped_pair, identical_pair, make_grid_set, obstruction_certificate,
+                          read_grid_functions)
+from .spectral import (AmplitudeProfile, aperiodic_spectrum, halfstep_profile_aperiodic,
+                       halfstep_profile_periodic, minimal_periodic_spectrum, nu_of, overlap_at)
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ violation exits 2 with an ``error:`` line before anything is built.
 from __future__ import annotations
 
 import argparse
+import os
 import secrets
 import sys
 
@@ -54,22 +55,40 @@ def _int_list(text: str, flag: str) -> list:
             f"{flag} {text!r} is not a comma-separated list of integers") from None
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
+def _emit(out_path, writer, *args) -> None:
+    """Write one report, ``writer(*args, write)``, to ``out_path`` or, with
+    no path, to stdout.  A regular file is written whole or not at all: the
+    report goes to a new file beside it, which replaces it once written and
+    is removed if writing fails, so a failed run leaves the old file as it
+    was.  Other paths (a pipe, ``/dev/null``) are written in place."""
+    if not out_path:
+        writer(*args, sys.stdout.write)
+        return
+    if os.path.exists(out_path) and not os.path.isfile(out_path):
         with open(out_path, "w", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+            writer(*args, handle.write)
+        return
+    target = os.path.realpath(out_path)
+    # mode "x", not tempfile.mkstemp, so the report keeps the umask's mode
+    temp = f"{target}.{secrets.token_hex(8)}.tmp"
+    try:
+        with open(temp, "x", newline="") as handle:
+            writer(*args, handle.write)
+        os.replace(temp, target)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise
 
 
-def _envelope(config: dict, body: dict) -> str:
-    """The JSON report: ``config`` without its None values, then ``body``.
+def _emit_json(config: dict, body: dict, out_path) -> None:
+    """Emit the JSON report: ``config`` without its None values, then ``body``.
     Every config carries ``input_word`` and ``out_format`` ("" and "json"
     unless the command sets them).  The output path stays out, so reruns
     to different files are byte-identical."""
     config = {"input_word": "", "out_format": "json", **config}
-    return reports.render_json(
-        {"config": {k: v for k, v in config.items() if v is not None}, **body})
+    _emit(out_path, reports.write_json,
+          {"config": {k: v for k, v in config.items() if v is not None}, **body})
 
 
 def cmd_profile(args) -> int:
@@ -83,17 +102,17 @@ def cmd_profile(args) -> int:
         profile = halfstep_profile_aperiodic(args.K)
         peak = 1
     if args.format == "csv":
-        _emit(reports.profile_csv(profile), args.out)
+        _emit(args.out, reports.profile_csv, profile)
     else:
         peak_amp = profile.amplitudes[profile.positions([peak])[0]]
         body = {
             "captured": profile.captured,
             "peak_index": peak,
             "peak_abs": float(abs(peak_amp)),
-            "amplitudes": list(zip(profile.indices, profile.amplitudes.real.tolist(),
-                                   profile.amplitudes.imag.tolist())),
+            "amplitudes": reports.Table(profile.indices, profile.amplitudes.real,
+                                        profile.amplitudes.imag),
         }
-        _emit(_envelope(config, body), args.out)
+        _emit_json(config, body, args.out)
     return 0
 
 
@@ -103,14 +122,14 @@ def cmd_cycle(args) -> int:
     spec = load_machine(args.machine)
     trace = run(spec, initial_config(spec, args.input), args.budget)
     if not trace.halted:
-        _emit(_envelope(config, {"halted": False, "budget_exceeded": True}), args.out)
+        _emit_json(config, {"halted": False, "budget_exceeded": True}, args.out)
         return 1
     cyc = build_alpha_cycle(trace, args.alpha, source=f"{spec.name}({args.input})")
     report = verify_cycle(cyc)
     body = {"halted": True, "cycle": cyc.to_dict(),
             "verified": report.ok, "violations": list(report.violations),
             "checks": list(report.checks)}
-    _emit(_envelope(config, body), args.out)
+    _emit_json(config, body, args.out)
     return 0 if report.ok else 1
 
 
@@ -124,7 +143,7 @@ def cmd_instant(args) -> int:
     verdict = halting_demo(spec, initial_config(spec, args.input), args.budget,
                            args.K, args.alpha, rng, majority_m=args.majority,
                            max_trials=args.trials)
-    _emit(_envelope(config, {"verdict": verdict.to_dict()}), args.out)
+    _emit_json(config, {"verdict": verdict.to_dict()}, args.out)
     return 1 if verdict.report.inconclusive else 0
 
 
@@ -137,9 +156,9 @@ def cmd_stats(args) -> int:
     rng = _rng_for(seed, "stats")
     report = moment_experiment(p_list, density, args.trials, rng)
     if args.format == "csv":
-        _emit(reports.stats_csv(report), args.out)
+        _emit(args.out, reports.stats_csv, report)
     else:
-        _emit(_envelope(config, {"stats": report.to_dict(), "diagnostics": report.diagnostics}),
+        _emit_json(config, {"stats": report.to_dict(), "diagnostics": report.diagnostics},
               args.out)
     return 0
 
@@ -149,7 +168,7 @@ def cmd_pack(args) -> int:
     nu = _int_list(args.nu, "--nu") if args.nu else None
     packed = pack_spectrum(args.n, nu)
     body = packed.to_dict()
-    _emit(_envelope(config, {"pack": body, "diagnostics": packed.diagnostics}), args.out)
+    _emit_json(config, {"pack": body, "diagnostics": packed.diagnostics}, args.out)
     return 0 if body["disjoint"] and body["energy_bound_ok"] and body["grid_ok"] else 1
 
 
@@ -162,7 +181,7 @@ def cmd_schrodinger(args) -> int:
     else:
         gset = chirped_pair(grid_points=args.grid)
     result = obstruction_certificate(gset)
-    _emit(_envelope(config, {"obstruction": result.to_dict()}), args.out)
+    _emit_json(config, {"obstruction": result.to_dict()}, args.out)
     return 0
 
 
@@ -180,16 +199,16 @@ def cmd_complexity(args) -> int:
         # zero_count needs 256 samples; coarser grids get their own scan
         zeros = bound.zero_count if args.grid >= 256 else zero_count(spec, 256)
     if args.format == "csv":
-        _emit(reports.complexity_csv(t_grid, values, phase, zeros), args.out)
+        _emit(args.out, reports.complexity_csv, t_grid, values, phase, zeros)
         return 0 if bound is None or bound.ok else 1
     body = {
         "mean_abs_phase": phase,
         "zero_count": zeros,
         "lower_bound_ok": None if bound is None else bound.ok,
-        "readings": list(zip(t_grid.tolist(), values.tolist())),
+        "readings": reports.Table(t_grid, values),
         "diagnostics": None if bound is None else bound.diagnostics,
     }
-    _emit(_envelope(config, body), args.out)
+    _emit_json(config, body, args.out)
     return 0 if bound is None or bound.ok else 1
 
 

@@ -1,106 +1,109 @@
-"""Deterministic CSV/JSON rendering for experiment outputs.
+"""Deterministic CSV/JSON writers for experiment outputs.
 
 Floats go out with 17 significant digits in CSV (round-trip exact) and via
 repr in JSON; key order is fixed, so identical configurations and seeds
-produce byte-identical files.
+produce byte-identical files.  Each writer hands its text piece by piece
+to ``write``, so no report is held whole in memory.
 
-Reports are mostly tables: lists of rows of one width that hold only
-``int`` and ``float`` values (amplitudes, complexity readings).  Every
-table, in both formats, is written by one printf-style row template
-applied to all of its values at once (``_rows``).  In CSV, ``%.17g`` and
-``%d`` give the same text as ``format(x, ".17g")`` and ``str``.  In JSON,
-one recursive pass (``_encode``) writes every report as the stock
-``indent=2, sort_keys=True`` encoder would; only tables take the row
-template, which holds ``%r`` fields and the padding of the depth the table
-sits at (``%r`` gives the stock encoder's text for every int and finite
-float).  Tables with ragged rows, with rows holding anything else (bools,
-strings, None, numpy scalars) or with a nan or infinity (``%r`` writes
-``nan``/``inf``, JSON ``NaN``/``Infinity``) are written like any other
-list.
+Tables arrive as a ``Table`` of columns.  In both formats one printf-style
+row template formats ``_BLOCK`` rows at a time, each from its own slice of
+every column: ``%.17g`` and ``%d`` give the text of ``format(x, ".17g")``
+and ``str``, and ``%r`` the stock JSON text of every int and finite float
+(its ``nan``/``inf`` are replaced by ``NaN``/``Infinity``).  The rest of a
+JSON report takes one recursive pass (``_encode``) that writes what the
+stock ``indent=2, sort_keys=True`` encoder would.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
 
-_NUMBERS = {int, float}
-_ARRAYS = {list, tuple}
+_BLOCK = 4096
 
 
-def _is_table(rows) -> bool:
-    return (bool(rows) and set(map(type, rows)) <= _ARRAYS and len(set(map(len, rows))) == 1
-            and bool(rows[0]) and set(map(type, chain.from_iterable(rows))) <= _NUMBERS)
+class Table:
+    """Columns of one length (sequences, numpy arrays or ranges of ``int``
+    and ``float``; a CSV column may also hold ``str``), written as rows."""
+
+    def __init__(self, *columns):
+        if len(set(map(len, columns))) != 1:
+            raise ValueError("a table needs columns of one length")
+        self.columns = columns
 
 
-def _rows(template: str, rows) -> str:
-    """``template``, which has one field per value of a row, applied to
-    each row in turn."""
-    values = tuple(chain.from_iterable(rows))
-    return (template * (len(values) // template.count("%"))) % values
+def _rows(template: str, table: Table, write, start: int = 0, stop: int | None = None) -> None:
+    """Write ``template`` (one field per column) applied to rows ``start`` to ``stop``."""
+    width, stop = len(table.columns), len(table.columns[0]) if stop is None else stop
+    for first in range(start, stop, _BLOCK):
+        last = min(first + _BLOCK, stop)
+        values = [None] * (width * (last - first))
+        for i, column in enumerate(table.columns):
+            part = column[first:last]
+            values[i::width] = part.tolist() if hasattr(part, "tolist") else part
+        text = (template * (last - first)) % tuple(values)
+        write(text.replace("nan", "NaN").replace("inf", "Infinity") if "%r" in template else text)
 
 
-def _json_table(rows, indent: int) -> str:
-    """The stock indented text of a table of finite numbers whose opening
+def _json_table(table: Table, indent: int, write) -> None:
+    """Write the stock indented text of ``table``'s rows, whose opening
     bracket sits on a line indented by ``indent`` spaces."""
     row_pad = "\n" + " " * (indent + 2)
-    value_pad = row_pad + "  "
-    row = f"{row_pad}[{value_pad}" + f",{value_pad}".join(["%r"] * len(rows[0])) + f"{row_pad}],"
-    return f"[{_rows(row, rows)[:-1]}\n{' ' * indent}]"
+    fields = f",{row_pad}  ".join(["%r"] * len(table.columns))
+    row = f"{row_pad}[{row_pad}  {fields}{row_pad}]"
+    write("[")
+    _rows(row, table, write, stop=1)
+    _rows("," + row, table, write, start=1)
+    write(f"\n{' ' * indent}]")
 
 
-def _encode(obj, indent: int, out: list) -> None:
-    """Append to ``out`` the stock indented text of ``obj``, which starts on
-    a line indented by ``indent`` spaces; its members add 2."""
+def _encode(obj, indent: int, write) -> None:
+    """Write the stock indented text of ``obj``, which starts on a line
+    indented by ``indent`` spaces; its members add 2."""
+    if isinstance(obj, Table):
+        return _json_table(obj, indent, write) if len(obj.columns[0]) else write("[]")
     if not isinstance(obj, (dict, list, tuple)) or not obj:
-        out.append(json.dumps(obj))
-        return
+        return write(json.dumps(obj))
     pad = "\n" + " " * (indent + 2)
     if isinstance(obj, dict):
         if not all(isinstance(key, str) for key in obj):
             raise TypeError("report keys must be str")
         brackets, items = "{}", [(f"{pad}{json.dumps(key)}: ", obj[key]) for key in sorted(obj)]
-    elif _is_table(obj) and "n" not in (text := _json_table(obj, indent)):
-        out.append(text)
-        return
     else:
         brackets, items = "[]", [(pad, item) for item in obj]
-    out.append(brackets[0])
-    for head, value in items:
-        out.append(head)
-        _encode(value, indent + 2, out)
-        out.append(",")
-    out[-1] = f"\n{' ' * indent}{brackets[1]}"
+    for i, (head, value) in enumerate(items):
+        write(("," if i else brackets[0]) + head)
+        _encode(value, indent + 2, write)
+    write(f"\n{' ' * indent}{brackets[1]}")
+
+
+def write_json(payload: dict, write) -> None:
+    """Write the stock ``indent=2, sort_keys=True`` JSON text of ``payload``, then a newline."""
+    _encode(payload, 0, write)
+    write("\n")
 
 
 def render_json(payload: dict) -> str:
-    """The stock ``indent=2, sort_keys=True`` JSON text of ``payload`` and a
-    final newline, with the tables written by row templates."""
+    """The text ``write_json`` writes for ``payload``."""
     out = []
-    _encode(payload, 0, out)
-    out.append("\n")
+    write_json(payload, out.append)
     return "".join(out)
 
 
-def profile_csv(profile) -> str:
-    rows = zip(profile.indices, profile.amplitudes.real.tolist(),
-               profile.amplitudes.imag.tolist(), profile.probabilities.tolist())
-    return ("index,amplitude_real,amplitude_imag,probability\n"
-            + _rows("%d,%.17g,%.17g,%.17g\n", rows))
+def profile_csv(profile, write) -> None:
+    write("index,amplitude_real,amplitude_imag,probability\n")
+    _rows("%d,%.17g,%.17g,%.17g\n", Table(profile.indices, profile.amplitudes.real,
+                                          profile.amplitudes.imag, profile.probabilities), write)
 
 
-def stats_csv(report) -> str:
-    rows = (
-        (r.p, r.density, r.trials, r.mean, r.stderr, r.var, r.var_times_p, r.cheb_fraction)
-        for r in report.rows
-    )
-    return ("p,density,trials,mean,stderr,var,var_p,chebyshev_fraction\n"
-            + _rows("%d,%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n", rows))
+def stats_csv(report, write) -> None:
+    fields = ("p", "density", "trials", "mean", "stderr", "var", "var_times_p", "cheb_fraction")
+    write("p,density,trials,mean,stderr,var,var_p,chebyshev_fraction\n")
+    _rows("%d,%s,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n",
+          Table(*([getattr(r, name) for r in report.rows] for name in fields)), write)
 
 
-def complexity_csv(t_grid, values, mean_abs_phase: float, zeros: int | None = None) -> str:
-    rows = ((t, mean_abs_phase, v) for t, v in zip(t_grid.tolist(), values.tolist()))
-    text = "t,mean_abs_phase,complexity\n" + _rows("%.17g,%.17g,%.17g\n", rows)
+def complexity_csv(t_grid, values, mean_abs_phase: float, zeros: int | None, write) -> None:
+    write("t,mean_abs_phase,complexity\n")
+    _rows(f"%.17g,{mean_abs_phase:.17g},%.17g\n", Table(t_grid, values), write)
     if zeros is not None:
-        text += f"# overlap_zero_count,{zeros}\n"
-    return text
+        write(f"# overlap_zero_count,{zeros}\n")

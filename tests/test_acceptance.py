@@ -11,6 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 import halfcycle as hc
+from halfcycle.schrodinger import ObstructionAbsence, ObstructionCertificate
+from halfcycle.spectral import OrbitSpectrum
 
 P_RANGE = [2 ** k for k in range(1, 11)]  # 2, 4, ..., 1024
 SEED = 20260810
@@ -27,7 +29,7 @@ def test_criterion_01_closed_form_agreement():
         profile = hc.halfstep_profile_periodic(p)
         spec = hc.minimal_periodic_spectrum(p)
         # an unmarked copy, so overlap_at takes the direct sum, not the closed form
-        summed = hc.OrbitSpectrum(phases=spec.phases, weights=spec.weights, period=p)
+        summed = OrbitSpectrum(phases=spec.phases, weights=spec.weights, period=p)
         direct = hc.overlap_at(summed, np.arange(p) - 0.5)
         worst = max(worst, float(np.max(np.abs(profile.amplitudes - direct))))
     elapsed = time.perf_counter() - start
@@ -165,13 +167,13 @@ def test_criterion_11_distance_lower_bound():
 def test_criterion_12_obstruction_certificate():
     res1 = hc.obstruction_certificate(hc.chirped_pair(1024))
     res2 = hc.obstruction_certificate(hc.chirped_pair(2048))
-    assert isinstance(res1, hc.ObstructionCertificate)
-    assert isinstance(res2, hc.ObstructionCertificate)
+    assert isinstance(res1, ObstructionCertificate)
+    assert isinstance(res2, ObstructionCertificate)
     assert abs(res1.kinetic_mismatch) > res1.tolerance
     drift = abs(res2.kinetic_mismatch - res1.kinetic_mismatch)
     assert drift < 4.0 * res1.spacing ** 2 * abs(res1.kinetic_mismatch)
     control = hc.obstruction_certificate(hc.identical_pair(1024))
-    assert isinstance(control, hc.ObstructionAbsence)
+    assert isinstance(control, ObstructionAbsence)
     print(f"ACCEPTANCE 12 PASS chirped pair certifies (K = {res1.kinetic_mismatch:.4f}, "
           f"grid-doubling drift {drift:.1e}); identical pair yields absence")
 

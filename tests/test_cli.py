@@ -448,16 +448,82 @@ def test_report_tables_take_the_template_path(args, table, tmp_path, monkeypatch
     # the stock encoder gives the same bytes, so only this shows a table
     # written value by value
     payloads, templated = [], []
-    render, template = reports.render_json, reports._json_table
+    write_json, template = reports.write_json, reports._json_table
 
-    def spy(rows, indent):
-        templated.append((rows, template(rows, indent)))
-        return templated[-1][1]
+    def spy(table, indent, write):
+        templated.append(table)
+        template(table, indent, write)
 
-    monkeypatch.setattr(reports, "render_json", lambda p: payloads.append(p) or render(p))
+    monkeypatch.setattr(reports, "write_json", lambda p, w: payloads.append(p) or write_json(p, w))
     monkeypatch.setattr(reports, "_json_table", spy)
     run_cli(args, tmp_path)
-    assert sum(rows is payloads[0][table] and "n" not in text for rows, text in templated) == 1
+    assert isinstance(payloads[0][table], reports.Table)
+    assert [t is payloads[0][table] for t in templated] == [True]
+
+
+def as_rows(obj):
+    """``obj`` with every ``Table`` in it turned into a list of rows."""
+    if isinstance(obj, reports.Table):
+        columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in obj.columns]
+        return [list(row) for row in zip(*columns)]
+    if isinstance(obj, dict):
+        return {key: as_rows(value) for key, value in obj.items()}
+    return [as_rows(item) for item in obj] if isinstance(obj, list) else obj
+
+
+@st.composite
+def tables(draw):
+    n, width = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    column = st.one_of(st.lists(NUMBERS, min_size=n, max_size=n),
+                       st.lists(st.floats(), min_size=n, max_size=n).map(np.array),
+                       st.integers(-2 ** 40, 2 ** 40).map(lambda start: range(start, start + n)))
+    return reports.Table(*(draw(column) for _ in range(width)))
+
+
+TABLE_PAYLOADS = st.recursive(
+    st.one_of(tables(), NUMBERS),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+
+
+@given(st.dictionaries(st.text(max_size=3), TABLE_PAYLOADS, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_tables_render_as_the_stock_encoder_renders_their_rows(payload):
+    expected = json.dumps(as_rows(payload), indent=2, sort_keys=True, allow_nan=True) + "\n"
+    assert reports.render_json(payload) == expected
+
+
+def test_tables_of_many_blocks_render_as_their_rows():
+    n = 2 * reports._BLOCK + 5
+    floats = np.random.default_rng(3).standard_normal(n)
+    floats[[reports._BLOCK, reports._BLOCK + 7, 2 * reports._BLOCK + 1, n - 1]] = (
+        -0.0, math.nan, math.inf, -math.inf)
+    ints = list(range(-n, n, 2))
+    ints[-1] = 2 ** 70
+    payload = {"outer": [{"rows": reports.Table(range(-3, n - 3), floats, ints)}], "n": 1}
+    assert reports.render_json(payload).split("\n") == stock_lines(as_rows(payload))
+    with pytest.raises(ValueError, match="one length"):
+        reports.Table(range(3), [1.0, 2.0])
+
+
+def test_failed_report_leaves_the_old_out_file(tmp_path, monkeypatch):
+    out = tmp_path / "out.json"
+    out.write_bytes(b"old report\n")
+
+    def fails_after_first_write(payload, write):
+        write("{")
+        raise RuntimeError("encoder failed")
+
+    monkeypatch.setattr(reports, "write_json", fails_after_first_write)
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        run_cli(["cycle", "--machine", "incrementer", "--input", "0"], tmp_path)
+    assert out.read_bytes() == b"old report\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["out.json"]
+    monkeypatch.undo()
+    _, payload = run_cli(["cycle", "--machine", "incrementer", "--input", "0"], tmp_path)
+    assert json.loads(payload)["verified"]
+    assert [path.name for path in tmp_path.iterdir()] == ["out.json"]
 
 
 @pytest.mark.parametrize("payload", [{1: 2}, {"a": [{"b": 0, None: 0}]}, {"a": {1.5: [1]}}])
@@ -473,6 +539,12 @@ STATS_ROWS = st.builds(SimpleNamespace, p=st.integers(4, 2 ** 22), density=st.te
                        var_times_p=FLOATS, cheb_fraction=FLOATS)
 
 
+def csv_text(writer, *args) -> str:
+    out = []
+    writer(*args, out.append)
+    return "".join(out)
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_csv_writers_match_per_value_reference(data):
@@ -486,13 +558,13 @@ def test_csv_writers_match_per_value_reference(data):
                               probabilities=np.array(data.draw(floats)))
     rows = zip(profile.indices.tolist(), profile.amplitudes.real.tolist(),
                profile.amplitudes.imag.tolist(), profile.probabilities.tolist())
-    assert reports.profile_csv(profile) == csv_reference(
+    assert csv_text(reports.profile_csv, profile) == csv_reference(
         ["index", "amplitude_real", "amplitude_imag", "probability"], rows)
 
     stats = SimpleNamespace(rows=data.draw(st.lists(STATS_ROWS, max_size=n)))
     rows = [(r.p, r.density, r.trials, r.mean, r.stderr, r.var, r.var_times_p,
              r.cheb_fraction) for r in stats.rows]
-    assert reports.stats_csv(stats) == csv_reference(
+    assert csv_text(reports.stats_csv, stats) == csv_reference(
         ["p", "density", "trials", "mean", "stderr", "var", "var_p", "chebyshev_fraction"],
         rows)
 
@@ -503,4 +575,9 @@ def test_csv_writers_match_per_value_reference(data):
                              [(t, phase, v) for t, v in zip(t_grid, values)])
     if zeros is not None:
         expected += f"# overlap_zero_count,{zeros}\n"
-    assert reports.complexity_csv(t_grid, values, phase, zeros) == expected
+    assert csv_text(reports.complexity_csv, t_grid, values, phase, zeros) == expected
+
+
+def test_stats_csv_without_rows_is_its_header():
+    assert (csv_text(reports.stats_csv, SimpleNamespace(rows=[]))
+            == "p,density,trials,mean,stderr,var,var_p,chebyshev_fraction\n")

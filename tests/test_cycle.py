@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfcycle import (CapacityError, PreconditionError, TMSpec, alpha_for_period,
+from halfcycle import (CapacityError, PreconditionError, alpha_for_period,
                        build_alpha_cycle, centered_window, cycle_result,
                        initial_config, load_machine, run, verify_cycle)
 from halfcycle.cycle import LabeledCycle
-from halfcycle.machine import Configuration, Trace
+from halfcycle.machine import Configuration, TMSpec, Trace
 
 HALTING_MACHINES = {"incrementer": "01", "unary_successor": "1", "parity": "01"}
 WALK_MESSAGES = {"trace did not halt", "trace length differs from s + 1",

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfcycle import (CapacityError, Configuration, MachineSpecError, PreconditionError,
-                       TMSpec, initial_config, load_machine, run, tape_content)
-from halfcycle.machine import DEFAULT_PERIOD_CAP
+from halfcycle import (CapacityError, MachineSpecError, PreconditionError, initial_config,
+                       load_machine, run, tape_content)
+from halfcycle.machine import DEFAULT_PERIOD_CAP, Configuration, TMSpec
 
 BLANK = "_"
 

@@ -105,7 +105,7 @@ def test_error_free_mean_trials_matches_inverse_nu():
     profile = halfstep_profile_periodic(p)
     nu = nu_of(profile, window)
     from halfcycle.cycle import LabeledCycle
-    from halfcycle import TMSpec
+    from halfcycle.machine import TMSpec
     s = window.start
     # waits s - 1 steps on "0", then writes "1" and halts
     states = [f"q{i}" for i in range(s)] + ["done"]

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from halfcycle import (GridFunctionSet, ObstructionAbsence, ObstructionCertificate,
-                       PreconditionError, chirped_pair, identical_pair, make_grid_set,
+from halfcycle import (PreconditionError, chirped_pair, identical_pair, make_grid_set,
                        obstruction_certificate, read_grid_functions)
-from halfcycle.schrodinger import _null_space, kinetic_form
+from halfcycle.schrodinger import (GridFunctionSet, ObstructionAbsence, ObstructionCertificate,
+                                   _null_space, kinetic_form)
 
 
 def write_csv(path, x, f):
