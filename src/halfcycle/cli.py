@@ -6,7 +6,10 @@ sub-stream per subcommand, so rerunning a command with the same arguments
 and seed writes byte-identical output.  Exit code 0 means no check in the
 run reported a violation.  Sizes (periods, K, budgets, trials, grids,
 majority sizes) obey the size rule of ``errors.check_length``; a
-violation exits 2 with an ``error:`` line before anything is built.
+violation exits 2 with an ``error:`` line before anything is built, as
+does an unwritable ``--out``.  Each command runs inside the one
+``errors.recorded_checks``; its JSON report lists what that held under
+``diagnostics``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from . import reports
 from .complexity import check_lower_bound, complexity, mean_abs_phase, zero_count
 from .cycle import build_alpha_cycle, verify_cycle
 from .ensemble import get_density, moment_experiment
-from .errors import HalfcycleError, PreconditionError, check_length
+from .errors import HalfcycleError, PreconditionError, check_length, recorded_checks
 from .machine import initial_config, load_machine, run
 from .measure import halting_demo
 from .packing import pack_spectrum
@@ -60,35 +63,50 @@ def _emit(out_path, writer, *args) -> None:
     no path, to stdout.  A regular file is written whole or not at all: the
     report goes to a new file beside it, which replaces it once written and
     is removed if writing fails, so a failed run leaves the old file as it
-    was.  Other paths (a pipe, ``/dev/null``) are written in place."""
+    was.  Other paths (a pipe, ``/dev/null``) are written in place.  An
+    OSError of the file becomes a PreconditionError that names the path."""
     if not out_path:
         writer(*args, sys.stdout.write)
         return
-    if os.path.exists(out_path) and not os.path.isfile(out_path):
-        with open(out_path, "w", newline="") as handle:
-            writer(*args, handle.write)
-        return
-    target = os.path.realpath(out_path)
-    # mode "x", not tempfile.mkstemp, so the report keeps the umask's mode
-    temp = f"{target}.{secrets.token_hex(8)}.tmp"
     try:
-        with open(temp, "x", newline="") as handle:
-            writer(*args, handle.write)
-        os.replace(temp, target)
-    except BaseException:
-        if os.path.exists(temp):
-            os.remove(temp)
-        raise
+        if os.path.exists(out_path) and not os.path.isfile(out_path):
+            with open(out_path, "w", newline="") as handle:
+                writer(*args, handle.write)
+            return
+        target = os.path.realpath(out_path)
+        # mode "x", not tempfile.mkstemp, so the report keeps the umask's mode
+        temp = f"{target}.{secrets.token_hex(8)}.tmp"
+        try:
+            with open(temp, "x", newline="") as handle:
+                writer(*args, handle.write)
+            os.replace(temp, target)
+        except BaseException:
+            if os.path.exists(temp):
+                os.remove(temp)
+            raise
+    except OSError as exc:
+        raise PreconditionError(
+            f"cannot write report to {out_path!r}: {exc.strerror or exc}") from None
 
 
-def _emit_json(config: dict, body: dict, out_path) -> None:
-    """Emit the JSON report: ``config`` without its None values, then ``body``.
+def _emit_json(args, config: dict, body: dict, **diagnostics) -> None:
+    """Emit the JSON report: ``config`` without its None values, ``body``,
+    and ``diagnostics``, which holds ``checks`` beside the command's own
+    keyword ``diagnostics``.  ``checks`` has one entry per check name that
+    the command's recorder (``args.checks``) held, in the order each first
+    ran: its runs, the points they checked and their largest residual.
     Every config carries ``input_word`` and ``out_format`` ("" and "json"
     unless the command sets them).  The output path stays out, so reruns
     to different files are byte-identical."""
     config = {"input_word": "", "out_format": "json", **config}
-    _emit(out_path, reports.write_json,
-          {"config": {k: v for k, v in config.items() if v is not None}, **body})
+    runs = {}
+    for what, points, residual in args.checks:
+        runs.setdefault(what, []).append((points, residual))
+    checks = [{"check": what, "runs": len(r), "points": sum(n for n, _ in r),
+               "max_residual": max(x for _, x in r)} for what, r in runs.items()]
+    _emit(args.out, reports.write_json,
+          {"config": {k: v for k, v in config.items() if v is not None}, **body,
+           "diagnostics": {"checks": checks, **diagnostics}})
 
 
 def cmd_profile(args) -> int:
@@ -112,7 +130,7 @@ def cmd_profile(args) -> int:
             "amplitudes": reports.Table(profile.indices, profile.amplitudes.real,
                                         profile.amplitudes.imag),
         }
-        _emit_json(config, body, args.out)
+        _emit_json(args, config, body)
     return 0
 
 
@@ -122,14 +140,14 @@ def cmd_cycle(args) -> int:
     spec = load_machine(args.machine)
     trace = run(spec, initial_config(spec, args.input), args.budget)
     if not trace.halted:
-        _emit_json(config, {"halted": False, "budget_exceeded": True}, args.out)
+        _emit_json(args, config, {"halted": False, "budget_exceeded": True})
         return 1
     cyc = build_alpha_cycle(trace, args.alpha, source=f"{spec.name}({args.input})")
     report = verify_cycle(cyc)
     body = {"halted": True, "cycle": cyc.to_dict(),
             "verified": report.ok, "violations": list(report.violations),
             "checks": list(report.checks)}
-    _emit_json(config, body, args.out)
+    _emit_json(args, config, body)
     return 0 if report.ok else 1
 
 
@@ -143,7 +161,7 @@ def cmd_instant(args) -> int:
     verdict = halting_demo(spec, initial_config(spec, args.input), args.budget,
                            args.K, args.alpha, rng, majority_m=args.majority,
                            max_trials=args.trials)
-    _emit_json(config, {"verdict": verdict.to_dict()}, args.out)
+    _emit_json(args, config, {"verdict": verdict.to_dict()})
     return 1 if verdict.report.inconclusive else 0
 
 
@@ -158,8 +176,7 @@ def cmd_stats(args) -> int:
     if args.format == "csv":
         _emit(args.out, reports.stats_csv, report)
     else:
-        _emit_json(config, {"stats": report.to_dict(), "diagnostics": report.diagnostics},
-              args.out)
+        _emit_json(args, config, {"stats": report.to_dict()})
     return 0
 
 
@@ -168,7 +185,7 @@ def cmd_pack(args) -> int:
     nu = _int_list(args.nu, "--nu") if args.nu else None
     packed = pack_spectrum(args.n, nu)
     body = packed.to_dict()
-    _emit_json(config, {"pack": body, "diagnostics": packed.diagnostics}, args.out)
+    _emit_json(args, config, {"pack": body}, solver=packed.diagnostics)
     return 0 if body["disjoint"] and body["energy_bound_ok"] and body["grid_ok"] else 1
 
 
@@ -181,7 +198,7 @@ def cmd_schrodinger(args) -> int:
     else:
         gset = chirped_pair(grid_points=args.grid)
     result = obstruction_certificate(gset)
-    _emit_json(config, {"obstruction": result.to_dict()}, args.out)
+    _emit_json(args, config, {"obstruction": result.to_dict()})
     return 0
 
 
@@ -206,9 +223,9 @@ def cmd_complexity(args) -> int:
         "zero_count": zeros,
         "lower_bound_ok": None if bound is None else bound.ok,
         "readings": reports.Table(t_grid, values),
-        "diagnostics": None if bound is None else bound.diagnostics,
     }
-    _emit_json(config, body, args.out)
+    _emit_json(args, config, body, lower_bound=None if bound is None else {
+        "max_slack_violation": bound.max_slack_violation, "worst_t": bound.worst_t})
     return 0 if bound is None or bound.ok else 1
 
 
@@ -288,7 +305,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with recorded_checks() as args.checks:
+            return args.handler(args)
     except HalfcycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,9 +17,9 @@ the overlap once and reports the bound and the zero crossings along its
 grid; ``zero_count`` is that report on linspace(0, 1, resolution); the
 resolution obeys the size rule of ``errors.check_length``.  On a minimal
 spectrum the scan is the closed form of ``spectral.overlap_at``, which
-costs O(grid) whatever the period, and the report keeps its cross-check
-(points and residual, from ``errors.recorded_checks``) with the largest
-slack of the bound and where it fell, as ``diagnostics``.
+costs O(grid) whatever the period and cross-checks itself by
+``errors.check_residual``; the report keeps the largest slack of the
+bound and where it fell.
 
 Zero rule: a component (Re or Im) with |value| <= 1e-12 counts as zero
 and has no sign; one crossing is counted wherever two consecutive signed
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, check_length, recorded_checks
+from .errors import PreconditionError, check_length
 from .spectral import OrbitSpectrum, overlap_at
 
 APERIODIC_MEAN_ABS_PHASE = float(np.pi)  # uniform phase density on [0, 2pi)
@@ -66,16 +66,6 @@ class BoundReport:
     max_slack_violation: float
     worst_t: float
     zero_count: int
-    check_points: int  # closed-form points cross-checked; 0 on the direct sum
-    check_residual: float | None
-
-    @property
-    def diagnostics(self) -> dict:
-        """How the scan was evaluated and how close it came, for reports."""
-        return {"path": "closed_form" if self.check_points else "direct",
-                "cross_check_points": self.check_points,
-                "cross_check_residual": self.check_residual,
-                "max_slack_violation": self.max_slack_violation, "worst_t": self.worst_t}
 
 
 def check_lower_bound(spec: OrbitSpectrum, t_grid) -> BoundReport:
@@ -85,8 +75,7 @@ def check_lower_bound(spec: OrbitSpectrum, t_grid) -> BoundReport:
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0:
         raise PreconditionError("the time grid needs at least one point")
-    with recorded_checks() as checks:
-        vals = overlap_at(spec, t)
+    vals = overlap_at(spec, t)
     lhs = 2.0 - 2.0 * np.real(vals)
     rhs = 2.0 * t * mean_abs_phase(spec)
     slack = lhs - rhs
@@ -97,15 +86,12 @@ def check_lower_bound(spec: OrbitSpectrum, t_grid) -> BoundReport:
     for comp in (np.real(vals), np.imag(vals)):
         sign = np.sign(comp[np.abs(comp) > _ZERO_FLOOR])
         zeros += int(np.sum(sign[:-1] != sign[1:]))
-    points, residual = checks[0] if checks else (0, None)
     return BoundReport(
         ok=bool(np.all(slack <= tol)),
         n_points=t.size,
         max_slack_violation=float(slack[worst]),
         worst_t=float(t[worst]),
         zero_count=zeros,
-        check_points=points,
-        check_residual=residual,
     )
 
 

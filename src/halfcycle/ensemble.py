@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import alpha_for_period, centered_window
-from .errors import PreconditionError, check_length, check_residual, recorded_checks
+from .errors import PreconditionError, check_length, check_residual
 from .spectral import _halfstep_rows
 
 _CHUNK_ROWS = 4096
@@ -195,7 +195,8 @@ def _window_masses(x, window, basis):
     nus /= p
     nus -= np.einsum("ij,ij->i", outside, outside)
     direct = _direct_window_masses(x[:1] / p, window)[0]
-    check_residual("Parseval window mass vs direct sum", abs(nus[0] - direct), _CHECK_TOL)
+    check_residual(f"Parseval window mass vs direct sum at p={p}", abs(nus[0] - direct),
+                   _CHECK_TOL)
     return nus
 
 
@@ -223,7 +224,6 @@ class StatsReport:
     trials: int
     delta: float
     rows: tuple
-    diagnostics: dict  # per period: how the window masses were evaluated and checked
 
     def var_p_spread(self) -> float:
         vals = [r.var_times_p for r in self.rows if math.isfinite(r.var_times_p)]
@@ -259,19 +259,16 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
     Parseval over the m bins outside the window, one matrix product per
     chunk, whenever p*2m <= 2**22 (every p up to 16384); the first row of
     each such chunk is checked against the FFT to 1e-12.  Larger periods
-    take one FFT per row.  ``diagnostics`` gives, per period, the path
-    ("parseval" or "fft"), the rows checked against the FFT and the
-    largest residual among them (None when no row was checked), read from
-    one ``errors.recorded_checks`` per period.  The trial count and every
-    period (even, at least 4) are checked before anything is drawn, and an
-    empty list raises PreconditionError.
+    take one FFT per row, the reference, with nothing to check it against.
+    The trial count and every period (even, at least 4) are checked before
+    anything is drawn, and an empty list raises PreconditionError.
     """
     check_length("trials", trials)
     if not p_list:
         raise PreconditionError("need at least one period")
     for p in p_list:
         check_length("period", p, 4, even=True)
-    rows, checks = [], []
+    rows = []
     for p in p_list:
         alpha = alpha_for_period(p)
         window = centered_window(p, alpha)
@@ -279,15 +276,11 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
         basis = _complement_basis(p, window)
         nus = np.empty(trials)
         done = 0
-        with recorded_checks() as recorded:
-            for stream in rng.spawn(math.ceil(trials / chunk)):
-                count = min(chunk, trials - done)
-                nus[done:done + count] = _window_masses(
-                    density.sample(stream, (count, p)), window, basis)
-                done += count
-        checks.append({"p": p, "path": "fft" if basis is None else "parseval",
-                      "checked_rows": len(recorded),
-                      "max_residual": max((r for _, r in recorded), default=None)})
+        for stream in rng.spawn(math.ceil(trials / chunk)):
+            count = min(chunk, trials - done)
+            nus[done:done + count] = _window_masses(
+                density.sample(stream, (count, p)), window, basis)
+            done += count
         mean = float(np.mean(nus))
         var = float(np.var(nus, ddof=1)) if trials > 1 else float("nan")
         std = math.sqrt(var)
@@ -301,8 +294,7 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
             var=var, var_times_p=var * p, cheb_fraction=cheb_fraction,
             cheb_c=cheb_c, target_mean=alpha * density.m2,
         ))
-    return StatsReport(density=density.name, trials=trials, delta=_DELTA, rows=tuple(rows),
-                       diagnostics={"periods": checks})
+    return StatsReport(density=density.name, trials=trials, delta=_DELTA, rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -339,5 +331,6 @@ def continuous_nu(cells: int, density: DensitySpec, rng) -> ContinuousNu:
     amps = _halfstep_rows(y)[j % cells] * sinc
     direct = float(np.sum(np.abs(amps) ** 2))
     parseval = float(np.mean(y * y))
-    check_residual("truncated sum vs its Parseval bound", direct - parseval, _BESSEL_TOL)
+    check_residual(f"truncated sum vs its Parseval bound at {cells} cells", direct - parseval,
+                   _BESSEL_TOL)
     return ContinuousNu(direct=direct, parseval=parseval, cells=cells)

@@ -9,7 +9,8 @@ its minimum it raises PreconditionError, above its cap CapacityError.
 Every cross-check of a closed form against an independent evaluation
 goes through :func:`check_residual`, which raises ConsistencyError on a
 residual above its tolerance or NaN and records the others in the
-innermost open :func:`recorded_checks`.
+innermost open :func:`recorded_checks`; in the package only the command line
+opens one.
 """
 
 import contextlib
@@ -56,21 +57,22 @@ def check_length(name: str, n: int, minimum: int = 1, *, even: bool = False,
 def check_residual(what: str, residual: float, tol: float, points: int = 1) -> float:
     """The self-check rule: ``residual`` of the check ``what`` over
     ``points`` points is at most ``tol``, else ConsistencyError (so NaN
-    fails); (points, residual) goes to the innermost open
-    ``recorded_checks``.  Returns the residual as a float."""
+    fails); (what, points, residual) goes to the innermost open
+    ``recorded_checks``.  ``what`` names the size checked, where there is
+    one.  Returns the residual as a float."""
     residual = float(residual)
     if not residual <= tol:
         raise ConsistencyError(f"{what}: residual {residual!r} exceeds tolerance {tol!r}")
     checks = _CHECKS.get()
     if checks is not None:
-        checks.append((points, residual))
+        checks.append((what, points, residual))
     return residual
 
 
 @contextlib.contextmanager
 def recorded_checks():
     """Yield a list to which every ``check_residual`` in this context,
-    and in no inner one, appends (points, residual)."""
+    and in no inner one, appends (what, points, residual)."""
     checks = []
     token = _CHECKS.set(checks)
     try:

@@ -272,9 +272,8 @@ def halting_demo(spec, config, budget: int, K: int, alpha, rng,
         return HaltingVerdict(halts=(z == 0), value=v if z == 0 else None,
                               budget=budget, report=report)
     profile = halfstep_profile_aperiodic(K)
-    window = range(-K + 1, K + 1)  # z != 0 everywhere: every index is a valid no-result
-    report = run_error_bounded(
-        profile, window, lambda j: (1, ""), majority_m, rng, max_trials=max_trials,
+    report = run_error_bounded(  # z != 0 everywhere: every index is a valid no-result
+        profile, profile.indices, lambda j: (1, ""), majority_m, rng, max_trials=max_trials,
     )
     return HaltingVerdict(halts=False, value=None, budget=budget, report=report)
 

@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, file output, seeded determinism."""
 
+import errno
 import functools
 import importlib
 import json
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import halfcycle
 from halfcycle import (halfstep_profile_aperiodic, halfstep_profile_periodic, overlap_at,
-                       reports)
+                       reports, spectral)
 from halfcycle.cli import main
 from halfcycle.spectral import OrbitSpectrum
 
@@ -161,14 +162,16 @@ def test_stats_single_trial_flagged_not_crashed(tmp_path):
 
 
 def test_stats_diagnostics_beside_the_report(tmp_path):
-    code, payload = run_cli(
-        ["stats", "--p", "64,32768", "--trials", "5000", "--seed", "9"], tmp_path)
+    code, payload = run_cli(["stats", "--p", "64", "--trials", "5000", "--seed", "9"], tmp_path)
     assert code == 0
-    small, large = json.loads(payload)["diagnostics"]["periods"]
     # 5000 trials at p = 64 are two chunks, each with its first row checked
-    assert (small["p"], small["path"], small["checked_rows"]) == (64, "parseval", 2)
-    assert 0.0 <= small["max_residual"] <= 1e-12
-    assert large == {"p": 32768, "path": "fft", "checked_rows": 0, "max_residual": None}
+    check, = json.loads(payload)["diagnostics"]["checks"]
+    assert (check["check"], check["runs"], check["points"]) == (
+        "Parseval window mass vs direct sum at p=64", 2, 2)
+    assert 0.0 <= check["max_residual"] <= 1e-12
+    # past the basis bound every row takes the FFT, the reference: nothing to check
+    code, payload = run_cli(["stats", "--p", "32768", "--trials", "3", "--seed", "9"], tmp_path)
+    assert code == 0 and json.loads(payload)["diagnostics"] == {"checks": []}
 
 
 def test_stats_unknown_density(capsys):
@@ -183,8 +186,8 @@ def test_pack_command(tmp_path):
     data = report["pack"]
     assert data["disjoint"] and data["energy_bound_ok"] and data["grid_ok"]
     # the solver's figures sit beside the report body, not inside it
-    assert report["diagnostics"] == {"path": "lp+restricted", "objective": -15,
-                                     "lp_bound": -15, "gap": 0.0, "nodes": 0}
+    assert report["diagnostics"] == {"checks": [], "solver": {
+        "path": "lp+restricted", "objective": -15, "lp_bound": -15, "gap": 0.0, "nodes": 0}}
 
 
 def test_schrodinger_builtin_pair(tmp_path):
@@ -204,12 +207,13 @@ def test_complexity_command(tmp_path):
     data = json.loads(payload)
     assert data["lower_bound_ok"] is True
     assert abs(data["mean_abs_phase"] - 7 * 3.141592653589793 / 4) < 1e-9
-    diagnostics = data["diagnostics"]
-    assert diagnostics["path"] == "closed_form" and diagnostics["cross_check_points"] == 512
-    assert 0.0 <= diagnostics["cross_check_residual"] < 1e-14
-    assert diagnostics["max_slack_violation"] <= 0.0 <= diagnostics["worst_t"] <= 1.0
+    (check,), bound = data["diagnostics"]["checks"], data["diagnostics"]["lower_bound"]
+    assert (check["check"], check["runs"], check["points"]) == (
+        "overlap closed form vs direct sum at p=4", 1, 512)
+    assert 0.0 <= check["max_residual"] < 1e-14
+    assert bound["max_slack_violation"] <= 0.0 <= bound["worst_t"] <= 1.0
     code, payload = run_cli(["complexity", "--aperiodic", "--grid", "50"], tmp_path)
-    assert code == 0 and json.loads(payload)["diagnostics"] is None
+    assert code == 0 and json.loads(payload)["diagnostics"] == {"checks": [], "lower_bound": None}
 
 
 def test_complexity_cost_does_not_grow_with_the_period(tmp_path):
@@ -224,7 +228,7 @@ def test_complexity_cost_does_not_grow_with_the_period(tmp_path):
             code, payload = run_cli(["complexity", "--period", period, "--grid", grid], tmp_path)
             times.append(time.perf_counter() - start)
             data = json.loads(payload)
-            assert code == 0 and data["diagnostics"]["cross_check_points"] == 1
+            assert code == 0 and data["diagnostics"]["checks"][0]["points"] == 1
         assert min(times) < limit
 
 
@@ -524,6 +528,84 @@ def test_failed_report_leaves_the_old_out_file(tmp_path, monkeypatch):
     _, payload = run_cli(["cycle", "--machine", "incrementer", "--input", "0"], tmp_path)
     assert json.loads(payload)["verified"]
     assert [path.name for path in tmp_path.iterdir()] == ["out.json"]
+
+
+@pytest.mark.parametrize("target, reason", [("nodir/x.json", "No such file or directory"),
+                                            ("outdir", "Is a directory")])
+def test_unwritable_out_is_an_error_line(target, reason, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    assert main(["profile", "--period", "4", "--out", target]) == 2
+    assert capsys.readouterr().err == f"error: cannot write report to {target!r}: {reason}\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["outdir"]
+    assert list((tmp_path / "outdir").iterdir()) == []
+
+
+@pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, "No space left on device"),
+                                     KeyboardInterrupt()], ids=["oserror", "interrupt"])
+def test_failed_write_leaves_the_old_out_file(failure, tmp_path, monkeypatch, capsys):
+    # an OSError of the sink is an error line; an interrupt goes on up
+    out = tmp_path / "out.json"
+    out.write_bytes(b"old report\n")
+
+    def fails_after_first_write(payload, write):
+        write("{")
+        raise failure
+
+    monkeypatch.setattr(reports, "write_json", fails_after_first_write)
+    argv = ["cycle", "--machine", "incrementer", "--input", "0"]
+    if isinstance(failure, OSError):
+        assert run_cli(argv, tmp_path)[0] == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write report to {str(out)!r}: No space left on device\n")
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(argv, tmp_path)
+    assert out.read_bytes() == b"old report\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["out.json"]
+
+
+def profile_checks(p):
+    return {f"profile closed form vs direct sum at p={p}": (1, p),
+            f"minimal profile capture vs 1 at p={p}": (1, 1)}
+
+
+# every JSON subcommand: its arguments and its checks, {name: (runs, points)}
+JSON_REPORTS = {
+    "profile": (["profile", "--period", "64"], profile_checks(64)),
+    "cycle": (["cycle", "--machine", "incrementer", "--input", "0"], {}),
+    "instant": (["instant", "--machine", "incrementer", "--input", "1"], profile_checks(32)),
+    "stats": (["stats", "--p", "64", "--trials", "100"],
+              {"Parseval window mass vs direct sum at p=64": (1, 1)}),
+    "pack": (["pack", "--n", "3"], {}),
+    "schrodinger": (["schrodinger", "--grid", "64"], {}),
+    # the second run is the 256-point zero scan of a grid below 256 points
+    "complexity": (["complexity", "--period", "16", "--grid", "100"],
+                   {"overlap closed form vs direct sum at p=16": (2, 100 + 256)}),
+}
+
+
+@pytest.mark.parametrize("argv, expected", JSON_REPORTS.values(), ids=JSON_REPORTS.keys())
+def test_every_json_report_lists_the_checks_of_its_command(argv, expected, tmp_path):
+    code, payload = run_cli(argv + ["--seed", "3"], tmp_path)
+    assert code == 0
+    checks = json.loads(payload)["diagnostics"]["checks"]
+    assert isinstance(checks, list)
+    for entry in checks:
+        assert set(entry) == {"check", "runs", "points", "max_residual"}
+        assert entry["runs"] >= 1 and 0.0 <= entry["max_residual"] < math.inf
+    names = [entry["check"] for entry in checks]
+    assert len(set(names)) == len(names)
+    assert {entry["check"]: (entry["runs"], entry["points"]) for entry in checks} == expected
+
+
+def test_a_failed_check_is_an_error_line_and_writes_no_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "_PROFILE_TOL", -1.0)
+    out = tmp_path / "out.json"
+    assert main(["profile", "--period", "64", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: profile closed form vs direct sum at p=64: residual ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("payload", [{1: 2}, {"a": [{"b": 0, None: 0}]}, {"a": {1.5: [1]}}])

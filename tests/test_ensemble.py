@@ -235,7 +235,8 @@ def test_parseval_window_masses_match_direct_sums(p, name):
     with recorded_checks() as checks:
         nus = ensemble._window_masses(x, window, basis)
     assert np.max(np.abs(nus - direct)) <= 1e-12
-    (points, residual), = checks
+    (what, points, residual), = checks
+    assert what == f"Parseval window mass vs direct sum at p={p}"
     assert points == 1 and 0.0 <= residual <= 1e-12
 
 
@@ -256,17 +257,18 @@ def test_moment_experiment_paths_agree_with_direct_sums(monkeypatch):
 
     monkeypatch.setattr(ensemble, "_halfstep_rows", counted)
     density = DensitySpec("recorded", uniform.m2, uniform.m4, recorded)
-    report = moment_experiment([16384, 32768], density, 3, np.random.default_rng(0))
+    with recorded_checks() as checks:
+        report = moment_experiment([16384, 32768], density, 3, np.random.default_rng(0))
     assert fft_shapes == [(1, 16384), (3, 32768)]
     for row, y in zip(report.rows, draws):
         window = centered_window(row.p, alpha_for_period(row.p))
         assert (ensemble._complement_basis(row.p, window) is None) == (row.p == 32768)
         direct = [nu_from_y(YSample(p=row.p, y=r / row.p), window) for r in y]
         assert row.mean == pytest.approx(np.mean(direct), abs=1e-12)
-    parseval, fft = report.diagnostics["periods"]
-    assert parseval["path"] == "parseval" and parseval["checked_rows"] == 1
-    assert 0.0 <= parseval["max_residual"] <= 1e-12
-    assert fft == {"p": 32768, "path": "fft", "checked_rows": 0, "max_residual": None}
+    # one checked row at p = 16384; the FFT path is the reference and checks nothing
+    (what, points, residual), = checks
+    assert (what, points) == ("Parseval window mass vs direct sum at p=16384", 1)
+    assert 0.0 <= residual <= 1e-12
 
 
 def test_unscaled_window_masses_match_scaled_bits_at_power_of_two_periods():
@@ -349,7 +351,8 @@ def test_continuous_nu_records_its_bessel_check(monkeypatch):
     y = np.random.default_rng(32).uniform(-1.0, 1.0, 64)
     with recorded_checks() as checks:
         res = continuous_nu(64, fixed(y), np.random.default_rng(0))
-    assert checks == [(1, res.direct - res.parseval)] and checks[0][1] < 0.0
+    assert checks == [("truncated sum vs its Parseval bound at 64 cells", 1,
+                       res.direct - res.parseval)] and checks[0][2] < 0.0
     monkeypatch.setattr(ensemble, "_halfstep_rows", nan_rows)
     with pytest.raises(ConsistencyError, match="Parseval bound"):
         continuous_nu(64, fixed(y), np.random.default_rng(0))

@@ -389,13 +389,14 @@ def test_closed_form_checks_one_block_of_interior_points(monkeypatch):
     spec = minimal_periodic_spectrum(1024)
     with recorded_checks() as checks:
         overlap_at(spec, np.linspace(0.0, 1.0, 10_000))
-    (points, residual), = checks
+    (what, points, residual), = checks
+    assert what == "overlap closed form vs direct sum at p=1024"
     assert points == 64 == checked[0].size and 0.0 <= residual < 1e-14
     assert 0.0 < checked[0].min() and checked[0].max() < 1.0
     with recorded_checks() as checks:
         overlap_at(minimal_periodic_spectrum(2 ** 20), [0.5, 0.25])
         overlap_at(direct(spec), [0.5, 0.25])
-    assert [points for points, _ in checks] == [1]
+    assert [points for _, points, _ in checks] == [1]
     assert overlap_at(spec, []).shape == (0,)
 
 
@@ -416,8 +417,8 @@ def test_check_residual_fails_on_nan_and_records_into_the_innermost_recorder():
         for bad in (np.nan, 1.5, np.inf):
             with pytest.raises(ConsistencyError, match="b: residual"):
                 check_residual("b", bad, 1.0)
-    assert outer == [(3, 0.5)] and inner == [(1, 1.0)]
-    assert type(outer[0][1]) is float
+    assert outer == [("a", 3, 0.5)] and inner == [("b", 1, 1.0)]
+    assert type(outer[0][2]) is float
     check_residual("c", 0.0, 0.0)  # no recorder open: nothing to record
 
 
@@ -458,8 +459,9 @@ def test_nan_profile_capture_raises(monkeypatch):
 def test_profile_records_its_two_checks():
     with recorded_checks() as checks:
         halfstep_profile_periodic(64)
-    (points, fft), (one, capture) = checks
-    assert (points, one) == (64, 1)
+    (fft_name, points, fft), (capture_name, one, capture) = checks
+    assert fft_name == "profile closed form vs direct sum at p=64" and points == 64
+    assert capture_name == "minimal profile capture vs 1 at p=64" and one == 1
     assert 0.0 <= fft <= 1e-10 and 0.0 <= capture <= 1e-10
 
 
