@@ -30,22 +30,31 @@ _NORM_TOL = 1e-10
 _HALF_WIDTH = 8.0  # the shipped pairs live on [-8, 8]; exp(-x^2/2) < 1e-13 at its ends
 
 
+def _uniform_grid(x) -> np.ndarray:
+    """``x`` as a float array, checked before any norm is taken: one
+    dimension, at least two points, strictly increasing and uniform."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise PreconditionError("grid must be one-dimensional with at least two points")
+    spacings = np.diff(x)
+    if not spacings[0] > 0:  # with uniform spacing, every step is then positive
+        raise PreconditionError("grid must be strictly increasing")
+    if not np.allclose(spacings, spacings[0], rtol=1e-9, atol=0.0):
+        raise PreconditionError("grid must be uniform")
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunctionSet:
-    """Complex functions sampled on one uniform grid, each of unit
-    discrete norm sum(|f|^2)*h = 1 (a NaN norm is refused)."""
+    """Complex functions sampled on one strictly increasing uniform grid,
+    each of unit discrete norm sum(|f|^2)*h = 1 (a NaN norm is refused)."""
 
     x: np.ndarray
     functions: np.ndarray  # shape (n, G)
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        object.__setattr__(self, "x", _uniform_grid(self.x))
         object.__setattr__(self, "functions", np.atleast_2d(np.asarray(self.functions, dtype=complex)))
-        if self.x.ndim != 1 or self.x.size < 2:
-            raise PreconditionError("grid must be one-dimensional with at least two points")
-        spacings = np.diff(self.x)
-        if not np.allclose(spacings, spacings[0], rtol=1e-9, atol=0.0):
-            raise PreconditionError("grid must be uniform")
         if self.functions.shape[1] != self.x.size:
             raise PreconditionError("functions must be sampled on the grid")
         norms = np.sum(np.abs(self.functions) ** 2, axis=1) * self.h
@@ -67,9 +76,7 @@ class GridFunctionSet:
 
 def make_grid_set(x, functions) -> GridFunctionSet:
     """Normalize each function to unit discrete norm and bundle with the grid."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise PreconditionError("grid must be one-dimensional with at least two points")
+    x = _uniform_grid(x)
     functions = np.atleast_2d(np.asarray(functions, dtype=complex))
     h = float(x[1] - x[0])
     norms = np.sqrt(np.sum(np.abs(functions) ** 2, axis=1) * h)

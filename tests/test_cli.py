@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -109,8 +110,7 @@ def test_cycle_command(tmp_path):
     assert code == 0
     data = json.loads(payload)
     assert data["verified"] and data["cycle"]["p"] == 24
-    assert data["checks"][-3:] == ["index_tags_distinct", "index_palindrome",
-                                   "index_window_at_s"]
+    assert data["checks"] == ["waiting_ratio"]
 
 
 def test_instant_incrementer(tmp_path):
@@ -268,10 +268,11 @@ BAD_FILES = {"one.csv": b"x,re,im\n0,1,0\n",
                 for name, bad in BAD_MACHINES.items()}}
 
 
-def gaussian_csv(bad_row=None, bad_cell=""):
-    """A 64-point Gaussian as CSV rows x, re, im; row ``bad_row`` (if any)
-    gets ``bad_cell`` in place of its last cell."""
-    x = np.linspace(-8.0, 8.0, 64)
+def gaussian_csv(bad_row=None, bad_cell="", x=None):
+    """A Gaussian on ``x`` (64 points on [-8, 8] by default) as CSV rows
+    x, re, im; row ``bad_row`` (if any) gets ``bad_cell`` in place of its
+    last cell."""
+    x = np.linspace(-8.0, 8.0, 64) if x is None else x
     rows = [[repr(v), repr(float(np.exp(-v * v / 2))), "0.0"] for v in x.tolist()]
     if bad_row is not None:
         rows[bad_row][2] = bad_cell
@@ -336,6 +337,21 @@ def test_complexity_bad_input_rejected(args, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("x", [np.linspace(8.0, -8.0, 64),  # descending
+                               np.r_[-8.0, np.linspace(-8.0, 8.0, 63)]])  # x repeated
+def test_schrodinger_grid_not_strictly_increasing_rejected(x, tmp_path, capsys):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path in paths:
+        path.write_bytes(gaussian_csv(x=x))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["schrodinger", *map(str, paths), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid must be strictly increasing")
+    assert not caught and not out.exists()
 
 
 def test_instant_large_majority(tmp_path):

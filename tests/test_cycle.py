@@ -1,7 +1,7 @@
 """Cycle builder: construction arithmetic, verification, window helpers."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -15,11 +15,6 @@ from halfcycle.cycle import LabeledCycle
 from halfcycle.machine import Configuration, TMSpec, Trace
 
 HALTING_MACHINES = {"incrementer": "01", "unary_successor": "1", "parity": "01"}
-WALK_MESSAGES = {"trace did not halt", "trace length differs from s + 1",
-                 "state sequence length differs from period",
-                 "cycle states are not pairwise distinct",
-                 "configuration walk is not a closed palindrome",
-                 "window states do not all hold the result tape"}
 
 
 def canonical(config):
@@ -31,9 +26,9 @@ def canonical(config):
 def tag(cycle, j):
     """(phase, counter) control tag of cycle position ``j``: the phase is
     "fwd", "wait", "unwind" or "rev", and the counter is the number of
-    steps already taken in it (j taken mod 2s + 2w)."""
+    steps already taken in it (j taken mod p)."""
     s, w = cycle.s, cycle.w
-    j %= 2 * (s + w)
+    j %= cycle.p
     if j < s:
         return ("fwd", j)
     if j < s + w:
@@ -44,47 +39,35 @@ def tag(cycle, j):
 
 
 def enumerated_verdict(cycle):
-    """``(ok, violations, checks)`` of verify_cycle, found by walking all p
-    positions: the reference its closed forms must agree with."""
+    """``(ok, violations)`` of verify_cycle, found by walking all p
+    positions and checking every invariant of a waiting cycle: the
+    reference that the fields and the one ratio check must agree with."""
+    p, s = cycle.p, cycle.s
     v = []
-    checks = ["even_period", "labels_on_window", "window_contiguous", "window_nonempty",
-              "waiting_ratio", "midpoint_in_window"]
-    if cycle.p % 2 != 0:
+    if p % 2 != 0:
         v.append("period is odd")
-    true_idx = [j for j in range(cycle.p) if j in cycle.window]
+    true_idx = [j for j in range(p) if cycle_result(cycle, j)[0] == 0]
     if true_idx != list(cycle.window):
         v.append("labels are not true exactly on the window")
-    if true_idx and true_idx != list(range(true_idx[0], true_idx[-1] + 1)):
-        v.append("window is not contiguous")
-    if not true_idx:
-        v.append("window is empty")
-    if cycle.alpha_actual < cycle.alpha_requested:
+    if not true_idx or true_idx != list(range(true_idx[0], true_idx[-1] + 1)):
+        v.append("window is empty or not contiguous")
+    if Fraction(len(true_idx), p) < cycle.alpha_requested:
         v.append("waiting ratio below requested alpha")
-    if cycle.alpha_actual >= Fraction(1, 2) and cycle.p // 2 not in cycle.window:
-        v.append("midpoint p/2 outside window despite waiting ratio >= 1/2")
-    p, s = cycle.p, cycle.s
-    checks += ["trace_halted", "trace_length", "index_walk_length"]
-    if not cycle.trace.halted:
-        v.append("trace did not halt")
-    if len(cycle.trace.steps) != s + 1:
-        v.append("trace length differs from s + 1")
-    if 2 * (s + cycle.w) != p:
-        v.append("state sequence length differs from period")
-    if s + cycle.w > 0:
-        checks += ["index_tags_distinct", "index_palindrome", "index_window_at_s"]
-        if len({tag(cycle, j) for j in range(p)}) != p:
-            v.append("cycle states are not pairwise distinct")
-        idx = list(map(cycle.trace_index, range(p)))
-        if idx[1:] != idx[:0:-1]:  # idx(j) == idx(p - j) for 0 < j < p
-            v.append("configuration walk is not a closed palindrome")
-        if set(map(cycle.trace_index, cycle.window)) - {s}:
-            v.append("window states do not all hold the result tape")
-    return not v, tuple(v), tuple(checks)
+    if p // 2 not in true_idx:
+        v.append("midpoint p/2 outside window")
+    if len({tag(cycle, j) for j in range(p)}) != p:
+        v.append("cycle states are not pairwise distinct")
+    idx = list(map(cycle.trace_index, range(p)))
+    if idx[1:] != idx[:0:-1]:  # idx(j) == idx(p - j) for 0 < j < p
+        v.append("configuration walk is not a closed palindrome")
+    if {idx[j] for j in true_idx} - {s}:
+        v.append("window states do not all hold the result tape")
+    return not v, tuple(v)
 
 
 def verdict(cycle):
     report = verify_cycle(cycle)
-    return report.ok, report.violations, report.checks
+    return report.ok, report.violations
 
 
 def materialised_states(cycle):
@@ -169,6 +152,41 @@ def test_nonhalted_trace_rejected():
         build_alpha_cycle(trace, Fraction(1, 2))
 
 
+def test_cycle_refuses_trace_that_did_not_halt():
+    suc = load_machine("unary_successor")
+    trace = run(suc, initial_config(suc, "11"), 2)  # halts after 3 steps
+    assert not trace.halted and trace.n_steps == 2
+    with pytest.raises(PreconditionError, match="halted trace"):
+        LabeledCycle(trace=trace, w=2, alpha_requested=Fraction(1, 2))
+
+
+def test_cycle_refuses_fewer_than_one_wait_step():
+    for w in (0, -1):
+        with pytest.raises(PreconditionError, match="wait count"):
+            LabeledCycle(trace=halted_trace(2), w=w, alpha_requested=Fraction(1, 2))
+
+
+def test_cycle_refuses_period_over_cap():
+    trace = halted_trace(2)
+    LabeledCycle(trace=trace, w=2 ** 21 - 2, alpha_requested=Fraction(1, 2))  # p = 2^22
+    with pytest.raises(CapacityError, match="exceeds cap"):
+        LabeledCycle(trace=trace, w=2 ** 21 - 1, alpha_requested=Fraction(1, 2))
+
+
+def test_cycle_is_its_trace_and_wait_count():
+    cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))
+    assert [f.name for f in fields(cycle)] == ["trace", "w", "alpha_requested", "source"]
+    for derived in ("p", "s", "window", "alpha_actual"):
+        with pytest.raises(TypeError):
+            replace(cycle, **{derived: getattr(cycle, derived)})
+
+
+def test_s_p_and_window_follow_the_trace():
+    cycle = replace(build_alpha_cycle(halted_trace(2), Fraction(1, 2)), trace=halted_trace(3))
+    assert (cycle.s, cycle.w, cycle.p, cycle.window) == (3, 2, 10, range(3, 7))
+    assert cycle.alpha_actual == Fraction(2, 5)
+
+
 def test_alpha_bounds_rejected():
     trace = halted_trace(2)
     for bad in (0, 1, -1, 2):
@@ -207,45 +225,26 @@ def test_verify_near_the_period_cap_allocates_nothing_per_position():
 
 
 def test_closed_form_checks_agree_with_enumeration():
-    # odd and even periods, every walk length up to 2(3 + 3), and windows
-    # that are empty, reversed, or reach outside [0, p) on either side
-    alpha = Fraction(1, 3)
+    # every cycle with s <= 3 forward and w <= 4 wait steps, with requested
+    # ratios below, at and above the actual one
     cases = 0
     for s in range(4):
         trace = still_trace(s)
-        for w in range(4):
-            for p in range(1, 14):
-                for a in range(-2, p + 2):
-                    for b in range(a - 1, p + 3):
-                        for window in (range(a, b), range(b - 1, a - 1, -1)):
-                            cycle = LabeledCycle(p=p, window=window, alpha_requested=alpha,
-                                                 s=s, w=w, source="grid", trace=trace)
-                            assert verdict(cycle) == enumerated_verdict(cycle), cycle
-                            cases += 1
-    assert cases > 20_000
-
-
-def test_verify_flags_odd_period():
-    cycle = LabeledCycle(p=7, window=range(2, 5), alpha_requested=Fraction(1, 3),
-                         s=2, w=1, source="hand", trace=halted_trace(2))
-    report = verify_cycle(cycle)
-    assert not report.ok
-    assert any("odd" in v for v in report.violations)
+        for w in range(1, 5):
+            for alpha in (Fraction(1, 100), Fraction(w, s + w), Fraction(99, 100)):
+                cycle = LabeledCycle(trace=trace, w=w, alpha_requested=alpha, source="grid")
+                ok, violations = enumerated_verdict(cycle)
+                assert verdict(cycle) == (ok, violations), cycle
+                assert set(violations) <= {"waiting ratio below requested alpha"}
+                cases += 1
+    assert cases == 48
 
 
 def test_verify_flags_short_window():
-    cycle = LabeledCycle(p=8, window=range(3, 5), alpha_requested=Fraction(3, 4),
-                         s=3, w=1, source="hand", trace=halted_trace(3))
+    cycle = LabeledCycle(trace=still_trace(4), w=1, alpha_requested=Fraction(99, 100))
     report = verify_cycle(cycle)
-    assert not report.ok
-    assert any("below requested" in v for v in report.violations)
-
-
-def test_verify_flags_noncontiguous_labels():
-    cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))  # s = w = 2, p = 8
-    cycle = replace(cycle, window=range(2, 6, 2), alpha_requested=Fraction(1, 4))
-    assert verdict(cycle) == enumerated_verdict(cycle)
-    assert verify_cycle(cycle).violations == ("window is not contiguous",)
+    assert not report.ok and cycle.alpha_actual == Fraction(1, 5)
+    assert report.violations == ("waiting ratio below requested alpha",)
 
 
 def test_cycle_walk_is_closed_palindrome_of_distinct_states():
@@ -266,6 +265,15 @@ def test_cycle_results_window_holds_final_value():
             assert (z, v) == (0, "111")
         else:
             assert z == 1
+
+
+def test_cycle_result_reads_the_position_mod_p():
+    inc = load_machine("incrementer")
+    cycle = build_alpha_cycle(run(inc, initial_config(inc, "0"), 100), Fraction(3, 4))
+    s, p = cycle.s, cycle.p
+    assert cycle_result(cycle, s) == cycle_result(cycle, s + p) == (0, "1")
+    assert cycle_result(cycle, -1) == cycle_result(cycle, p - 1)
+    assert cycle_result(cycle, -1)[0] == 1
 
 
 def test_alpha_for_period_values():
@@ -310,73 +318,25 @@ def built_cycles(draw):
     trace = run(spec, initial_config(spec, word), 1000)
     assert trace.halted
     alpha = draw(st.fractions(Fraction(1, 100), Fraction(99, 100)))
-    cycle = build_alpha_cycle(trace, alpha, source=f"{name}({word})")
-    change = draw(st.sampled_from(["none", "period", "window"]))
-    if change == "period":
-        cycle = replace(cycle, p=cycle.p + 2 * draw(st.sampled_from([-1, 1, 2])))
-    elif change == "window":
-        shift = draw(st.integers(-cycle.s, cycle.s).filter(bool))
-        cycle = replace(cycle, window=range(cycle.window.start + shift,
-                                            cycle.window.stop + shift))
-    return cycle
+    return build_alpha_cycle(trace, alpha, source=f"{name}({word})")
 
 
 @given(built_cycles())
 @settings(max_examples=120, deadline=None)
 def test_index_checks_agree_with_content_level_checks(cycle):
+    # what the fields guarantee, checked on configuration content
     states = stored_states(cycle.trace, cycle.s, cycle.w)
-    if cycle.p == len(states):
-        assert materialised_states(cycle) == states
-    content = content_level_violations(cycle, states)
-    report = verify_cycle(cycle)
-    walk = [v for v in report.violations if v in WALK_MESSAGES]
-    labels_ok = len(walk) == len(report.violations)
-    assert bool(walk) == bool(content)
-    assert report.ok == (labels_ok and not content)
-
-
-def test_verify_flags_trace_that_did_not_halt():
-    cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))
-    suc = load_machine("unary_successor")
-    trace = run(suc, initial_config(suc, "11"), 2)  # halts after 3 steps
-    assert not trace.halted and trace.n_steps == 2
-    report = verify_cycle(replace(cycle, trace=trace))
-    assert report.violations == ("trace did not halt",)
-
-
-def test_verify_flags_s_inconsistent_with_trace_length():
-    cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))
-    report = verify_cycle(replace(cycle, trace=halted_trace(3)))
-    assert report.violations == ("trace length differs from s + 1",)
-
-
-def test_verify_flags_walk_longer_than_period():
-    cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))  # s = w = 2, p = 8
-    report = verify_cycle(replace(cycle, p=6))
-    assert report.violations == ("state sequence length differs from period",
-                                 "configuration walk is not a closed palindrome")
-
-
-def test_verify_flags_walk_repeating_within_period():
-    cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))  # s = w = 2, p = 8
-    report = verify_cycle(replace(cycle, p=10, alpha_requested=Fraction(2, 5)))
-    assert report.violations == ("state sequence length differs from period",
-                                 "cycle states are not pairwise distinct",
-                                 "configuration walk is not a closed palindrome")
-
-
-def test_verify_flags_window_off_the_result_index():
-    cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))  # window [2, 6)
-    report = verify_cycle(replace(cycle, window=range(1, 5)))
-    assert report.violations == ("window states do not all hold the result tape",)
+    assert materialised_states(cycle) == states
+    assert content_level_violations(cycle, states) == []
+    assert cycle.p % 2 == 0
+    assert cycle.p // 2 in cycle.window
+    assert cycle.alpha_actual >= cycle.alpha_requested
+    assert verify_cycle(cycle).ok
 
 
 def test_verify_reports_the_checks_it_ran():
     cycle = build_alpha_cycle(halted_trace(2), Fraction(1, 2))
-    assert verify_cycle(cycle).checks == (
-        "even_period", "labels_on_window", "window_contiguous", "window_nonempty",
-        "waiting_ratio", "midpoint_in_window", "trace_halted", "trace_length",
-        "index_walk_length", "index_tags_distinct", "index_palindrome", "index_window_at_s")
+    assert verify_cycle(cycle).checks == ("waiting_ratio",)
 
 
 def test_verify_hashes_no_configuration(monkeypatch):

@@ -2,7 +2,6 @@
 
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -89,12 +88,12 @@ def test_error_free_returns_only_validated_results():
 
 
 def test_error_free_full_window_needs_one_trial():
-    # window covering the whole cycle: first o=1 draw is always valid
+    # a validate that accepts every result, as if the window covered the
+    # whole cycle: the first o=1 draw ends the run, wherever it lands
     cycle = incrementer_cycle()
-    full = replace(cycle, window=range(cycle.p))
     profile = halfstep_profile_periodic(cycle.p)
     rng = np.random.default_rng(6)
-    reps = [run_error_free(full, profile, lambda r: True, rng) for _ in range(100)]
+    reps = [run_error_free(cycle, profile, lambda r: True, rng) for _ in range(100)]
     assert all(rep.trials == 1 for rep in reps)
 
 
@@ -115,8 +114,8 @@ def test_error_free_mean_trials_matches_inverse_nu():
                   initial="q0", result_states=frozenset({"done"}))
     trace = run(spec, initial_config(spec, "0"), s)
     assert trace.n_steps == s and trace.result == (0, "1")
-    cycle = LabeledCycle(p=p, window=window, alpha_requested=Fraction(7, 8),
-                         s=s, w=len(window) // 2, source="synthetic", trace=trace)
+    cycle = LabeledCycle(trace=trace, w=28, alpha_requested=Fraction(7, 8), source="synthetic")
+    assert (cycle.p, cycle.window) == (p, window)
     rng = np.random.default_rng(7)
     counts, summary = repeat_error_free(cycle, profile, lambda r: r[0] == 0, rng, runs=20_000)
     assert summary.invalid_results == 0

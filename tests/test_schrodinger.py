@@ -86,6 +86,12 @@ def test_kinetic_form_of_plane_wave_segment():
 def test_grid_validation():
     with pytest.raises(PreconditionError):
         make_grid_set(np.array([0.0, 1.0, 3.0]), [np.ones(3)])
+    # checked before any norm is taken, so no sqrt of a negative spacing
+    for x in (np.linspace(1, -1, 8), np.zeros(8), np.r_[0.0, np.linspace(0, 1, 7)]):
+        with pytest.raises(PreconditionError, match="strictly increasing"):
+            make_grid_set(x, [np.ones(8)])
+        with pytest.raises(PreconditionError, match="strictly increasing"):
+            GridFunctionSet(x=x, functions=[np.ones(8)])
     coarse = make_grid_set(np.linspace(-1, 1, 6), [np.ones(6), np.ones(6)])
     with pytest.raises(PreconditionError):
         obstruction_certificate(coarse)
