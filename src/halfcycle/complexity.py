@@ -73,8 +73,8 @@ def check_lower_bound(spec: OrbitSpectrum, t_grid) -> BoundReport:
     the zero crossings of Re and Im of the overlap along the grid (module
     docstring), from one evaluation of the overlap."""
     t = np.asarray(t_grid, dtype=float)
-    if t.size == 0:
-        raise PreconditionError("the time grid needs at least one point")
+    if t.ndim != 1 or t.size == 0:
+        raise PreconditionError("the time grid must be one-dimensional with at least one point")
     vals = overlap_at(spec, t)
     lhs = 2.0 - 2.0 * np.real(vals)
     rhs = 2.0 * t * mean_abs_phase(spec)

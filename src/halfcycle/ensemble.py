@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import alpha_for_period, centered_window
-from .errors import PreconditionError, check_length, check_residual
+from .errors import PreconditionError, check_indices, check_length, check_residual
 from .spectral import _halfstep_rows
 
 _CHUNK_ROWS = 4096
@@ -145,7 +145,7 @@ class YSample:
 
 def nu_from_y(sample: YSample, window) -> float:
     """Window mass of the sampled implementation, by direct summation."""
-    window = np.asarray(list(window), dtype=int)
+    window = check_indices("window", window)
     if window.size and (window.min() < 0 or window.max() >= sample.p):
         raise PreconditionError("window indices outside [0, p)")
     amps = _halfstep_rows(sample.y[np.newaxis, :])[0]

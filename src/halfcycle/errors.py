@@ -1,10 +1,11 @@
-"""Exception types shared across the package, the one size rule and the
-one self-check rule.
+"""Exception types shared across the package, the one size rule, the one
+index rule and the one self-check rule.
 
 Every length that comes from outside (a period, a step budget, a trial,
 run or majority count, a grid or a truncation) is checked by
-:func:`check_length` once, before anything of that size is built: below
-its minimum it raises PreconditionError, above its cap CapacityError.
+:func:`check_length` once, before anything of that size is built: not an
+integer or below its minimum, it raises PreconditionError; above its cap,
+CapacityError.  Index and exponent lists are read by :func:`check_indices`.
 
 Every cross-check of a closed form against an independent evaluation
 goes through :func:`check_residual`, which raises ConsistencyError on a
@@ -15,6 +16,8 @@ opens one.
 
 import contextlib
 import contextvars
+
+import numpy as np
 
 DEFAULT_PERIOD_CAP = 2 ** 22  # of cycles, profiles, draws, grids and runs
 _CHECKS = contextvars.ContextVar("recorded_checks", default=None)  # innermost open list
@@ -45,13 +48,26 @@ class ConsistencyError(HalfcycleError):
 
 def check_length(name: str, n: int, minimum: int = 1, *, even: bool = False,
                  cap: int = DEFAULT_PERIOD_CAP) -> None:
-    """The size rule: ``n`` is at least ``minimum`` (and even, if asked),
-    else PreconditionError; and at most ``cap``, else CapacityError."""
+    """The size rule: ``n`` is an int or numpy integer (not a bool) of at least ``minimum``
+    (and even, if asked), else PreconditionError; and at most ``cap``, else CapacityError."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise PreconditionError(f"{name} {n!r} must be an integer")
     if n < minimum or (even and n % 2):
         raise PreconditionError(f"{name} {n} must be {'even and ' if even else ''}"
                                 f"at least {minimum}")
     if n > cap:
         raise CapacityError(f"{name} {n} exceeds cap {cap}")
+
+
+def check_indices(name: str, values) -> np.ndarray:
+    """The index rule: ``values`` (a range or any iterable of ints) as a
+    one-dimensional integer array, possibly empty, else PreconditionError."""
+    if isinstance(values, range):
+        return np.arange(values.start, values.stop, values.step)
+    idx = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise PreconditionError(f"{name} must be a one-dimensional list of integers")
+    return idx.astype(np.int64, copy=False)
 
 
 def check_residual(what: str, residual: float, tol: float, points: int = 1) -> float:

@@ -106,9 +106,9 @@ def _error_free_runs(cycle: LabeledCycle, profile: AmplitudeProfile, validate, r
     ``max_trials`` draws; ``carry_t``/``carry_o`` hold the trials and o = 1
     draws of the run that a block leaves unfinished.
     """
-    if max_trials < 1:
-        raise PreconditionError("need at least one trial")
-    profile.positions(cycle.window)  # range check before the first draw
+    check_length("trial budget", max_trials, cap=math.inf)  # drawn in blocks, never held whole
+    if profile.indices != range(cycle.p):  # before the first draw
+        raise PreconditionError(f"profile indices {profile.indices} are not the cycle's 0..p-1")
     results: dict = {}
     verdict = np.full(len(profile.indices), -1, dtype=np.int8)  # -1: not drawn yet
     trials, o_ones, accepted = [], [], []
@@ -195,8 +195,7 @@ def run_error_bounded(profile: AmplitudeProfile, window, result_of, majority_m: 
     check_length("majority size", majority_m)
     if majority_m % 2 == 0:
         raise PreconditionError(f"majority size {majority_m} must be odd")
-    if max_trials < 1:
-        raise PreconditionError("need at least one trial")
+    check_length("trial budget", max_trials, cap=math.inf)  # drawn in blocks, never held whole
     nu = nu_of(profile, window)
     if profile.captured <= 0.0:
         raise PreconditionError("profile has no computational-state mass")

@@ -73,7 +73,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, PreconditionError
+from .errors import CapacityError, PreconditionError, check_indices, check_length
 from .spectral import OrbitSpectrum
 
 ENERGY_BUDGET_OVER_2PI = Fraction(2)  # mean phase <= 4pi
@@ -206,13 +206,10 @@ def _largest_size_fits(n_max: int, exponent: int) -> None:
 
 
 def _validate_nu(n_max: int, nu_exponents) -> tuple:
-    if n_max < 0:
-        raise PreconditionError("n_max must be nonnegative")
+    check_length("n_max", n_max, 0, cap=math.inf)  # the point cap follows
     _largest_size_fits(n_max, 2 * n_max)  # nu_n >= n, before any sequence is built
-    if nu_exponents is None:
-        nu = tuple(range(n_max + 1))
-    else:
-        nu = tuple(int(v) for v in nu_exponents)
+    nu = (tuple(range(n_max + 1)) if nu_exponents is None
+          else tuple(check_indices("exponents", nu_exponents).tolist()))
     if len(nu) != n_max + 1:
         raise PreconditionError("need one exponent per size 0..n_max")
     if any(v < 0 for v in nu):

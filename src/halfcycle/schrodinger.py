@@ -20,6 +20,7 @@ Grids have at least 8 points and obey the size rule of
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,31 +206,31 @@ def identical_pair(grid_points: int = 1024) -> GridFunctionSet:
 
 
 def read_grid_functions(paths) -> GridFunctionSet:
-    """Load one function per CSV file (columns x, re, im); all files must
-    share the same grid.  A file that cannot be read, or holds a NaN or
-    infinite value, raises PreconditionError naming it."""
-    xs, funcs = [], []
+    """Load one function per CSV file of rows x, re, im, read by ``np.loadtxt``
+    (blank lines skipped, cells may be quoted, columns past the third ignored)
+    after a first line whose first cell, quoted or not, is ``x``; all files
+    must share one grid.  A file that cannot be read, has no such rows or
+    holds a NaN or infinite value raises PreconditionError naming it."""
+    x, funcs = None, []
     for path in paths:
         try:
-            with open(path, newline="") as handle:
-                rows = list(csv.reader(handle))
-        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            with open(path) as handle, warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # numpy's warning on a file without rows
+                header = next(csv.reader([handle.readline(4)]), [])[:1] == ["x"]  # x ends by then
+                handle.seek(0)
+                data = np.loadtxt(handle, delimiter=",", usecols=(0, 1, 2), ndmin=2, comments=None,
+                                  quotechar='"', skiprows=int(header))
+        except (OSError, UnicodeDecodeError) as exc:
             raise PreconditionError(f"cannot read grid file {str(path)!r}: {exc}") from exc
-        if rows and rows[0][:1] == ["x"]:
-            rows = rows[1:]
-        try:
-            data = np.array([[float(c) for c in row[:3]] for row in rows])
-        except (ValueError, IndexError) as exc:
+        except (ValueError, UserWarning) as exc:
             raise PreconditionError(f"{path}: expected numeric rows x, re, im") from exc
-        if data.ndim != 2 or data.shape[1] != 3:
-            raise PreconditionError(f"{path}: expected three columns x, re, im")
         if not np.all(np.isfinite(data)):
             raise PreconditionError(f"{path}: grid and function values must be finite")
-        xs.append(data[:, 0])
-        funcs.append(data[:, 1] + 1j * data[:, 2])
-    if not xs:
-        raise PreconditionError("no input files")
-    for other in xs[1:]:
-        if other.shape != xs[0].shape or not np.allclose(other, xs[0], rtol=0, atol=1e-12):
+        if x is None:
+            x = data[:, 0].copy()
+        elif len(data) != x.size or not np.allclose(data[:, 0], x, rtol=0, atol=1e-12):
             raise PreconditionError("all functions must share one grid")
-    return make_grid_set(xs[0], funcs)
+        funcs.append(data[:, 1] + 1j * data[:, 2])
+    if x is None:
+        raise PreconditionError("no input files")
+    return make_grid_set(x, funcs)

@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, check_length, check_residual
+from .errors import PreconditionError, check_indices, check_length, check_residual
 
 _WEIGHT_SUM_TOL = 1e-12
 _PROFILE_TOL = 1e-10
@@ -147,9 +147,8 @@ class AmplitudeProfile:
         object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
         indices = self.indices
         if not isinstance(indices, range):
-            idx = np.asarray(indices)
-            consecutive = (idx.ndim == 1 and idx.size and idx.dtype.kind in "iu"
-                           and not np.any(np.diff(idx) != 1))
+            idx = check_indices("profile indices", indices)
+            consecutive = idx.size and not np.any(np.diff(idx) != 1)
             indices = range(int(idx[0]), int(idx[0]) + idx.size) if consecutive else range(0)
         object.__setattr__(self, "indices", indices)
         if indices.step != 1 or not indices or self.amplitudes.shape != (len(indices),):
@@ -172,10 +171,7 @@ class AmplitudeProfile:
         iterable of ints), index j at position j - indices.start,
         range-checked in one vectorised pass; raises PreconditionError
         naming the first index outside the profile."""
-        if isinstance(indices, range):
-            idx = np.arange(indices.start, indices.stop, indices.step)
-        else:
-            idx = np.fromiter(indices, dtype=np.int64)
+        idx = check_indices("window", indices)
         pos = idx - self.indices.start
         outside = (pos < 0) | (pos >= len(self.indices))
         if outside.any():

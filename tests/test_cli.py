@@ -354,6 +354,87 @@ def test_schrodinger_grid_not_strictly_increasing_rejected(x, tmp_path, capsys):
     assert not caught and not out.exists()
 
 
+def chirp_rows():
+    """The cells x, re, im (as ``repr`` text) of each function of chirped_pair(64)."""
+    gset = halfcycle.chirped_pair(64)
+    return [[[repr(v), repr(c.real), repr(c.imag)] for v, c in zip(gset.x.tolist(), f.tolist())]
+            for f in gset.functions]
+
+
+def csv_form(rows, header="x,re,im\n", sep=",", end="\n"):
+    """``rows`` as CSV bytes under ``header``, cells joined by ``sep``, rows ended by ``end``."""
+    return (header + "".join(sep.join(row) + end for row in rows)).encode()
+
+
+def ends_with(rows, *cells):
+    """Each row with extra cells appended, taken from ``cells`` in turn."""
+    return [row + list(cells[i % len(cells)]) for i, row in enumerate(rows)]
+
+
+def with_cell(rows, row, col, cell):
+    """``rows`` with cell (``row``, ``col``) replaced by ``cell``."""
+    return [r[:col] + [cell] + r[col + 1:] if i == row else r for i, r in enumerate(rows)]
+
+
+# every form a grid CSV may take: each accepted form gives the report of the
+# plain file, each refused one an error line naming the file; blank lines
+# were refused before the reader used np.loadtxt, and 0_0.0 accepted
+ACCEPTED_FORMS = {
+    "no header": lambda rows: csv_form(rows, header=""),
+    "x alone": lambda rows: csv_form(rows, header="x\n"),
+    "quoted header": lambda rows: csv_form(rows, header='"x","re","im"\n'),
+    "crlf": lambda rows: csv_form(rows, header="x,re,im\r\n", end="\r\n"),
+    "quoted cells": lambda rows: csv_form([[f'"{c}"' for c in row] for row in rows]),
+    "spaces after commas": lambda rows: csv_form(rows, sep=", "),
+    "extra numeric column": lambda rows: csv_form(ends_with(rows, ["1.5"])),
+    "extra text column": lambda rows: csv_form(ends_with(rows, ["note"])),
+    "ragged extra columns": lambda rows: csv_form(ends_with(rows, [], ["1"], ["a", "2"])),
+    "trailing comma": lambda rows: csv_form(rows, end=",\n"),
+    "no final newline": lambda rows: csv_form(rows)[:-1],
+    "blank lines": lambda rows: csv_form(rows, header="x,re,im\n\n", end="\n\n"),
+}
+REFUSED_FORMS = {
+    "comment line": lambda rows: csv_form(rows, header="x,re,im\n# note\n"),
+    "semicolons": lambda rows: csv_form(rows, header="x;re;im\n", sep=";"),
+    "empty cell": lambda rows: csv_form(with_cell(rows, 5, 2, "")),
+    "two columns": lambda rows: csv_form([row[:2] for row in rows], header="x,re\n"),
+    "empty file": lambda rows: b"",
+    "header only": lambda rows: b"x,re,im\n",
+    "underscore": lambda rows: csv_form(with_cell(rows, 5, 2, "0_0.0")),
+}
+
+
+def schrodinger_on(tmp_path, form):
+    """Exit code, report (None when none was written) and input paths of
+    ``schrodinger`` on the chirped pair written in ``form``, run with every
+    warning an error."""
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, rows in zip(paths, chirp_rows()):
+        path.write_bytes(form(rows))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["schrodinger", *map(str, paths), "--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None, paths
+
+
+@pytest.mark.parametrize("form", ACCEPTED_FORMS.values(), ids=ACCEPTED_FORMS.keys())
+def test_schrodinger_accepted_csv_forms_give_the_plain_report(form, tmp_path, capsys):
+    code, report, _ = schrodinger_on(tmp_path, form)
+    (tmp_path / "plain").mkdir()
+    plain = schrodinger_on(tmp_path / "plain", csv_form)
+    assert (code, report) == plain[:2] and code == 0
+    assert b'"certificate": true' in report and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("form", REFUSED_FORMS.values(), ids=REFUSED_FORMS.keys())
+def test_schrodinger_refused_csv_forms_name_the_file(form, tmp_path, capsys):
+    code, report, paths = schrodinger_on(tmp_path, form)
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert err.startswith("error:") and str(paths[0]) in err and "Traceback" not in err
+
+
 def test_instant_large_majority(tmp_path):
     # the binomial tail of a majority past 1029 votes no longer overflows
     code, payload = run_cli(["instant", "--machine", "incrementer", "--input", "1",

@@ -88,6 +88,12 @@ def test_lower_bound_rejects_empty_grid():
         check_lower_bound(minimal_periodic_spectrum(4), [])
 
 
+@pytest.mark.parametrize("t_grid", [[[0.1, 0.2], [0.3, 0.4]], 0.5])
+def test_lower_bound_rejects_a_grid_that_is_not_one_dimensional(t_grid):
+    with pytest.raises(PreconditionError, match="one-dimensional with at least one point"):
+        check_lower_bound(minimal_periodic_spectrum(4), t_grid)
+
+
 def test_orthogonal_evolution_costs_at_least_one():
     for p in (2, 4, 8, 64):
         spec = minimal_periodic_spectrum(p)

@@ -97,6 +97,21 @@ def test_error_free_full_window_needs_one_trial():
     assert all(rep.trials == 1 for rep in reps)
 
 
+@pytest.mark.parametrize("other", [lambda p: halfstep_profile_periodic(2 * p),
+                                   lambda p: halfstep_profile_periodic(p - 2),
+                                   lambda p: halfstep_profile_aperiodic(p // 2)],
+                         ids=["twice the period", "a shorter period", "aperiodic"])
+def test_error_free_refuses_a_profile_not_indexed_by_the_cycle(other):
+    # a profile of another period would have its draws read mod p
+    cycle = incrementer_cycle()
+    rng = np.random.default_rng(6)
+    with pytest.raises(PreconditionError, match="not the cycle's 0..p-1"):
+        run_error_free(cycle, other(cycle.p), lambda r: True, rng)
+    with pytest.raises(PreconditionError, match="not the cycle's 0..p-1"):
+        repeat_error_free(cycle, other(cycle.p), lambda r: True, rng, runs=10)
+    assert rng.random() == np.random.default_rng(6).random()  # nothing was drawn
+
+
 def test_error_free_mean_trials_matches_inverse_nu():
     p = 64
     from halfcycle import alpha_for_period, centered_window

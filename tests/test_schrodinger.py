@@ -2,6 +2,7 @@
 
 import gc
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -132,6 +133,25 @@ def test_csv_reader_closes_every_file(tmp_path):
                 read_grid_functions(paths)
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_csv_reader_memory_stays_near_the_parsed_tables(tmp_path):
+    # the parsed tables of two 2^16-row files hold 3 MiB; parsing to arrays
+    # peaks near 3x that and a Python object per cell near 12x, so 4x leaves
+    # headroom for the first and refuses the second
+    x = np.linspace(-8.0, 8.0, 2 ** 16)
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, f in zip(paths, (np.exp(-x ** 2 / 2), np.exp(-x ** 2 / 2 + 1j * x ** 2))):
+        np.savetxt(path, np.column_stack([x, f.real, f.imag]), fmt="%.17g", delimiter=",",
+                   header="x,re,im", comments="")
+    tracemalloc.start()
+    try:
+        gset = read_grid_functions(paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gset.size == x.size
+    assert peak < 4 * (2 * x.size * 3 * 8)
 
 
 def test_csv_mismatched_grids_rejected(tmp_path):

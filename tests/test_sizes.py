@@ -1,5 +1,6 @@
 """The size rule: every length that comes from outside is checked once,
-against its minimum and DEFAULT_PERIOD_CAP, before anything is built."""
+for being an integer and against its minimum and DEFAULT_PERIOD_CAP,
+before anything is built; and the index rule for lists of indices."""
 
 import tracemalloc
 from fractions import Fraction
@@ -8,15 +9,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from halfcycle import (CapacityError, PreconditionError, alpha_for_period, build_alpha_cycle,
-                       centered_window, chirped_pair, continuous_nu, cycle_result, get_density,
-                       halfstep_profile_aperiodic, halfstep_profile_periodic, halting_demo,
-                       identical_pair, initial_config, load_machine, minimal_periodic_spectrum,
-                       moment_experiment, obstruction_certificate, repeat_error_free, run,
+from halfcycle import (AmplitudeProfile, CapacityError, PreconditionError, YSample,
+                       alpha_for_period, build_alpha_cycle, centered_window, chirped_pair,
+                       continuous_nu, cycle_result, get_density, halfstep_profile_aperiodic,
+                       halfstep_profile_periodic, halting_demo, identical_pair, initial_config,
+                       load_machine, minimal_periodic_spectrum, moment_experiment, nu_from_y,
+                       nu_of, obstruction_certificate, pack_spectrum, repeat_error_free, run,
                        run_error_bounded, zero_count)
 from halfcycle.cli import cmd_complexity
 from halfcycle.errors import DEFAULT_PERIOD_CAP as CAP
-from halfcycle.errors import check_length
+from halfcycle.errors import check_indices, check_length
 
 INC = load_machine("incrementer")
 LOOP = load_machine("loop")
@@ -102,3 +104,51 @@ def test_check_length_messages():
 def test_majority_parity_is_checked_after_the_size_rule():
     with pytest.raises(PreconditionError, match="^majority size 4 must be odd$"):
         run_error_bounded(PROFILE, CYCLE.window, lambda j: cycle_result(CYCLE, j), 4, rng())
+
+
+# calls given a length that is not an integer, or indices or exponents that
+# are not one-dimensional integers; before the integer rule each of these
+# truncated the value, or failed later with another error
+Y8 = YSample(p=8, y=np.zeros(8))
+NOT_INTEGERS = {
+    "nu_of-index": lambda: nu_of(PROFILE, [1.5]),
+    "nu_of-2d": lambda: nu_of(PROFILE, [[1, 2]]),
+    "positions-bool": lambda: PROFILE.positions([True]),
+    "nu_from_y-window": lambda: nu_from_y(Y8, [1.5]),
+    "pack_spectrum-exponent": lambda: pack_spectrum(2, [0, 1.5, 3]),
+    "profile-indices": lambda: AmplitudeProfile(np.ones(2), np.array([0.0, 1.0]), 2.0, None),
+    "run-budget": lambda: run(INC, initial_config(INC, "0"), 3.5),
+    "zero_count-resolution": lambda: zero_count(minimal_periodic_spectrum(4), 256.5),
+    "zero_count-bool": lambda: zero_count(minimal_periodic_spectrum(4), True),
+    "continuous_nu-cells": lambda: continuous_nu(8.0, UNIFORM, rng()),
+    "pack_spectrum-n_max": lambda: pack_spectrum(2.0),
+    "repeat_error_free-runs": lambda: repeat_error_free(CYCLE, PROFILE, lambda r: True, rng(),
+                                                        runs=2.5),
+    "run_error_bounded-majority": lambda: run_error_bounded(
+        PROFILE, CYCLE.window, lambda j: cycle_result(CYCLE, j), 3.0, rng()),
+    "run_error_bounded-budget": lambda: run_error_bounded(
+        PROFILE, CYCLE.window, lambda j: cycle_result(CYCLE, j), 3, rng(), max_trials=1.5),
+    "moment_experiment-period": lambda: moment_experiment([64.0], UNIFORM, 10, rng()),
+}
+
+
+@pytest.mark.parametrize("call", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+def test_a_length_or_index_that_is_not_an_integer_is_refused(call):
+    with pytest.raises(PreconditionError, match="must be an integer|must be a one-dimensional "
+                                                "list of integers"):
+        call()
+
+
+def test_integer_rule_passes_numpy_integers_and_any_iterable_of_ints():
+    check_length("grid", np.int64(8))
+    check_length("grid", np.uint16(8))
+    with pytest.raises(PreconditionError, match="^grid 64.0 must be an integer$"):
+        check_length("grid", 64.0)
+    window = CYCLE.window
+    nu = nu_of(PROFILE, window)
+    for same in (list(window), tuple(window), np.array(window, dtype=np.int32),
+                 (j for j in window)):
+        assert nu_of(PROFILE, same) == nu
+    assert nu_of(PROFILE, []) == nu_of(PROFILE, range(0)) == nu_from_y(Y8, []) == 0.0
+    assert check_indices("window", []).dtype == np.int64
+    assert pack_spectrum(2, np.array([0, 1, 2])).nu_exponents == (0, 1, 2)
