@@ -46,6 +46,6 @@ print("=" * 64)
 control = hc.obstruction_certificate(hc.identical_pair(1024))
 print(f"\nidentical pair: certificate = False ({control.reason})")
 x = np.linspace(-8, 8, 1024)
-widths = hc.make_grid_set(x, [np.exp(-x ** 2 / 2), np.exp(-x ** 2 / 8)])
+widths = hc.GridFunctionSet(x, [np.exp(-x ** 2 / 2), np.exp(-x ** 2 / 8)])
 control2 = hc.obstruction_certificate(widths)
 print(f"different widths: certificate = False ({control2.reason})")

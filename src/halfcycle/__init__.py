@@ -26,7 +26,7 @@ from .errors import (CapacityError, ConsistencyError, HalfcycleError,
 from .machine import initial_config, load_machine, run, tape_content
 from .measure import halting_demo, repeat_error_free, run_error_bounded, run_error_free
 from .packing import PackedSpectra, pack_spectrum
-from .schrodinger import (chirped_pair, identical_pair, make_grid_set, obstruction_certificate,
+from .schrodinger import (GridFunctionSet, chirped_pair, identical_pair, obstruction_certificate,
                           read_grid_functions)
 from .spectral import (AmplitudeProfile, aperiodic_spectrum, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, minimal_periodic_spectrum, nu_of, overlap_at)

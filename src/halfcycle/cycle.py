@@ -23,6 +23,7 @@ results depend only on the period and the window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,10 +102,6 @@ def _ratio(alpha) -> Fraction:
     return Fraction(alpha)
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 def build_alpha_cycle(trace: Trace, alpha, source: str = "") -> LabeledCycle:
     """Turn a halted trace into a waiting cycle with ratio at least ``alpha``.
 
@@ -114,7 +111,7 @@ def build_alpha_cycle(trace: Trace, alpha, source: str = "") -> LabeledCycle:
     refuses a trace that did not halt and a period over the cap.
     """
     alpha = _ratio(alpha)
-    w = max(1, _ceil_frac(alpha / (1 - alpha) * trace.n_steps))
+    w = max(1, math.ceil(alpha / (1 - alpha) * trace.n_steps))
     return LabeledCycle(trace=trace, w=w, alpha_requested=alpha, source=source)
 
 
@@ -139,7 +136,7 @@ def centered_window(p: int, alpha) -> range:
     index p/2, as used for synthetic period-p experiments."""
     check_length("period", p, 2, even=True)
     alpha = _ratio(alpha)
-    w = max(1, _ceil_frac(alpha * p / 2))
+    w = max(1, math.ceil(alpha * p / 2))
     return range(p // 2 - w, p // 2 + w)
 
 

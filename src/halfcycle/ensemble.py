@@ -66,7 +66,8 @@ _DRAW_BLOCK = 2 ** 16  # raised-cosine outputs per block of disk points
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """An even probability density on [-1, 1] with known moments."""
+    """An even probability density on [-1, 1] with known moments; ``sample``
+    must keep to [-1, 1] (unchecked), and a non-finite draw is refused."""
 
     name: str
     m2: float
@@ -179,24 +180,27 @@ def _complement_basis(p: int, window):
     return basis
 
 
-def _window_masses(x, window, basis):
+def _window_masses(x, window, basis, name):
     """Window masses of the implementations y = x/p, one per row of the
     unscaled draws ``x``.  With a complement basis: nu = sum(x^2)/p -
     |x @ basis|^2/p^2 by Parseval, and the first row is checked against
     direct summation of x[0]/p to _CHECK_TOL by ``errors.check_residual``.
     Without one: direct summation for every row, nu = nu(x)/p^2, no check.
+    A non-finite mass (from a non-finite draw) is refused first, naming density ``name``.
     """
     p = x.shape[1]
-    if basis is None:
-        return _direct_window_masses(x, window) / (p * p)
-    outside = x @ basis
-    outside /= p
-    nus = np.einsum("ij,ij->i", x, x)
-    nus /= p
-    nus -= np.einsum("ij,ij->i", outside, outside)
-    direct = _direct_window_masses(x[:1] / p, window)[0]
-    check_residual(f"Parseval window mass vs direct sum at p={p}", abs(nus[0] - direct),
-                   _CHECK_TOL)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite mass is refused below
+        if basis is None:
+            nus = _direct_window_masses(x, window) / (p * p)
+        else:
+            outside = x @ basis / p
+            nus = np.einsum("ij,ij->i", x, x) / p - np.einsum("ij,ij->i", outside, outside)
+    if not np.isfinite(nus).all():
+        raise PreconditionError(f"density {name!r} drew a non-finite value at p={p}")
+    if basis is not None:
+        direct = _direct_window_masses(x[:1] / p, window)[0]
+        check_residual(f"Parseval window mass vs direct sum at p={p}", abs(nus[0] - direct),
+                       _CHECK_TOL)
     return nus
 
 
@@ -252,16 +256,17 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
     constant c making that threshold read m2 - delta/(c*sqrt(p)).
 
     Trials are drawn in chunks of at most 4096 rows and 2**22 draws, each
-    from its own stream spawned off ``rng``, so the numbers a seed gives
-    depend on the chunk size.  The draws x in [-1, 1] stay unscaled: the
-    masses of y = x/p are computed from x, which at a power-of-two p gives
-    the bits that scaling x first would.  Window masses are computed by
-    Parseval over the m bins outside the window, one matrix product per
-    chunk, whenever p*2m <= 2**22 (every p up to 16384); the first row of
-    each such chunk is checked against the FFT to 1e-12.  Larger periods
-    take one FFT per row, the reference, with nothing to check it against.
-    The trial count and every period (even, at least 4) are checked before
-    anything is drawn, and an empty list raises PreconditionError.
+    from a stream spawned off ``rng`` when it is drawn, so the numbers a
+    seed gives depend on the chunk size.  The draws x in [-1, 1] stay
+    unscaled: the masses of y = x/p are computed from x, which at a
+    power-of-two p gives the bits that scaling x first would.  Window
+    masses are computed by Parseval over the m bins outside the window, one
+    matrix product per chunk, whenever p*2m <= 2**22 (every p up to 16384);
+    the first row of each such chunk is checked against the FFT to 1e-12.
+    Larger periods take one FFT per row, the reference, with nothing to
+    check it against.  The trial count and every period (even, at least 4)
+    are checked before anything is drawn; an empty list or a non-finite
+    draw raises PreconditionError.
     """
     check_length("trials", trials)
     if not p_list:
@@ -275,12 +280,10 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
         chunk = min(_CHUNK_ROWS, _CHUNK_ENTRIES // p)
         basis = _complement_basis(p, window)
         nus = np.empty(trials)
-        done = 0
-        for stream in rng.spawn(math.ceil(trials / chunk)):
+        for done in range(0, trials, chunk):
             count = min(chunk, trials - done)
             nus[done:done + count] = _window_masses(
-                density.sample(stream, (count, p)), window, basis)
-            done += count
+                density.sample(rng.spawn(1)[0], (count, p)), window, basis, density.name)
         mean = float(np.mean(nus))
         var = float(np.var(nus, ddof=1)) if trials > 1 else float("nan")
         std = math.sqrt(var)
@@ -320,17 +323,19 @@ def continuous_nu(cells: int, density: DensitySpec, rng) -> ContinuousNu:
     exp(-2pi*i*m*u/cells) * (1 - exp(-i*u*D))/(i*u), so the amplitudes are
     the half-step sums of y, periodic in j with period cells, times
     (1 - exp(-i*u*D))/(2pi*i*u).  A density whose ``sample`` returns a
-    fixed vector gives a deterministic y.
+    fixed vector gives a deterministic y; a non-finite one is refused.
     """
     check_length("cell count", cells, 2, even=True)
     y = density.sample(rng, cells)
+    parseval = float(np.mean(y * y))
+    if not math.isfinite(parseval):
+        raise PreconditionError(f"density {density.name!r} drew a non-finite value")
 
     j = np.arange(-cells, cells + 1)
     u = j - 0.5
     sinc = (1.0 - np.exp(-1j * u * (2.0 * np.pi / cells))) / (2j * np.pi * u)
     amps = _halfstep_rows(y)[j % cells] * sinc
     direct = float(np.sum(np.abs(amps) ** 2))
-    parseval = float(np.mean(y * y))
     check_residual(f"truncated sum vs its Parseval bound at {cells} cells", direct - parseval,
                    _BESSEL_TOL)
     return ContinuousNu(direct=direct, parseval=parseval, cells=cells)

@@ -13,6 +13,8 @@ linear system whose nullspace is computed by SVD, and the kinetic forms
 use the second-order finite-difference Laplacian with decaying-boundary
 convention.  Grid-pointwise moduli equality is stricter than equality of
 the continuum integrals, which only makes certificates conservative.
+Every function set, built in or read from CSV, is built by
+``GridFunctionSet``, which checks the grid and normalizes each function.
 Grids have at least 8 points and obey the size rule of
 ``errors.check_length``.
 """
@@ -27,7 +29,6 @@ import numpy as np
 
 from .errors import PreconditionError, check_length
 
-_NORM_TOL = 1e-10
 _HALF_WIDTH = 8.0  # the shipped pairs live on [-8, 8]; exp(-x^2/2) < 1e-13 at its ends
 
 
@@ -47,20 +48,26 @@ def _uniform_grid(x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridFunctionSet:
-    """Complex functions sampled on one strictly increasing uniform grid,
-    each of unit discrete norm sum(|f|^2)*h = 1 (a NaN norm is refused)."""
+    """Complex functions on one strictly increasing uniform grid, each
+    scaled to unit discrete norm sum(|f|^2)*h = 1: the functions are copied
+    once into a complex (n, G) array, never aliasing the caller's, and
+    divided by their norms in place; a zero or non-finite one is refused."""
 
     x: np.ndarray
     functions: np.ndarray  # shape (n, G)
 
     def __post_init__(self):
         object.__setattr__(self, "x", _uniform_grid(self.x))
-        object.__setattr__(self, "functions", np.atleast_2d(np.asarray(self.functions, dtype=complex)))
-        if self.functions.shape[1] != self.x.size:
+        functions = np.array(self.functions, dtype=complex, ndmin=2)
+        if functions.ndim != 2 or functions.shape[1] != self.x.size:
             raise PreconditionError("functions must be sampled on the grid")
-        norms = np.sum(np.abs(self.functions) ** 2, axis=1) * self.h
-        if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):
-            raise PreconditionError("functions must have unit discrete norm")
+        norms = np.sqrt(np.sum(np.abs(functions) ** 2, axis=1) * self.h)
+        if np.any(norms == 0):
+            raise PreconditionError("cannot normalize a zero function")
+        if not np.all(np.isfinite(norms)):
+            raise PreconditionError("cannot normalize a non-finite function")
+        functions /= norms[:, np.newaxis]
+        object.__setattr__(self, "functions", functions)
 
     @property
     def h(self) -> float:
@@ -75,24 +82,10 @@ class GridFunctionSet:
         return self.x.size
 
 
-def make_grid_set(x, functions) -> GridFunctionSet:
-    """Normalize each function to unit discrete norm and bundle with the grid."""
-    x = _uniform_grid(x)
-    functions = np.atleast_2d(np.asarray(functions, dtype=complex))
-    h = float(x[1] - x[0])
-    norms = np.sqrt(np.sum(np.abs(functions) ** 2, axis=1) * h)
-    if np.any(norms == 0):
-        raise PreconditionError("cannot normalize a zero function")
-    if not np.all(np.isfinite(norms)):
-        raise PreconditionError("cannot normalize a non-finite function")
-    return GridFunctionSet(x=x, functions=functions / norms[:, np.newaxis])
-
-
 def kinetic_form(f: np.ndarray, h: float) -> float:
     """(f, -laplacian f) with the second-order difference operator and
     zero boundary extension: sum |f_{i+1} - f_i|^2 / h."""
-    padded = np.concatenate(([0.0 + 0.0j], np.asarray(f, dtype=complex), [0.0 + 0.0j]))
-    diffs = np.diff(padded)
+    diffs = np.diff(np.asarray(f, dtype=complex), prepend=0.0, append=0.0)
     return float(np.sum(np.abs(diffs) ** 2) / h)
 
 
@@ -154,8 +147,7 @@ def obstruction_certificate(gset: GridFunctionSet):
         raise PreconditionError("need at least two functions")
     check_length("grid", gset.size, 8)
 
-    moduli = np.abs(gset.functions) ** 2  # (n, G)
-    constraints = np.vstack([np.ones(gset.n), moduli.T * gset.h])
+    constraints = np.vstack([np.ones(gset.n), (np.abs(gset.functions) ** 2).T * gset.h])
     basis = _null_space(constraints)
     kinetics = np.array([kinetic_form(f, gset.h) for f in gset.functions])
     scale = float(np.max(np.abs(kinetics)))
@@ -187,7 +179,7 @@ def _unit_gaussian(grid_points: int):
     """The uniform grid of ``grid_points`` points on [-8, 8] and exp(-x^2/2) on it."""
     check_length("grid", grid_points, 8)
     x = np.linspace(-_HALF_WIDTH, _HALF_WIDTH, grid_points)
-    return x, np.exp(-x ** 2 / 2.0).astype(complex)
+    return x, np.exp(-x ** 2 / 2.0)
 
 
 def chirped_pair(grid_points: int = 1024) -> GridFunctionSet:
@@ -195,14 +187,14 @@ def chirped_pair(grid_points: int = 1024) -> GridFunctionSet:
     moduli pointwise but distinct kinetic energy, the standard
     certificate-producing pair."""
     x, base = _unit_gaussian(grid_points)
-    return make_grid_set(x, [base, base * np.exp(1j * x ** 2)])
+    return GridFunctionSet(x, [base, base * np.exp(1j * x ** 2)])
 
 
 def identical_pair(grid_points: int = 1024) -> GridFunctionSet:
     """Two copies of the unit Gaussian on [-8, 8]: the control case with no
     obstruction."""
     x, base = _unit_gaussian(grid_points)
-    return make_grid_set(x, [base, base.copy()])
+    return GridFunctionSet(x, [base, base])
 
 
 def read_grid_functions(paths) -> GridFunctionSet:
@@ -233,4 +225,4 @@ def read_grid_functions(paths) -> GridFunctionSet:
         funcs.append(data[:, 1] + 1j * data[:, 2])
     if x is None:
         raise PreconditionError("no input files")
-    return make_grid_set(x, funcs)
+    return GridFunctionSet(x, funcs)

@@ -171,7 +171,7 @@ class AmplitudeProfile:
         iterable of ints), index j at position j - indices.start,
         range-checked in one vectorised pass; raises PreconditionError
         naming the first index outside the profile."""
-        idx = check_indices("window", indices)
+        idx = check_indices("window", indices, "profile")
         pos = idx - self.indices.start
         outside = (pos < 0) | (pos >= len(self.indices))
         if outside.any():

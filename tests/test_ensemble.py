@@ -233,7 +233,7 @@ def test_parseval_window_masses_match_direct_sums(p, name):
     x = get_density(name).sample(np.random.default_rng(p), (256 if name == "two-point" else 16, p))
     direct = [np.sum(np.abs(_halfstep_rows(row / p)[window.start:window.stop]) ** 2) for row in x]
     with recorded_checks() as checks:
-        nus = ensemble._window_masses(x, window, basis)
+        nus = ensemble._window_masses(x, window, basis, name)
     assert np.max(np.abs(nus - direct)) <= 1e-12
     (what, points, residual), = checks
     assert what == f"Parseval window mass vs direct sum at p={p}"
@@ -281,7 +281,7 @@ def test_unscaled_window_masses_match_scaled_bits_at_power_of_two_periods():
     y = x / p
     outside = y @ basis
     scaled = np.einsum("ij,ij->i", y, y) * p - np.einsum("ij,ij->i", outside, outside)
-    assert ensemble._window_masses(x, window, basis).tobytes() == scaled.tobytes()
+    assert ensemble._window_masses(x, window, basis, "uniform").tobytes() == scaled.tobytes()
 
 
 def test_moment_experiment_raises_when_parseval_and_fft_disagree(monkeypatch):
@@ -313,6 +313,47 @@ def test_moment_experiment_chunk_shapes():
     moment_experiment([64, 1024, 2048], density, 4097, np.random.default_rng(0))
     assert shapes == [(4096, 64), (1, 64), (4096, 1024), (1, 1024),
                       (2048, 2048), (2048, 2048), (1, 2048)]
+
+
+NAN_DENSITY = DensitySpec("nan", m2=1.0, m4=1.0, sample=lambda rng, size: np.full(size, np.nan))
+
+
+@pytest.mark.parametrize("p", [64, 32768], ids=["product path", "fft path"])
+def test_moment_experiment_refuses_a_non_finite_draw(p):
+    # before the Parseval check sees it (p = 64) and where no check runs (p = 32768)
+    with pytest.raises(PreconditionError, match=f"^density 'nan' drew a non-finite value "
+                                                f"at p={p}$"):
+        moment_experiment([p], NAN_DENSITY, 10, np.random.default_rng(0))
+
+
+def test_continuous_nu_refuses_a_non_finite_draw():
+    with pytest.raises(PreconditionError, match="^density 'nan' drew a non-finite value$"):
+        continuous_nu(8, NAN_DENSITY, np.random.default_rng(0))
+
+
+class SpawnRecorder:
+    """A generator stand-in that records the size of each spawn request."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def spawn(self, n):
+        self.sizes.append(n)
+        return self.rng.spawn(n)
+
+
+def test_moment_experiment_spawns_one_stream_per_chunk_as_it_draws():
+    # three chunks at p = 64 (4096 rows each); spawning them one at a time
+    # gives the children, and so the numbers, that spawning all three at once gave
+    uniform, recorder = get_density("uniform"), SpawnRecorder(3)
+    report = moment_experiment([64], uniform, 2 * 4096 + 1, recorder)
+    assert recorder.sizes == [1, 1, 1]
+    window = centered_window(64, alpha_for_period(64))
+    basis = ensemble._complement_basis(64, window)
+    streams = np.random.default_rng(3).spawn(3)
+    nus = [ensemble._window_masses(uniform.sample(stream, (rows, 64)), window, basis, "uniform")
+           for stream, rows in zip(streams, (4096, 4096, 1))]
+    assert report.rows[0].mean == float(np.mean(np.concatenate(nus)))
 
 
 def test_continuous_nu_deterministic_one():

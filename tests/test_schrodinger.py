@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from halfcycle import (PreconditionError, chirped_pair, identical_pair, make_grid_set,
+from halfcycle import (GridFunctionSet, PreconditionError, chirped_pair, identical_pair,
                        obstruction_certificate, read_grid_functions)
-from halfcycle.schrodinger import (GridFunctionSet, ObstructionAbsence, ObstructionCertificate,
-                                   _null_space, kinetic_form)
+from halfcycle.schrodinger import (ObstructionAbsence, ObstructionCertificate, _null_space,
+                                   kinetic_form)
 
 
 def write_csv(path, x, f):
@@ -48,7 +48,7 @@ def test_identical_pair_yields_absence():
 
 def test_different_widths_give_only_zero_solution():
     x = np.linspace(-8, 8, 1024)
-    gset = make_grid_set(x, [np.exp(-x ** 2 / 2), np.exp(-x ** 2 / 8)])
+    gset = GridFunctionSet(x, [np.exp(-x ** 2 / 2), np.exp(-x ** 2 / 8)])
     result = obstruction_certificate(gset)
     assert isinstance(result, ObstructionAbsence)
     assert "only zero" in result.reason
@@ -79,24 +79,22 @@ def test_kinetic_form_of_plane_wave_segment():
     # for a discrete sinusoid the form evaluates near k^2 per unit norm
     x = np.linspace(-20, 20, 4096)
     f = np.exp(1j * 1.5 * x) * np.exp(-x ** 2 / 50)
-    gset = make_grid_set(x, [f])
+    gset = GridFunctionSet(x, [f])
     t = kinetic_form(gset.functions[0], gset.h)
     assert t == pytest.approx(1.5 ** 2 + 0.01, rel=0.05)
 
 
 def test_grid_validation():
     with pytest.raises(PreconditionError):
-        make_grid_set(np.array([0.0, 1.0, 3.0]), [np.ones(3)])
+        GridFunctionSet(np.array([0.0, 1.0, 3.0]), [np.ones(3)])
     # checked before any norm is taken, so no sqrt of a negative spacing
     for x in (np.linspace(1, -1, 8), np.zeros(8), np.r_[0.0, np.linspace(0, 1, 7)]):
         with pytest.raises(PreconditionError, match="strictly increasing"):
-            make_grid_set(x, [np.ones(8)])
-        with pytest.raises(PreconditionError, match="strictly increasing"):
-            GridFunctionSet(x=x, functions=[np.ones(8)])
-    coarse = make_grid_set(np.linspace(-1, 1, 6), [np.ones(6), np.ones(6)])
+            GridFunctionSet(x, [np.ones(8)])
+    coarse = GridFunctionSet(np.linspace(-1, 1, 6), [np.ones(6), np.ones(6)])
     with pytest.raises(PreconditionError):
         obstruction_certificate(coarse)
-    single = make_grid_set(np.linspace(-1, 1, 64), [np.ones(64)])
+    single = GridFunctionSet(np.linspace(-1, 1, 64), [np.ones(64)])
     with pytest.raises(PreconditionError):
         obstruction_certificate(single)
 
@@ -188,10 +186,41 @@ def test_csv_non_finite_value_names_the_file(tmp_path):
 
 def test_grid_function_set_refuses_a_nan_norm():
     x = np.linspace(-1.0, 1.0, 8)
-    with pytest.raises(PreconditionError, match="unit discrete norm"):
+    with pytest.raises(PreconditionError, match="cannot normalize a non-finite function"):
         GridFunctionSet(x=x, functions=[np.full(8, np.nan)])
-    with pytest.raises(PreconditionError, match="cannot normalize"):
-        make_grid_set(x, [np.r_[np.ones(7), np.nan]])
+    with pytest.raises(PreconditionError, match="cannot normalize a non-finite function"):
+        GridFunctionSet(x, [np.r_[np.ones(7), np.nan]])
+
+
+def test_grid_function_set_normalizes_a_copy_and_refuses_a_zero_function():
+    x = np.linspace(-1.0, 1.0, 8)
+    functions = np.array([np.full(8, 3.0 + 0j), np.arange(8.0) + 1j])
+    before = functions.copy()
+    gset = GridFunctionSet(x, functions)
+    assert np.allclose(np.sum(np.abs(gset.functions) ** 2, axis=1) * gset.h, 1.0, atol=1e-14)
+    assert np.array_equal(functions, before) and not np.shares_memory(gset.functions, functions)
+    with pytest.raises(PreconditionError, match="cannot normalize a zero function"):
+        GridFunctionSet(x, [np.ones(8), np.zeros(8)])
+
+
+def test_building_and_certifying_stay_near_the_functions_held():
+    # at 2^16 points a pair holds 2.5 MiB (grid and functions).  Building it
+    # with one copy of the functions, normalized in place, peaks at 2.0x
+    # that, and with a second, normalized copy at 2.63x; certifying it (the
+    # set included) peaks at 2.2x, and at 2.8x with a moduli array kept
+    # through the QR.  The bounds sit between.
+    tracemalloc.start()
+    try:
+        gset = chirped_pair(2 ** 16)
+        _, build = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        obstruction_certificate(gset)
+        _, certify = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = gset.x.nbytes + gset.functions.nbytes
+    assert build <= 2.4 * held
+    assert certify <= 2.6 * held
 
 
 def test_one_point_grid_rejected(tmp_path):
@@ -201,7 +230,7 @@ def test_one_point_grid_rejected(tmp_path):
     with pytest.raises(PreconditionError, match="at least two points"):
         read_grid_functions([a, b])
     with pytest.raises(PreconditionError, match="at least two points"):
-        make_grid_set([0.0], [[1.0]])
+        GridFunctionSet([0.0], [[1.0]])
 
 
 def _constraints(gset):
@@ -212,9 +241,9 @@ _X = np.linspace(-8, 8, 256)
 
 
 @pytest.mark.parametrize("matrix", [
-    _constraints(make_grid_set(_X, [np.exp(-_X ** 2 / 2), np.exp(-_X ** 2 / 8)])),  # tall
+    _constraints(GridFunctionSet(_X, [np.exp(-_X ** 2 / 2), np.exp(-_X ** 2 / 8)])),  # tall
     _constraints(identical_pair(256)),  # tall, rank-deficient
-    _constraints(make_grid_set(np.linspace(-1.0, 1.0, 8),
+    _constraints(GridFunctionSet(np.linspace(-1.0, 1.0, 8),
                                np.random.default_rng(5).normal(size=(12, 8)))),  # wide
 ], ids=["tall", "rank-deficient", "wide"])
 def test_null_space_matches_scipy_reference(matrix):

@@ -152,3 +152,15 @@ def test_integer_rule_passes_numpy_integers_and_any_iterable_of_ints():
     assert nu_of(PROFILE, []) == nu_of(PROFILE, range(0)) == nu_from_y(Y8, []) == 0.0
     assert check_indices("window", []).dtype == np.int64
     assert pack_spectrum(2, np.array([0, 1, 2])).nu_exponents == (0, 1, 2)
+
+
+@pytest.mark.parametrize("window, index", [
+    ([2 ** 70], 2 ** 70),  # a Python int numpy keeps as an object
+    (np.array([2 ** 63], dtype=np.uint64), 2 ** 63),  # would wrap to -2**63 as int64
+    ([3, -2 ** 64], -2 ** 64),
+], ids=["object", "uint64", "negative"])
+def test_an_index_past_int64_is_named_as_outside_the_profile(window, index):
+    profile = halfstep_profile_periodic(8)
+    with pytest.raises(PreconditionError, match=f"^index {index} outside profile range$"):
+        nu_of(profile, window)
+    assert nu_of(profile, np.array([3, 4], dtype=np.uint64)) == nu_of(profile, [3, 4])
