@@ -49,7 +49,7 @@ print()
 print("=" * 64)
 print("  Continuous (aperiodic) case: direct sum and Parseval bound")
 print("=" * 64)
-ones = hc.DensitySpec("y = 1", m2=1.0, m4=1.0, sample=lambda rng, size: np.ones(size))
+ones = hc.DensitySpec("y = 1", m2=1.0, m4=1.0, sample=lambda rng, out: out.fill(1.0))
 res1 = hc.continuous_nu(256, ones, rng)
 print(f"\n  deterministic y = 1: direct = {res1.direct:.6f}, Parseval mean(y^2) = {res1.parseval:.6f}")
 print("  (the truncated direct sum matches the minimal aperiodic capture and")

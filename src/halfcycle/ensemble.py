@@ -12,14 +12,17 @@ gives the success probability of a randomly drawn implementation.  With an
 even density of second moment m2 and window fraction alpha,
 E(nu) = alpha*m2, with standard deviation falling like p^{-1/2}; the
 experiment driver below estimates the moments, the deviation scaling, and
-a calibrated one-sided Chebyshev coverage figure.  The raised-cosine
-density (1 + cos(pi*y))/2 is drawn by rejection: sin(pi*y/2) follows the
-semicircle law, which is the law of the x-coordinate of a uniform point in
-the unit disk, so y = (2/pi)*arcsin(a) for the first coordinate a of the
-points of [-1, 1) x [0, 1) that land inside the disk (von Neumann's
-rejection, accepting pi/4 of the points).  No cosine is evaluated, and
-the points go in fixed blocks of _DRAW_BLOCK outputs, so the draw holds
-no temporary larger than a block.
+a calibrated one-sided Chebyshev coverage figure.  A density fills a
+caller-given float array with its draws in place (``DensitySpec.sample``),
+so the driver draws every block of a call into one buffer.  The
+raised-cosine density (1 + cos(pi*y))/2 is drawn by rejection:
+sin(pi*y/2) follows the semicircle law, which is the law of the
+x-coordinate of a uniform point in the unit disk, so y = (2/pi)*arcsin(a)
+for the first coordinate a of the points of [-1, 1) x [0, 1) that land
+inside the disk (von Neumann's rejection, accepting pi/4 of the points).
+No cosine is evaluated, and the points go in fixed blocks of _DRAW_BLOCK
+outputs through one scratch array per call, so the draw holds no
+temporary larger than a block.
 
 The window covers all but about sqrt(p) of the p bins, and the twisted
 DFT c_j = sum_k y_k exp(-2pi*i*k*(j - 1/2)/p) is unitary up to sqrt(p),
@@ -27,22 +30,25 @@ so by Parseval
 
     nu = p * sum_k y_k^2 - sum_{j not in window} |c_j|^2.
 
-The experiment driver never rescales its draws x = p*y: it evaluates
-nu = sum_k x_k^2/p - sum_{j not in window} |c_j(x)|^2/p^2, the complement
-as one real matrix product with the p x 2m basis [cos | sin] of its m
-bins, whenever that basis holds no more entries than one chunk of draws
-(p * 2m <= 2**22, every p up to 16384); larger periods take one FFT per
-row.  Direct summation stays the authoritative evaluator: the half-step
-evaluator of ``spectral`` (one FFT per row, which is the same sum) gives
-every other window mass and checks the first row of every product-path
-chunk by ``errors.check_residual``.
+The experiment driver draws and evaluates each period in blocks of at
+most _BLOCK_DRAWS draws (2 MiB), and never rescales its draws x = p*y: it
+evaluates nu = sum_k x_k^2/p - sum_{j not in window} |c_j(x)|^2/p^2, the
+complement as one real matrix product per block with the p x 2m basis
+[cos | sin] of its m bins, whenever that basis holds at most
+_BASIS_ENTRIES entries (p * 2m <= 2**22, every p up to 16384); larger
+periods take one FFT per row with one twist per period.  Direct summation
+stays the authoritative evaluator: the half-step evaluator of
+``spectral`` (one FFT per row, which is the same sum) gives every other
+window mass and checks the first row of every product-path block by
+``errors.check_residual``.
 
 In the continuous case the functions exp(-i*(j - 1/2)*l) are orthogonal
 on [0, 2pi), so by Parseval the full series of squared amplitudes sums to
 mean(y^2); the truncated direct sum obeys Bessel's inequality, checked.
 
 Periods, trial counts and cell counts obey the size rule of
-``errors.check_length``.
+``errors.check_length``; the draws of one experiment, the sum of its
+periods times its trials, are capped at _DRAW_CAP.
 """
 
 from __future__ import annotations
@@ -53,60 +59,76 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import alpha_for_period, centered_window
-from .errors import PreconditionError, check_indices, check_length, check_residual
-from .spectral import _halfstep_rows
+from .errors import (CapacityError, PreconditionError, check_indices, check_length,
+                     check_residual)
+from .spectral import _halfstep_rows, _halfstep_twist
 
-_CHUNK_ROWS = 4096
-_CHUNK_ENTRIES = 2 ** 22  # draws held at once: exactly 4096 rows at p = 1024
+_BLOCK_DRAWS = 2 ** 18  # draws per block of the experiment (2 MiB), at least one row
+_BASIS_ENTRIES = 2 ** 22  # complement-basis entries p * 2m: every p up to 16384
+# Draws per experiment, the sum of its periods times its trials.  A draw
+# cost 5 ns on the product path at p = 64..1024, 18 ns at p = 16384, and on
+# the FFT path 14 ns at p = 32768 and 73 ns at p = 2**22 (best of three, one
+# core of a shared 2-vCPU Intel Xeon host), so an experiment at the cap
+# takes 1.4 to 20 s; the stats default (1.3e8 draws) is half of it.
+_DRAW_CAP = 2 ** 28
 _DELTA = 3.0  # standard deviations below the mean of the Chebyshev threshold
 _BESSEL_TOL = 1e-12
 _CHECK_TOL = 1e-12  # Parseval window mass against direct summation, per checked row
 _DRAW_BLOCK = 2 ** 16  # raised-cosine outputs per block of disk points
+_TWO_POINTS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """An even probability density on [-1, 1] with known moments; ``sample``
-    must keep to [-1, 1] (unchecked), and a non-finite draw is refused."""
+    """An even probability density on [-1, 1] with known moments.
+
+    ``sample(rng, out)`` fills the C-contiguous float64 array ``out``, of
+    any shape, in place with i.i.d. draws from ``rng`` and returns nothing;
+    the draws must keep to [-1, 1] (unchecked), and a non-finite draw is
+    refused by the caller."""
 
     name: str
     m2: float
     m4: float
-    sample: object  # callable(rng, size) -> ndarray of draws in [-1, 1]
+    sample: object  # callable(rng, out) -> None, filling out with draws in [-1, 1]
 
 
-def _sample_uniform(rng, size):
-    return rng.uniform(-1.0, 1.0, size)
+def _sample_uniform(rng, out):
+    # the bits of rng.uniform(-1, 1, out.shape): -1 + 2u, with 2u exact
+    rng.random(out=out)
+    out *= 2.0
+    out -= 1.0
 
 
-def _sample_two_point(rng, size):
-    return rng.choice(np.array([-1.0, 1.0]), size=size)
+def _sample_two_point(rng, out):
+    out[...] = rng.choice(_TWO_POINTS, size=out.shape)
 
 
-def _sample_raised_cosine(rng, size):
+def _sample_raised_cosine(rng, out):
     # (1 + cos(pi*y))/2 = cos(pi*y/2)^2, so sin(pi*y/2) follows the
     # semicircle law: it is the x-coordinate a of a uniform point (a, b) of
     # the upper half disk, drawn by rejection from [-1, 1) x [0, 1) (rate
     # pi/4).  A block of at most _DRAW_BLOCK outputs draws 4/3 as many
-    # points plus 64 and writes the first accepted a straight into y; a
-    # block that falls short leaves the rest to the next one.  |y| <= 1 exactly: |a| < 1, and
-    # dividing arcsin(a) <= fl(pi/2) by fl(pi/2) is monotone.
-    y = np.empty(size)
-    flat = y.reshape(-1)
+    # points plus 64 into the call's one scratch array and writes the first
+    # accepted a straight into out; a block that falls short leaves the
+    # rest to the next one.  |y| <= 1 exactly: |a| < 1, and dividing
+    # arcsin(a) <= fl(pi/2) by fl(pi/2) is monotone.
+    flat = out.reshape(-1)  # a view, out being contiguous
+    scratch = np.empty(3 * (4 * min(_DRAW_BLOCK, flat.size) // 3 + 64))
     done = 0
     while done < flat.size:
         want = min(_DRAW_BLOCK, flat.size - done)
-        a, b = rng.random((2, 4 * want // 3 + 64))
+        n = 4 * want // 3 + 64
+        a, b = rng.random(out=scratch[:2 * n].reshape(2, n))
         a *= 2.0
         a -= 1.0
         b *= b
-        b += a * a
-        inside = np.compress(b < 1.0, a)[:want]
+        b += np.multiply(a, a, out=scratch[2 * n:3 * n])
+        inside = a[b < 1.0][:want]
         flat[done:done + inside.size] = inside
         done += inside.size
-    np.arcsin(y, out=y)
-    y /= np.pi / 2
-    return y
+    np.arcsin(out, out=out)
+    out /= np.pi / 2
 
 
 DENSITIES = {
@@ -153,23 +175,24 @@ def nu_from_y(sample: YSample, window) -> float:
     return float(np.sum(np.abs(amps[window]) ** 2))
 
 
-def _direct_window_masses(y, window):
-    """Window masses of the rows of ``y`` by direct summation (one FFT per row)."""
-    inside = _halfstep_rows(y)[:, window.start:window.stop].view(float)
-    return np.einsum("ij,ij->i", inside, inside)
+def _direct_window_masses(y, window, twist, out=None):
+    """Window masses of the rows of ``y`` by direct summation (one FFT per
+    row, with the period's ``twist``), into ``out`` if given."""
+    inside = _halfstep_rows(y, twist)[:, window.start:window.stop].view(float)
+    return np.einsum("ij,ij->i", inside, inside, out=out)
 
 
 def _complement_basis(p: int, window):
     """The real p x 2m basis [cos | sin] of the m bins j outside ``window``,
     so that |c_j|^2 = (y @ cos_j)^2 + (y @ sin_j)^2; None when it would hold
-    more than _CHUNK_ENTRIES entries.
+    more than _BASIS_ENTRIES entries.
 
     The angles pi*k*(2j - 1)/p are reduced mod 2pi in integers first, so
     each is one rounding of a value in [0, 2pi) however large k*(2j - 1).
     """
     outside = np.r_[0:window.start, window.stop:p]
     m = outside.size
-    if p * 2 * m > _CHUNK_ENTRIES:
+    if p * 2 * m > _BASIS_ENTRIES:
         return None
     turns = np.outer(np.arange(p), 2 * outside - 1)
     turns %= 2 * p
@@ -180,28 +203,34 @@ def _complement_basis(p: int, window):
     return basis
 
 
-def _window_masses(x, window, basis, name):
-    """Window masses of the implementations y = x/p, one per row of the
-    unscaled draws ``x``.  With a complement basis: nu = sum(x^2)/p -
-    |x @ basis|^2/p^2 by Parseval, and the first row is checked against
-    direct summation of x[0]/p to _CHECK_TOL by ``errors.check_residual``.
-    Without one: direct summation for every row, nu = nu(x)/p^2, no check.
-    A non-finite mass (from a non-finite draw) is refused first, naming density ``name``.
+def _window_masses(x, window, basis, twist, name, out):
+    """Fill ``out`` with the window masses of the implementations y = x/p,
+    one per row of the unscaled draws ``x``, and return it.  With a
+    complement basis: nu = sum(x^2)/p - |x @ basis|^2/p^2 by Parseval, and
+    the first row is checked against direct summation of x[0]/p to
+    _CHECK_TOL by ``errors.check_residual``.  Without one: direct summation
+    for every row, nu = nu(x)/p^2, no check.  ``twist`` is the period's
+    half-step twist.  A non-finite mass (from a non-finite draw) is refused
+    first, naming density ``name``.
     """
     p = x.shape[1]
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite mass is refused below
         if basis is None:
-            nus = _direct_window_masses(x, window) / (p * p)
+            _direct_window_masses(x, window, twist, out)
+            out /= p * p
         else:
-            outside = x @ basis / p
-            nus = np.einsum("ij,ij->i", x, x) / p - np.einsum("ij,ij->i", outside, outside)
-    if not np.isfinite(nus).all():
+            outside = x @ basis
+            outside /= p
+            np.einsum("ij,ij->i", x, x, out=out)
+            out /= p
+            out -= np.einsum("ij,ij->i", outside, outside)
+    if not np.isfinite(out).all():
         raise PreconditionError(f"density {name!r} drew a non-finite value at p={p}")
     if basis is not None:
-        direct = _direct_window_masses(x[:1] / p, window)[0]
-        check_residual(f"Parseval window mass vs direct sum at p={p}", abs(nus[0] - direct),
+        direct = _direct_window_masses(x[:1] / p, window, twist)[0]
+        check_residual(f"Parseval window mass vs direct sum at p={p}", abs(out[0] - direct),
                        _CHECK_TOL)
-    return nus
+    return out
 
 
 @dataclass(frozen=True)
@@ -245,6 +274,11 @@ class StatsReport:
         }
 
 
+def _block_rows(p: int) -> int:
+    """Rows of period p per block: at most _BLOCK_DRAWS draws, at least one row."""
+    return max(1, _BLOCK_DRAWS // p)
+
+
 def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsReport:
     """Sample nu for each period with the long-waiting window and estimate
     its moments.
@@ -255,35 +289,45 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
     samples below mean - delta*std (delta = 3) together with the calibrated
     constant c making that threshold read m2 - delta/(c*sqrt(p)).
 
-    Trials are drawn in chunks of at most 4096 rows and 2**22 draws, each
-    from a stream spawned off ``rng`` when it is drawn, so the numbers a
-    seed gives depend on the chunk size.  The draws x in [-1, 1] stay
-    unscaled: the masses of y = x/p are computed from x, which at a
+    Trials are drawn in blocks of max(1, 2**18 // p) rows, so at most 2**18
+    draws (2 MiB) unless one row is longer, each from a stream spawned off
+    ``rng`` when it is drawn, so the numbers a seed gives depend on the
+    block size.  Every block of a call is drawn in place by
+    ``density.sample`` into one buffer allocated once, and its masses go
+    straight into the period's array of masses.  The draws x in [-1, 1]
+    stay unscaled: the masses of y = x/p are computed from x, which at a
     power-of-two p gives the bits that scaling x first would.  Window
     masses are computed by Parseval over the m bins outside the window, one
-    matrix product per chunk, whenever p*2m <= 2**22 (every p up to 16384);
-    the first row of each such chunk is checked against the FFT to 1e-12.
+    matrix product per block, whenever p*2m <= 2**22 (every p up to 16384);
+    the first row of each such block is checked against the FFT to 1e-12.
     Larger periods take one FFT per row, the reference, with nothing to
-    check it against.  The trial count and every period (even, at least 4)
-    are checked before anything is drawn; an empty list or a non-finite
-    draw raises PreconditionError.
+    check it against.  The trial count, every period (even, at least 4)
+    and the total draws, the sum of the periods times the trials (at most
+    _DRAW_CAP, else CapacityError), are checked before anything is drawn;
+    an empty list or a non-finite draw raises PreconditionError.
     """
     check_length("trials", trials)
     if not p_list:
         raise PreconditionError("need at least one period")
     for p in p_list:
         check_length("period", p, 4, even=True)
+    draws = sum(int(p) for p in p_list) * int(trials)
+    if draws > _DRAW_CAP:
+        raise CapacityError(f"{draws} draws (periods times trials) exceed cap {_DRAW_CAP}")
+    buffer = np.empty(max(min(trials, _block_rows(p)) * p for p in p_list))
     rows = []
     for p in p_list:
         alpha = alpha_for_period(p)
         window = centered_window(p, alpha)
-        chunk = min(_CHUNK_ROWS, _CHUNK_ENTRIES // p)
         basis = _complement_basis(p, window)
+        twist = _halfstep_twist(p)
+        block = _block_rows(p)
         nus = np.empty(trials)
-        for done in range(0, trials, chunk):
-            count = min(chunk, trials - done)
-            nus[done:done + count] = _window_masses(
-                density.sample(rng.spawn(1)[0], (count, p)), window, basis, density.name)
+        for done in range(0, trials, block):
+            count = min(block, trials - done)
+            x = buffer[:count * p].reshape(count, p)
+            density.sample(rng.spawn(1)[0], x)
+            _window_masses(x, window, basis, twist, density.name, nus[done:done + count])
         mean = float(np.mean(nus))
         var = float(np.var(nus, ddof=1)) if trials > 1 else float("nan")
         std = math.sqrt(var)
@@ -322,11 +366,12 @@ def continuous_nu(cells: int, density: DensitySpec, rng) -> ContinuousNu:
     over [0, 2pi).  Over cell m of width D = 2pi/cells the integral is
     exp(-2pi*i*m*u/cells) * (1 - exp(-i*u*D))/(i*u), so the amplitudes are
     the half-step sums of y, periodic in j with period cells, times
-    (1 - exp(-i*u*D))/(2pi*i*u).  A density whose ``sample`` returns a
+    (1 - exp(-i*u*D))/(2pi*i*u).  A density whose ``sample`` fills in a
     fixed vector gives a deterministic y; a non-finite one is refused.
     """
     check_length("cell count", cells, 2, even=True)
-    y = density.sample(rng, cells)
+    y = np.empty(cells)
+    density.sample(rng, y)
     parseval = float(np.mean(y * y))
     if not math.isfinite(parseval):
         raise PreconditionError(f"density {density.name!r} drew a non-finite value")

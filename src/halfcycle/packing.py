@@ -205,11 +205,22 @@ def _largest_size_fits(n_max: int, exponent: int) -> None:
                             f"which exceed cap {DEFAULT_POINT_CAP}")
 
 
+def _read_exponents(values) -> tuple:
+    """The exponents as Python ints, by the index rule of ``errors.check_indices``,
+    except that an exponent int64 cannot hold is kept: like 2**62, it then
+    meets the sequence checks and the point cap, not the int64 range."""
+    if not isinstance(values, range):
+        values = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+        if (values.ndim == 1 and values.dtype in (object, np.uint64)
+                and all(type(v) is int for v in values.tolist())):
+            return tuple(values.tolist())
+    return tuple(check_indices("exponents", values).tolist())
+
+
 def _validate_nu(n_max: int, nu_exponents) -> tuple:
     check_length("n_max", n_max, 0, cap=math.inf)  # the point cap follows
     _largest_size_fits(n_max, 2 * n_max)  # nu_n >= n, before any sequence is built
-    nu = (tuple(range(n_max + 1)) if nu_exponents is None
-          else tuple(check_indices("exponents", nu_exponents).tolist()))
+    nu = tuple(range(n_max + 1)) if nu_exponents is None else _read_exponents(nu_exponents)
     if len(nu) != n_max + 1:
         raise PreconditionError("need one exponent per size 0..n_max")
     if any(v < 0 for v in nu):

@@ -22,12 +22,14 @@ Grids have at least 8 points and obey the size rule of
 from __future__ import annotations
 
 import csv
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, check_length
+from .errors import DEFAULT_PERIOD_CAP, CapacityError, PreconditionError, check_length
 
 _HALF_WIDTH = 8.0  # the shipped pairs live on [-8, 8]; exp(-x^2/2) < 1e-13 at its ends
 
@@ -197,12 +199,26 @@ def identical_pair(grid_points: int = 1024) -> GridFunctionSet:
     return GridFunctionSet(x, [base, base])
 
 
+def _row_cap(handle):
+    """``max_rows`` for ``np.loadtxt``: DEFAULT_PERIOD_CAP + 1 for a file
+    that could hold more rows than the cap, else None.  numpy allocates
+    max_rows rows up front (100 MB at the cap), and a regular file of
+    fewer than 6 * DEFAULT_PERIOD_CAP + 5 bytes holds at most the cap,
+    since a row takes at least five characters ("0,0,0") and a line end."""
+    info = os.fstat(handle.fileno())
+    small = stat.S_ISREG(info.st_mode) and info.st_size < 6 * DEFAULT_PERIOD_CAP + 5
+    return None if small else DEFAULT_PERIOD_CAP + 1
+
+
 def read_grid_functions(paths) -> GridFunctionSet:
     """Load one function per CSV file of rows x, re, im, read by ``np.loadtxt``
     (blank lines skipped, cells may be quoted, columns past the third ignored)
     after a first line whose first cell, quoted or not, is ``x``; all files
     must share one grid.  A file that cannot be read, has no such rows or
-    holds a NaN or infinite value raises PreconditionError naming it."""
+    holds a NaN or infinite value raises PreconditionError naming it; one
+    of more than DEFAULT_PERIOD_CAP rows, CapacityError naming it, as soon
+    as its first DEFAULT_PERIOD_CAP + 1 rows are read and before the next
+    file is opened."""
     x, funcs = None, []
     for path in paths:
         try:
@@ -211,11 +227,15 @@ def read_grid_functions(paths) -> GridFunctionSet:
                 header = next(csv.reader([handle.readline(4)]), [])[:1] == ["x"]  # x ends by then
                 handle.seek(0)
                 data = np.loadtxt(handle, delimiter=",", usecols=(0, 1, 2), ndmin=2, comments=None,
-                                  quotechar='"', skiprows=int(header))
+                                  quotechar='"', skiprows=int(header),
+                                  max_rows=_row_cap(handle))
         except (OSError, UnicodeDecodeError) as exc:
             raise PreconditionError(f"cannot read grid file {str(path)!r}: {exc}") from exc
         except (ValueError, UserWarning) as exc:
             raise PreconditionError(f"{path}: expected numeric rows x, re, im") from exc
+        if len(data) > DEFAULT_PERIOD_CAP:
+            raise CapacityError(f"{path}: grid of more than {DEFAULT_PERIOD_CAP} rows "
+                                f"exceeds cap {DEFAULT_PERIOD_CAP}")
         if not np.all(np.isfinite(data)):
             raise PreconditionError(f"{path}: grid and function values must be finite")
         if x is None:

@@ -201,15 +201,22 @@ def minimal_periodic_spectrum(p: int) -> OrbitSpectrum:
     return spec
 
 
-def _halfstep_rows(y_rows: np.ndarray) -> np.ndarray:
+def _halfstep_twist(p: int) -> np.ndarray:
+    """The half-step twist exp(i*pi*k/p), k = 0..p-1."""
+    return np.exp(1j * np.pi * np.arange(p) / p)
+
+
+def _halfstep_rows(y_rows: np.ndarray, twist=None) -> np.ndarray:
     """Half-step sums c_j = sum_k y_k exp(-2pi*i*k*(j-1/2)/p), j = 0..p-1,
     along the last axis of ``y_rows``.
 
     The half-step twist exp(i*pi*k/p) folds into the input so a plain DFT
-    over j computes the literal sums for all j at once.
+    over j computes the literal sums for all j at once.  A caller that
+    evaluates many rows of one period in turn passes ``_halfstep_twist(p)``
+    once instead of having it built on every call.
     """
-    p = y_rows.shape[-1]
-    twist = np.exp(1j * np.pi * np.arange(p) / p)
+    if twist is None:
+        twist = _halfstep_twist(y_rows.shape[-1])
     return np.fft.fft(y_rows * twist, axis=-1)
 
 

@@ -1,6 +1,7 @@
 """Random-implementation sampling: moments, the parity bridge, statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,19 +11,29 @@ from halfcycle import (DENSITIES, CapacityError, ConsistencyError, DensitySpec,
                        continuous_nu, ensemble, get_density, halfstep_profile_periodic,
                        nu_from_y, nu_of, moment_experiment)
 from halfcycle.errors import DEFAULT_PERIOD_CAP, recorded_checks
-from halfcycle.spectral import _halfstep_rows
+from halfcycle.spectral import _halfstep_rows, _halfstep_twist
+
+
+def draw(density, rng, shape):
+    """A new array of ``shape`` filled in place by ``density.sample``."""
+    out = np.empty(shape)
+    density.sample(rng, out)
+    return out
 
 
 def draw_y(p, density, rng):
     """One sampled implementation: p draws of ``density`` rescaled to [-1/p, 1/p]."""
-    return YSample(p=p, y=density.sample(rng, p) / p)
+    return YSample(p=p, y=draw(density, rng, p) / p)
 
 
 def fixed(y):
     """A density whose every draw is ``y``, for deterministic continuous_nu checks."""
     y = np.asarray(y, dtype=float)
-    return DensitySpec("fixed", float(np.mean(y ** 2)), float(np.mean(y ** 4)),
-                       lambda rng, size: y)
+
+    def fill(rng, out):
+        out[...] = y
+
+    return DensitySpec("fixed", float(np.mean(y ** 2)), float(np.mean(y ** 4)), fill)
 
 
 def test_density_library_moments():
@@ -41,7 +52,7 @@ def test_density_library_moments():
 def test_sampled_moments_match_library(name):
     density = get_density(name)
     rng = np.random.default_rng(21)
-    draws = density.sample(rng, 1_000_000)
+    draws = draw(density, rng, 1_000_000)
     assert np.all(np.abs(draws) <= 1.0)
     se2 = math.sqrt(max(density.m4 - density.m2 ** 2, 1e-12) / draws.size) + 1e-9
     assert abs(np.mean(draws)) < 3 * math.sqrt(density.m2 / draws.size)
@@ -61,7 +72,7 @@ def raised_cosine_ks_distance(draws):
 def test_raised_cosine_sampler_follows_its_cdf():
     # KS distance below the alpha = 0.01 critical value 1.63/sqrt(n)
     n = 100_000
-    draws = get_density("raised-cosine").sample(np.random.default_rng(31), n)
+    draws = draw(get_density("raised-cosine"), np.random.default_rng(31), n)
     assert np.all(np.abs(draws) <= 1.0)
     assert raised_cosine_ks_distance(draws) < 1.63 / math.sqrt(n)
 
@@ -74,16 +85,16 @@ class HalfRejected:
         self.rng = np.random.default_rng(seed)
         self.blocks = 0
 
-    def random(self, size):
+    def random(self, *, out):
         self.blocks += 1
-        points = self.rng.random(size)
-        points[:, ::2] = 0.999  # a = 0.998, b = 0.999: a^2 + b^2 > 1
-        return points
+        self.rng.random(out=out)
+        out[:, ::2] = 0.999  # a = 0.998, b = 0.999: a^2 + b^2 > 1
+        return out
 
 
 def test_raised_cosine_sampler_tops_up_short_blocks():
     rng = HalfRejected(32)
-    draws = get_density("raised-cosine").sample(rng, (40, 2500))
+    draws = draw(get_density("raised-cosine"), rng, (40, 2500))
     assert draws.shape == (40, 2500)
     assert rng.blocks > math.ceil(draws.size / ensemble._DRAW_BLOCK) + 1
     assert np.all(np.abs(draws) <= 1.0)
@@ -92,15 +103,22 @@ def test_raised_cosine_sampler_tops_up_short_blocks():
 
 def test_raised_cosine_sampler_is_reproducible_across_blocks():
     size = (3, ensemble._DRAW_BLOCK // 2 + 7)  # 1.5 blocks and a little more
-    first, second = (get_density("raised-cosine").sample(np.random.default_rng(33), size)
+    first, second = (draw(get_density("raised-cosine"), np.random.default_rng(33), size)
                      for _ in range(2))
     assert first.size % ensemble._DRAW_BLOCK and first.tobytes() == second.tobytes()
 
 
 def test_raised_cosine_sampler_empty_draw():
     rng = np.random.default_rng(34)
-    assert get_density("raised-cosine").sample(rng, 0).shape == (0,)
-    assert get_density("raised-cosine").sample(rng, (0, 64)).shape == (0, 64)
+    assert draw(get_density("raised-cosine"), rng, 0).shape == (0,)
+    assert draw(get_density("raised-cosine"), rng, (0, 64)).shape == (0, 64)
+
+
+def test_uniform_fills_in_place_the_bits_of_rng_uniform():
+    out = np.empty((3, 1000))
+    assert get_density("uniform").sample(np.random.default_rng(35), out) is None
+    expected = np.random.default_rng(35).uniform(-1.0, 1.0, out.size)
+    assert out.reshape(-1).tobytes() == expected.tobytes()
 
 
 def test_two_point_sample_support():
@@ -211,7 +229,7 @@ def test_moment_experiment_validates_periods():
 
 
 def test_moment_experiment_rejects_empty_period_list():
-    def untouched(rng, size):
+    def untouched(rng, out):
         raise AssertionError("drew before checking the periods")
 
     density = DensitySpec("untouched", 1 / 3, 1 / 5, untouched)
@@ -230,10 +248,11 @@ def test_parseval_window_masses_match_direct_sums(p, name):
     window = centered_window(p, alpha_for_period(p))
     basis = ensemble._complement_basis(p, window)
     assert basis is not None and basis.shape[0] * basis.shape[1] <= 2 ** 22
-    x = get_density(name).sample(np.random.default_rng(p), (256 if name == "two-point" else 16, p))
+    x = draw(get_density(name), np.random.default_rng(p), (256 if name == "two-point" else 16, p))
     direct = [np.sum(np.abs(_halfstep_rows(row / p)[window.start:window.stop]) ** 2) for row in x]
     with recorded_checks() as checks:
-        nus = ensemble._window_masses(x, window, basis, name)
+        nus = ensemble._window_masses(x, window, basis, _halfstep_twist(p), name,
+                                      np.empty(len(x)))
     assert np.max(np.abs(nus - direct)) <= 1e-12
     (what, points, residual), = checks
     assert what == f"Parseval window mass vs direct sum at p={p}"
@@ -241,19 +260,18 @@ def test_parseval_window_masses_match_direct_sums(p, name):
 
 
 def test_moment_experiment_paths_agree_with_direct_sums(monkeypatch):
-    # p = 16384 evaluates by Parseval and checks one row per chunk by FFT;
+    # p = 16384 evaluates by Parseval and checks one row per block by FFT;
     # p = 32768 is past the basis bound and takes one FFT per row
     uniform = get_density("uniform")
     draws, fft_shapes = [], []
 
-    def recorded(rng, size):
-        y = uniform.sample(rng, size)
-        draws.append(y.copy())
-        return y
+    def recorded(rng, out):
+        uniform.sample(rng, out)
+        draws.append(out.copy())
 
-    def counted(y):
+    def counted(y, twist=None):
         fft_shapes.append(y.shape)
-        return _halfstep_rows(y)
+        return _halfstep_rows(y, twist)
 
     monkeypatch.setattr(ensemble, "_halfstep_rows", counted)
     density = DensitySpec("recorded", uniform.m2, uniform.m4, recorded)
@@ -277,20 +295,21 @@ def test_unscaled_window_masses_match_scaled_bits_at_power_of_two_periods():
     p = 256
     window = centered_window(p, alpha_for_period(p))
     basis = ensemble._complement_basis(p, window)
-    x = get_density("uniform").sample(np.random.default_rng(36), (64, p))
+    x = draw(get_density("uniform"), np.random.default_rng(36), (64, p))
     y = x / p
     outside = y @ basis
     scaled = np.einsum("ij,ij->i", y, y) * p - np.einsum("ij,ij->i", outside, outside)
-    assert ensemble._window_masses(x, window, basis, "uniform").tobytes() == scaled.tobytes()
+    nus = ensemble._window_masses(x, window, basis, _halfstep_twist(p), "uniform", np.empty(64))
+    assert nus.tobytes() == scaled.tobytes()
 
 
 def test_moment_experiment_raises_when_parseval_and_fft_disagree(monkeypatch):
-    monkeypatch.setattr(ensemble, "_halfstep_rows", lambda y: _halfstep_rows(y) * 1.001)
+    monkeypatch.setattr(ensemble, "_halfstep_rows", lambda y, twist: _halfstep_rows(y) * 1.001)
     with pytest.raises(ConsistencyError, match="Parseval window mass"):
         moment_experiment([64], get_density("uniform"), 10, np.random.default_rng(0))
 
 
-def nan_rows(y):
+def nan_rows(y, twist=None):
     return np.full_like(_halfstep_rows(y), np.nan)
 
 
@@ -300,22 +319,64 @@ def test_moment_experiment_raises_on_a_nan_direct_sum(monkeypatch):
         moment_experiment([64], get_density("uniform"), 10, np.random.default_rng(0))
 
 
-def test_moment_experiment_chunk_shapes():
-    # at most 4096 rows and 2**22 draws a chunk: p <= 1024 keeps 4096-row chunks
-    shapes = []
+def test_moment_experiment_block_shapes_share_one_buffer():
+    # max(1, 2**18 // p) rows a block: 16384 rows at p = 16, 256 at p = 1024
+    # and 64 at p = 4096; every block is drawn into the same buffer
+    shapes, addresses = [], set()
     uniform = get_density("uniform")
 
-    def recorded(rng, size):
-        shapes.append(size)
-        return uniform.sample(rng, size)
+    def recorded(rng, out):
+        shapes.append(out.shape)
+        addresses.add(out.__array_interface__["data"][0])
+        uniform.sample(rng, out)
 
     density = DensitySpec("recorded", uniform.m2, uniform.m4, recorded)
-    moment_experiment([64, 1024, 2048], density, 4097, np.random.default_rng(0))
-    assert shapes == [(4096, 64), (1, 64), (4096, 1024), (1, 1024),
-                      (2048, 2048), (2048, 2048), (1, 2048)]
+    moment_experiment([16, 1024, 4096], density, 257, np.random.default_rng(0))
+    assert shapes == [(257, 16), (256, 1024), (1, 1024), *[(64, 4096)] * 4, (1, 4096)]
+    assert len(addresses) == 1
 
 
-NAN_DENSITY = DensitySpec("nan", m2=1.0, m4=1.0, sample=lambda rng, size: np.full(size, np.nan))
+def test_moment_experiment_above_the_block_size_draws_one_row_a_block(monkeypatch):
+    # p = 2**19 holds more than 2**18 draws a row: one row a block, on the
+    # FFT path with the period's twist built once for both blocks
+    uniform, draws, twists = get_density("uniform"), [], []
+
+    def recorded(rng, out):
+        uniform.sample(rng, out)
+        draws.append(out.copy())
+
+    def counted(p):
+        twists.append(p)
+        return _halfstep_twist(p)
+
+    monkeypatch.setattr(ensemble, "_halfstep_twist", counted)
+    density = DensitySpec("recorded", uniform.m2, uniform.m4, recorded)
+    with recorded_checks() as checks:
+        report = moment_experiment([2 ** 19], density, 2, np.random.default_rng(0))
+    assert [y.shape for y in draws] == [(1, 2 ** 19)] * 2 and twists == [2 ** 19]
+    assert checks == []
+    window = centered_window(2 ** 19, alpha_for_period(2 ** 19))
+    direct = [nu_from_y(YSample(p=2 ** 19, y=y[0] / 2 ** 19), window) for y in draws]
+    assert report.rows[0].mean == pytest.approx(np.mean(direct), abs=1e-12)
+
+
+@pytest.mark.parametrize("name, trials", [("uniform", 20000), ("raised-cosine", 10000)])
+def test_moment_experiment_memory_stays_near_one_block(name, trials):
+    # the montecarlo benchmark's calls: one 2 MiB buffer of draws, the
+    # raised-cosine sampler's 2 MiB of disk points and the p = 1024 basis
+    # (0.5 MiB) read 3.3 / 5.7 MiB under tracemalloc; chunks of 4096 rows
+    # (32 MiB at p = 1024) read about 35 MiB, so 8 MiB separates the two
+    moment_experiment([64], get_density(name), 10, np.random.default_rng(0))  # lazy set-up
+    tracemalloc.start()
+    try:
+        moment_experiment([64, 256, 1024], get_density(name), trials, np.random.default_rng(37))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+NAN_DENSITY = DensitySpec("nan", m2=1.0, m4=1.0, sample=lambda rng, out: out.fill(np.nan))
 
 
 @pytest.mark.parametrize("p", [64, 32768], ids=["product path", "fft path"])
@@ -342,17 +403,19 @@ class SpawnRecorder:
         return self.rng.spawn(n)
 
 
-def test_moment_experiment_spawns_one_stream_per_chunk_as_it_draws():
-    # three chunks at p = 64 (4096 rows each); spawning them one at a time
-    # gives the children, and so the numbers, that spawning all three at once gave
+def test_moment_experiment_spawns_one_stream_per_block_as_it_draws():
+    # three blocks at p = 1024 (256 rows each); spawning them one at a time
+    # gives the children, and so the numbers, that spawning all three at once gives
     uniform, recorder = get_density("uniform"), SpawnRecorder(3)
-    report = moment_experiment([64], uniform, 2 * 4096 + 1, recorder)
+    report = moment_experiment([1024], uniform, 2 * 256 + 1, recorder)
     assert recorder.sizes == [1, 1, 1]
-    window = centered_window(64, alpha_for_period(64))
-    basis = ensemble._complement_basis(64, window)
+    window = centered_window(1024, alpha_for_period(1024))
+    basis = ensemble._complement_basis(1024, window)
+    twist = _halfstep_twist(1024)
     streams = np.random.default_rng(3).spawn(3)
-    nus = [ensemble._window_masses(uniform.sample(stream, (rows, 64)), window, basis, "uniform")
-           for stream, rows in zip(streams, (4096, 4096, 1))]
+    nus = [ensemble._window_masses(draw(uniform, stream, (rows, 1024)), window, basis, twist,
+                                   "uniform", np.empty(rows))
+           for stream, rows in zip(streams, (256, 256, 1))]
     assert report.rows[0].mean == float(np.mean(np.concatenate(nus)))
 
 

@@ -129,6 +129,18 @@ def test_largest_size_past_the_cap_is_refused_before_building(n_max, nu):
     assert peak < 64 * 2 ** 10
 
 
+@pytest.mark.parametrize("exponent", [2 ** 62, 2 ** 70], ids=["int64", "past int64"])
+def test_an_exponent_past_int64_meets_the_point_cap(exponent):
+    # an exponent int64 cannot hold is as infeasible as 2**62, and is refused alike
+    with pytest.raises(CapacityError, match=f"^size 1 holds at least 2\\*\\*{exponent + 1} "
+                                            f"eigenvalues, which exceed cap 1048576$"):
+        pack_spectrum(1, [0, exponent])
+    with pytest.raises(PreconditionError, match="strictly increasing"):
+        pack_spectrum(2, [0, exponent, 5])
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        pack_spectrum(1, [-exponent, 0])
+
+
 def test_energy_infeasibility_is_an_error_not_a_silent_overrun():
     # nu_n = n is proven infeasible at size 6; a faster-growing sequence is fine
     with pytest.raises(CapacityError, match="solver status 2"):

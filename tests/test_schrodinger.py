@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from halfcycle import (GridFunctionSet, PreconditionError, chirped_pair, identical_pair,
-                       obstruction_certificate, read_grid_functions)
+from halfcycle import (CapacityError, GridFunctionSet, PreconditionError, chirped_pair,
+                       identical_pair, obstruction_certificate, read_grid_functions, schrodinger)
 from halfcycle.schrodinger import (ObstructionAbsence, ObstructionCertificate, _null_space,
                                    kinetic_form)
 
@@ -150,6 +150,24 @@ def test_csv_reader_memory_stays_near_the_parsed_tables(tmp_path):
         tracemalloc.stop()
     assert gset.size == x.size
     assert peak < 4 * (2 * x.size * 3 * 8)
+
+
+def test_csv_past_the_grid_cap_is_refused_while_it_is_read(tmp_path, monkeypatch):
+    # a stand-in cap of 16 rows: a file of 17 is refused before the missing
+    # next file is opened and before any set is built; 16 rows pass
+    monkeypatch.setattr(schrodinger, "DEFAULT_PERIOD_CAP", 16)
+    at_cap, past_cap = tmp_path / "at.csv", tmp_path / "past.csv"
+    write_csv(at_cap, np.linspace(-1, 1, 16), np.ones(16))
+    write_csv(past_cap, np.linspace(-1, 1, 17), np.ones(17))
+    assert read_grid_functions([at_cap]).size == 16
+
+    def unbuilt(*args):
+        raise AssertionError("built a set from an oversized file")
+
+    monkeypatch.setattr(schrodinger, "GridFunctionSet", unbuilt)
+    with pytest.raises(CapacityError, match=f"^{re.escape(str(past_cap))}: grid of more than "
+                                            f"16 rows exceeds cap 16$"):
+        read_grid_functions([past_cap, tmp_path / "missing.csv"])
 
 
 def test_csv_mismatched_grids_rejected(tmp_path):

@@ -9,13 +9,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from halfcycle import (AmplitudeProfile, CapacityError, PreconditionError, YSample,
+from halfcycle import (AmplitudeProfile, CapacityError, DensitySpec, PreconditionError, YSample,
                        alpha_for_period, build_alpha_cycle, centered_window, chirped_pair,
                        continuous_nu, cycle_result, get_density, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, halting_demo, identical_pair, initial_config,
                        load_machine, minimal_periodic_spectrum, moment_experiment, nu_from_y,
                        nu_of, obstruction_certificate, pack_spectrum, repeat_error_free, run,
                        run_error_bounded, zero_count)
+from halfcycle import ensemble
 from halfcycle.cli import cmd_complexity
 from halfcycle.errors import DEFAULT_PERIOD_CAP as CAP
 from halfcycle.errors import check_indices, check_length
@@ -84,6 +85,29 @@ def test_size_below_minimum_or_past_cap_is_refused_before_allocating(call, below
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 10
+
+
+def test_moment_experiment_caps_its_total_draws_before_drawing():
+    # every period and the trial count pass the size rule, their product
+    # 2**44 does not pass the draw cap; nothing is drawn or allocated first
+    def untouched(rng, out):
+        raise AssertionError("drew before checking the total")
+
+    density = DensitySpec("untouched", 1 / 3, 1 / 5, untouched)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"^{CAP * CAP} draws \\(periods times trials\\) "
+                                                f"exceed cap {ensemble._DRAW_CAP}$"):
+            moment_experiment([CAP], density, CAP, rng())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 10
+    trials = ensemble._DRAW_CAP // CAP + 1  # the fewest that pass the cap at p = CAP
+    with pytest.raises(CapacityError, match=f"^{CAP * trials} draws"):
+        moment_experiment([CAP], density, trials, rng())
+    # the stats default (1.3e8 draws) and the benchmark's largest call fit
+    assert (64 + 256 + 1024) * 100_000 <= ensemble._DRAW_CAP
 
 
 def test_check_length_messages():
