@@ -38,8 +38,7 @@ print("  The alternating allocation is the minimal construction")
 print("=" * 64)
 p = 64
 window = hc.centered_window(p, hc.alpha_for_period(p))
-y_min = hc.YSample(p=p, y=np.array([(-1) ** k / p for k in range(p)]))
-lhs = hc.nu_from_y(y_min, window)
+lhs = hc.nu_from_y(np.array([(-1) ** k / p for k in range(p)]), window)
 rhs = hc.nu_of(hc.halfstep_profile_periodic(p), window)
 print(f"\n  nu from y_k = (-1)^k/p: {lhs:.15f}")
 print(f"  nu from minimal profile: {rhs:.15f}")

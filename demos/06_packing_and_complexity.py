@@ -15,21 +15,19 @@ print("=" * 64)
 print("  Spectrum packing, sizes 0..4")
 print("=" * 64)
 packed = hc.pack_spectrum(4)
+report = packed.to_dict()
 print(f"\ninstances: {len(packed.instances)}  "
       f"(2^n per size n, each with 2^n eigenphases)")
-print(f"pairwise disjoint (exhaustive): {packed.all_disjoint()}")
-print(f"max instance energy: {packed.to_dict()['max_energy']:.4f} "
+print(f"pairwise disjoint (exhaustive): {report['disjoint']}")
+print(f"every point on its size's grid: {report['grid_ok']}")
+print(f"every mean phase within 4pi: {report['energy_bound_ok']}")
+print(f"max instance energy: {report['max_energy']:.4f} "
       f"<= 4pi = {4 * np.pi:.4f}")
-print(f"index-parity compliance: {packed.parity_compliance():.3f}")
-
-print("\nper-interval occupancy after each size pass (count/slot-capacity):")
-for p in packed.induction_passes():
-    cells = "  ".join(f"[{k}]: {c}/{cap}" for k, (c, cap) in p.occupancy.items())
-    print(f"  size <= {p.n}: grid_ok={p.grid_ok}  {cells}")
+print(f"index-parity compliance: {report['parity_compliance']:.3f}")
 
 print("\nhighest-energy instances:")
-for inst in sorted(packed.instances, key=lambda i: -i.mean_phase_over_2pi)[:5]:
-    print(f"  n={inst.n} m={inst.m:2d}: energy = {inst.energy:.4f}")
+for inst in sorted(report["instances"], key=lambda i: -i["energy"])[:5]:
+    print(f"  n={inst['n']} m={inst['m']:2d}: energy = {inst['energy']:.4f}")
 
 print()
 print("=" * 64)

@@ -19,7 +19,7 @@ imported from that module.
 
 from .complexity import check_lower_bound, complexity, zero_count
 from .cycle import alpha_for_period, build_alpha_cycle, centered_window, cycle_result, verify_cycle
-from .ensemble import (DENSITIES, DensitySpec, YSample, continuous_nu, get_density, nu_from_y,
+from .ensemble import (DENSITIES, DensitySpec, continuous_nu, get_density, nu_from_y,
                        moment_experiment)
 from .errors import (CapacityError, ConsistencyError, HalfcycleError,
                      MachineSpecError, PreconditionError)

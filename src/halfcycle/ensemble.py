@@ -8,7 +8,9 @@ half-cycle window mass
 
     nu = sum_{j in window} | sum_k y_k exp(-2pi*i*k*(j - 1/2)/p) |^2
 
-gives the success probability of a randomly drawn implementation.  With an
+gives the success probability of a randomly drawn implementation;
+``nu_from_y`` evaluates it by direct summation for one array y of
+imbalances, whose length is the period p.  With an
 even density of second moment m2 and window fraction alpha,
 E(nu) = alpha*m2, with standard deviation falling like p^{-1/2}; the
 experiment driver below estimates the moments, the deviation scaling, and
@@ -35,8 +37,9 @@ most _BLOCK_DRAWS draws (2 MiB), and never rescales its draws x = p*y: it
 evaluates nu = sum_k x_k^2/p - sum_{j not in window} |c_j(x)|^2/p^2, the
 complement as one real matrix product per block with the p x 2m basis
 [cos | sin] of its m bins, whenever that basis holds at most
-_BASIS_ENTRIES entries (p * 2m <= 2**22, every p up to 16384); larger
-periods take one FFT per row with one twist per period.  Direct summation
+_BASIS_ENTRIES entries (p * 2m <= 2**21: every even p up to 10404, so
+every power of two up to 8192); larger periods take one FFT per row with
+one twist per period.  Direct summation
 stays the authoritative evaluator: the half-step evaluator of
 ``spectral`` (one FFT per row, which is the same sum) gives every other
 window mass and checks the first row of every product-path block by
@@ -64,10 +67,12 @@ from .errors import (CapacityError, PreconditionError, check_indices, check_leng
 from .spectral import _halfstep_rows, _halfstep_twist
 
 _BLOCK_DRAWS = 2 ** 18  # draws per block of the experiment (2 MiB), at least one row
-_BASIS_ENTRIES = 2 ** 22  # complement-basis entries p * 2m: every p up to 16384
+# Complement-basis entries p * 2m: every p up to 8192.  At p = 16384 the FFT path
+# took half the time and a sixth of the memory (512 trials, 2-vCPU AMD EPYC host).
+_BASIS_ENTRIES = 2 ** 21
 # Draws per experiment, the sum of its periods times its trials.  A draw
-# cost 5 ns on the product path at p = 64..1024, 18 ns at p = 16384, and on
-# the FFT path 14 ns at p = 32768 and 73 ns at p = 2**22 (best of three, one
+# cost 5 ns on the product path at p = 64..1024, and on the FFT path 14 ns
+# at p = 32768 and 73 ns at p = 2**22 (best of three, one
 # core of a shared 2-vCPU Intel Xeon host), so an experiment at the cap
 # takes 1.4 to 20 s; the stats default (1.3e8 draws) is half of it.
 _DRAW_CAP = 2 ** 28
@@ -151,27 +156,19 @@ def get_density(name: str) -> DensitySpec:
             f"unknown density {name!r}; choose from {sorted(DENSITIES)}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class YSample:
-    """Branch imbalances y_j in [-1/p, 1/p] for one sampled implementation."""
-
-    p: int
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if self.y.shape != (self.p,):
-            raise PreconditionError("need one imbalance per phase class")
-        if not np.all(np.abs(self.y) <= 1.0 / self.p + 1e-15):
-            raise PreconditionError("imbalances must lie in [-1/p, 1/p]")
-
-
-def nu_from_y(sample: YSample, window) -> float:
-    """Window mass of the sampled implementation, by direct summation."""
+def nu_from_y(y, window) -> float:
+    """Window mass of the implementation with branch imbalances ``y``, one
+    per phase class, each in [-1/p, 1/p] for p = y.size, by direct
+    summation."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or not y.size:
+        raise PreconditionError("need one imbalance per phase class, in one dimension")
+    if not np.all(np.abs(y) <= 1.0 / y.size + 1e-15):
+        raise PreconditionError("imbalances must lie in [-1/p, 1/p]")
     window = check_indices("window", window)
-    if window.size and (window.min() < 0 or window.max() >= sample.p):
+    if window.size and (window.min() < 0 or window.max() >= y.size):
         raise PreconditionError("window indices outside [0, p)")
-    amps = _halfstep_rows(sample.y[np.newaxis, :])[0]
+    amps = _halfstep_rows(y[np.newaxis, :])[0]
     return float(np.sum(np.abs(amps[window]) ** 2))
 
 
@@ -298,7 +295,7 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
     stay unscaled: the masses of y = x/p are computed from x, which at a
     power-of-two p gives the bits that scaling x first would.  Window
     masses are computed by Parseval over the m bins outside the window, one
-    matrix product per block, whenever p*2m <= 2**22 (every p up to 16384);
+    matrix product per block, whenever p*2m <= 2**21 (every p up to 8192);
     the first row of each such block is checked against the FFT to 1e-12.
     Larger periods take one FFT per row, the reference, with nothing to
     check it against.  The trial count, every period (even, at least 4)

@@ -60,17 +60,23 @@ def check_length(name: str, n: int, minimum: int = 1, *, even: bool = False,
 
 
 def check_indices(name: str, values, span: str = "int64") -> np.ndarray:
-    """The index rule: ``values`` (a range or any iterable of ints) as a
-    one-dimensional integer array, possibly empty, else PreconditionError;
-    an index that int64 cannot hold is named as outside the ``span`` range."""
+    """The index rule: ``values`` (a range, an integer array or any iterable
+    of ints that are not bools) as a one-dimensional integer array, possibly
+    empty, else PreconditionError; an index that int64 cannot hold is named
+    as outside the ``span`` range."""
     if isinstance(values, range):
         return np.arange(values.start, values.stop, values.step)
-    idx = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    listed = not isinstance(values, np.ndarray)
+    if listed:
+        values = list(values)
+    idx = np.asarray(values)
     if idx.ndim == 1 and idx.dtype in (object, np.uint64):  # may hold ints past int64
         for v in idx.tolist():
             if isinstance(v, int) and not -2 ** 63 <= v < 2 ** 63:
                 raise PreconditionError(f"index {v} outside {span} range")
-    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+    # numpy reads [True, 2] as [1, 2]; a bool is no index
+    if (idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu")
+            or (listed and not {bool, np.bool_}.isdisjoint(map(type, values)))):
         raise PreconditionError(f"{name} must be a one-dimensional list of integers")
     return idx.astype(np.int64, copy=False)
 

@@ -61,22 +61,23 @@ proven gap (0) and the node count as ``diagnostics``.
 
 All bookkeeping is on integer numerators over the single denominator
 2^(n_max + nu_max), the dyadic grid every point lies on, so it is exact.
-The result keeps those numerators in one read-only array: each instance
-holds a view of its slice and the report's checks run on them.
+The result keeps those numerators in one read-only array, each instance
+holding a view of its slice, and builds its report from reductions over
+that array: per-instance sums, the energy bound compared in integers, one
+grid test per point and one sort for disjointness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import CapacityError, PreconditionError, check_indices, check_length
 from .spectral import OrbitSpectrum
 
-ENERGY_BUDGET_OVER_2PI = Fraction(2)  # mean phase <= 4pi
+ENERGY_BUDGET_OVER_2PI = 2  # mean phase <= 4pi
 DEFAULT_POINT_CAP = 2 ** 20
 _POINT_CAP_LOG2 = DEFAULT_POINT_CAP.bit_length() - 1
 _INTEGRAL_TOLERANCE = 1e-9  # an LP value this close to an integer is fixed there
@@ -101,14 +102,6 @@ class PackedInstance:
     def period(self) -> int:
         return 2 ** self.nu
 
-    @property
-    def mean_phase_over_2pi(self) -> Fraction:
-        return Fraction(int(self.numerators.sum()), self.denominator * self.period)
-
-    @property
-    def energy(self) -> float:
-        return float(2 * np.pi * self.mean_phase_over_2pi)
-
     def spectrum(self):
         # exact: numerators stay below 2^53 and the denominator is a power of 2
         phases = 2.0 * np.pi * (self.numerators / self.denominator)
@@ -116,24 +109,15 @@ class PackedInstance:
         return OrbitSpectrum(phases=phases, weights=weights, period=self.period)
 
 
-@dataclass(frozen=True)
-class IntervalPass:
-    """Occupancy snapshot after all sizes <= n are assigned."""
-
-    n: int
-    grid_ok: bool  # every point sits on the 2^-(n+nu_n) grid of its interval
-    occupancy: dict  # interval index -> (count, equidistant slot capacity 2^(n-k+nu_n))
-
-
 @dataclass(eq=False)
 class PackedSpectra:
     """The full assignment for sizes 0..n_max.
 
     ``values`` (read-only int64) holds every point phase/2pi as a numerator
-    over ``denominator`` = 2^(n_max + nu_max), in (n, m, k) order, so the
-    points of all sizes <= n are a prefix of it; each instance's
-    ``numerators`` is a view into it.  The checks below run on these
-    integers, which is exact.
+    over ``denominator`` = 2^(n_max + nu_max), in (n, m, k) order: size n
+    holds 2^n instances of 2^nu_n points each, and each instance's
+    ``numerators`` is a view into it.  The report's checks are reductions
+    over these integers, which is exact.
     """
 
     n_max: int
@@ -143,57 +127,32 @@ class PackedSpectra:
     instances: list
     diagnostics: dict  # how the solver reached the assignment (_solve)
 
-    def all_disjoint(self) -> bool:
-        """Exhaustive disjointness check: every instance carries 2^nu
-        points and no two points of the whole assignment coincide."""
-        return (all(inst.numerators.size == inst.period for inst in self.instances)
-                and np.unique(self.values).size == self.values.size)
-
-    def parity_compliance(self) -> float:
-        """Fraction of points whose interval index matches k mod 2."""
-        matches = sum(int(np.count_nonzero((inst.numerators // self.denominator) % 2
-                                           == np.arange(inst.period) % 2))
-                      for inst in self.instances)
-        return matches / self.values.size
-
-    def induction_passes(self) -> list:
-        """Per-size occupancy snapshots.
-
-        For each size n, checks that every assigned point of sizes <= n
-        lies on the equidistant grid of spacing 2^-(n + nu_n) inside its
-        interval [2pi*k, 2pi*(k+1)), and reports per-interval occupancy
-        against the equidistant slot count 2^(n-k+nu_n).  Occupancy above
-        that figure is reported, not asserted: the assigned points remain
-        a subset of a refining equidistant family either way.
-        """
-        passes = []
-        end = 0
-        for n, nu_n in enumerate(self.nu_exponents):
-            end += 2 ** (n + nu_n)
-            pts = self.values[:end]
-            grid_ok = bool(np.all(pts % (self.denominator >> (n + nu_n)) == 0))
-            intervals, counts = np.unique(pts // self.denominator, return_counts=True)
-            report = {
-                k: (count, 2 ** (n - k + nu_n) if n - k + nu_n >= 0 else 0)
-                for k, count in zip(intervals.tolist(), counts.tolist())
-            }
-            passes.append(IntervalPass(n=n, grid_ok=grid_ok, occupancy=report))
-        return passes
-
     def to_dict(self) -> dict:
-        means = [inst.mean_phase_over_2pi for inst in self.instances]
-        max_mean = max(means)
+        """The report.  Each point of size n is tested against the 2^-(n + nu_n)
+        grid alone: the grids nest, so it then lies on every later size's
+        grid.  Each energy is 2pi times the exact mean phase/2pi, rounded once."""
+        nu = np.array(self.nu_exponents, dtype=np.int64)
+        n = np.arange(nu.size)
+        period = np.repeat(1 << nu, 1 << n)  # per instance, in (n, m) order
+        start = np.cumsum(period) - period
+        sums = np.add.reduceat(self.values, start)
+        energies = 2 * np.pi * (sums / (self.denominator * period))
+        k = np.arange(self.values.size) - np.repeat(start, period)
+        step = np.repeat(self.denominator >> (n + nu), 1 << (n + nu))  # per point, its size's
         return {
             "n_max": self.n_max,
             "nu_exponents": list(self.nu_exponents),
-            "disjoint": self.all_disjoint(),
-            "energy_bound_ok": max_mean <= ENERGY_BUDGET_OVER_2PI,
-            "max_energy": float(2 * np.pi * max_mean),
-            "parity_compliance": self.parity_compliance(),
-            "grid_ok": all(p.grid_ok for p in self.induction_passes()),
+            "disjoint": (all(inst.numerators.size == inst.period for inst in self.instances)
+                         and np.unique(self.values).size == self.values.size),
+            "energy_bound_ok": bool(np.all(
+                sums <= ENERGY_BUDGET_OVER_2PI * self.denominator * period)),
+            "max_energy": float(energies.max()),
+            "parity_compliance": int(np.count_nonzero(
+                (self.values // self.denominator) % 2 == k % 2)) / self.values.size,
+            "grid_ok": bool(np.all(self.values % step == 0)),
             "instances": [
-                {"n": inst.n, "m": inst.m, "period": inst.period, "energy": float(2 * np.pi * mean)}
-                for inst, mean in zip(self.instances, means)
+                {"n": inst.n, "m": inst.m, "period": inst.period, "energy": energy}
+                for inst, energy in zip(self.instances, energies.tolist())
             ],
         }
 
@@ -209,11 +168,13 @@ def _read_exponents(values) -> tuple:
     """The exponents as Python ints, by the index rule of ``errors.check_indices``,
     except that an exponent int64 cannot hold is kept: like 2**62, it then
     meets the sequence checks and the point cap, not the int64 range."""
+    if not isinstance(values, (range, np.ndarray)):
+        values = list(values)  # check_indices reads its bools from the list
     if not isinstance(values, range):
-        values = np.asarray(values if isinstance(values, np.ndarray) else list(values))
-        if (values.ndim == 1 and values.dtype in (object, np.uint64)
-                and all(type(v) is int for v in values.tolist())):
-            return tuple(values.tolist())
+        read = np.asarray(values)
+        if (read.ndim == 1 and read.dtype in (object, np.uint64)
+                and all(type(v) is int for v in read.tolist())):
+            return tuple(read.tolist())
     return tuple(check_indices("exponents", values).tolist())
 
 
@@ -254,7 +215,7 @@ def pack_spectrum(n_max: int, nu_exponents=None) -> PackedSpectra:
         nums.append(num.ravel())
         insts.append(np.repeat(2 ** n - 1 + m, period))
         odds.append(np.tile(k % 2, 2 ** n))
-        budgets.append((int(ENERGY_BUDGET_OVER_2PI * period * denom) - num.sum(axis=1)) // denom)
+        budgets.append((ENERGY_BUDGET_OVER_2PI * period * denom - num.sum(axis=1)) // denom)
     nums = np.concatenate(nums)
     pile = np.unique(nums, return_inverse=True)[1]
     parts, diagnostics = _assign_ranks(np.concatenate(insts), np.concatenate(odds), pile,
@@ -262,13 +223,9 @@ def pack_spectrum(n_max: int, nu_exponents=None) -> PackedSpectra:
 
     values = parts * denom + nums
     values.flags.writeable = False
-    instances = []
-    pos = 0
-    for n in range(n_max + 1):
-        for m in range(2 ** n):
-            instances.append(PackedInstance(n=n, m=m, numerators=values[pos:pos + 2 ** nu[n]],
-                                            denominator=denom, nu=nu[n]))
-            pos += 2 ** nu[n]
+    views = np.split(values, np.cumsum([2 ** v for n, v in enumerate(nu) for _ in range(2 ** n)]))
+    instances = [PackedInstance(n=n, m=m, numerators=views[2 ** n - 1 + m], denominator=denom,
+                                nu=nu[n]) for n in range(n_max + 1) for m in range(2 ** n)]
     return PackedSpectra(n_max=n_max, nu_exponents=nu, values=values, denominator=denom,
                          instances=instances, diagnostics=diagnostics)
 

@@ -96,8 +96,7 @@ def test_criterion_06_moment_and_deviation_scaling():
 def test_criterion_07_parity_allocation_bridge():
     for p in (8, 64, 256):
         window = hc.centered_window(p, hc.alpha_for_period(p))
-        y = hc.YSample(p=p, y=np.array([(-1) ** k / p for k in range(p)]))
-        lhs = hc.nu_from_y(y, window)
+        lhs = hc.nu_from_y(np.array([(-1) ** k / p for k in range(p)]), window)
         rhs = hc.nu_of(hc.halfstep_profile_periodic(p), window)
         assert abs(lhs - rhs) < 1e-10
     print("ACCEPTANCE 07 PASS alternating allocation reproduces the minimal "
@@ -143,12 +142,11 @@ def test_criterion_09_majority_bound():
 
 
 def test_criterion_10_packing():
-    packed = hc.pack_spectrum(4)
-    assert packed.all_disjoint()
-    maxmean = max(inst.mean_phase_over_2pi for inst in packed.instances)
-    assert maxmean <= 2  # exact rational comparison: energy <= 4pi
+    report = hc.pack_spectrum(4).to_dict()
+    assert report["disjoint"] and report["grid_ok"]
+    assert report["energy_bound_ok"]  # exact integer comparison: energy <= 4pi
     print(f"ACCEPTANCE 10 PASS n_max=4 packing: all spectra pairwise disjoint, "
-          f"max energy {float(2 * np.pi * maxmean):.4f} <= 4pi")
+          f"max energy {report['max_energy']:.4f} <= 4pi")
 
 
 def test_criterion_11_distance_lower_bound():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from halfcycle import (DENSITIES, CapacityError, ConsistencyError, DensitySpec,
-                       PreconditionError, YSample, alpha_for_period, centered_window,
+                       PreconditionError, alpha_for_period, centered_window,
                        continuous_nu, ensemble, get_density, halfstep_profile_periodic,
                        nu_from_y, nu_of, moment_experiment)
 from halfcycle.errors import DEFAULT_PERIOD_CAP, recorded_checks
@@ -23,7 +23,7 @@ def draw(density, rng, shape):
 
 def draw_y(p, density, rng):
     """One sampled implementation: p draws of ``density`` rescaled to [-1/p, 1/p]."""
-    return YSample(p=p, y=draw(density, rng, p) / p)
+    return draw(density, rng, p) / p
 
 
 def fixed(y):
@@ -123,13 +123,13 @@ def test_uniform_fills_in_place_the_bits_of_rng_uniform():
 
 def test_two_point_sample_support():
     sample = draw_y(16, get_density("two-point"), np.random.default_rng(22))
-    assert np.all(np.isin(sample.y, [-1 / 16, 1 / 16]))
+    assert np.all(np.isin(sample, [-1 / 16, 1 / 16]))
 
 
 def test_uniform_sample_scaled_moments():
     p = 32
     rng = np.random.default_rng(23)
-    draws = np.concatenate([draw_y(p, get_density("uniform"), rng).y for _ in range(4000)])
+    draws = np.concatenate([draw_y(p, get_density("uniform"), rng) for _ in range(4000)])
     assert abs(np.mean(draws)) < 3 * math.sqrt(1 / (3 * p * p) / draws.size)
     m2_scaled = 1 / (3 * p * p)
     se = math.sqrt((1 / (5 * p ** 4) - m2_scaled ** 2) / draws.size)
@@ -137,28 +137,34 @@ def test_uniform_sample_scaled_moments():
 
 
 def test_ysample_validates_range():
+    # the imbalance sample y: each of its p = y.size entries in [-1/p, 1/p], in one dimension
     for y in ([0.5, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -np.inf]):
         with pytest.raises(PreconditionError, match="must lie in"):
-            YSample(p=4, y=np.array(y))
+            nu_from_y(np.array(y), [0])
+    assert nu_from_y([0.25, -0.25, 0.25 + 1e-16, -0.25], [0]) >= 0.0
+    for y in (np.zeros((2, 4)), np.float64(0.0), []):
+        with pytest.raises(PreconditionError, match="one imbalance per phase class"):
+            nu_from_y(y, [])
 
 
 @pytest.mark.parametrize("p", [8, 64, 256])
 def test_parity_allocation_bridge(p):
     # y_k = (-1)^k / p reproduces the minimal construction exactly
-    y = YSample(p=p, y=np.array([(-1) ** k / p for k in range(p)]))
+    y = np.array([(-1) ** k / p for k in range(p)])
     window = centered_window(p, alpha_for_period(p))
     profile = halfstep_profile_periodic(p)
     assert abs(nu_from_y(y, window) - nu_of(profile, window)) < 1e-10
 
 
 def test_nu_from_y_zero_sample():
-    assert nu_from_y(YSample(p=8, y=np.zeros(8)), range(8)) == 0.0
+    assert nu_from_y(np.zeros(8), range(8)) == 0.0
 
 
 def test_nu_from_y_window_validation():
-    sample = YSample(p=8, y=np.zeros(8))
-    with pytest.raises(PreconditionError):
-        nu_from_y(sample, [9])
+    with pytest.raises(PreconditionError, match=r"outside \[0, p\)"):
+        nu_from_y(np.zeros(8), [9])
+    with pytest.raises(PreconditionError, match=r"outside \[0, p\)"):
+        nu_from_y(np.zeros(8), [-1])
 
 
 def test_nu_mean_against_alpha_m2():
@@ -238,16 +244,17 @@ def test_moment_experiment_rejects_empty_period_list():
 
 
 @pytest.mark.parametrize("p, name", [(64, "uniform"), (1024, "uniform"),
-                                     (16384, "uniform"), (8186, "two-point"),
-                                     (16342, "two-point")])
+                                     (8192, "uniform"), (8186, "two-point"),
+                                     (10394, "two-point")])
 def test_parseval_window_masses_match_direct_sums(p, name):
-    # 16384 is the largest power of two whose complement basis fits
-    # p*2m <= 2**22; 8186 = 2*4093 and 16342 = 2*8171 are FFT lengths with a
-    # large prime factor, where the FFT is least accurate, and two-point
-    # draws gave the largest differences, so those take 256 rows
+    # 8192 is the largest power of two whose complement basis fits
+    # p*2m <= 2**21; 8186 = 2*4093 and 10394 = 2*5197 (the largest such
+    # length under the bound) are FFT lengths with a large prime factor,
+    # where the FFT is least accurate, and two-point draws gave the largest
+    # differences, so those take 256 rows
     window = centered_window(p, alpha_for_period(p))
     basis = ensemble._complement_basis(p, window)
-    assert basis is not None and basis.shape[0] * basis.shape[1] <= 2 ** 22
+    assert basis is not None and basis.shape[0] * basis.shape[1] <= 2 ** 21
     x = draw(get_density(name), np.random.default_rng(p), (256 if name == "two-point" else 16, p))
     direct = [np.sum(np.abs(_halfstep_rows(row / p)[window.start:window.stop]) ** 2) for row in x]
     with recorded_checks() as checks:
@@ -260,8 +267,8 @@ def test_parseval_window_masses_match_direct_sums(p, name):
 
 
 def test_moment_experiment_paths_agree_with_direct_sums(monkeypatch):
-    # p = 16384 evaluates by Parseval and checks one row per block by FFT;
-    # p = 32768 is past the basis bound and takes one FFT per row
+    # p = 8192 evaluates by Parseval and checks one row per block by FFT;
+    # p = 16384 is past the basis bound and takes one FFT per row
     uniform = get_density("uniform")
     draws, fft_shapes = [], []
 
@@ -276,16 +283,16 @@ def test_moment_experiment_paths_agree_with_direct_sums(monkeypatch):
     monkeypatch.setattr(ensemble, "_halfstep_rows", counted)
     density = DensitySpec("recorded", uniform.m2, uniform.m4, recorded)
     with recorded_checks() as checks:
-        report = moment_experiment([16384, 32768], density, 3, np.random.default_rng(0))
-    assert fft_shapes == [(1, 16384), (3, 32768)]
+        report = moment_experiment([8192, 16384], density, 3, np.random.default_rng(0))
+    assert fft_shapes == [(1, 8192), (3, 16384)]
     for row, y in zip(report.rows, draws):
         window = centered_window(row.p, alpha_for_period(row.p))
-        assert (ensemble._complement_basis(row.p, window) is None) == (row.p == 32768)
-        direct = [nu_from_y(YSample(p=row.p, y=r / row.p), window) for r in y]
+        assert (ensemble._complement_basis(row.p, window) is None) == (row.p == 16384)
+        direct = [nu_from_y(r / row.p, window) for r in y]
         assert row.mean == pytest.approx(np.mean(direct), abs=1e-12)
-    # one checked row at p = 16384; the FFT path is the reference and checks nothing
+    # one checked row at p = 8192; the FFT path is the reference and checks nothing
     (what, points, residual), = checks
-    assert (what, points) == ("Parseval window mass vs direct sum at p=16384", 1)
+    assert (what, points) == ("Parseval window mass vs direct sum at p=8192", 1)
     assert 0.0 <= residual <= 1e-12
 
 
@@ -356,7 +363,7 @@ def test_moment_experiment_above_the_block_size_draws_one_row_a_block(monkeypatc
     assert [y.shape for y in draws] == [(1, 2 ** 19)] * 2 and twists == [2 ** 19]
     assert checks == []
     window = centered_window(2 ** 19, alpha_for_period(2 ** 19))
-    direct = [nu_from_y(YSample(p=2 ** 19, y=y[0] / 2 ** 19), window) for y in draws]
+    direct = [nu_from_y(y[0] / 2 ** 19, window) for y in draws]
     assert report.rows[0].mean == pytest.approx(np.mean(direct), abs=1e-12)
 
 

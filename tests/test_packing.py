@@ -1,5 +1,6 @@
 """Spectrum packing: disjointness, energy bound, grid structure."""
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -17,11 +18,52 @@ def instance(packed, n, m):
     return inst
 
 
+def exact_mean(inst):
+    """The instance's mean phase/2pi, an exact fraction."""
+    return Fraction(int(inst.numerators.sum()), inst.denominator * inst.period)
+
+
+def reference_report(packed):
+    """The report's flags and figures from one Fraction per instance, a
+    pass per instance and a pass per size, each point checked against the
+    grid of every size from its own up."""
+    means = [exact_mean(inst) for inst in packed.instances]
+    parity = sum(int(np.count_nonzero((inst.numerators // inst.denominator) % 2
+                                      == np.arange(inst.period) % 2))
+                 for inst in packed.instances)
+    grid_ok, end = True, 0
+    for n, nu_n in enumerate(packed.nu_exponents):
+        end += 2 ** (n + nu_n)
+        grid_ok &= bool(np.all(packed.values[:end] % (packed.denominator >> (n + nu_n)) == 0))
+    return {
+        "disjoint": (all(inst.numerators.size == inst.period for inst in packed.instances)
+                     and len(set(packed.values.tolist())) == packed.values.size),
+        "energy_bound_ok": max(means) <= 2,
+        "max_energy": float(2 * np.pi * max(means)),
+        "parity_compliance": parity / packed.values.size,
+        "grid_ok": grid_ok,
+        "instances": [{"n": inst.n, "m": inst.m, "period": inst.period,
+                       "energy": float(2 * np.pi * mean)}
+                      for inst, mean in zip(packed.instances, means)],
+    }
+
+
+def edited(packed, edit):
+    """A PackedSpectra over a copy of ``packed.values`` changed in place by
+    ``edit``, each instance a view of its slice of the copy."""
+    values = packed.values.copy()
+    edit(values)
+    values.flags.writeable = False
+    views = np.split(values, np.cumsum([inst.period for inst in packed.instances]))
+    return dataclasses.replace(packed, values=values, instances=[
+        dataclasses.replace(inst, numerators=view) for inst, view in zip(packed.instances, views)])
+
+
 def test_size_zero_anchor_is_phase_zero():
     packed = pack_spectrum(0)
     inst = instance(packed, 0, 0)
     assert [Fraction(v, inst.denominator) for v in inst.numerators.tolist()] == [0]
-    assert inst.mean_phase_over_2pi == 0
+    assert packed.to_dict()["instances"] == [{"n": 0, "m": 0, "period": 1, "energy": 0.0}]
 
 
 def test_congruence_holds_for_every_point():
@@ -50,10 +92,10 @@ def test_numerators_match_a_fraction_reference(n_max, nu):
         assert np.shares_memory(inst.numerators, packed.values)
         assert inst.denominator == packed.denominator
         assert tuple(Fraction(v, inst.denominator) for v in inst.numerators.tolist()) == ref
-        assert inst.mean_phase_over_2pi == sum(ref, Fraction(0)) / inst.period
+        assert exact_mean(inst) == sum(ref, Fraction(0)) / inst.period
         expected = 2.0 * np.pi * np.array([float(x) for x in ref])
         assert inst.spectrum().phases.tobytes() == expected.tobytes()
-    assert packed.parity_compliance() == parity / packed.values.size
+    assert packed.to_dict()["parity_compliance"] == parity / packed.values.size
     assert np.array_equal(np.concatenate([inst.numerators for inst in packed.instances]),
                           packed.values)
     with pytest.raises(ValueError):
@@ -62,22 +104,67 @@ def test_numerators_match_a_fraction_reference(n_max, nu):
 
 def test_pairwise_disjoint_n4_exhaustive():
     packed = pack_spectrum(4)
-    assert packed.all_disjoint()
+    assert packed.to_dict()["disjoint"]
+    assert len(set(packed.values.tolist())) == packed.values.size == 341
 
 
 def test_energy_bound_n4():
     packed = pack_spectrum(4)
-    assert packed.to_dict()["energy_bound_ok"]
-    assert max(inst.mean_phase_over_2pi for inst in packed.instances) <= 2
-    for inst in packed.instances:
-        assert inst.energy <= 4 * np.pi + 1e-12
+    report = packed.to_dict()
+    assert report["energy_bound_ok"]
+    assert max(exact_mean(inst) for inst in packed.instances) <= 2
+    assert report["max_energy"] <= 4 * np.pi
+    assert all(inst["energy"] <= report["max_energy"] for inst in report["instances"])
 
 
 def test_grid_membership_every_pass():
+    # every point of size n sits on the 2^-(n + nu_n) grid, and so on the
+    # finer grid of every later size
     packed = pack_spectrum(4)
-    for p in packed.induction_passes():
-        assert p.grid_ok
-        assert all(count >= 1 for count, _ in p.occupancy.values())
+    assert packed.to_dict()["grid_ok"] is reference_report(packed)["grid_ok"] is True
+
+
+@pytest.mark.parametrize("n_max, nu", [(0, None), (1, None), (2, None), (3, None), (4, None),
+                                       (5, None), (5, [0, 2, 4, 6, 8, 10])])
+def test_report_matches_an_exact_fraction_reference(n_max, nu):
+    packed = pack_spectrum(n_max, nu)
+    report = packed.to_dict()
+    assert report == {"n_max": n_max, "nu_exponents": list(packed.nu_exponents),
+                      **reference_report(packed)}
+    assert report["disjoint"] and report["energy_bound_ok"] and report["grid_ok"]
+
+
+# on pack_spectrum(3), denominator 64: point 3 (144, size 1, whose grid step
+# is 16) moved down to the unused 143; the last point (size 3) moved onto
+# the anchor 0; and the anchor, instance (0, 0) of budget 2 * 64, moved up
+# by 10**6 units of 2pi to a value no other point has
+EDITS = {
+    "grid_ok": lambda v: v.__setitem__(3, v[3] - 1),
+    "disjoint": lambda v: v.__setitem__(-1, 0),
+    "energy_bound_ok": lambda v: v.__setitem__(0, v[0] + 10 ** 6 * 64),
+}
+
+
+def flags(packed):
+    report = packed.to_dict()
+    return {name: report[name] for name in ("disjoint", "energy_bound_ok", "grid_ok")}
+
+
+@pytest.mark.parametrize("flag", EDITS)
+def test_each_flag_turns_off_alone(flag):
+    packed = pack_spectrum(3)
+    assert packed.denominator == 64 and packed.values[3] == 144
+    bad = edited(packed, EDITS[flag])
+    assert flags(bad) == {name: name != flag for name in flags(packed)}
+    assert bad.to_dict() == {"n_max": 3, "nu_exponents": [0, 1, 2, 3], **reference_report(bad)}
+
+
+def test_an_instance_short_of_a_point_is_not_disjoint():
+    packed = pack_spectrum(3)
+    last = packed.instances[-1]
+    short = [*packed.instances[:-1], dataclasses.replace(last, numerators=last.numerators[:-1])]
+    assert flags(dataclasses.replace(packed, instances=short)) == {
+        "disjoint": False, "energy_bound_ok": True, "grid_ok": True}
 
 
 def test_instance_spectrum_object():
@@ -99,7 +186,7 @@ def test_parity_compliance_reported():
     # 0.8827 is what a greedy rank-and-swap assignment reaches at n_max = 4;
     # the program's optimum ranges over a set that contains that assignment
     packed = pack_spectrum(4)
-    assert 0.8827 <= packed.parity_compliance() <= 1.0
+    assert 0.8827 <= packed.to_dict()["parity_compliance"] <= 1.0
 
 
 def test_capacity_cap():
@@ -145,16 +232,13 @@ def test_energy_infeasibility_is_an_error_not_a_silent_overrun():
     # nu_n = n is proven infeasible at size 6; a faster-growing sequence is fine
     with pytest.raises(CapacityError, match="solver status 2"):
         pack_spectrum(6)
-    packed = pack_spectrum(5, [0, 2, 4, 6, 8, 10])
-    assert packed.all_disjoint()
-    assert max(inst.mean_phase_over_2pi for inst in packed.instances) <= 2
+    report = pack_spectrum(5, [0, 2, 4, 6, 8, 10]).to_dict()
+    assert report["disjoint"] and report["energy_bound_ok"]
 
 
 def test_default_exponents_pack_at_size_five():
-    packed = pack_spectrum(5)
-    assert packed.all_disjoint()
-    assert max(inst.mean_phase_over_2pi for inst in packed.instances) <= 2
-    assert all(p.grid_ok for p in packed.induction_passes())
+    report = pack_spectrum(5).to_dict()
+    assert report["disjoint"] and report["energy_bound_ok"] and report["grid_ok"]
 
 
 def test_every_solve_asks_for_a_zero_gap(monkeypatch):
@@ -200,10 +284,9 @@ def test_lp_path_reaches_the_full_milp_optimum(monkeypatch, n_max, nu, path):
     assert got["objective"] == ref["objective"] >= got["lp_bound"] == ref["lp_bound"]
     if got["path"] == "lp+restricted":
         assert got["objective"] == got["lp_bound"]  # proven optimal by the bound
-    assert packed.parity_compliance() == reference.parity_compliance()
-    assert packed.all_disjoint()
-    assert max(inst.mean_phase_over_2pi for inst in packed.instances) <= 2
-    assert all(p.grid_ok for p in packed.induction_passes())
+    report = packed.to_dict()
+    assert report["parity_compliance"] == reference.to_dict()["parity_compliance"]
+    assert report["disjoint"] and report["energy_bound_ok"] and report["grid_ok"]
 
 
 def test_nu_sequence_validation():

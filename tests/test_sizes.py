@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from halfcycle import (AmplitudeProfile, CapacityError, DensitySpec, PreconditionError, YSample,
+from halfcycle import (AmplitudeProfile, CapacityError, DensitySpec, PreconditionError,
                        alpha_for_period, build_alpha_cycle, centered_window, chirped_pair,
                        continuous_nu, cycle_result, get_density, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, halting_demo, identical_pair, initial_config,
@@ -133,13 +133,16 @@ def test_majority_parity_is_checked_after_the_size_rule():
 # calls given a length that is not an integer, or indices or exponents that
 # are not one-dimensional integers; before the integer rule each of these
 # truncated the value, or failed later with another error
-Y8 = YSample(p=8, y=np.zeros(8))
+Y8 = np.zeros(8)
 NOT_INTEGERS = {
     "nu_of-index": lambda: nu_of(PROFILE, [1.5]),
     "nu_of-2d": lambda: nu_of(PROFILE, [[1, 2]]),
     "positions-bool": lambda: PROFILE.positions([True]),
+    "nu_of-bool-among-ints": lambda: nu_of(halfstep_profile_periodic(8), [True, 2]),
+    "nu_of-numpy-bool": lambda: nu_of(PROFILE, (j for j in [3, np.True_])),
     "nu_from_y-window": lambda: nu_from_y(Y8, [1.5]),
     "pack_spectrum-exponent": lambda: pack_spectrum(2, [0, 1.5, 3]),
+    "pack_spectrum-bool-exponent": lambda: pack_spectrum(1, [0, True]),
     "profile-indices": lambda: AmplitudeProfile(np.ones(2), np.array([0.0, 1.0]), 2.0, None),
     "run-budget": lambda: run(INC, initial_config(INC, "0"), 3.5),
     "zero_count-resolution": lambda: zero_count(minimal_periodic_spectrum(4), 256.5),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from halfcycle import (CapacityError, ConsistencyError, PreconditionError, YSample,
+from halfcycle import (CapacityError, ConsistencyError, PreconditionError,
                        aperiodic_spectrum, chirped_pair, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, minimal_periodic_spectrum, nu_of,
                        obstruction_certificate, overlap_at, pack_spectrum, spectral)
@@ -319,11 +319,11 @@ def test_peak_modulus_converges_to_two_over_pi(k):
 @pytest.mark.parametrize("make", [
     lambda: minimal_periodic_spectrum(4),
     lambda: halfstep_profile_periodic(4),
-    lambda: YSample(p=8, y=np.zeros(8)),
+    lambda: pack_spectrum(2).instances[3],
     lambda: chirped_pair(64),
     lambda: obstruction_certificate(chirped_pair(64)),
     lambda: pack_spectrum(2),
-], ids=["OrbitSpectrum", "AmplitudeProfile", "YSample", "GridFunctionSet",
+], ids=["OrbitSpectrum", "AmplitudeProfile", "PackedInstance", "GridFunctionSet",
         "ObstructionCertificate", "PackedSpectra"])
 def test_array_dataclasses_compare_by_identity(make):
     # the generated __eq__ would compare ndarray fields and raise
