@@ -1,13 +1,17 @@
 """Command-line front end: reproducible experiments with file output.
 
 Subcommands: profile, cycle, instant, stats, pack, schrodinger,
-complexity.  Every report embeds the seed; one root seed feeds a named
-sub-stream per subcommand, so rerunning a command with the same arguments
-and seed writes byte-identical output.  Exit code 0 means no check in the
-run reported a violation.  Sizes (periods, K, budgets, trials, grids,
-majority sizes) obey the size rule of ``errors.check_length``; a
-violation exits 2 with an ``error:`` line before anything is built, as
-does an unwritable ``--out``.  Each command runs inside the one
+complexity.  Every JSON report records its parsed arguments and its seed
+as ``config``, so rerunning a command with those arguments writes
+byte-identical output.  ``main`` settles the seed before a command runs:
+a given seed must be a nonnegative integer.  The two commands that draw,
+``instant`` and ``stats``, take a seed from system entropy when none is
+given and print it, and each draws from its own sub-stream of the seed;
+the other commands record seed 0 when none is given.  Exit code 0 means
+no check in the run reported a violation.  Sizes (periods, K, budgets,
+trials, grids, majority sizes) obey the size rule of
+``errors.check_length``; a violation exits 2 with an ``error:`` line
+before anything is built, as does an unwritable ``--out``.  Each command runs inside the one
 ``errors.recorded_checks``; its JSON report lists what that held under
 ``diagnostics``.
 """
@@ -15,6 +19,8 @@ does an unwritable ``--out``.  Each command runs inside the one
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import secrets
 import sys
@@ -34,20 +40,11 @@ from .schrodinger import (chirped_pair, identical_pair, obstruction_certificate,
 from .spectral import (aperiodic_spectrum, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, minimal_periodic_spectrum)
 
-_STREAMS = {"profile": 0, "cycle": 1, "instant": 2, "stats": 3, "pack": 4,
-            "schrodinger": 5, "complexity": 6}
-
-
-def _rng_for(seed: int, subcommand: str):
-    return np.random.default_rng(np.random.SeedSequence((seed, _STREAMS[subcommand])))
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = secrets.randbits(63)
-    print(f"seed drawn from system entropy: {seed}", file=sys.stderr)
-    return seed
+# each drawing command's sub-stream; renumbering one would change every seed's draws
+_STREAMS = {"instant": 2, "stats": 3}
+# what a report's config leaves out: the run's own objects and the paths,
+# so reruns to (or from) other files write the same bytes
+_UNRECORDED = {"handler", "checks", "rng", "out", "functions"}
 
 
 def _int_list(text: str, flag: str) -> list:
@@ -89,37 +86,34 @@ def _emit(out_path, writer, *args) -> None:
             f"cannot write report to {out_path!r}: {exc.strerror or exc}") from None
 
 
-def _emit_json(args, config: dict, body: dict, **diagnostics) -> None:
-    """Emit the JSON report: ``config`` without its None values, ``body``,
-    and ``diagnostics``, which holds ``checks`` beside the command's own
-    keyword ``diagnostics``.  ``checks`` has one entry per check name that
-    the command's recorder (``args.checks``) held, in the order each first
-    ran: its runs, the points they checked and their largest residual.
-    Every config carries ``input_word`` and ``out_format`` ("" and "json"
-    unless the command sets them).  The output path stays out, so reruns
-    to different files are byte-identical."""
-    config = {"input_word": "", "out_format": "json", **config}
+def _emit_json(args, body: dict, **diagnostics) -> None:
+    """Emit the JSON report: ``config``, ``body`` and ``diagnostics``.
+    ``config`` is the parsed arguments, seed included, less those in
+    ``_UNRECORDED`` and those that are None.  ``diagnostics`` holds
+    ``checks`` beside the command's own keyword ``diagnostics``; ``checks``
+    has one entry per check name that the command's recorder
+    (``args.checks``) held, in the order each first ran: its runs, the
+    points they checked and their largest residual."""
+    config = {k: v for k, v in vars(args).items() if k not in _UNRECORDED and v is not None}
     runs = {}
     for what, points, residual in args.checks:
         runs.setdefault(what, []).append((points, residual))
     checks = [{"check": what, "runs": len(r), "points": sum(n for n, _ in r),
                "max_residual": max(x for _, x in r)} for what, r in runs.items()]
     _emit(args.out, reports.write_json,
-          {"config": {k: v for k, v in config.items() if v is not None}, **body,
+          {"config": config, **body,
            "diagnostics": {"checks": checks, **diagnostics}})
 
 
 def cmd_profile(args) -> int:
-    config = dict(subcommand="profile", period=args.period, truncation=args.K,
-                  out_format=args.format, seed=args.seed or 0)
     if args.period is not None:
-        check_length("K", args.K)  # unused here, but refused all the same
+        check_length("K", args.truncation)  # unused here, but refused all the same
         profile = halfstep_profile_periodic(args.period)
         peak = args.period // 2
     else:
-        profile = halfstep_profile_aperiodic(args.K)
+        profile = halfstep_profile_aperiodic(args.truncation)
         peak = 1
-    if args.format == "csv":
+    if args.out_format == "csv":
         _emit(args.out, reports.profile_csv, profile)
     else:
         peak_amp = profile.amplitudes[profile.positions([peak])[0]]
@@ -130,67 +124,54 @@ def cmd_profile(args) -> int:
             "amplitudes": reports.Table(profile.indices, profile.amplitudes.real,
                                         profile.amplitudes.imag),
         }
-        _emit_json(args, config, body)
+        _emit_json(args, body)
     return 0
 
 
 def cmd_cycle(args) -> int:
-    config = dict(subcommand="cycle", machine=args.machine, input_word=args.input,
-                  alpha=args.alpha, budget=args.budget, seed=args.seed or 0)
     spec = load_machine(args.machine)
-    trace = run(spec, initial_config(spec, args.input), args.budget)
+    trace = run(spec, initial_config(spec, args.input_word), args.budget)
     if not trace.halted:
-        _emit_json(args, config, {"halted": False, "budget_exceeded": True})
+        _emit_json(args, {"halted": False, "budget_exceeded": True})
         return 1
-    cyc = build_alpha_cycle(trace, args.alpha, source=f"{spec.name}({args.input})")
+    cyc = build_alpha_cycle(trace, args.alpha, source=f"{spec.name}({args.input_word})")
     report = verify_cycle(cyc)
     body = {"halted": True, "cycle": cyc.to_dict(),
             "verified": report.ok, "violations": list(report.violations),
             "checks": list(report.checks)}
-    _emit_json(args, config, body)
+    _emit_json(args, body)
     return 0 if report.ok else 1
 
 
 def cmd_instant(args) -> int:
-    seed = _resolve_seed(args)
-    config = dict(subcommand="instant", machine=args.machine, input_word=args.input,
-                  alpha=args.alpha, truncation=args.K, majority=args.majority,
-                  budget=args.budget, trials=args.trials, seed=seed)
     spec = load_machine(args.machine)
-    rng = _rng_for(seed, "instant")
-    verdict = halting_demo(spec, initial_config(spec, args.input), args.budget,
-                           args.K, args.alpha, rng, majority_m=args.majority,
+    verdict = halting_demo(spec, initial_config(spec, args.input_word), args.budget,
+                           args.truncation, args.alpha, args.rng, majority_m=args.majority,
                            max_trials=args.trials)
-    _emit_json(args, config, {"verdict": verdict.to_dict()})
+    _emit_json(args, {"verdict": verdict.to_dict()})
     return 1 if verdict.report.inconclusive else 0
 
 
 def cmd_stats(args) -> int:
-    seed = _resolve_seed(args)
     p_list = _int_list(args.p, "--p")
-    config = dict(subcommand="stats", density=args.density, trials=args.trials,
-                  seed=seed, out_format=args.format)
     density = get_density(args.density)
-    rng = _rng_for(seed, "stats")
-    report = moment_experiment(p_list, density, args.trials, rng)
-    if args.format == "csv":
+    report = moment_experiment(p_list, density, args.trials, args.rng)
+    if args.out_format == "csv":
         _emit(args.out, reports.stats_csv, report)
     else:
-        _emit_json(args, config, {"stats": report.to_dict()})
+        _emit_json(args, {"stats": report.to_dict()})
     return 0
 
 
 def cmd_pack(args) -> int:
-    config = dict(subcommand="pack", seed=args.seed or 0)
     nu = _int_list(args.nu, "--nu") if args.nu else None
     packed = pack_spectrum(args.n, nu)
     body = packed.to_dict()
-    _emit_json(args, config, {"pack": body}, solver=packed.diagnostics)
+    _emit_json(args, {"pack": body}, solver=packed.diagnostics)
     return 0 if body["disjoint"] and body["energy_bound_ok"] and body["grid_ok"] else 1
 
 
 def cmd_schrodinger(args) -> int:
-    config = dict(subcommand="schrodinger", seed=args.seed or 0)
     if args.functions:
         gset = read_grid_functions(args.functions)
     elif args.builtin == "identical":
@@ -198,13 +179,11 @@ def cmd_schrodinger(args) -> int:
     else:
         gset = chirped_pair(grid_points=args.grid)
     result = obstruction_certificate(gset)
-    _emit_json(args, config, {"obstruction": result.to_dict()})
+    _emit_json(args, {"obstruction": result.to_dict()})
     return 0
 
 
 def cmd_complexity(args) -> int:
-    config = dict(subcommand="complexity", period=args.period, out_format=args.format,
-                  seed=args.seed or 0)
     check_length("grid", args.grid)
     spec = aperiodic_spectrum() if args.aperiodic else minimal_periodic_spectrum(args.period)
     t_grid = np.linspace(0.0, 1.0, args.grid)
@@ -215,7 +194,7 @@ def cmd_complexity(args) -> int:
         bound = check_lower_bound(spec, t_grid)
         # zero_count needs 256 samples; coarser grids get their own scan
         zeros = bound.zero_count if args.grid >= 256 else zero_count(spec, 256)
-    if args.format == "csv":
+    if args.out_format == "csv":
         _emit(args.out, reports.complexity_csv, t_grid, values, phase, zeros)
         return 0 if bound is None or bound.ok else 1
     body = {
@@ -224,11 +203,12 @@ def cmd_complexity(args) -> int:
         "lower_bound_ok": None if bound is None else bound.ok,
         "readings": reports.Table(t_grid, values),
     }
-    _emit_json(args, config, body, lower_bound=None if bound is None else {
+    _emit_json(args, body, lower_bound=None if bound is None else {
         "max_slack_violation": bound.max_slack_violation, "worst_t": bound.worst_t})
     return 0 if bound is None or bound.ok else 1
 
 
+@functools.cache  # once, at the first call rather than at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halfcycle",
@@ -244,14 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--period", type=int)
     group.add_argument("--aperiodic", action="store_true")
-    p.add_argument("--K", type=int, default=1000)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+    p.add_argument("--K", type=int, default=1000, dest="truncation")
+    p.add_argument("--format", choices=("csv", "json"), default="json", dest="out_format")
     common(p)
     p.set_defaults(handler=cmd_profile)
 
     p = sub.add_parser("cycle", help="build and verify a waiting cycle")
     p.add_argument("--machine", required=True)
-    p.add_argument("--input", default="")
+    p.add_argument("--input", default="", dest="input_word")
     p.add_argument("--alpha", type=float, default=0.75)
     p.add_argument("--budget", type=int, default=10000)
     common(p)
@@ -259,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("instant", help="halting demo via the retry procedures")
     p.add_argument("--machine", required=True)
-    p.add_argument("--input", default="")
+    p.add_argument("--input", default="", dest="input_word")
     p.add_argument("--alpha", type=float, default=0.75)
-    p.add_argument("--K", type=int, default=1000)
+    p.add_argument("--K", type=int, default=1000, dest="truncation")
     p.add_argument("--majority", type=int, default=15)
     p.add_argument("--budget", type=int, default=10000)
     p.add_argument("--trials", type=int, default=10 ** 6,
@@ -273,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="64,256,1024")
     p.add_argument("--density", default="uniform")
     p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+    p.add_argument("--format", choices=("csv", "json"), default="json", dest="out_format")
     common(p)
     p.set_defaults(handler=cmd_stats)
 
@@ -295,16 +275,25 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--period", type=int)
     group.add_argument("--aperiodic", action="store_true")
     p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
+    p.add_argument("--format", choices=("csv", "json"), default="json", dest="out_format")
     common(p)
     p.set_defaults(handler=cmd_complexity)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            check_length("seed", args.seed, 0, cap=math.inf)
+        if args.subcommand in _STREAMS:
+            if args.seed is None:
+                args.seed = secrets.randbits(63)
+                print(f"seed drawn from system entropy: {args.seed}", file=sys.stderr)
+            args.rng = np.random.default_rng(
+                np.random.SeedSequence((args.seed, _STREAMS[args.subcommand])))
+        elif args.seed is None:
+            args.seed = 0
         with recorded_checks() as args.checks:
             return args.handler(args)
     except HalfcycleError as exc:

@@ -365,6 +365,11 @@ def continuous_nu(cells: int, density: DensitySpec, rng) -> ContinuousNu:
     the half-step sums of y, periodic in j with period cells, times
     (1 - exp(-i*u*D))/(2pi*i*u).  A density whose ``sample`` fills in a
     fixed vector gives a deterministic y; a non-finite one is refused.
+
+    ``cells`` obeys the size rule, which bounds the work: the call holds
+    O(cells) arrays (y, its half-step sums and the 2 * cells + 1
+    amplitudes), 136 bytes a cell at the tracemalloc peak, so 544 MiB at
+    the cap of 2**22 cells.
     """
     check_length("cell count", cells, 2, even=True)
     y = np.empty(cells)

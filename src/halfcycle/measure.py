@@ -298,7 +298,13 @@ class BatchSummary:
 def repeat_error_free(cycle: LabeledCycle, profile: AmplitudeProfile, validate, rng,
                       runs: int, max_trials: int = 10 ** 6):
     """Run the error-free procedure ``runs`` times; returns the trial-count
-    list and a BatchSummary with the conditional-rate estimates."""
+    list and a BatchSummary with the conditional-rate estimates.
+
+    ``runs`` obeys the size rule; ``max_trials`` needs no cap, since each
+    run ends after at most ``max_trials`` draws and the draws come in
+    blocks of at most ``runs``.  So a call draws at most runs × max_trials
+    trials, and holds O(runs) arrays beside the profile, whatever
+    ``max_trials`` is."""
     check_length("runs", runs)
     trials, o_ones, accepted, results = _error_free_runs(
         cycle, profile, validate, rng, runs, max_trials)

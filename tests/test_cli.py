@@ -1,12 +1,18 @@
 """CLI: subcommand behavior, file output, seeded determinism."""
 
+import contextlib
 import errno
 import functools
 import importlib
+import io
+import itertools
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from importlib import resources
@@ -15,13 +21,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import halfcycle
 from halfcycle import (halfstep_profile_aperiodic, halfstep_profile_periodic, overlap_at,
                        reports, spectral)
 from halfcycle.cli import main
+from halfcycle.errors import DEFAULT_PERIOD_CAP as CAP
 from halfcycle.spectral import OrbitSpectrum
 
 
@@ -326,6 +333,10 @@ BAD_FILES |= {"gauss.csv": gaussian_csv(), "nan.csv": gaussian_csv(10, "nan"),
     # a Gaussian pair with a NaN or an infinite function value
     ["schrodinger", "{tmp}/gauss.csv", "{tmp}/nan.csv"],
     ["schrodinger", "{tmp}/inf.csv", "{tmp}/gauss.csv"],
+    # a seed is a nonnegative integer, whether the command draws or not
+    ["instant", "--machine", "incrementer", "--input", "1", "--seed", "-1"],
+    ["stats", "--p", "64", "--trials", "10", "--seed", "-1"],
+    ["profile", "--period", "8", "--seed", "-1"],
 ])
 def test_complexity_bad_input_rejected(args, tmp_path, capsys):
     # grids, periods, K, step budgets, trial and majority counts, waiting
@@ -482,12 +493,55 @@ def test_reports_embed_seed(tmp_path):
     assert json.loads(payload)["config"]["seed"] == 321
 
 
+# the flags whose dest differs from their name
+FLAG_OF = {"truncation": "--K", "input_word": "--input", "out_format": "--format"}
+
+
+def argv_of(config) -> list:
+    """The command line that a report's ``config`` records."""
+    argv = [config["subcommand"]]
+    for key, value in config.items():
+        if key != "subcommand" and value is not False:
+            flag = FLAG_OF.get(key, f"--{key}")
+            argv += [flag] if value is True else [flag, str(value)]
+    return argv
+
+
+# every option away from its default, so a value the config left out
+# would change the rerun's report
+REPLAYED = {
+    "profile": ["profile", "--aperiodic", "--K", "300"],
+    "cycle": ["cycle", "--machine", "parity", "--input", "101", "--alpha", "0.6",
+              "--budget", "500", "--seed", "4"],
+    "instant": ["instant", "--machine", "incrementer", "--input", "11", "--alpha", "0.7",
+                "--K", "300", "--majority", "5", "--budget", "500", "--trials", "5000"],
+    "stats": ["stats", "--p", "64,128", "--density", "raised-cosine", "--trials", "300"],
+    "pack": ["pack", "--n", "2", "--nu", "0,2,4", "--seed", "9"],
+    "schrodinger": ["schrodinger", "--builtin", "identical", "--grid", "64"],
+    "complexity": ["complexity", "--period", "8", "--grid", "100", "--seed", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", REPLAYED.values(), ids=REPLAYED.keys())
+def test_rerunning_a_reports_config_reproduces_it(argv, tmp_path, capsys):
+    code, payload = run_cli(argv, tmp_path, "first.json")
+    config = json.loads(payload)["config"]
+    drawn = capsys.readouterr().err
+    if argv[0] in ("instant", "stats"):  # no seed given: one is drawn and printed
+        assert drawn == f"seed drawn from system entropy: {config['seed']}\n"
+    else:
+        assert drawn == "" and config["seed"] == int(argv[argv.index("--seed") + 1]
+                                                     if "--seed" in argv else 0)
+    assert (code, payload) == run_cli(argv_of(config), tmp_path, "second.json")
+    assert capsys.readouterr().err == ""
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy costs a fraction of a second to import; only the packing solver
     # and the test reference need it, so it stays out of start-up
     src = str(Path(halfcycle.__file__).resolve().parents[1])
     code = "import halfcycle, halfcycle.cli, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src})
+    subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
 
 
 NUMBERS = st.one_of(
@@ -760,3 +814,133 @@ def test_csv_writers_match_per_value_reference(data):
 def test_stats_csv_without_rows_is_its_header():
     assert (csv_text(reports.stats_csv, SimpleNamespace(rows=[]))
             == "p,density,trials,mean,stderr,var,var_p,chebyshev_fraction\n")
+
+
+# --- the fuzz gate: every command line the grammar below builds ends in
+# exit 0, 1 or 2, without a traceback or a warning, and reruns the same
+
+NOT_INTS = ["nan", "inf", "1e-300", "x", "", str(2 ** 70)]  # 2**70: past every cap
+
+
+def part(plain, edge):
+    """One part of a command line as (plain, edge) pools of token lists:
+    ``plain`` holds values the command runs on at a small size, ``edge``
+    values at or past the edges of what it accepts."""
+    return st.sampled_from(plain), st.sampled_from(edge)
+
+
+def option(flag, plain, edge, required=False):
+    """``part`` of ``flag`` and one value; an optional flag may also be left out."""
+    return part([*([] if required else [[]]), *([flag, v] for v in plain)],
+                [[flag, v] for v in edge])
+
+
+def lists(items, size, min_size=0):
+    """Comma-separated lists of ``min_size`` to ``size`` of ``items``."""
+    return [",".join(row) for n in range(min_size, size + 1)
+            for row in itertools.product(items, repeat=n)]
+
+
+def period_or_aperiodic(*plain):
+    """``part`` of the required choice of ``--period``, with a value of
+    ``plain``, or ``--aperiodic``."""
+    return part([["--aperiodic"], *(["--period", v] for v in plain)],
+                [[], ["--period", "8", "--aperiodic"],
+                 *(["--period", v] for v in ["-2", "0", "1", "3", str(CAP - 1), str(CAP + 1),
+                                             *NOT_INTS])])
+
+
+FORMAT = option("--format", ["csv", "json"], ["xml", ""])
+MACHINE = part([["--machine", m] for m in ("incrementer", "loop", "parity", "unary_successor")],
+               [[], ["--machine", "none"], ["--machine", "{tmp}/gauss.csv"]])
+INPUT = option("--input", ["", "0", "1", "11", "101"], ["2", "x"])
+ALPHA = option("--alpha", ["0.5", "0.6", "0.75", "0.9"],
+               ["0", "1", "-1", "2", "nan", "inf", "-inf", "1e-300", "x", ""])
+BUDGET = option("--budget", ["2", "50", "1000"], ["-1", "0", "1", str(CAP // 2), *NOT_INTS])
+K = option("--K", ["1", "2", "7", "300"], ["-1", "0", str(CAP // 2 + 1), *NOT_INTS])
+CSV_FILES = {"gauss.csv": gaussian_csv(), "nan.csv": gaussian_csv(10, "nan"),
+             "descending.csv": gaussian_csv(x=np.linspace(8.0, -8.0, 64)),
+             "one.csv": BAD_FILES["one.csv"]}
+# each command's parts; sizes whose default is large (stats --p and
+# --trials, schrodinger --grid) are always given
+GRAMMAR = {
+    "profile": [period_or_aperiodic("2", "4", "8", "64"), K, FORMAT],
+    "cycle": [MACHINE, INPUT, ALPHA, BUDGET],
+    "instant": [MACHINE, INPUT, ALPHA, K, BUDGET,
+                option("--majority", ["1", "3", "5", "15"],
+                       ["-1", "0", "2", str(CAP + 1), *NOT_INTS]),
+                option("--trials", ["1", "2", "100", "5000"], ["-1", "0", *NOT_INTS])],
+    "stats": [option("--p", lists(["4", "64", "128"], 2, 1),
+                     lists(["-4", "0", "3", "64", str(CAP - 1), str(CAP + 1), *NOT_INTS], 2),
+                     required=True),
+              option("--density", ["uniform", "raised-cosine", "two-point"], ["cauchy", ""]),
+              option("--trials", ["1", "2", "3", "50"], ["-1", "0", str(CAP + 1), *NOT_INTS],
+                     required=True),
+              FORMAT],
+    "pack": [part([["--n", n] for n in ("0", "1", "2", "3")]
+                  + [["--n", "1", "--nu", "0,2"], ["--n", "2", "--nu", "1,2,4"]],
+                  [[], *(["--n", v] for v in ["-1", str(10 ** 9), *NOT_INTS]),
+                   *(["--n", "1", "--nu", v] for v in lists(["-1", "0", "2", *NOT_INTS], 2))])],
+    "schrodinger": [part([[], ["{tmp}/gauss.csv", "{tmp}/gauss.csv"]],
+                         [[f"{{tmp}}/{a}", f"{{tmp}}/{b}"]
+                          for a in [*CSV_FILES, "missing.csv"] for b in CSV_FILES]),
+                    option("--builtin", ["chirped", "identical"], ["other"]),
+                    option("--grid", ["8", "9", "64"], ["-1", "0", "1", "7", str(CAP + 1),
+                                                        *NOT_INTS], required=True)],
+    "complexity": [period_or_aperiodic("2", "4", "8", "16"),
+                   option("--grid", ["1", "2", "255", "256", "300"],
+                          ["-1", "0", str(CAP + 1), *NOT_INTS]),
+                   FORMAT],
+}
+SEED = option("--seed", ["0", "1", "7", str(2 ** 70)], ["-1", "x", "nan"])
+OUT = option("--out", ["{tmp}/out"], ["{tmp}/nodir/out", "{tmp}"])
+
+
+@st.composite
+def command_lines(draw):
+    """A command and its parts, each plain but for up to two at an edge."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    parts = [*GRAMMAR[command], SEED, OUT]
+    edges = draw(st.sets(st.sampled_from(range(len(parts))), max_size=2))
+    return [command, *itertools.chain.from_iterable(
+        draw(pools[i in edges]) for i, pools in enumerate(parts))]
+
+
+def run_in_process(argv, tmp):
+    """Exit code, stdout, stderr and the report at ``{tmp}/out`` (None if
+    there is none) of ``main(argv)``, run with every warning an error."""
+    report = Path(tmp, "out")
+    report.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")
+        try:
+            code = main([arg.replace("{tmp}", tmp) for arg in argv])
+        except SystemExit as exc:  # argparse refused the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), report.read_bytes() if report.exists() else None
+
+
+@given(command_lines())
+@example(["instant", "--machine", "incrementer", "--input", "1", "--seed", "-1"])
+@example(["schrodinger", "--grid", "0"])
+@example(["profile", "--period", "4", "--out", "{tmp}/nodir/out"])
+@example(["pack", "--n", "1", "--nu", f"0,{2 ** 70}"])
+@example(["schrodinger", "{tmp}/descending.csv", "{tmp}/descending.csv"])
+@example(["cycle", "--machine", "incrementer", "--alpha", "nan"])
+@example(["stats", "--p", "64", "--trials", "3", "--out", "{tmp}/out"])
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+def test_no_command_line_crashes_and_reruns_give_the_same_bytes(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in CSV_FILES.items():
+            Path(tmp, name).write_bytes(data)
+        code, out, err, report = run_in_process(argv, tmp)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert sum("error:" in line for line in err.splitlines()) == 1
+            assert "Traceback" not in err and report is None
+        drawn = re.match(r"seed drawn from system entropy: (\d+)\n", err)
+        if drawn:  # rerun with the seed the first run drew
+            argv, err = [*argv, "--seed", drawn[1]], err[drawn.end():]
+        assert run_in_process(argv, tmp) == (code, out, err, report)

@@ -58,7 +58,7 @@ ROWS = {
     "zero_count-resolution": (lambda n: zero_count(minimal_periodic_spectrum(4), n),
                               255, CAP + 1),
     "complexity-grid": (lambda n: cmd_complexity(SimpleNamespace(
-        period=8, aperiodic=False, grid=n, format="json", out=None, seed=0)), 0, CAP + 1),
+        period=8, aperiodic=False, grid=n, out_format="json", out=None, seed=0)), 0, CAP + 1),
     "chirped_pair": (chirped_pair, 7, CAP + 1),
     "identical_pair": (identical_pair, 7, CAP + 1),
     "obstruction_certificate-grid": (
