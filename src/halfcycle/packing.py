@@ -31,40 +31,49 @@ integer part:
     differs from k mod 2, less the number of odd collision-free points
     (a constant, so the objective is negative).
 
-The program is exact for feasibility.  Sorting any feasible set of
-distinct nonnegative integer parts of a pile down onto ranks 0..L-1, in
-the same order (so the anchor at 0 stays at 0), and moving every
-collision-free point down to 0 or 1, lowers no point, so every instance
-stays within its budget.  An infeasible program therefore proves that no
-disjoint packing within the energy bound exists, and only then is
-CapacityError raised.
+The program is exact for feasibility: sorting any feasible set of
+distinct integer parts of a pile down onto ranks 0..L-1 in the same order
+(the anchor stays at 0), and moving every collision-free point down to 0
+or 1, lowers no point.  CapacityError is raised only when the program is
+infeasible, which proves that no disjoint packing within the energy bound
+exists.
 
-HiGHS solves the program through scipy.optimize.milp, always at a
+The program is split before it is built.  An instance's budget row can
+bind only if its largest possible part sum (pile size - 1 per collided
+point, 1 per odd collision-free point, 0 for the anchor) exceeds its
+budget; every other row always holds and is dropped.  A pile with no
+member in a binding instance is then coupled to nothing and takes its
+fewest-parity-miss ranks in closed form (even members, the anchor first,
+on even ranks, odd ones on odd ranks, the surplus on the other parity),
+and the other instances' odd collision-free points sit at 1.  That part
+is feasible and optimal alone, so the solver gets only the rest and its
+verdict is the whole program's.  If no row can bind (as in
+pack_spectrum(2)), no solver runs: the path is "closed".
+
+HiGHS solves the coupled part through scipy.optimize.milp, always at a
 relative gap of 0, in up to three steps:
 
-  1. the LP relaxation.  If it is infeasible, so is the program, and
+  1. the LP relaxation; if it is infeasible, so is the program, and
      CapacityError is raised;
-  2. the restricted solve: every variable the LP left integral (within
-     1e-9) is fixed at its rounded value, and the program is solved over
-     the few fractional ones that remain.  Its solution is checked against
-     every bound and row in exact integer arithmetic;
+  2. the restricted solve over the variables the LP left fractional, each
+     other one fixed at its rounded value, checked against every bound
+     and row in exact integer arithmetic;
   3. the full program, if the restricted solve is infeasible or its
      objective lies above the LP bound.
 
-All costs are integers, so the LP optimum rounded up is a lower bound on
-the program's optimum (it is rounded up after a relative slack of 1e-6
-is taken off, which can only lower it).  An integer solution that reaches
-the bound is optimal; the full program decides every other case.  Either
-way parity is optimal among the program's solutions.  PackedSpectra
-keeps the step that gave the answer, the objective, the LP bound, the
-proven gap (0) and the node count as ``diagnostics``.
+All costs are integers, so the LP optimum rounded up (after a relative
+slack of 1e-6 is taken off, which can only lower it) bounds the optimum
+from below.  An integer solution that reaches the bound is optimal; the
+full program decides every other case.  Either way parity is optimal.
+PackedSpectra keeps as ``diagnostics`` the step that gave the answer,
+the whole program's objective and LP bound (the closed-form part's
+included), the proven gap (0), the node count and the number of points
+the solver placed.
 
 All bookkeeping is on integer numerators over the single denominator
 2^(n_max + nu_max), the dyadic grid every point lies on, so it is exact.
-The result keeps those numerators in one read-only array, each instance
-holding a view of its slice, and builds its report from reductions over
-that array: per-instance sums, the energy bound compared in integers, one
-grid test per point and one sort for disjointness.
+The result keeps them in one read-only array, each instance a view of its
+slice, and builds its report from reductions over that array.
 """
 
 from __future__ import annotations
@@ -230,19 +239,46 @@ def pack_spectrum(n_max: int, nu_exponents=None) -> PackedSpectra:
                          instances=instances, diagnostics=diagnostics)
 
 
+def _binding_rows(inst, odd, size, budgets) -> np.ndarray:
+    """Per instance, whether its largest possible part sum (module
+    docstring) exceeds its budget, so that its budget row can bind."""
+    reach = np.where(size >= 2, size - 1, odd)
+    reach[0] = 0  # point 0 is the anchor, held at rank 0
+    return np.bincount(inst, weights=reach, minlength=budgets.size) > budgets
+
+
 def _assign_ranks(inst, odd, pile, budgets) -> tuple:
     """Integer part of every point, from an optimal solution of the program
-    in the module docstring, and the solver's diagnostics.  ``inst``,
-    ``odd`` (k mod 2) and ``pile`` are per point, in (n, m, k) order;
-    ``budgets`` is per instance."""
+    in the module docstring, and the solver's diagnostics for the whole
+    program.  ``inst``, ``odd`` (k mod 2) and ``pile`` are per point, in
+    (n, m, k) order; ``budgets`` is per instance."""
+    size = np.bincount(pile)[pile]
+    binds = _binding_rows(inst, odd, size, budgets)
+    coupled = (size >= 2) & (np.bincount(pile, weights=binds[inst]) > 0)[pile]
+    odd_single = (size == 1) & (odd == 1)
+    solved = coupled | (odd_single & binds[inst])
+    # An uncoupled pile's ranks, the even ones upward then the odd ones down,
+    # go to its even members (the anchor first) then its odd ones in order.
+    parts = np.zeros(pile.size, dtype=np.int64)
+    alone = np.flatnonzero((size >= 2) & ~coupled)
+    alone = alone[np.lexsort((odd[alone], pile[alone]))]
+    t = np.arange(alone.size) - np.searchsorted(pile[alone], pile[alone])
+    parts[alone] = np.where(t < (size[alone] + 1) // 2, 2 * t, 2 * (size[alone] - 1 - t) + 1)
+    parts[odd_single & ~solved] = 1
+    # the closed-form part's objective, added to the solver's figures
+    offset = int(np.count_nonzero((parts % 2 != odd) & ~solved)
+                 - np.count_nonzero(odd_single & ~solved))
+    if not binds.any():
+        return parts, {"path": "closed", "objective": offset, "lp_bound": offset,
+                       "gap": 0.0, "nodes": 0, "points": 0}
     from scipy.optimize import LinearConstraint
     from scipy.sparse import coo_array
 
-    size = np.bincount(pile)[pile]
-    member = np.flatnonzero(size >= 2)
+    member = np.flatnonzero(coupled)
     member = member[np.argsort(pile[member], kind="stable")]
-    n_members, n_inst = member.size, budgets.size
-    # Rows: one per member, one per (pile, rank), one budget per instance.
+    row = np.cumsum(binds) - 1  # instance -> its budget row, if it binds
+    n_members, n_inst = member.size, int(row[-1]) + 1
+    # Rows: one per member, one per (pile, rank), one per binding budget.
     # x[member i, rank r] is variable start[i] + r; its rank row is
     # n_members + first[i] + r, first[i] being the first member of i's pile.
     length = size[member]
@@ -251,41 +287,40 @@ def _assign_ranks(inst, odd, pile, budgets) -> tuple:
     n_x = int(length.sum())
     owner = np.repeat(np.arange(n_members), length)
     rank = np.arange(n_x) - start[owner]
-    loaded = rank > 0
+    loaded = (rank > 0) & binds[inst[member[owner]]]
     var = np.arange(n_x)
     rows = np.concatenate([owner, n_members + first[owner] + rank,
-                           2 * n_members + inst[member[owner[loaded]]],
+                           2 * n_members + row[inst[member[owner[loaded]]]],
                            2 * n_members + np.arange(n_inst)])
     cols = np.concatenate([var, var, var[loaded], n_x + np.arange(n_inst)])
     coef = np.concatenate([np.ones(2 * n_x), rank[loaded], np.ones(n_inst)])
     A = coo_array((coef, (rows, cols)), shape=(2 * n_members + n_inst, n_x + n_inst))
 
-    odd_single = (size == 1) & (odd == 1)
-    n_odd = np.bincount(inst[odd_single], minlength=n_inst)
+    single = np.flatnonzero(odd_single & solved)
+    n_odd = np.bincount(row[inst[single]], minlength=n_inst)
     cost = np.concatenate([(rank % 2 != odd[member[owner]]).astype(float), -np.ones(n_inst)])
     lower = np.zeros(n_x + n_inst)
     if n_members and member[0] == 0:
         lower[0] = 1.0  # point 0 is the anchor; its pile (fraction 0) sorts first
     upper = np.concatenate([np.ones(n_x), n_odd])
-    row_upper = np.concatenate([np.ones(2 * n_members), budgets])
+    row_upper = np.concatenate([np.ones(2 * n_members), budgets[binds]])
     row_lower = np.concatenate([np.ones(2 * n_members), np.zeros(n_inst)])
-    x, diagnostics = _solve(cost, lower, upper, LinearConstraint(A, row_lower, row_upper))
+    x, diagnostics = _solve(cost, lower, upper, LinearConstraint(A, row_lower, row_upper),
+                            offset)
 
-    parts = np.zeros(pile.size, dtype=np.int64)
     chosen = np.flatnonzero(x[:n_x])
     parts[member[owner[chosen]]] = rank[chosen]
-    # The first y_j odd collision-free points of instance j sit at 1.
-    single = np.flatnonzero(odd_single)
-    j = inst[single]
+    # The first y_j odd collision-free points of binding instance j sit at 1.
+    j = row[inst[single]]
     within = np.arange(single.size) - (np.cumsum(n_odd) - n_odd)[j]
     parts[single[within < x[n_x:][j]]] = 1
-    return parts, diagnostics
+    return parts, {**diagnostics, "points": int(np.count_nonzero(solved))}
 
 
-def _solve(cost, lower, upper, constraints) -> tuple:
+def _solve(cost, lower, upper, constraints, offset) -> tuple:
     """An optimal integer solution of the program and its diagnostics: the
     LP bound, then the restricted solve, then the full MILP if need be
-    (module docstring)."""
+    (module docstring).  ``offset`` is added to the objective and bound."""
     lp = _milp(cost, np.zeros(cost.size), lower, upper, constraints)
     if lp.status == 2:
         raise _infeasible(lp)
@@ -293,11 +328,11 @@ def _solve(cost, lower, upper, constraints) -> tuple:
     if lp.status == 0:
         # integer costs: the MILP optimum is at least the LP optimum rounded
         # up; the slack can only lower the bound
-        bound = math.ceil(lp.fun - _LP_SLACK * max(1.0, abs(lp.fun)))
+        bound = math.ceil(lp.fun - _LP_SLACK * max(1.0, abs(lp.fun))) + offset
         found = _restricted_solve(cost, lower, upper, constraints, lp.x)
         if found is not None:
             x, nodes = found
-            objective = int(cost @ x)
+            objective = int(cost @ x) + offset
             if objective <= bound:
                 return x, {"path": "lp+restricted", "objective": objective, "lp_bound": bound,
                            "gap": 0.0, "nodes": nodes}
@@ -305,7 +340,7 @@ def _solve(cost, lower, upper, constraints) -> tuple:
     if res.status != 0:
         raise _infeasible(res)
     x = np.rint(res.x).astype(np.int64)
-    return x, {"path": "milp", "objective": int(cost @ x), "lp_bound": bound,
+    return x, {"path": "milp", "objective": int(cost @ x) + offset, "lp_bound": bound,
                "gap": float(res.mip_gap), "nodes": int(res.mip_node_count)}
 
 

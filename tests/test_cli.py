@@ -194,7 +194,8 @@ def test_pack_command(tmp_path):
     assert data["disjoint"] and data["energy_bound_ok"] and data["grid_ok"]
     # the solver's figures sit beside the report body, not inside it
     assert report["diagnostics"] == {"checks": [], "solver": {
-        "path": "lp+restricted", "objective": -15, "lp_bound": -15, "gap": 0.0, "nodes": 0}}
+        "path": "lp+restricted", "objective": -15, "lp_bound": -15, "gap": 0.0, "nodes": 0,
+        "points": 21}}
 
 
 def test_schrodinger_builtin_pair(tmp_path):
@@ -542,6 +543,16 @@ def test_import_leaves_scipy_unloaded():
     src = str(Path(halfcycle.__file__).resolve().parents[1])
     code = "import halfcycle, halfcycle.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_packing_with_no_binding_budget_leaves_scipy_unloaded():
+    # at n = 2 no budget row can bind, so every pile is ranked in closed form
+    src = str(Path(halfcycle.__file__).resolve().parents[1])
+    code = ("import halfcycle.cli, sys; assert halfcycle.cli.main(['pack', '--n', '2']) == 0;"
+            " assert 'scipy' not in sys.modules")
+    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert json.loads(run.stdout)["diagnostics"]["solver"]["path"] == "closed"
 
 
 NUMBERS = st.one_of(

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import halfcycle.packing
 from halfcycle import CapacityError, PreconditionError, overlap_at, pack_spectrum
@@ -228,10 +230,13 @@ def test_an_exponent_past_int64_meets_the_point_cap(exponent):
         pack_spectrum(1, [-exponent, 0])
 
 
-def test_energy_infeasibility_is_an_error_not_a_silent_overrun():
-    # nu_n = n is proven infeasible at size 6; a faster-growing sequence is fine
+def test_energy_infeasibility_is_an_error_not_a_silent_overrun(monkeypatch):
+    # nu_n = n is proven infeasible at size 6, with or without the split of
+    # the program; a faster-growing sequence is fine
     with pytest.raises(CapacityError, match="solver status 2"):
         pack_spectrum(6)
+    with pytest.raises(CapacityError, match="solver status 2"):
+        full_milp(monkeypatch, 6, None)
     report = pack_spectrum(5, [0, 2, 4, 6, 8, 10]).to_dict()
     assert report["disjoint"] and report["energy_bound_ok"]
 
@@ -259,9 +264,11 @@ def test_every_solve_asks_for_a_zero_gap(monkeypatch):
 
 
 def full_milp(monkeypatch, n_max, nu):
-    """pack_spectrum with the restricted solve turned off, so that the full
-    MILP decides."""
+    """pack_spectrum with every budget row kept and the restricted solve
+    turned off, so that one gap-0 MILP over the whole program decides."""
     with monkeypatch.context() as patch:
+        patch.setattr(halfcycle.packing, "_binding_rows",
+                      lambda inst, odd, size, budgets: np.ones(budgets.size, dtype=bool))
         patch.setattr(halfcycle.packing, "_restricted_solve", lambda *args: None)
         return pack_spectrum(n_max, nu)
 
@@ -273,6 +280,9 @@ def full_milp(monkeypatch, n_max, nu):
     (5, [0, 2, 4, 6, 8, 10], "lp+restricted"),
     (3, [0, 3, 5, 7], None), (4, [1, 2, 3, 5, 6], None),
     (4, [0, 1, 2, 4, 5], None), (4, [0, 2, 4, 6, 8], None),
+    (1, [0, 2], "closed"), (2, [0, 2, 4], "closed"), (3, [0, 2, 4, 6], None),
+    (3, [0, 1, 3, 6], None), (3, [0, 3, 4, 5], None),
+    (4, [0, 1, 2, 3, 7], None), (4, [1, 2, 4, 5, 9], None),
 ])
 def test_lp_path_reaches_the_full_milp_optimum(monkeypatch, n_max, nu, path):
     packed = pack_spectrum(n_max, nu)
@@ -281,12 +291,56 @@ def test_lp_path_reaches_the_full_milp_optimum(monkeypatch, n_max, nu, path):
     assert ref["path"] == "milp" and ref["gap"] == 0 and got["gap"] == 0
     if path:
         assert got["path"] == path
-    assert got["objective"] == ref["objective"] >= got["lp_bound"] == ref["lp_bound"]
-    if got["path"] == "lp+restricted":
+    assert got["objective"] == ref["objective"] >= got["lp_bound"]
+    assert got["lp_bound"] >= ref["lp_bound"]  # both bound the one optimum from below
+    if got["path"] != "milp":
         assert got["objective"] == got["lp_bound"]  # proven optimal by the bound
+    assert (got["points"] == 0) == (got["path"] == "closed")
+    assert got["points"] <= ref["points"] <= packed.values.size
     report = packed.to_dict()
     assert report["parity_compliance"] == reference.to_dict()["parity_compliance"]
     assert report["disjoint"] and report["energy_bound_ok"] and report["grid_ok"]
+
+
+@pytest.mark.parametrize("n_max, objective", [(0, 0), (1, -1), (2, -4)])
+def test_no_budget_row_binds_up_to_size_two(n_max, objective):
+    assert pack_spectrum(n_max).diagnostics == {
+        "path": "closed", "objective": objective, "lp_bound": objective, "gap": 0.0,
+        "nodes": 0, "points": 0}
+
+
+def test_the_solver_gets_only_the_coupled_part(monkeypatch):
+    # at (5, nu = 2n) the whole program has 19,538 variables over 37,449
+    # points; most budget rows cannot bind, and their piles are ranked apart
+    sizes, solve = [], halfcycle.packing._solve
+    monkeypatch.setattr(halfcycle.packing, "_solve",
+                        lambda cost, *args: sizes.append(cost.size) or solve(cost, *args))
+    packed = pack_spectrum(5, [0, 2, 4, 6, 8, 10])
+    assert (packed.values.size, packed.diagnostics["points"], sizes) == (37449, 2633, [7204])
+
+
+def exponent_sequences():
+    """Strictly increasing exponents for sizes 0..n_max, at most 2^12 points
+    (size n_max alone holds 2^(n_max + nu_max), so nu_max <= 12 - n_max)."""
+    return st.integers(0, 5).flatmap(lambda n_max: st.lists(
+        st.integers(0, 12 - n_max), min_size=n_max + 1, max_size=n_max + 1, unique=True)).map(
+        sorted).filter(lambda nu: sum(2 ** (n + v) for n, v in enumerate(nu)) <= 2 ** 12)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(nu=exponent_sequences())
+def test_split_and_whole_programs_agree(nu):
+    n_max = len(nu) - 1
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        try:
+            got = pack_spectrum(n_max, nu).diagnostics["objective"]
+        except CapacityError as exc:
+            got = str(exc)
+        try:
+            ref = full_milp(monkeypatch, n_max, nu).diagnostics["objective"]
+        except CapacityError as exc:
+            ref = str(exc)
+    assert got == ref
 
 
 def test_nu_sequence_validation():

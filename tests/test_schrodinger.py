@@ -11,8 +11,8 @@ from scipy.linalg import null_space
 
 from halfcycle import (CapacityError, GridFunctionSet, PreconditionError, chirped_pair,
                        identical_pair, obstruction_certificate, read_grid_functions, schrodinger)
-from halfcycle.schrodinger import (ObstructionAbsence, ObstructionCertificate, _null_space,
-                                   kinetic_form)
+from halfcycle.schrodinger import (_SPACING_BLOCK, ObstructionAbsence, ObstructionCertificate,
+                                   _null_space, _uniform_grid, kinetic_form)
 
 
 def write_csv(path, x, f):
@@ -97,6 +97,38 @@ def test_grid_validation():
     single = GridFunctionSet(np.linspace(-1, 1, 64), [np.ones(64)])
     with pytest.raises(PreconditionError):
         obstruction_certificate(single)
+
+
+B = _SPACING_BLOCK
+
+
+@pytest.mark.parametrize("step", [0, B - 2, B - 1, B, B + 1, 2 * B, 2 * B + 6])
+@pytest.mark.parametrize("shift, uniform", [(1e-6, False), (-1e-6, False), (1e-12, True)])
+def test_each_step_is_checked_across_block_edges(step, shift, uniform):
+    # only step x[step + 1] - x[step] is off; the steps are checked B at a
+    # time, so steps B - 1 and B sit either side of the first block edge and
+    # 2B + 6 is the last step of the grid
+    x = np.arange(2 * B + 8, dtype=float)
+    x[step + 1:] += shift
+    spacings = np.diff(x)  # the whole-grid verdict the blocks must repeat
+    assert np.allclose(spacings, spacings[0], rtol=1e-9, atol=0.0) is uniform
+    if uniform:
+        assert _uniform_grid(x) is x
+    else:
+        with pytest.raises(PreconditionError, match="^grid must be uniform$"):
+            _uniform_grid(x)
+
+
+def test_spacing_check_holds_one_block_at_a_time():
+    x = np.linspace(-8, 8, 2 ** 22)
+    tracemalloc.start()
+    try:
+        _uniform_grid(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few arrays of one block's steps (the whole grid's steps took 68 MiB)
+    assert peak < 4 * 8 * B
 
 
 def test_normalization_enforced():
