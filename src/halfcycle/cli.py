@@ -116,7 +116,7 @@ def cmd_profile(args) -> int:
     if args.out_format == "csv":
         _emit(args.out, reports.profile_csv, profile)
     else:
-        peak_amp = profile.amplitudes[profile.positions([peak])[0]]
+        peak_amp = profile.amplitudes[peak - profile.indices.start]
         body = {
             "captured": profile.captured,
             "peak_index": peak,
@@ -164,7 +164,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    nu = _int_list(args.nu, "--nu") if args.nu else None
+    nu = _int_list(args.nu, "--nu") if args.nu is not None else None
     packed = pack_spectrum(args.n, nu)
     body = packed.to_dict()
     _emit_json(args, {"pack": body}, solver=packed.diagnostics)

@@ -62,8 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycle import alpha_for_period, centered_window
-from .errors import (CapacityError, PreconditionError, check_indices, check_length,
-                     check_residual)
+from .errors import (CapacityError, PreconditionError, check_length, check_residual,
+                     check_run)
 from .spectral import _halfstep_rows, _halfstep_twist
 
 _BLOCK_DRAWS = 2 ** 18  # draws per block of the experiment (2 MiB), at least one row
@@ -158,23 +158,22 @@ def get_density(name: str) -> DensitySpec:
 
 def nu_from_y(y, window) -> float:
     """Window mass of the implementation with branch imbalances ``y``, one
-    per phase class, each in [-1/p, 1/p] for p = y.size, by direct
-    summation."""
+    per phase class, each in [-1/p, 1/p] for p = y.size, over the run
+    ``window`` (``errors.check_run``), by direct summation."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or not y.size:
         raise PreconditionError("need one imbalance per phase class, in one dimension")
     if not np.all(np.abs(y) <= 1.0 / y.size + 1e-15):
         raise PreconditionError("imbalances must lie in [-1/p, 1/p]")
-    window = check_indices("window", window)
-    if window.size and (window.min() < 0 or window.max() >= y.size):
+    window = check_run("window", window)
+    if window and (window.start < 0 or window.stop > y.size):
         raise PreconditionError("window indices outside [0, p)")
-    amps = _halfstep_rows(y[np.newaxis, :])[0]
-    return float(np.sum(np.abs(amps[window]) ** 2))
+    return float(_direct_window_masses(y[np.newaxis, :], window, None)[0])
 
 
 def _direct_window_masses(y, window, twist, out=None):
-    """Window masses of the rows of ``y`` by direct summation (one FFT per
-    row, with the period's ``twist``), into ``out`` if given."""
+    """Window masses of the rows of ``y`` over the run ``window`` by direct
+    summation (one FFT per row, with ``twist``), into ``out`` if given."""
     inside = _halfstep_rows(y, twist)[:, window.start:window.stop].view(float)
     return np.einsum("ij,ij->i", inside, inside, out=out)
 

@@ -1,11 +1,12 @@
 """Exception types shared across the package, the one size rule, the one
-index rule and the one self-check rule.
+index rule, the one run rule and the one self-check rule.
 
 Every length that comes from outside (a period, a step budget, a trial,
 run or majority count, a grid or a truncation) is checked by
 :func:`check_length` once, before anything of that size is built: not an
 integer or below its minimum, it raises PreconditionError; above its cap,
-CapacityError.  Index and exponent lists are read by :func:`check_indices`.
+CapacityError.  Index and exponent lists are read by :func:`check_indices`,
+and windows and profile index sets, each one run, by :func:`check_run`.
 
 Every cross-check of a closed form against an independent evaluation
 goes through :func:`check_residual`, which raises ConsistencyError on a
@@ -79,6 +80,20 @@ def check_indices(name: str, values, span: str = "int64") -> np.ndarray:
             or (listed and not {bool, np.bool_}.isdisjoint(map(type, values)))):
         raise PreconditionError(f"{name} must be a one-dimensional list of integers")
     return idx.astype(np.int64, copy=False)
+
+
+def check_run(name: str, values, span: str = "int64") -> range:
+    """The run rule: ``values`` (a range, or anything ``check_indices`` reads)
+    as one step-1 range of consecutive ascending integers, possibly empty."""
+    if isinstance(values, range):
+        if len(values) > 1 and values.step != 1:
+            raise PreconditionError(f"{name} must be one run of consecutive ascending integers")
+        return range(values.start, values.start + len(values))
+    idx = check_indices(name, values, span)
+    if idx.size > 1 and np.any(np.diff(idx) != 1):  # at most one index is a run
+        raise PreconditionError(f"{name} must be one run of consecutive ascending integers")
+    start = int(idx[0]) if idx.size else 0
+    return range(start, start + idx.size)
 
 
 def check_residual(what: str, residual: float, tol: float, points: int = 1) -> float:

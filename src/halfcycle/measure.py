@@ -188,9 +188,9 @@ def run_error_bounded(profile: AmplitudeProfile, window, result_of, majority_m: 
     """Majority vote over ``majority_m`` single-shot measurements.
 
     ``result_of`` maps a measured cycle index to its result variable
-    r = (z, v).  The per-shot validity rate epsilon = (window mass) /
-    (captured mass) must exceed 1/2.  Reports the analytic binomial-tail
-    error bound next to the vote.
+    r = (z, v).  Before any draw, ``window`` must be one run
+    (``errors.check_run``) whose validity rate epsilon = (window mass) /
+    (captured mass) exceeds 1/2.  Reports the binomial-tail error bound.
     """
     check_length("majority size", majority_m)
     if majority_m % 2 == 0:

@@ -58,8 +58,8 @@ to 2K terms captures all but ~2/(pi^2*K).  Periods, K and the 2K
 amplitudes of a truncation (held to the cap like a period) obey the size
 rule of ``errors.check_length``.  A profile lives on a run of consecutive
 indices, kept as a range, and keeps the readout distribution |a|^2 and
-its running sum as its only copies; ``nu_of`` and every measurement draw
-read them.
+its running sum as its only copies; every measurement draw reads them,
+and ``nu_of`` sums one slice of |a|^2, a window being a run too.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, check_indices, check_length, check_residual
+from .errors import PreconditionError, check_length, check_residual, check_run
 
 _WEIGHT_SUM_TOL = 1e-12
 _PROFILE_TOL = 1e-10
@@ -126,12 +126,11 @@ class AmplitudeProfile:
 
     ``indices`` is a run of consecutive integers, stored as a ``range``:
     the cycle positions 0..p-1 for periodic profiles, or the symmetric
-    range (-K, K] for aperiodic truncations.  An integer array is accepted
-    and turned into that range; a range with another step, an empty run, a
-    non-integer array or one that is not one consecutive run raises
-    PreconditionError.  The readout distribution |a|^2 is stored once, as
-    ``probabilities``, and its running sum ``cdf`` is taken once, on the
-    first draw.  ``captured`` is the total probability sum |a|^2 over the
+    range (-K, K] for aperiodic truncations, index j at array position
+    j - indices.start.  ``errors.check_run`` reads it; an integer array
+    becomes that range, and an empty run raises PreconditionError.  The
+    readout distribution |a|^2 is stored once, as ``probabilities``, and
+    its running sum ``cdf`` is taken once, on the first draw.  ``captured`` is the total probability sum |a|^2 over the
     stored indices; a value that is NaN or disagrees with that sum by more
     than 1e-10 is rejected, since a measurement decides o = 1 by
     ``captured`` and picks the index by ``cdf``.
@@ -145,14 +144,9 @@ class AmplitudeProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
-        indices = self.indices
-        if not isinstance(indices, range):
-            idx = check_indices("profile indices", indices)
-            consecutive = idx.size and not np.any(np.diff(idx) != 1)
-            indices = range(int(idx[0]), int(idx[0]) + idx.size) if consecutive else range(0)
-        object.__setattr__(self, "indices", indices)
-        if indices.step != 1 or not indices or self.amplitudes.shape != (len(indices),):
-            raise PreconditionError("need one amplitude per index on consecutive integer indices")
+        object.__setattr__(self, "indices", check_run("profile indices", self.indices))
+        if not self.indices or self.amplitudes.shape != (len(self.indices),):
+            raise PreconditionError("need one amplitude per index, on at least one index")
         if not self.captured <= 1.0 + _WEIGHT_SUM_TOL:
             raise PreconditionError("captured probability exceeds 1")
         object.__setattr__(self, "probabilities", np.abs(self.amplitudes) ** 2)
@@ -165,18 +159,6 @@ class AmplitudeProfile:
     def cdf(self) -> np.ndarray:
         """Running sum of ``probabilities``, the inverse-CDF table of a draw."""
         return np.cumsum(self.probabilities)
-
-    def positions(self, indices) -> np.ndarray:
-        """Array positions of the cycle indices ``indices`` (a range or any
-        iterable of ints), index j at position j - indices.start,
-        range-checked in one vectorised pass; raises PreconditionError
-        naming the first index outside the profile."""
-        idx = check_indices("window", indices, "profile")
-        pos = idx - self.indices.start
-        outside = (pos < 0) | (pos >= len(self.indices))
-        if outside.any():
-            raise PreconditionError(f"index {idx[outside][0]} outside profile range")
-        return pos
 
 
 def aperiodic_spectrum() -> OrbitSpectrum:
@@ -332,7 +314,11 @@ def halfstep_profile_aperiodic(K: int) -> AmplitudeProfile:
 
 
 def nu_of(profile: AmplitudeProfile, window) -> float:
-    """Probability of landing in ``window``: sum of |a_j|^2 over j in the
-    window.  Raises on indices outside the profile range."""
-    return float(np.sum(profile.probabilities[profile.positions(window)]))
+    """Probability of landing in the run ``window`` (``errors.check_run``):
+    one slice of |a|^2 summed.  Names the first index outside the profile."""
+    w, span = check_run("window", window, "profile"), profile.indices
+    if w and not span.start <= w.start < w.stop <= span.stop:
+        raise PreconditionError(f"index {w.start if w.start not in span else span.stop} "
+                                "outside profile range")
+    return float(np.sum(profile.probabilities[w.start - span.start:w.stop - span.start]))
 

@@ -338,6 +338,9 @@ BAD_FILES |= {"gauss.csv": gaussian_csv(), "nan.csv": gaussian_csv(10, "nan"),
     ["instant", "--machine", "incrementer", "--input", "1", "--seed", "-1"],
     ["stats", "--p", "64", "--trials", "10", "--seed", "-1"],
     ["profile", "--period", "8", "--seed", "-1"],
+    # an empty exponent list is refused like ",", not read as the default
+    ["pack", "--n", "1", "--nu", ""],
+    ["pack", "--n", "1", "--nu", ","],
 ])
 def test_complexity_bad_input_rejected(args, tmp_path, capsys):
     # grids, periods, K, step budgets, trial and majority counts, waiting
@@ -938,6 +941,7 @@ def run_in_process(argv, tmp):
 @example(["schrodinger", "--grid", "0"])
 @example(["profile", "--period", "4", "--out", "{tmp}/nodir/out"])
 @example(["pack", "--n", "1", "--nu", f"0,{2 ** 70}"])
+@example(["pack", "--n", "1", "--nu", ""])
 @example(["schrodinger", "{tmp}/descending.csv", "{tmp}/descending.csv"])
 @example(["cycle", "--machine", "incrementer", "--alpha", "nan"])
 @example(["stats", "--p", "64", "--trials", "3", "--out", "{tmp}/out"])

@@ -165,6 +165,12 @@ def test_nu_from_y_window_validation():
         nu_from_y(np.zeros(8), [9])
     with pytest.raises(PreconditionError, match=r"outside \[0, p\)"):
         nu_from_y(np.zeros(8), [-1])
+    y = np.array([(-1) ** k / 8 for k in range(8)])
+    for window in ([1, 1], [3, 5], range(3, 0, -1)):
+        with pytest.raises(PreconditionError,
+                           match="^window must be one run of consecutive ascending integers$"):
+            nu_from_y(y, window)
+    assert nu_from_y(y, [2, 3, 4]) == nu_from_y(y, range(2, 5)) == nu_from_y(y, np.arange(2, 5))
 
 
 def test_nu_mean_against_alpha_m2():

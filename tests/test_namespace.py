@@ -1,6 +1,7 @@
 """The package namespace exports what the command line, the demos and the
 benchmark call."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -28,3 +29,17 @@ def test_only_the_command_line_opens_the_check_recorder():
              if re.search(r"(?<!def )\brecorded_checks\(", path.read_text())]
     defines = [path.name for path in sources if "def recorded_checks(" in path.read_text()]
     assert (opens, defines) == (["cli.py"], ["errors.py"])
+
+
+def test_one_run_rule_reads_every_window():
+    # a window or a profile's index set is one run, read by errors.check_run;
+    # besides it, check_indices reads only the exponents of a packing
+    defines, calls = [], []
+    for path in sorted((ROOT / "src" / "halfcycle").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                defines += [path.name] if func.name == "positions" else []
+                calls += [f"{path.name}:{func.name}" for node in ast.walk(func)
+                          if isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                          == "check_indices"]
+    assert (defines, sorted(calls)) == ([], ["errors.py:check_run", "packing.py:_read_exponents"])

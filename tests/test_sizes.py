@@ -137,7 +137,7 @@ Y8 = np.zeros(8)
 NOT_INTEGERS = {
     "nu_of-index": lambda: nu_of(PROFILE, [1.5]),
     "nu_of-2d": lambda: nu_of(PROFILE, [[1, 2]]),
-    "positions-bool": lambda: PROFILE.positions([True]),
+    "nu_of-bool": lambda: nu_of(PROFILE, [True]),
     "nu_of-bool-among-ints": lambda: nu_of(halfstep_profile_periodic(8), [True, 2]),
     "nu_of-numpy-bool": lambda: nu_of(PROFILE, (j for j in [3, np.True_])),
     "nu_from_y-window": lambda: nu_from_y(Y8, [1.5]),

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from halfcycle import (CapacityError, ConsistencyError, PreconditionError,
-                       aperiodic_spectrum, chirped_pair, halfstep_profile_aperiodic,
+                       aperiodic_spectrum, centered_window, chirped_pair, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, minimal_periodic_spectrum, nu_of,
                        obstruction_certificate, overlap_at, pack_spectrum, spectral)
 from halfcycle.errors import DEFAULT_PERIOD_CAP, check_residual, recorded_checks
@@ -149,7 +149,7 @@ def test_halfstep_profile_p2_probabilities():
 
 def test_aperiodic_amplitude_k1():
     profile = halfstep_profile_aperiodic(10)
-    a1 = profile.amplitudes[profile.positions([1])[0]]
+    a1 = profile.amplitudes[1 - profile.indices.start]
     assert abs(a1) == pytest.approx(2 / math.pi)
     # a_k = -1/(pi*i*(k-1/2)) is purely imaginary with sign of (k-1/2)
     assert a1 == pytest.approx(2j / math.pi)
@@ -166,7 +166,7 @@ def test_aperiodic_symmetric_indices():
     profile = halfstep_profile_aperiodic(5)
     assert profile.indices[0] == -4 and profile.indices[-1] == 5
     # |a_k| = |a_{1-k}|: symmetric about k = 1/2
-    probs = profile.probabilities[profile.positions([0, 1, -3, 4])]
+    probs = profile.probabilities[np.array([0, 1, -3, 4]) - profile.indices.start]
     assert probs[0] == pytest.approx(probs[1])
     assert probs[2] == pytest.approx(probs[3])
 
@@ -206,16 +206,43 @@ def _nu_loop(profile, window):
 
 @pytest.mark.parametrize("profile, window", [
     (halfstep_profile_periodic(1000), range(250, 750)),
-    (halfstep_profile_periodic(1000), range(0, 1000, 3)),
-    (halfstep_profile_periodic(64), [5, 5, 63, 0, 31]),
+    (halfstep_profile_periodic(1000), range(999, 1000)),
+    (halfstep_profile_periodic(64), list(range(5, 64))),
     (halfstep_profile_aperiodic(1000), range(-999, 1001)),
-    (halfstep_profile_aperiodic(1000), [j for j in range(-50, 50) if j % 7]),
+    (halfstep_profile_aperiodic(1000), np.arange(-50, 50)),
 ])
 def test_nu_of_matches_loop(profile, window):
     assert nu_of(profile, window) == pytest.approx(_nu_loop(profile, window), abs=1e-12)
     # the stored |a|^2 gives the same bits as squaring the amplitudes per call
     pos = np.asarray(window) - profile.indices[0]
     assert nu_of(profile, window) == float(np.sum(np.abs(profile.amplitudes[pos]) ** 2))
+
+
+@pytest.mark.parametrize("profile, window", [
+    (halfstep_profile_periodic(1000), range(0, 1000, 3)),
+    (halfstep_profile_periodic(64), [5, 5, 63, 0, 31]),
+    (halfstep_profile_periodic(64), [5, 5]),
+    (halfstep_profile_periodic(64), [3, 5]),
+    (halfstep_profile_periodic(64), range(3, 0, -1)),
+    (halfstep_profile_aperiodic(1000), [j for j in range(-50, 50) if j % 7]),
+], ids=["stride", "repeats", "repeated", "gap", "descending", "gaps"])
+def test_nu_of_refuses_a_window_that_is_not_one_run(profile, window):
+    with pytest.raises(PreconditionError,
+                       match="^window must be one run of consecutive ascending integers$"):
+        nu_of(profile, window)
+
+
+def test_nu_of_a_range_allocates_nothing_of_the_period():
+    p = 2 ** 20
+    profile, window = halfstep_profile_periodic(p), centered_window(p, 0.999)
+    tracemalloc.start()
+    try:
+        nu = nu_of(profile, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert nu == float(np.sum(profile.probabilities[window.start:window.stop]))
 
 
 def test_builders_index_by_a_range():
@@ -229,12 +256,11 @@ def test_profile_from_array_matches_profile_from_range(start, size):
     built = [AmplitudeProfile(amplitudes=np.sqrt(probs), indices=idx,
                               captured=float(probs.sum()), period=None)
              for idx in (np.arange(start, start + size), range(start, start + size))]
-    windows = [range(start, start + size), [start + size - 1, start, start], []]
+    windows = [range(start, start + size), list(range(start + 1, start + size)), [start], []]
     for profile in built:
         assert profile.indices == range(start, start + size)
         assert isinstance(profile.indices, range)
     for window in windows:
-        assert np.array_equal(built[0].positions(window), built[1].positions(window))
         assert nu_of(built[0], window) == nu_of(built[1], window)
     draws = [_draw(profile, np.random.default_rng(3), 500) for profile in built]
     assert all(np.array_equal(a, b) for a, b in zip(*draws))
@@ -243,7 +269,7 @@ def test_profile_from_array_matches_profile_from_range(start, size):
 @pytest.mark.parametrize("indices", [[0, 2, 5], [3, 2, 1], [0, 0, 1], [[0, 1], [2, 3]], [],
                                      [0.5, 1.5], range(0, 6, 2), range(3, 0, -1), range(0)])
 def test_profile_refuses_indices_that_are_not_consecutive(indices):
-    # positions() reads index j at array position j - indices[0]
+    # a profile reads index j at array position j - indices.start
     amplitudes = np.full(np.shape(indices), 0.5, dtype=complex)
     with pytest.raises(PreconditionError):
         AmplitudeProfile(amplitudes=amplitudes, indices=indices,
