@@ -43,16 +43,3 @@ rhs = hc.nu_of(hc.halfstep_profile_periodic(p), window)
 print(f"\n  nu from y_k = (-1)^k/p: {lhs:.15f}")
 print(f"  nu from minimal profile: {rhs:.15f}")
 print(f"  difference: {abs(lhs - rhs):.2e}")
-
-print()
-print("=" * 64)
-print("  Continuous (aperiodic) case: direct sum and Parseval bound")
-print("=" * 64)
-ones = hc.DensitySpec("y = 1", m2=1.0, m4=1.0, sample=lambda rng, out: out.fill(1.0))
-res1 = hc.continuous_nu(256, ones, rng)
-print(f"\n  deterministic y = 1: direct = {res1.direct:.6f}, Parseval mean(y^2) = {res1.parseval:.6f}")
-print("  (the truncated direct sum matches the minimal aperiodic capture and")
-print("   stays below the full-series value mean(y^2), as Bessel's inequality says)")
-vals = [hc.continuous_nu(256, hc.get_density("uniform"), rng).direct for _ in range(200)]
-print(f"  uniform density: mean direct nu over 200 samples = {np.mean(vals):.4f} "
-      f"(reported against m2 = {1 / 3:.4f})")

@@ -19,8 +19,7 @@ imported from that module.
 
 from .complexity import check_lower_bound, complexity, zero_count
 from .cycle import alpha_for_period, build_alpha_cycle, centered_window, cycle_result, verify_cycle
-from .ensemble import (DENSITIES, DensitySpec, continuous_nu, get_density, nu_from_y,
-                       moment_experiment)
+from .ensemble import DENSITIES, get_density, moment_experiment, nu_from_y
 from .errors import (CapacityError, ConsistencyError, HalfcycleError,
                      MachineSpecError, PreconditionError)
 from .machine import initial_config, load_machine, run, tape_content

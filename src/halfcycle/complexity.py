@@ -48,13 +48,20 @@ def mean_abs_phase(spec: OrbitSpectrum) -> float:
     return APERIODIC_MEAN_ABS_PHASE if spec.aperiodic else spec._mean_abs_phase
 
 
+def _times(t) -> np.ndarray:
+    """``t`` as a float array, every time finite and nonnegative, else
+    PreconditionError: the times at which C(t) and its bound are defined."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all((t_arr >= 0) & np.isfinite(t_arr)):
+        raise PreconditionError("time must be finite and nonnegative")
+    return t_arr
+
+
 def complexity(spec: OrbitSpectrum, t):
     """C(t) = t * sum w|phase|, a float for scalar t and an ndarray for an
     array; for aperiodic orbits the mean absolute phase is pi (uniform density).
     A negative, NaN or infinite t raises PreconditionError."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 0) & np.isfinite(t_arr)):
-        raise PreconditionError("time must be finite and nonnegative")
+    t_arr = _times(t)
     value = t_arr * mean_abs_phase(spec)
     return float(value) if t_arr.ndim == 0 else value
 
@@ -71,8 +78,9 @@ class BoundReport:
 def check_lower_bound(spec: OrbitSpectrum, t_grid) -> BoundReport:
     """Verify 2 - 2*Re(overlap(t)) <= 2*C(t) on every grid point, and count
     the zero crossings of Re and Im of the overlap along the grid (module
-    docstring), from one evaluation of the overlap."""
-    t = np.asarray(t_grid, dtype=float)
+    docstring), from one evaluation of the overlap.  The grid is read like
+    the times of ``complexity``: the bound holds for t >= 0 only."""
+    t = _times(t_grid)
     if t.ndim != 1 or t.size == 0:
         raise PreconditionError("the time grid must be one-dimensional with at least one point")
     vals = overlap_at(spec, t)

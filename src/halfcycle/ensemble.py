@@ -45,11 +45,7 @@ stays the authoritative evaluator: the half-step evaluator of
 window mass and checks the first row of every product-path block by
 ``errors.check_residual``.
 
-In the continuous case the functions exp(-i*(j - 1/2)*l) are orthogonal
-on [0, 2pi), so by Parseval the full series of squared amplitudes sums to
-mean(y^2); the truncated direct sum obeys Bessel's inequality, checked.
-
-Periods, trial counts and cell counts obey the size rule of
+Periods and trial counts obey the size rule of
 ``errors.check_length``; the draws of one experiment, the sum of its
 periods times its trials, are capped at _DRAW_CAP.
 """
@@ -77,7 +73,6 @@ _BASIS_ENTRIES = 2 ** 21
 # takes 1.4 to 20 s; the stats default (1.3e8 draws) is half of it.
 _DRAW_CAP = 2 ** 28
 _DELTA = 3.0  # standard deviations below the mean of the Chebyshev threshold
-_BESSEL_TOL = 1e-12
 _CHECK_TOL = 1e-12  # Parseval window mass against direct summation, per checked row
 _DRAW_BLOCK = 2 ** 16  # raised-cosine outputs per block of disk points
 _TWO_POINTS = np.array([-1.0, 1.0])
@@ -338,50 +333,3 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
             cheb_c=cheb_c, target_mean=alpha * density.m2,
         ))
     return StatsReport(density=density.name, trials=trials, delta=_DELTA, rows=tuple(rows))
-
-
-@dataclass(frozen=True)
-class ContinuousNu:
-    """The continuous-case success probability and its Parseval bound.
-
-    ``direct`` is the truncated amplitude sum over |j| <= cells;
-    ``parseval`` is mean(y^2), the sum of the full series, which bounds
-    ``direct`` from above (Bessel's inequality, checked).
-    """
-
-    direct: float
-    parseval: float
-    cells: int
-
-
-def continuous_nu(cells: int, density: DensitySpec, rng) -> ContinuousNu:
-    """Draw a piecewise-constant branch imbalance on a 2pi grid and
-    evaluate nu by direct summation.
-
-    The amplitude at u = j - 1/2 is (1/2pi) * integral of y(l)*exp(-i*u*l)
-    over [0, 2pi).  Over cell m of width D = 2pi/cells the integral is
-    exp(-2pi*i*m*u/cells) * (1 - exp(-i*u*D))/(i*u), so the amplitudes are
-    the half-step sums of y, periodic in j with period cells, times
-    (1 - exp(-i*u*D))/(2pi*i*u).  A density whose ``sample`` fills in a
-    fixed vector gives a deterministic y; a non-finite one is refused.
-
-    ``cells`` obeys the size rule, which bounds the work: the call holds
-    O(cells) arrays (y, its half-step sums and the 2 * cells + 1
-    amplitudes), 136 bytes a cell at the tracemalloc peak, so 544 MiB at
-    the cap of 2**22 cells.
-    """
-    check_length("cell count", cells, 2, even=True)
-    y = np.empty(cells)
-    density.sample(rng, y)
-    parseval = float(np.mean(y * y))
-    if not math.isfinite(parseval):
-        raise PreconditionError(f"density {density.name!r} drew a non-finite value")
-
-    j = np.arange(-cells, cells + 1)
-    u = j - 0.5
-    sinc = (1.0 - np.exp(-1j * u * (2.0 * np.pi / cells))) / (2j * np.pi * u)
-    amps = _halfstep_rows(y)[j % cells] * sinc
-    direct = float(np.sum(np.abs(amps) ** 2))
-    check_residual(f"truncated sum vs its Parseval bound at {cells} cells", direct - parseval,
-                   _BESSEL_TOL)
-    return ContinuousNu(direct=direct, parseval=parseval, cells=cells)

@@ -104,7 +104,7 @@ def check_residual(what: str, residual: float, tol: float, points: int = 1) -> f
     one.  Returns the residual as a float."""
     residual = float(residual)
     if not residual <= tol:
-        raise ConsistencyError(f"{what}: residual {residual!r} exceeds tolerance {tol!r}")
+        raise ConsistencyError(f"{what}: residual {residual!r} exceeds tolerance {float(tol)!r}")
     checks = _CHECKS.get()
     if checks is not None:
         checks.append((what, points, residual))

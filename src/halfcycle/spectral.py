@@ -19,10 +19,10 @@ have one direct evaluator, ``_halfstep_rows``: the twist exp(i*pi*k/p)
 folds into y and one FFT over j gives all p sums in O(p log p) time and
 O(p) memory.  A point spectrum with phases 2pi*(k/p + n_k) for integers
 n_k has overlap(j - 1/2) = c_j with y_k = (-1)^{n_k} * w_k, so the
-profile cross-check, the continuous cell integrals and the check of the
-ensemble's window masses are this sum.  ``overlap_at`` stays the general
-evaluator at arbitrary u, scanned once for both the complexity bound and
-zero count; its fixed blocks of u keep its memory flat in len(u).
+profile cross-check and the check of the ensemble's window masses are
+this sum.  ``overlap_at`` stays the general evaluator at arbitrary u,
+scanned once for both the complexity bound and zero count; its fixed
+blocks of u keep its memory flat in len(u).
 
 The minimal period-p construction places phase_k = 2pi*(k/p + k mod 2)
 with equal weights 1/p.  Its overlap is a geometric sum over the even and
@@ -39,10 +39,11 @@ whole cycles give an exact 0 (an exact 1 at multiples of p); the ratio
 form (1 - z^n)/(1 - z) would lose digits as z -> 1 (1.5e-2 at p = 65536).
 Each call checks about _OVERLAP_BLOCK / p of its points against the
 direct sum, to that sum's own rounding, by ``errors.check_residual``;
-a NaN or infinite u is refused before anything is evaluated.  Only the
-spectrum ``minimal_periodic_spectrum`` returns is marked ``minimal``;
-every other spectrum takes the direct sum.  The minimal half-cycle
-amplitudes have the closed form
+a NaN or infinite u, or one whose product with some phase overflows, is
+refused before anything is evaluated.  Only the spectrum
+``minimal_periodic_spectrum`` returns is marked ``minimal``; every other
+spectrum takes the direct sum.  The minimal half-cycle amplitudes have
+the closed form
 
     a_j = exp(i*pi*(j - 1/2)/p) / (p * cos(pi*(j - 1/2)/p))
         = exp(i*pi*(j - 1/2)/p) / (p * sin(pi*(p - 2j + 1)/(2p))),
@@ -211,15 +212,22 @@ def overlap_at(spec: OrbitSpectrum, u):
     (``_cross_check``); every other spectrum takes the direct sum, whose u
     values go in blocks of about _OVERLAP_BLOCK / len(phases), so memory
     stays O(_OVERLAP_BLOCK + len(phases)) whatever the size of u.  A
-    NaN or infinite u raises PreconditionError.
+    NaN or infinite u, or one whose product with some phase overflows,
+    raises PreconditionError.
     """
     if spec.aperiodic:
         raise PreconditionError("overlap_at needs a point spectrum; "
                                 "use halfstep_profile_aperiodic for aperiodic orbits")
     u_arr = np.asarray(u, dtype=float)
     flat = u_arr.reshape(-1)
-    if not np.all(np.isfinite(flat)):
-        raise PreconditionError("overlap_at needs finite times")
+    # max |u| * max |phase| with no temporary array: NaN or infinite if any
+    # time is, or if any product of a time and a phase overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = (max(np.max(flat, initial=0.0), -np.min(flat, initial=0.0))
+                 * max(np.max(spec.phases), -np.min(spec.phases)))
+    if not np.isfinite(reach):
+        raise PreconditionError("overlap_at needs finite times whose products with the phases "
+                                "are finite")
     if spec.minimal:
         vals = _minimal_overlap(spec.period, flat)
         _cross_check(spec, flat, vals)
@@ -234,8 +242,9 @@ def _direct_overlap(spec: OrbitSpectrum, u: np.ndarray) -> np.ndarray:
     block = max(1, _OVERLAP_BLOCK // spec.phases.size)
     for start in range(0, u.size, block):
         arg = np.multiply.outer(u[start:start + block], spec.phases)
-        vals.real[start:start + block] = np.cos(arg) @ spec.weights
-        vals.imag[start:start + block] = -(np.sin(arg) @ spec.weights)
+        # einsum, not BLAS: its order of summation does not change with the thread count
+        vals.real[start:start + block] = np.einsum("ij,j->i", np.cos(arg), spec.weights)
+        vals.imag[start:start + block] = -np.einsum("ij,j->i", np.sin(arg), spec.weights)
     return vals
 
 

@@ -558,6 +558,28 @@ def test_packing_with_no_binding_budget_leaves_scipy_unloaded():
     assert json.loads(run.stdout)["diagnostics"]["solver"]["path"] == "closed"
 
 
+# one small command per subcommand, and the complexity scan whose cross-check
+# sums 65536 terms, where a BLAS product's order of summation followed the thread count
+THREADED = [["profile", "--period", "64"],
+            ["cycle", "--machine", "incrementer", "--input", "1"],
+            ["instant", "--machine", "incrementer", "--input", "1", "--seed", "1"],
+            ["stats", "--p", "64,256", "--trials", "200", "--seed", "1"],
+            ["pack", "--n", "2"],
+            ["schrodinger", "--grid", "64"],
+            ["complexity", "--period", "65536", "--grid", "1024"]]
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(halfcycle.__file__).resolve().parents[1])
+    code = f"import halfcycle.cli; [halfcycle.cli.main(argv) for argv in {THREADED!r}]"
+    outputs = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                                       OPENBLAS_NUM_THREADS=threads,
+                                       PYTHONDONTWRITEBYTECODE="1")).stdout
+               for threads in ("1", "2")]
+    assert outputs[0].count(b'"config"') == len(THREADED) and outputs[0] == outputs[1]
+
+
 NUMBERS = st.one_of(
     st.integers(), st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e22]))

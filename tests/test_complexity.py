@@ -50,6 +50,9 @@ def test_negative_time_rejected():
     for t in (-0.1, np.array([0.0, 0.5, -0.1])):
         with pytest.raises(PreconditionError):
             complexity(minimal_periodic_spectrum(2), t)
+    # the distance bound holds for t >= 0 only: at t = -1 its slack would read 13.78
+    with pytest.raises(PreconditionError, match="^time must be finite and nonnegative$"):
+        check_lower_bound(minimal_periodic_spectrum(8), [-1.0, 0.5])
 
 
 def test_non_finite_time_rejected():
@@ -58,7 +61,7 @@ def test_non_finite_time_rejected():
         with pytest.raises(PreconditionError, match="finite"):
             complexity(spec, t)
     for s in (spec, single_phase(1.0)):
-        with pytest.raises(PreconditionError, match="finite times"):
+        with pytest.raises(PreconditionError, match="^time must be finite and nonnegative$"):
             check_lower_bound(s, [0.0, np.nan])
 
 

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from halfcycle import (DENSITIES, CapacityError, ConsistencyError, DensitySpec,
-                       PreconditionError, alpha_for_period, centered_window,
-                       continuous_nu, ensemble, get_density, halfstep_profile_periodic,
-                       nu_from_y, nu_of, moment_experiment)
+from halfcycle import (DENSITIES, CapacityError, ConsistencyError, PreconditionError,
+                       alpha_for_period, centered_window, ensemble, get_density,
+                       halfstep_profile_periodic, nu_from_y, nu_of, moment_experiment)
+from halfcycle.ensemble import DensitySpec
 from halfcycle.errors import DEFAULT_PERIOD_CAP, recorded_checks
 from halfcycle.spectral import _halfstep_rows, _halfstep_twist
 
@@ -24,16 +24,6 @@ def draw(density, rng, shape):
 def draw_y(p, density, rng):
     """One sampled implementation: p draws of ``density`` rescaled to [-1/p, 1/p]."""
     return draw(density, rng, p) / p
-
-
-def fixed(y):
-    """A density whose every draw is ``y``, for deterministic continuous_nu checks."""
-    y = np.asarray(y, dtype=float)
-
-    def fill(rng, out):
-        out[...] = y
-
-    return DensitySpec("fixed", float(np.mean(y ** 2)), float(np.mean(y ** 4)), fill)
 
 
 def test_density_library_moments():
@@ -400,11 +390,6 @@ def test_moment_experiment_refuses_a_non_finite_draw(p):
         moment_experiment([p], NAN_DENSITY, 10, np.random.default_rng(0))
 
 
-def test_continuous_nu_refuses_a_non_finite_draw():
-    with pytest.raises(PreconditionError, match="^density 'nan' drew a non-finite value$"):
-        continuous_nu(8, NAN_DENSITY, np.random.default_rng(0))
-
-
 class SpawnRecorder:
     """A generator stand-in that records the size of each spawn request."""
 
@@ -430,61 +415,3 @@ def test_moment_experiment_spawns_one_stream_per_block_as_it_draws():
                                    "uniform", np.empty(rows))
            for stream, rows in zip(streams, (256, 256, 1))]
     assert report.rows[0].mean == float(np.mean(np.concatenate(nus)))
-
-
-def test_continuous_nu_deterministic_one():
-    # y = 1 recovers the minimal aperiodic capture; its Parseval sum is 1
-    res = continuous_nu(512, fixed(np.ones(512)), np.random.default_rng(0))
-    assert 0.995 < res.direct <= 1.0 + 1e-12
-    assert res.parseval == 1.0
-    assert res.direct <= res.parseval
-
-
-def test_continuous_nu_deterministic_zero():
-    res = continuous_nu(64, fixed(np.zeros(64)), np.random.default_rng(0))
-    assert res.direct == pytest.approx(0.0, abs=1e-15)
-    assert res.parseval == 0.0
-
-
-def _continuous_nu_dense(cells, y):
-    # the (2*cells + 1) x (cells + 1) cell-integral matrix the evaluator replaced
-    edges = 2.0 * np.pi * np.arange(cells + 1) / cells
-    u = np.arange(-cells, cells + 1) - 0.5
-    phase = np.exp(-1j * np.outer(u, edges))
-    cell_int = (phase[:, :-1] - phase[:, 1:]) / (1j * u)[:, np.newaxis]
-    return float(np.sum(np.abs((cell_int @ y) / (2.0 * np.pi)) ** 2))
-
-
-def test_continuous_nu_matches_dense_cell_integrals():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        y = rng.uniform(-1.0, 1.0, 64)
-        res = continuous_nu(64, fixed(y), rng)
-        assert res.direct == pytest.approx(_continuous_nu_dense(64, y), abs=1e-14)
-        assert res.direct <= res.parseval == np.mean(y * y)
-
-
-def test_continuous_nu_records_its_bessel_check(monkeypatch):
-    y = np.random.default_rng(32).uniform(-1.0, 1.0, 64)
-    with recorded_checks() as checks:
-        res = continuous_nu(64, fixed(y), np.random.default_rng(0))
-    assert checks == [("truncated sum vs its Parseval bound at 64 cells", 1,
-                       res.direct - res.parseval)] and checks[0][2] < 0.0
-    monkeypatch.setattr(ensemble, "_halfstep_rows", nan_rows)
-    with pytest.raises(ConsistencyError, match="Parseval bound"):
-        continuous_nu(64, fixed(y), np.random.default_rng(0))
-
-
-def test_continuous_nu_direct_tracks_second_moment():
-    # the |j| <= N truncation keeps ~90% of a narrow cell's spectrum, so the
-    # sample mean reports just below m2 (never above)
-    rng = np.random.default_rng(29)
-    vals = [continuous_nu(64, get_density("uniform"), rng).direct for _ in range(400)]
-    mean = np.mean(vals)
-    se = np.std(vals, ddof=1) / math.sqrt(len(vals))
-    assert 0.8 / 3 < mean < 1 / 3 + 3 * se
-
-
-def test_continuous_nu_validates_cells():
-    with pytest.raises(PreconditionError):
-        continuous_nu(63, get_density("uniform"), np.random.default_rng(0))

@@ -43,3 +43,18 @@ def test_one_run_rule_reads_every_window():
                           if isinstance(node, ast.Call) and getattr(node.func, "id", None)
                           == "check_indices"]
     assert (defines, sorted(calls)) == ([], ["errors.py:check_run", "packing.py:_read_exponents"])
+
+
+def test_the_readme_self_check_table_names_every_check():
+    # a row is named by the text a report carries in diagnostics.checks[].check,
+    # before " at ...": the literal start of check_residual's first argument
+    named = set()
+    for path in sorted((ROOT / "src" / "halfcycle").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_residual":
+                what = node.args[0]
+                literal = what.values[0] if isinstance(what, ast.JoinedStr) else what
+                named.add(literal.value.split(" at ")[0])
+    section = (ROOT / "README.md").read_text().split("\n## Self-checks\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE)
+    assert sorted(rows) == sorted(named) and named

@@ -9,15 +9,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from halfcycle import (AmplitudeProfile, CapacityError, DensitySpec, PreconditionError,
-                       alpha_for_period, build_alpha_cycle, centered_window, chirped_pair,
-                       continuous_nu, cycle_result, get_density, halfstep_profile_aperiodic,
-                       halfstep_profile_periodic, halting_demo, identical_pair, initial_config,
-                       load_machine, minimal_periodic_spectrum, moment_experiment, nu_from_y,
-                       nu_of, obstruction_certificate, pack_spectrum, repeat_error_free, run,
+from halfcycle import (AmplitudeProfile, CapacityError, PreconditionError, alpha_for_period,
+                       build_alpha_cycle, centered_window, chirped_pair, cycle_result,
+                       get_density, halfstep_profile_aperiodic, halfstep_profile_periodic,
+                       halting_demo, identical_pair, initial_config, load_machine,
+                       minimal_periodic_spectrum, moment_experiment, nu_from_y, nu_of,
+                       obstruction_certificate, pack_spectrum, repeat_error_free, run,
                        run_error_bounded, zero_count)
 from halfcycle import ensemble
 from halfcycle.cli import cmd_complexity
+from halfcycle.ensemble import DensitySpec
 from halfcycle.errors import DEFAULT_PERIOD_CAP as CAP
 from halfcycle.errors import check_indices, check_length
 
@@ -54,7 +55,6 @@ ROWS = {
                                  2, CAP + 2),
     "moment_experiment-trials": (lambda n: moment_experiment([64], UNIFORM, n, rng()),
                                  0, CAP + 1),
-    "continuous_nu-cells": (lambda n: continuous_nu(n, UNIFORM, rng()), 0, CAP + 2),
     "zero_count-resolution": (lambda n: zero_count(minimal_periodic_spectrum(4), n),
                               255, CAP + 1),
     "complexity-grid": (lambda n: cmd_complexity(SimpleNamespace(
@@ -147,7 +147,6 @@ NOT_INTEGERS = {
     "run-budget": lambda: run(INC, initial_config(INC, "0"), 3.5),
     "zero_count-resolution": lambda: zero_count(minimal_periodic_spectrum(4), 256.5),
     "zero_count-bool": lambda: zero_count(minimal_periodic_spectrum(4), True),
-    "continuous_nu-cells": lambda: continuous_nu(8.0, UNIFORM, rng()),
     "pack_spectrum-n_max": lambda: pack_spectrum(2.0),
     "repeat_error_free-runs": lambda: repeat_error_free(CYCLE, PROFILE, lambda r: True, rng(),
                                                         runs=2.5),

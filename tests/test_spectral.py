@@ -427,10 +427,16 @@ def test_closed_form_checks_one_block_of_interior_points(monkeypatch):
 
 
 def test_overlap_refuses_non_finite_times():
-    for spec in (minimal_periodic_spectrum(8), direct(minimal_periodic_spectrum(8))):
-        for u in (np.nan, np.inf, [0.5, -np.inf], [[0.0], [np.nan]]):
-            with pytest.raises(PreconditionError, match="finite times"):
+    # and times whose product with a phase overflows: 1.7e308 times 2pi * 15/8
+    # at p = 8, where the closed form's check read a NaN residual and the
+    # direct sum returned NaN
+    minimal = minimal_periodic_spectrum(8)
+    for spec in (minimal, direct(minimal), pack_spectrum(2).instances[-1].spectrum()):
+        for u in (np.nan, np.inf, [0.5, -np.inf], [[0.0], [np.nan]], 1.7e308, [0.5, -1.7e308]):
+            with pytest.raises(PreconditionError, match="^overlap_at needs finite times"):
                 overlap_at(spec, u)
+    assert overlap_at(minimal, 1.5e307) == 1.0  # a multiple of p
+    assert np.isfinite(overlap_at(direct(minimal), -1.5e307))
 
 
 # --- the self-check rule -------------------------------------------------------
@@ -446,6 +452,8 @@ def test_check_residual_fails_on_nan_and_records_into_the_innermost_recorder():
     assert outer == [("a", 3, 0.5)] and inner == [("b", 1, 1.0)]
     assert type(outer[0][2]) is float
     check_residual("c", 0.0, 0.0)  # no recorder open: nothing to record
+    with pytest.raises(ConsistencyError, match=r"^d: residual 2\.0 exceeds tolerance 1e-12$"):
+        check_residual("d", 2.0, np.float64(1e-12))
 
 
 def nan_like(f):
