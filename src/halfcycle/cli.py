@@ -29,7 +29,7 @@ import numpy as np
 
 from . import reports
 from .complexity import check_lower_bound, complexity, mean_abs_phase, zero_count
-from .cycle import build_alpha_cycle, verify_cycle
+from .cycle import _ratio, build_alpha_cycle, verify_cycle
 from .ensemble import get_density, moment_experiment
 from .errors import HalfcycleError, PreconditionError, check_length, recorded_checks
 from .machine import initial_config, load_machine, run
@@ -130,6 +130,7 @@ def cmd_profile(args) -> int:
 
 def cmd_cycle(args) -> int:
     spec = load_machine(args.machine)
+    _ratio(args.alpha)  # refused whether or not the machine halts
     trace = run(spec, initial_config(spec, args.input_word), args.budget)
     if not trace.halted:
         _emit_json(args, {"halted": False, "budget_exceeded": True})

@@ -48,20 +48,25 @@ def mean_abs_phase(spec: OrbitSpectrum) -> float:
     return APERIODIC_MEAN_ABS_PHASE if spec.aperiodic else spec._mean_abs_phase
 
 
-def _times(t) -> np.ndarray:
-    """``t`` as a float array, every time finite and nonnegative, else
-    PreconditionError: the times at which C(t) and its bound are defined."""
+def _times(spec: OrbitSpectrum, t, scale: float = 1.0) -> np.ndarray:
+    """``t`` as a float array, every time finite and nonnegative and
+    ``scale`` * C(t) finite (at the largest time, since C grows with t),
+    else PreconditionError: the times at which C(t) and its bound are defined."""
     t_arr = np.asarray(t, dtype=float)
     if not np.all((t_arr >= 0) & np.isfinite(t_arr)):
         raise PreconditionError("time must be finite and nonnegative")
+    t_max = float(np.max(t_arr, initial=0.0))
+    if not np.isfinite(scale * (t_max * mean_abs_phase(spec))):
+        raise PreconditionError(f"time {t_max!r} is too long: C(t) times {scale:g} overflows")
     return t_arr
 
 
 def complexity(spec: OrbitSpectrum, t):
     """C(t) = t * sum w|phase|, a float for scalar t and an ndarray for an
     array; for aperiodic orbits the mean absolute phase is pi (uniform density).
-    A negative, NaN or infinite t raises PreconditionError."""
-    t_arr = _times(t)
+    A negative, NaN or infinite t, or one whose C(t) is not finite, raises
+    PreconditionError."""
+    t_arr = _times(spec, t)
     value = t_arr * mean_abs_phase(spec)
     return float(value) if t_arr.ndim == 0 else value
 
@@ -79,13 +84,14 @@ def check_lower_bound(spec: OrbitSpectrum, t_grid) -> BoundReport:
     """Verify 2 - 2*Re(overlap(t)) <= 2*C(t) on every grid point, and count
     the zero crossings of Re and Im of the overlap along the grid (module
     docstring), from one evaluation of the overlap.  The grid is read like
-    the times of ``complexity``: the bound holds for t >= 0 only."""
-    t = _times(t_grid)
+    the times of ``complexity``: the bound holds for t >= 0 only, and
+    2*C(t) must be finite."""
+    t = _times(spec, t_grid, 2.0)
     if t.ndim != 1 or t.size == 0:
         raise PreconditionError("the time grid must be one-dimensional with at least one point")
     vals = overlap_at(spec, t)
     lhs = 2.0 - 2.0 * np.real(vals)
-    rhs = 2.0 * t * mean_abs_phase(spec)
+    rhs = 2.0 * (t * mean_abs_phase(spec))  # doubling is exact: each reading is 2 * C(t)
     slack = lhs - rhs
     worst = int(np.argmax(slack))
     # lhs is a rounded difference of O(1) quantities; give it float headroom

@@ -24,6 +24,7 @@ results depend only on the period and the window.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,7 +70,7 @@ class LabeledCycle:
     def trace_index(self, j: int) -> int:
         """Trace index min(j, s, p - j), j taken mod p, of the
         configuration at cycle position ``j``."""
-        j %= self.p
+        j = operator.index(j) % self.p
         return min(j, self.s, self.p - j)
 
     def to_dict(self) -> dict:
@@ -143,7 +144,8 @@ def centered_window(p: int, alpha) -> range:
 def cycle_result(cycle: LabeledCycle, index: int) -> tuple:
     """The result variable r = (z, v) carried by cycle state ``index`` mod p:
     z = 0 with the final tape inside the window, z = 1 with the local tape
-    elsewhere."""
-    j = index % cycle.p
+    elsewhere.  ``index`` is read as a Python int (``operator.index``), so a
+    numpy integer tests the window in O(1), not by a scan of the range."""
+    j = operator.index(index) % cycle.p
     config = cycle.trace.at(cycle.trace_index(j))
     return (0 if j in cycle.window else 1, tape_content(config))

@@ -15,10 +15,10 @@ Two procedures repeat trials:
   the majority; the analytic error bound is the binomial tail at the
   per-shot validity rate.
 
-Every procedure draws from the profile's own tables: one ``rng.random(n)``
-call and one ``searchsorted`` in ``profile.cdf`` map n uniforms to n
-outcomes, and the per-shot validity rate is ``nu_of``.  Runs end at their
-first accepted draws.  A block holds only draws that are certainly needed (at
+Every procedure draws through the profile: ``AmplitudeProfile.draw`` maps
+one ``rng.random(n)`` call to n o-values and measured cycle indices, and
+the per-shot validity rate is ``nu_of``.  Runs end at their first
+accepted draws.  A block holds only draws that are certainly needed (at
 most one per unfinished run and no more than the run it carries over may
 still take; one per missing vote), so the numpy Generator handed in is
 consumed exactly as by one ``rng.random()`` per trial: the same trial
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle import LabeledCycle, build_alpha_cycle, cycle_result
+from .cycle import LabeledCycle, _ratio, build_alpha_cycle, cycle_result
 from .errors import PreconditionError, check_length
 from .machine import run
 from .spectral import (AmplitudeProfile, halfstep_profile_aperiodic,
@@ -86,23 +86,13 @@ class RunReport:
         }
 
 
-def _draw(profile: AmplitudeProfile, rng, n: int):
-    """n trials from n uniforms: the o = 1 mask and the array position of
-    each measured index (meaningful only where o = 1), by inverse CDF over
-    the profile's defective index distribution."""
-    u = rng.random(n)
-    pos = np.searchsorted(profile.cdf, u, side="right")
-    np.minimum(pos, profile.cdf.size - 1, out=pos)
-    return u < profile.captured, pos
-
-
 def _error_free_runs(cycle: LabeledCycle, profile: AmplitudeProfile, validate, rng,
                      runs: int, max_trials: int):
     """``runs`` consecutive error-free runs, drawn in blocks.
 
     Returns per-run trial counts, per-run o = 1 counts, the accepted
-    position of each run (-1 where the run used up ``max_trials``) and the
-    results by position.  A run ends at its first accepted draw or after
+    index of each run (-1 where the run used up ``max_trials``) and the
+    results by index.  A run ends at its first accepted draw or after
     ``max_trials`` draws; ``carry_t``/``carry_o`` hold the trials and o = 1
     draws of the run that a block leaves unfinished.
     """
@@ -110,18 +100,18 @@ def _error_free_runs(cycle: LabeledCycle, profile: AmplitudeProfile, validate, r
     if profile.indices != range(cycle.p):  # before the first draw
         raise PreconditionError(f"profile indices {profile.indices} are not the cycle's 0..p-1")
     results: dict = {}
-    verdict = np.full(len(profile.indices), -1, dtype=np.int8)  # -1: not drawn yet
+    verdict = np.full(cycle.p, -1, dtype=np.int8)  # -1: not drawn yet
     trials, o_ones, accepted = [], [], []
     done = carry_t = carry_o = 0
     while done < runs:
         # one draw per unfinished run, and no more than the carried run may
         # still take, so only that run can reach max_trials in the block
         n = min(runs - done, max_trials - carry_t)
-        o, pos = _draw(profile, rng, n)
-        drawn = pos[o]
-        for q in np.unique(drawn[verdict[drawn] < 0]).tolist():
-            results[q] = cycle_result(cycle, profile.indices[q])
-            verdict[q] = bool(validate(results[q]))
+        o, index = profile.draw(rng, n)
+        drawn = index[o]
+        for j in np.unique(drawn[verdict[drawn] < 0]).tolist():
+            results[j] = cycle_result(cycle, j)
+            verdict[j] = bool(validate(results[j]))
         hit = o.copy()
         hit[o] = verdict[drawn] == 1
         ends = np.flatnonzero(hit)
@@ -130,7 +120,7 @@ def _error_free_runs(cycle: LabeledCycle, profile: AmplitudeProfile, validate, r
         o_cum = np.cumsum(o)
         trials.append(np.diff(ends, prepend=-carry_t - 1))
         o_ones.append(np.diff(o_cum[ends], prepend=-carry_o))
-        accepted.append(np.where(hit[ends], pos[ends], -1))
+        accepted.append(np.where(hit[ends], index[ends], -1))
         if ends.size:
             carry_t, carry_o = n - 1 - int(ends[-1]), int(o_cum[-1] - o_cum[ends[-1]])
         else:
@@ -150,11 +140,11 @@ def run_error_free(cycle: LabeledCycle, profile: AmplitudeProfile, validate, rng
     """
     trials, o_ones, accepted, results = _error_free_runs(
         cycle, profile, validate, rng, 1, max_trials)
-    o_one_count, q = int(o_ones[0]), int(accepted[0])
+    o_one_count, j = int(o_ones[0]), int(accepted[0])
     return RunReport(
         procedure="error-free", trials=int(trials[0]), o_one_count=o_one_count,
-        result=results[q] if q >= 0 else None, result_valid=True if q >= 0 else None,
-        inconclusive=q < 0, validations=o_one_count,
+        result=results[j] if j >= 0 else None, result_valid=True if j >= 0 else None,
+        inconclusive=j < 0, validations=o_one_count,
     )
 
 
@@ -183,6 +173,14 @@ def majority_error_bound(epsilon: float, m: int) -> float:
     return math.exp(log_lead) * total
 
 
+def _check_vote(majority_m: int, max_trials: int) -> None:
+    """An odd majority size under the size rule; a trial budget of at least 1, uncapped."""
+    check_length("majority size", majority_m)
+    if majority_m % 2 == 0:
+        raise PreconditionError(f"majority size {majority_m} must be odd")
+    check_length("trial budget", max_trials, cap=math.inf)
+
+
 def run_error_bounded(profile: AmplitudeProfile, window, result_of, majority_m: int,
                       rng, max_trials: int = 10 ** 6) -> RunReport:
     """Majority vote over ``majority_m`` single-shot measurements.
@@ -192,10 +190,7 @@ def run_error_bounded(profile: AmplitudeProfile, window, result_of, majority_m: 
     (``errors.check_run``) whose validity rate epsilon = (window mass) /
     (captured mass) exceeds 1/2.  Reports the binomial-tail error bound.
     """
-    check_length("majority size", majority_m)
-    if majority_m % 2 == 0:
-        raise PreconditionError(f"majority size {majority_m} must be odd")
-    check_length("trial budget", max_trials, cap=math.inf)  # drawn in blocks, never held whole
+    _check_vote(majority_m, max_trials)
     nu = nu_of(profile, window)
     if profile.captured <= 0.0:
         raise PreconditionError("profile has no computational-state mass")
@@ -207,11 +202,11 @@ def run_error_bounded(profile: AmplitudeProfile, window, result_of, majority_m: 
     shots = []
     while len(shots) < majority_m and trials < max_trials:
         n = min(majority_m - len(shots), max_trials - trials)
-        o, pos = _draw(profile, rng, n)
+        o, index = profile.draw(rng, n)
         trials += n
-        shots.extend(pos[o].tolist())
-    result_at = {q: result_of(profile.indices[q]) for q in dict.fromkeys(shots)}
-    votes = dict(Counter(result_at[q] for q in shots))
+        shots.extend(index[o].tolist())
+    result_at = {j: result_of(j) for j in dict.fromkeys(shots)}
+    votes = dict(Counter(result_at[j] for j in shots))
     conclusive = len(shots) == majority_m
     # Plurality winner; a tie between distinct wrong results is broken
     # lexicographically (cannot occur in the two-valued setting, where odd
@@ -251,30 +246,25 @@ def halting_demo(spec, config, budget: int, K: int, alpha, rng,
     profile stands in: every computational-state draw carries z != 0, so
     the no-halt verdict is certain conditional on o = 1.  The budget is
     part of the verdict: this is a statistics-level enactment on a bounded
-    classical simulator, and verdicts are relative to it.  K is checked
-    before the machine runs, so whether it is refused does not depend on
-    whether the machine halts.
+    classical simulator, and verdicts are relative to it; an inconclusive
+    run reads as no halt.  K, alpha, the majority size and the trial
+    budget are checked before the machine runs, so whether one is refused
+    does not depend on whether the machine halts.
     """
     check_length("K", K)
+    alpha = _ratio(alpha)
+    _check_vote(majority_m, max_trials)
     trace = run(spec, config, budget)
     if trace.halted:
-        src = f"{spec.name or 'machine'}"
-        cycle = build_alpha_cycle(trace, alpha, source=src)
-        profile = halfstep_profile_periodic(cycle.p)
-        report = run_error_bounded(
-            profile, cycle.window, lambda j: cycle_result(cycle, j),
-            majority_m, rng, max_trials=max_trials,
-        )
-        if report.inconclusive or report.result is None:
-            return HaltingVerdict(halts=False, value=None, budget=budget, report=report)
-        z, v = report.result
-        return HaltingVerdict(halts=(z == 0), value=v if z == 0 else None,
-                              budget=budget, report=report)
-    profile = halfstep_profile_aperiodic(K)
-    report = run_error_bounded(  # z != 0 everywhere: every index is a valid no-result
-        profile, profile.indices, lambda j: (1, ""), majority_m, rng, max_trials=max_trials,
-    )
-    return HaltingVerdict(halts=False, value=None, budget=budget, report=report)
+        cycle = build_alpha_cycle(trace, alpha, source=spec.name or "machine")
+        profile, window = halfstep_profile_periodic(cycle.p), cycle.window
+        result_of = functools.partial(cycle_result, cycle)
+    else:  # z != 0 everywhere: every index is a valid no-result
+        profile = halfstep_profile_aperiodic(K)
+        window, result_of = profile.indices, lambda j: (1, "")
+    report = run_error_bounded(profile, window, result_of, majority_m, rng, max_trials=max_trials)
+    z, v = (1, None) if report.inconclusive else report.result
+    return HaltingVerdict(z == 0, v if z == 0 else None, budget, report)
 
 
 @dataclass
@@ -312,7 +302,7 @@ def repeat_error_free(cycle: LabeledCycle, profile: AmplitudeProfile, validate, 
     trial_counts = trials[ok].tolist()
     successes = len(trial_counts)
     found, times = np.unique(accepted[ok], return_counts=True)
-    invalid = sum(c for q, c in zip(found.tolist(), times.tolist()) if not validate(results[q]))
+    invalid = sum(c for j, c in zip(found.tolist(), times.tolist()) if not validate(results[j]))
     total_trials = int(trials.sum())
     total_o = int(o_ones.sum())
     mean_trials = float(np.mean(trial_counts)) if trial_counts else float("nan")

@@ -59,7 +59,7 @@ to 2K terms captures all but ~2/(pi^2*K).  Periods, K and the 2K
 amplitudes of a truncation (held to the cap like a period) obey the size
 rule of ``errors.check_length``.  A profile lives on a run of consecutive
 indices, kept as a range, and keeps the readout distribution |a|^2 and
-its running sum as its only copies; every measurement draw reads them,
+its running sum as its only copies; ``AmplitudeProfile.draw`` reads them,
 and ``nu_of`` sums one slice of |a|^2, a window being a run too.
 """
 
@@ -116,8 +116,8 @@ class OrbitSpectrum:
     @functools.cached_property
     def _mean_abs_phase(self) -> float:
         """sum w_k |phase_k| of a point spectrum for
-        ``complexity.mean_abs_phase``, taken once, on first use, like
-        ``AmplitudeProfile.cdf``: later writes to the arrays are not seen."""
+        ``complexity.mean_abs_phase``, taken once, on first use, like a
+        profile's CDF: later writes to the arrays are not seen."""
         return float(np.dot(self.weights, np.abs(self.phases)))
 
 
@@ -131,10 +131,10 @@ class AmplitudeProfile:
     j - indices.start.  ``errors.check_run`` reads it; an integer array
     becomes that range, and an empty run raises PreconditionError.  The
     readout distribution |a|^2 is stored once, as ``probabilities``, and
-    its running sum ``cdf`` is taken once, on the first draw.  ``captured`` is the total probability sum |a|^2 over the
-    stored indices; a value that is NaN or disagrees with that sum by more
-    than 1e-10 is rejected, since a measurement decides o = 1 by
-    ``captured`` and picks the index by ``cdf``.
+    its running sum (CDF) once, on the first ``draw``.  ``captured`` is the
+    total probability sum |a|^2 over the stored indices; a value that is
+    NaN or disagrees with that sum by more than 1e-10 is rejected, since
+    ``draw`` decides o = 1 by ``captured`` and the index by the CDF.
     """
 
     amplitudes: np.ndarray
@@ -157,9 +157,17 @@ class AmplitudeProfile:
                 f"captured probability {self.captured!r} differs from sum |a|^2 = {total!r}")
 
     @functools.cached_property
-    def cdf(self) -> np.ndarray:
-        """Running sum of ``probabilities``, the inverse-CDF table of a draw."""
+    def _cdf(self) -> np.ndarray:
         return np.cumsum(self.probabilities)
+
+    def draw(self, rng, n: int):
+        """n trials from one ``rng.random(n)``: the o = 1 mask and each measured
+        index (meaningful where o = 1), by inverse CDF over |a|^2."""
+        u = rng.random(n)
+        index = np.searchsorted(self._cdf, u, side="right")
+        np.minimum(index, self._cdf.size - 1, out=index)
+        index += self.indices.start
+        return u < self.captured, index
 
 
 def aperiodic_spectrum() -> OrbitSpectrum:

@@ -354,6 +354,34 @@ def test_complexity_bad_input_rejected(args, tmp_path, capsys):
     assert not out.exists()
 
 
+_ALPHA = "alpha must lie strictly between 0 and 1"
+
+
+@pytest.mark.parametrize("args, error", [
+    (["instant", "--machine", "unary_successor", "--input", "1", "--alpha", "0.999999",
+      "--majority", "2"], "majority size 2 must be odd"),
+    (["instant", "--machine", "unary_successor", "--input", "1", "--alpha", "0.999999",
+      "--majority", "0"], "majority size 0 must be at least 1"),
+    (["instant", "--machine", "unary_successor", "--input", "1", "--alpha", "0.999999",
+      "--trials", "0"], "trial budget 0 must be at least 1"),
+    (["instant", "--machine", "loop", "--budget", "100", "--alpha", "5"], _ALPHA),
+    (["instant", "--machine", "loop", "--budget", "100", "--alpha", "nan"], _ALPHA),
+    (["cycle", "--machine", "loop", "--budget", "2000000", "--alpha", "5"], _ALPHA),
+])
+def test_arguments_are_refused_before_the_machine_runs(args, error, tmp_path, monkeypatch,
+                                                         capsys):
+    # whether an argument is refused must not depend on whether the machine
+    # halts, and nothing is stepped or built before it is
+    def ran(*_):
+        raise AssertionError("the machine ran")
+    for module in ("halfcycle.cli", "halfcycle.measure"):
+        monkeypatch.setattr(importlib.import_module(module), "run", ran)
+    out = tmp_path / "out.json"
+    assert main([*args, "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("x", [np.linspace(8.0, -8.0, 64),  # descending
                                np.r_[-8.0, np.linspace(-8.0, 8.0, 63)]])  # x repeated
 def test_schrodinger_grid_not_strictly_increasing_rejected(x, tmp_path, capsys):

@@ -65,6 +65,18 @@ def test_non_finite_time_rejected():
             check_lower_bound(s, [0.0, np.nan])
 
 
+def test_a_time_whose_cost_overflows_is_refused():
+    # C(t) = t * 5.89 is inf at p = 8, although t is finite
+    with pytest.raises(PreconditionError, match="C\\(t\\) times 1 overflows"):
+        complexity(minimal_periodic_spectrum(8), 1.7e308)
+    with pytest.raises(PreconditionError, match="C\\(t\\) times 2 overflows"):
+        check_lower_bound(minimal_periodic_spectrum(8), [0.0, 1.7e308])
+    # here C(t) is 2.6e8 and 2 * C(t) is finite, but 2t is not: the bound
+    # is read as 2 * C(t), without a RuntimeWarning (an error in this suite)
+    report = check_lower_bound(OrbitSpectrum([1e-300, 2e-300], [0.5, 0.5], 2), [0.0, 1.7e308])
+    assert report.ok and report.n_points == 2
+
+
 def test_lower_bound_p2_halfstep():
     spec = minimal_periodic_spectrum(2)
     lhs = 2 - 2 * (overlap_at(spec, 0.5)).real

@@ -1,9 +1,11 @@
 """Cycle builder: construction arithmetic, verification, window helpers."""
 
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -274,6 +276,26 @@ def test_cycle_result_reads_the_position_mod_p():
     assert cycle_result(cycle, s) == cycle_result(cycle, s + p) == (0, "1")
     assert cycle_result(cycle, -1) == cycle_result(cycle, p - 1)
     assert cycle_result(cycle, -1)[0] == 1
+
+
+def test_cycle_result_reads_a_numpy_index_as_an_int():
+    inc = load_machine("incrementer")
+    cycle = build_alpha_cycle(run(inc, initial_config(inc, "0"), 100), Fraction(3, 4))
+    for j in (0, cycle.s, cycle.p - 1, cycle.p + 3, -1):
+        assert cycle_result(cycle, np.int64(j)) == cycle_result(cycle, j)
+        assert cycle.trace_index(np.int64(j)) == cycle.trace_index(j)
+    # p = 4,000,000: a numpy index once scanned the window range (about 0.25 s);
+    # the fastest of three reads is timed, so a moment of load does not fail it
+    unary = load_machine("unary_successor")
+    big = build_alpha_cycle(run(unary, initial_config(unary, "1"), 100), 0.999999)
+    assert big.p == 4_000_000
+    for j in (0, big.p - 1):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            cycle_result(big, np.int64(j))
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.02
 
 
 def test_alpha_for_period_values():

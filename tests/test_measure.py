@@ -15,7 +15,7 @@ from halfcycle import (AmplitudeProfile, PreconditionError, build_alpha_cycle,
                        halfstep_profile_periodic, halting_demo, initial_config,
                        load_machine, nu_of, repeat_error_free, run, run_error_bounded,
                        run_error_free)
-from halfcycle.measure import BatchSummary, RunReport, _draw, majority_error_bound
+from halfcycle.measure import BatchSummary, RunReport, majority_error_bound
 
 
 def synthetic_profile(probs):
@@ -29,8 +29,7 @@ def draw_outcomes(profile, window, rng, n):
     """n prepare/evolve/measure trials through the procedures' draw path:
     the o-values, the measured cycle indices (-1 where o = 0) and whether
     each measurement landed in ``window``."""
-    o, pos = _draw(profile, rng, n)
-    index = profile.indices.start + pos
+    o, index = profile.draw(rng, n)
     return o, np.where(o, index, -1), o & np.isin(index, window)
 
 
@@ -239,6 +238,12 @@ def test_halting_demo_loop_machine():
                            np.random.default_rng(13))
     assert not verdict.halts and verdict.value is None
     assert verdict.report.votes == {(1, ""): 15}
+
+
+def test_halting_demo_refuses_alpha_whether_or_not_the_machine_halts():
+    loop = load_machine("loop")
+    with pytest.raises(PreconditionError, match="^alpha must lie strictly between 0 and 1$"):
+        halting_demo(loop, initial_config(loop, ""), 50, 200, 7.0, np.random.default_rng(13))
 
 
 def test_halting_demo_parity_matches_classical_result():

@@ -45,6 +45,30 @@ def test_one_run_rule_reads_every_window():
     assert (defines, sorted(calls)) == ([], ["errors.py:check_run", "packing.py:_read_exponents"])
 
 
+def test_one_readout_draws_every_measurement():
+    # AmplitudeProfile.draw is the one inverse-CDF draw: no other module
+    # defines a draw or reads a profile's CDF; measure takes cycle indices
+    # from the draw, never array positions, and halting_demo runs one procedure
+    draws, cdf_readers, offsets, procedure_calls = [], set(), [], None
+    for path in sorted((ROOT / "src" / "halfcycle").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and "draw" in node.name:
+                draws.append(f"{path.name}:{node.name}")
+            if isinstance(node, ast.Attribute) and node.attr in ("cdf", "_cdf"):
+                cdf_readers.add(path.name)
+            base = getattr(node, "value", None)
+            if path.name == "measure.py" and "indices" in (getattr(base, "attr", None),
+                                                          getattr(base, "id", None)):
+                if isinstance(node, ast.Subscript) or getattr(node, "attr", None) == "start":
+                    offsets.append(ast.unparse(node))
+            if isinstance(node, ast.FunctionDef) and node.name == "halting_demo":
+                procedure_calls = [ast.unparse(call.func) for call in ast.walk(node)
+                                   if isinstance(call, ast.Call)
+                                   and getattr(call.func, "id", None) == "run_error_bounded"]
+    assert (draws, cdf_readers) == (["spectral.py:draw"], {"spectral.py"})
+    assert offsets == [] and procedure_calls == ["run_error_bounded"]
+
+
 def test_the_readme_self_check_table_names_every_check():
     # a row is named by the text a report carries in diagnostics.checks[].check,
     # before " at ...": the literal start of check_residual's first argument

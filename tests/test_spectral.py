@@ -15,7 +15,6 @@ from halfcycle import (CapacityError, ConsistencyError, PreconditionError,
                        halfstep_profile_periodic, minimal_periodic_spectrum, nu_of,
                        obstruction_certificate, overlap_at, pack_spectrum, spectral)
 from halfcycle.errors import DEFAULT_PERIOD_CAP, check_residual, recorded_checks
-from halfcycle.measure import _draw
 from halfcycle.spectral import AmplitudeProfile, OrbitSpectrum, _halfstep_rows
 
 P_RANGE = [2 ** k for k in range(1, 11)]  # 2, 4, ..., 1024
@@ -262,7 +261,7 @@ def test_profile_from_array_matches_profile_from_range(start, size):
         assert isinstance(profile.indices, range)
     for window in windows:
         assert nu_of(built[0], window) == nu_of(built[1], window)
-    draws = [_draw(profile, np.random.default_rng(3), 500) for profile in built]
+    draws = [profile.draw(np.random.default_rng(3), 500) for profile in built]
     assert all(np.array_equal(a, b) for a, b in zip(*draws))
 
 
