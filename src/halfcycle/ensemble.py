@@ -35,11 +35,11 @@ so by Parseval
 The experiment driver draws and evaluates each period in blocks of at
 most _BLOCK_DRAWS draws (2 MiB), and never rescales its draws x = p*y: it
 evaluates nu = sum_k x_k^2/p - sum_{j not in window} |c_j(x)|^2/p^2, the
-complement as one real matrix product per block with the p x 2m basis
-[cos | sin] of its m bins, whenever that basis holds at most
-_BASIS_ENTRIES entries (p * 2m <= 2**21: every even p up to 10404, so
-every power of two up to 8192); larger periods take one FFT per row with
-one twist per period.  Direct summation
+complement as one real matrix product per block with the [cos | sin]
+basis of its m = 2L bins folded in pairs onto L + 2, whenever the
+unfolded basis would hold at most _BASIS_ENTRIES entries (p * 2m <= 2**21:
+every even p up to 10404, so every power of two up to 8192); larger
+periods take one FFT per row with one twist per period.  Direct summation
 stays the authoritative evaluator: the half-step evaluator of
 ``spectral`` (one FFT per row, which is the same sum) gives every other
 window mass and checks the first row of every product-path block by
@@ -63,14 +63,14 @@ from .errors import (CapacityError, PreconditionError, check_length, check_resid
 from .spectral import _halfstep_rows, _halfstep_twist
 
 _BLOCK_DRAWS = 2 ** 18  # draws per block of the experiment (2 MiB), at least one row
-# Complement-basis entries p * 2m: every p up to 8192.  At p = 16384 the FFT path
-# took half the time and a sixth of the memory (512 trials, 2-vCPU AMD EPYC host).
+# Unfolded complement-basis entries p * 2m: every even p up to 10404.  At p = 8192 the
+# folded basis beat the FFT path from 512 trials on (2-vCPU Intel Xeon host).
 _BASIS_ENTRIES = 2 ** 21
-# Draws per experiment, the sum of its periods times its trials.  A draw
-# cost 5 ns on the product path at p = 64..1024, and on the FFT path 14 ns
-# at p = 32768 and 73 ns at p = 2**22 (best of three, one
-# core of a shared 2-vCPU Intel Xeon host), so an experiment at the cap
-# takes 1.4 to 20 s; the stats default (1.3e8 draws) is half of it.
+# Draws per experiment, the sum of its periods times its trials.  A draw cost
+# 5 to 18 ns on the product path at p = 64..1024 and 14 to 73 ns on the FFT
+# path at p = 32768..2**22 (best of three, one core of a shared 2-vCPU Intel
+# Xeon host), so an experiment at the cap takes 1.4 to 20 s; the stats
+# default (1.3e8 draws) is half of it.
 _DRAW_CAP = 2 ** 28
 _DELTA = 3.0  # standard deviations below the mean of the Chebyshev threshold
 _CHECK_TOL = 1e-12  # Parseval window mass against direct summation, per checked row
@@ -109,12 +109,14 @@ def _sample_raised_cosine(rng, out):
     # semicircle law: it is the x-coordinate a of a uniform point (a, b) of
     # the upper half disk, drawn by rejection from [-1, 1) x [0, 1) (rate
     # pi/4).  A block of at most _DRAW_BLOCK outputs draws 4/3 as many
-    # points plus 64 into the call's one scratch array and writes the first
-    # accepted a straight into out; a block that falls short leaves the
-    # rest to the next one.  |y| <= 1 exactly: |a| < 1, and dividing
-    # arcsin(a) <= fl(pi/2) by fl(pi/2) is monotone.
+    # points plus 64 into the call's one scratch array, marks the accepted
+    # ones in its one mask and takes the first, in order, straight into out
+    # (mode "clip" writes in place), allocating only their index array; a
+    # block that falls short leaves the rest to the next one.  |y| <= 1
+    # exactly: |a| < 1, and dividing arcsin(a) <= fl(pi/2) by fl(pi/2) is monotone.
     flat = out.reshape(-1)  # a view, out being contiguous
-    scratch = np.empty(3 * (4 * min(_DRAW_BLOCK, flat.size) // 3 + 64))
+    n = 4 * min(_DRAW_BLOCK, flat.size) // 3 + 64
+    scratch, mask = np.empty(3 * n), np.empty(n, dtype=bool)
     done = 0
     while done < flat.size:
         want = min(_DRAW_BLOCK, flat.size - done)
@@ -124,9 +126,10 @@ def _sample_raised_cosine(rng, out):
         a -= 1.0
         b *= b
         b += np.multiply(a, a, out=scratch[2 * n:3 * n])
-        inside = a[b < 1.0][:want]
-        flat[done:done + inside.size] = inside
+        inside = np.flatnonzero(np.less(b, 1.0, out=mask[:n]))[:want]
+        np.take(a, inside, out=flat[done:done + inside.size], mode="clip")
         done += inside.size
+        del inside  # before the next block's index array is made
     np.arcsin(out, out=out)
     out /= np.pi / 2
 
@@ -174,23 +177,33 @@ def _direct_window_masses(y, window, twist, out=None):
 
 
 def _complement_basis(p: int, window):
-    """The real p x 2m basis [cos | sin] of the m bins j outside ``window``,
-    so that |c_j|^2 = (y @ cos_j)^2 + (y @ sin_j)^2; None when it would hold
-    more than _BASIS_ENTRIES entries.
+    """A real basis with sum_{j outside window} |c_j|^2 = |y @ basis|^2 for
+    real y; None when [cos | sin] of those 2L bins would hold more than
+    _BASIS_ENTRIES entries (p * 4L).
 
-    The angles pi*k*(2j - 1)/p are reduced mod 2pi in integers first, so
-    each is one rounding of a value in [0, 2pi) however large k*(2j - 1).
+    The complement must be {0..L-1} and {p-L..p-1}, L = window.start, else
+    PreconditionError.  |c_{1-j}| = |c_j| folds it onto bins 0..L+1 with
+    weights w_j = [j < L] + [j >= 2] (w_1 = 0 at L = 1): the basis is [cos |
+    sin] of the bins with w_j > 0, each column times sqrt(w_j).  The angles
+    pi*k*(2j - 1)/p are reduced mod 2pi in integers first, so each is one
+    rounding of a value in [0, 2pi) however large k*(2j - 1).
     """
-    outside = np.r_[0:window.start, window.stop:p]
-    m = outside.size
-    if p * 2 * m > _BASIS_ENTRIES:
+    L = window.start
+    if not 0 <= L <= p // 2 or window.stop != p - L:
+        raise PreconditionError(f"window [{L}, {window.stop}) is not centered on p/2 = {p // 2}")
+    if p * 4 * L > _BASIS_ENTRIES:
         return None
-    turns = np.outer(np.arange(p), 2 * outside - 1)
+    bins = np.arange(L + 2)
+    weights = np.add(bins < L, bins >= 2, dtype=int)
+    bins, roots = bins[weights > 0], np.sqrt(weights[weights > 0])
+    turns = np.outer(np.arange(p), 2 * bins - 1)
     turns %= 2 * p
     angles = turns * (np.pi / p)
+    m = bins.size
     basis = np.empty((p, 2 * m))
     np.cos(angles, out=basis[:, :m])
     np.sin(angles, out=basis[:, m:])
+    basis *= np.tile(roots, 2)
     return basis
 
 
@@ -288,8 +301,9 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
     straight into the period's array of masses.  The draws x in [-1, 1]
     stay unscaled: the masses of y = x/p are computed from x, which at a
     power-of-two p gives the bits that scaling x first would.  Window
-    masses are computed by Parseval over the m bins outside the window, one
-    matrix product per block, whenever p*2m <= 2**21 (every p up to 8192);
+    masses are computed by Parseval over the m bins outside the window
+    (folded in pairs), one matrix product per block, whenever p*2m <= 2**21
+    (every even p up to 10404);
     the first row of each such block is checked against the FFT to 1e-12.
     Larger periods take one FFT per row, the reference, with nothing to
     check it against.  The trial count, every period (even, at least 4)

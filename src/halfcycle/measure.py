@@ -204,14 +204,14 @@ def run_error_bounded(profile: AmplitudeProfile, window, result_of, majority_m: 
         n = min(majority_m - len(shots), max_trials - trials)
         o, index = profile.draw(rng, n)
         trials += n
-        shots.extend(index[o].tolist())
+        shots += index[o].tolist()
     result_at = {j: result_of(j) for j in dict.fromkeys(shots)}
-    votes = dict(Counter(result_at[j] for j in shots))
+    votes = dict(Counter(map(result_at.__getitem__, shots)))
     conclusive = len(shots) == majority_m
     # Plurality winner; a tie between distinct wrong results is broken
     # lexicographically (cannot occur in the two-valued setting, where odd
     # m rules ties out).
-    best = max(sorted(votes), key=lambda r: votes[r]) if conclusive else None
+    best = max(sorted(votes), key=votes.__getitem__) if conclusive else None
     return RunReport(
         procedure="error-bounded", trials=trials, o_one_count=len(shots),
         result=best, result_valid=None, inconclusive=not conclusive,

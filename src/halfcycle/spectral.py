@@ -163,9 +163,9 @@ class AmplitudeProfile:
     def draw(self, rng, n: int):
         """n trials from one ``rng.random(n)``: the o = 1 mask and each measured
         index (meaningful where o = 1), by inverse CDF over |a|^2."""
-        u = rng.random(n)
-        index = np.searchsorted(self._cdf, u, side="right")
-        np.minimum(index, self._cdf.size - 1, out=index)
+        u, cdf = rng.random(n), self._cdf
+        index = cdf.searchsorted(u, side="right")
+        np.minimum(index, cdf.size - 1, out=index)
         index += self.indices.start
         return u < self.captured, index
 
@@ -337,5 +337,5 @@ def nu_of(profile: AmplitudeProfile, window) -> float:
     if w and not span.start <= w.start < w.stop <= span.stop:
         raise PreconditionError(f"index {w.start if w.start not in span else span.stop} "
                                 "outside profile range")
-    return float(np.sum(profile.probabilities[w.start - span.start:w.stop - span.start]))
+    return float(profile.probabilities[w.start - span.start:w.stop - span.start].sum())
 

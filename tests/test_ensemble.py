@@ -98,6 +98,61 @@ def test_raised_cosine_sampler_is_reproducible_across_blocks():
     assert first.size % ensemble._DRAW_BLOCK and first.tobytes() == second.tobytes()
 
 
+def boolean_mask_raised_cosine(rng, out):
+    """The raised-cosine sampler's earlier body, which gathered each block's
+    accepted points with a boolean mask: the reference for its draws."""
+    flat = out.reshape(-1)
+    scratch = np.empty(3 * (4 * min(ensemble._DRAW_BLOCK, flat.size) // 3 + 64))
+    done = 0
+    while done < flat.size:
+        want = min(ensemble._DRAW_BLOCK, flat.size - done)
+        n = 4 * want // 3 + 64
+        a, b = rng.random(out=scratch[:2 * n].reshape(2, n))
+        a *= 2.0
+        a -= 1.0
+        b *= b
+        b += np.multiply(a, a, out=scratch[2 * n:3 * n])
+        inside = a[b < 1.0][:want]
+        flat[done:done + inside.size] = inside
+        done += inside.size
+    np.arcsin(out, out=out)
+    out /= np.pi / 2
+
+
+@pytest.mark.parametrize("make_rng", [np.random.default_rng, HalfRejected],
+                         ids=["full blocks", "short blocks"])
+def test_raised_cosine_compaction_keeps_the_boolean_mask_draws(make_rng):
+    size = (3, ensemble._DRAW_BLOCK // 2 + 7)  # 1.5 blocks and a little more
+    drawn, expected = np.empty(size), np.empty(size)
+    rng, reference = make_rng(38), make_rng(38)
+    get_density("raised-cosine").sample(rng, drawn)
+    boolean_mask_raised_cosine(reference, expected)
+    assert drawn.tobytes() == expected.tobytes()
+    if make_rng is np.random.default_rng:  # and the stream is left where it was
+        assert rng.random() == reference.random()
+
+
+def test_raised_cosine_compaction_allocates_one_index_array_a_block():
+    # A 2 MiB draw (2**18 outputs, four blocks) holds the scratch of 3n
+    # doubles and the mask of n bools, n = 4*2**16//3 + 64, plus one block's
+    # index array of at most n int64s: 2.75 MiB.  The boolean-mask gather
+    # held a float copy of a block's accepted points (~0.52 MiB) while the
+    # previous block's copy was still alive, and peaked at 3.14 MiB.
+    n = 4 * ensemble._DRAW_BLOCK // 3 + 64
+    bound = 3 * n * 8 + n + n * 8
+    peaks = []
+    for sample in (get_density("raised-cosine").sample, boolean_mask_raised_cosine):
+        out = np.empty(2 ** 18)
+        sample(np.random.default_rng(39), out)  # lazy set-up
+        tracemalloc.start()
+        try:
+            sample(np.random.default_rng(39), out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= bound < peaks[1]
+
+
 def test_raised_cosine_sampler_empty_draw():
     rng = np.random.default_rng(34)
     assert draw(get_density("raised-cosine"), rng, 0).shape == (0,)
@@ -260,6 +315,28 @@ def test_parseval_window_masses_match_direct_sums(p, name):
     (what, points, residual), = checks
     assert what == f"Parseval window mass vs direct sum at p={p}"
     assert points == 1 and 0.0 <= residual <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["uniform", "two-point"])
+@pytest.mark.parametrize("p", [*range(4, 65, 2), 8186, 10394])
+def test_folded_basis_window_masses_match_direct_sums(p, name):
+    # the complement {0..L-1} and {p-L..p-1} folds onto bins 0..L+1 with
+    # weights [j < L] + [j >= 2]: L = 1 (every even p up to 14) drops bin 1,
+    # L = 2 weighs every bin once
+    window = centered_window(p, alpha_for_period(p))
+    L = window.start
+    basis = ensemble._complement_basis(p, window)
+    assert basis.shape == (p, 4 if L == 1 else 2 * (L + 2))
+    x = draw(get_density(name), np.random.default_rng(p), (16 if p < 100 else 4, p))
+    nus = ensemble._window_masses(x, window, basis, _halfstep_twist(p), name, np.empty(len(x)))
+    direct = [nu_from_y(row / p, window) for row in x]
+    assert np.max(np.abs(nus - direct)) <= 1e-12
+
+
+@pytest.mark.parametrize("window", [range(3, 60), range(4, 61), range(0, 32), range(33, 31)])
+def test_complement_basis_refuses_a_window_off_center(window):
+    with pytest.raises(PreconditionError, match="not centered on p/2 = 32"):
+        ensemble._complement_basis(64, window)
 
 
 def test_moment_experiment_paths_agree_with_direct_sums(monkeypatch):
