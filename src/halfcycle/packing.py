@@ -38,37 +38,42 @@ or 1, lowers no point.  CapacityError is raised only when the program is
 infeasible, which proves that no disjoint packing within the energy bound
 exists.
 
-The program is split before it is built.  An instance's budget row can
-bind only if its largest possible part sum (pile size - 1 per collided
-point, 1 per odd collision-free point, 0 for the anchor) exceeds its
-budget; every other row always holds and is dropped.  A pile with no
-member in a binding instance is then coupled to nothing and takes its
-fewest-parity-miss ranks in closed form (even members, the anchor first,
-on even ranks, odd ones on odd ranks, the surplus on the other parity),
-and the other instances' odd collision-free points sit at 1.  That part
-is feasible and optimal alone, so the solver gets only the rest and its
-verdict is the whole program's.  If no row can bind (as in
-pack_spectrum(2)), no solver runs: the path is "closed".
+With every budget row dropped the program falls apart into one problem
+per pile, each solved in closed form: the pile's ranks, the even ones
+upward then the odd ones down, go to its even members (the anchor first)
+then its odd ones in order, so only the surplus of one parity misses, and
+every odd collision-free point sits at 1.  Dropping rows can only lower
+the optimum, so the objective of that assignment, ``bound``, bounds the
+program's optimum from below, exactly, as an integer.  The answer is
+found in at most three steps, each solve a MILP by HiGHS through
+scipy.optimize.milp at a relative gap of 0:
 
-HiGHS solves the coupled part through scipy.optimize.milp, always at a
-relative gap of 0, in up to three steps:
+  1. if every instance's part sum fits its budget, the closed-form
+     assignment is optimal (path "closed"; no solver runs, and scipy is
+     not imported);
+  2. otherwise only the piles with a member in an over-budget instance
+     are re-placed, with the odd collision-free points of every instance
+     whose row they may break (below), every other point kept at its
+     closed-form part and those rows lowered by the kept parts.  Its answer
+     is feasible for the whole program, since a row it leaves out either
+     cannot bind or has only kept points, which fit; when its objective
+     reaches the bound it is optimal (path "restricted");
+  3. otherwise the coupled part of the whole program is solved (path
+     "milp"), and its verdict is the program's: if it is infeasible,
+     CapacityError is raised.
 
-  1. the LP relaxation; if it is infeasible, so is the program, and
-     CapacityError is raised;
-  2. the restricted solve over the variables the LP left fractional, each
-     other one fixed at its rounded value, checked against every bound
-     and row in exact integer arithmetic;
-  3. the full program, if the restricted solve is infeasible or its
-     objective lies above the LP bound.
-
-All costs are integers, so the LP optimum rounded up (after a relative
-slack of 1e-6 is taken off, which can only lower it) bounds the optimum
-from below.  An integer solution that reaches the bound is optimal; the
-full program decides every other case.  Either way parity is optimal.
+An instance's budget row can bind only if its largest possible part sum
+(pile size - 1 per collided point, 1 per odd collision-free point, 0 for
+the anchor) exceeds its budget; every other row always holds.  The
+coupled part of step 3 re-places every pile with a member in an instance
+whose row can bind, and those instances' odd collision-free points; every
+other pile and point keeps its closed-form part, which is optimal and
+fits whatever the rest does.  Each solve's answer is checked against
+every bound and row of its program in exact integer arithmetic; one that
+breaks any raises ConsistencyError.
 PackedSpectra keeps as ``diagnostics`` the step that gave the answer,
-the whole program's objective and LP bound (the closed-form part's
-included), the proven gap (0), the node count and the number of points
-the solver placed.
+the whole program's objective and ``bound``, the proven gap (0), the
+solver's node count and the number of points the solver placed.
 
 All bookkeeping is on integer numerators over the single denominator
 2^(n_max + nu_max), the dyadic grid every point lies on, so it is exact.
@@ -83,14 +88,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, PreconditionError, check_indices, check_length
+from .errors import (CapacityError, ConsistencyError, PreconditionError, check_indices,
+                     check_length)
 from .spectral import OrbitSpectrum
 
 ENERGY_BUDGET_OVER_2PI = 2  # mean phase <= 4pi
 DEFAULT_POINT_CAP = 2 ** 20
 _POINT_CAP_LOG2 = DEFAULT_POINT_CAP.bit_length() - 1
-_INTEGRAL_TOLERANCE = 1e-9  # an LP value this close to an integer is fixed there
-_LP_SLACK = 1e-6  # relative; taken off the LP optimum before rounding it up
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +138,7 @@ class PackedSpectra:
     values: np.ndarray
     denominator: int
     instances: list
-    diagnostics: dict  # how the solver reached the assignment (_solve)
+    diagnostics: dict  # how the assignment was found (_assign_ranks)
 
     def to_dict(self) -> dict:
         """The report.  Each point of size n is tested against the 2^-(n + nu_n)
@@ -249,36 +253,65 @@ def _binding_rows(inst, odd, size, budgets) -> np.ndarray:
 
 def _assign_ranks(inst, odd, pile, budgets) -> tuple:
     """Integer part of every point, from an optimal solution of the program
-    in the module docstring, and the solver's diagnostics for the whole
-    program.  ``inst``, ``odd`` (k mod 2) and ``pile`` are per point, in
-    (n, m, k) order; ``budgets`` is per instance."""
+    in the module docstring, and the diagnostics of how it was found.
+    ``inst``, ``odd`` (k mod 2) and ``pile`` are per point, in (n, m, k)
+    order; ``budgets`` is per instance."""
     size = np.bincount(pile)[pile]
-    binds = _binding_rows(inst, odd, size, budgets)
-    coupled = (size >= 2) & (np.bincount(pile, weights=binds[inst]) > 0)[pile]
     odd_single = (size == 1) & (odd == 1)
-    solved = coupled | (odd_single & binds[inst])
-    # An uncoupled pile's ranks, the even ones upward then the odd ones down,
-    # go to its even members (the anchor first) then its odd ones in order.
+    # every pile ranked by the budget-free rule (module docstring)
     parts = np.zeros(pile.size, dtype=np.int64)
-    alone = np.flatnonzero((size >= 2) & ~coupled)
-    alone = alone[np.lexsort((odd[alone], pile[alone]))]
-    t = np.arange(alone.size) - np.searchsorted(pile[alone], pile[alone])
-    parts[alone] = np.where(t < (size[alone] + 1) // 2, 2 * t, 2 * (size[alone] - 1 - t) + 1)
-    parts[odd_single & ~solved] = 1
-    # the closed-form part's objective, added to the solver's figures
-    offset = int(np.count_nonzero((parts % 2 != odd) & ~solved)
-                 - np.count_nonzero(odd_single & ~solved))
-    if not binds.any():
-        return parts, {"path": "closed", "objective": offset, "lp_bound": offset,
-                       "gap": 0.0, "nodes": 0, "points": 0}
-    from scipy.optimize import LinearConstraint
+    member = np.flatnonzero(size >= 2)
+    member = member[np.lexsort((odd[member], pile[member]))]
+    t = np.arange(member.size) - np.searchsorted(pile[member], pile[member])
+    parts[member] = np.where(t < (size[member] + 1) // 2, 2 * t, 2 * (size[member] - 1 - t) + 1)
+    parts[odd_single] = 1
+    bound = _objective(parts, odd, odd_single)
+    # exact: integer sums far below 2^53
+    over = np.bincount(inst, weights=parts, minlength=budgets.size) > budgets
+    if not over.any():
+        return parts, {"path": "closed", "objective": bound, "bound": bound, "gap": 0.0,
+                       "nodes": 0, "points": 0}
+    binds = _binding_rows(inst, odd, size, budgets)
+    for path, seed in (("restricted", over), ("milp", binds)):
+        # the piles with a member in a seed instance, the instances they
+        # load whose rows can bind, and those instances' odd collision-free points
+        piles = (size >= 2) & (np.bincount(pile, weights=seed[inst]) > 0)[pile]
+        rows = seed | (binds & (np.bincount(inst, weights=piles, minlength=budgets.size) > 0))
+        free = piles | (odd_single & rows[inst])
+        placed, res = _solve(free, rows, parts, inst, odd, pile, size, budgets)
+        if placed is None:
+            continue
+        objective = _objective(placed, odd, odd_single)
+        if objective == bound or path == "milp":
+            return placed, {"path": path, "objective": objective, "bound": bound,
+                            "gap": float(res.mip_gap), "nodes": int(res.mip_node_count),
+                            "points": int(np.count_nonzero(free))}
+    raise _infeasible(res)
+
+
+def _objective(parts, odd, odd_single) -> int:
+    """The program's objective: parity misses less odd collision-free points."""
+    return int(np.count_nonzero(parts % 2 != odd) - np.count_nonzero(odd_single))
+
+
+def _solve(free, rows, parts, inst, odd, pile, size, budgets) -> tuple:
+    """Re-place the ``free`` points (whole piles, and odd collision-free
+    points of ``rows`` instances) by one gap-0 MILP, every other point kept
+    at its part in ``parts`` and each ``rows`` instance's budget row lowered
+    by its kept parts; a gap of 0 makes the answer optimal, not just within
+    HiGHS's default gap of 1e-4.  Returns the new parts, or None if that
+    program is infeasible, and the solver's result.  An answer that breaks
+    a bound or row of the program, checked in exact integer arithmetic,
+    raises ConsistencyError."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import coo_array
 
-    member = np.flatnonzero(coupled)
+    member = np.flatnonzero(free & (size >= 2))
     member = member[np.argsort(pile[member], kind="stable")]
-    row = np.cumsum(binds) - 1  # instance -> its budget row, if it binds
+    single = np.flatnonzero(free & (size == 1))
+    row = np.cumsum(rows) - 1  # instance -> its budget row, if it has one
     n_members, n_inst = member.size, int(row[-1]) + 1
-    # Rows: one per member, one per (pile, rank), one per binding budget.
+    # Rows: one per member, one per (pile, rank), one per budget.
     # x[member i, rank r] is variable start[i] + r; its rank row is
     # n_members + first[i] + r, first[i] being the first member of i's pile.
     length = size[member]
@@ -287,99 +320,44 @@ def _assign_ranks(inst, odd, pile, budgets) -> tuple:
     n_x = int(length.sum())
     owner = np.repeat(np.arange(n_members), length)
     rank = np.arange(n_x) - start[owner]
-    loaded = (rank > 0) & binds[inst[member[owner]]]
+    loaded = (rank > 0) & rows[inst[member[owner]]]
     var = np.arange(n_x)
-    rows = np.concatenate([owner, n_members + first[owner] + rank,
-                           2 * n_members + row[inst[member[owner[loaded]]]],
-                           2 * n_members + np.arange(n_inst)])
-    cols = np.concatenate([var, var, var[loaded], n_x + np.arange(n_inst)])
-    coef = np.concatenate([np.ones(2 * n_x), rank[loaded], np.ones(n_inst)])
-    A = coo_array((coef, (rows, cols)), shape=(2 * n_members + n_inst, n_x + n_inst))
+    A = coo_array((np.concatenate([np.ones(2 * n_x), rank[loaded], np.ones(n_inst)]),
+                   (np.concatenate([owner, n_members + first[owner] + rank,
+                                    2 * n_members + row[inst[member[owner[loaded]]]],
+                                    2 * n_members + np.arange(n_inst)]),
+                    np.concatenate([var, var, var[loaded], n_x + np.arange(n_inst)]))),
+                  shape=(2 * n_members + n_inst, n_x + n_inst)).tocsr()
 
-    single = np.flatnonzero(odd_single & solved)
+    # y_j, the number of instance j's free odd collision-free points at 1
     n_odd = np.bincount(row[inst[single]], minlength=n_inst)
     cost = np.concatenate([(rank % 2 != odd[member[owner]]).astype(float), -np.ones(n_inst)])
     lower = np.zeros(n_x + n_inst)
     if n_members and member[0] == 0:
         lower[0] = 1.0  # point 0 is the anchor; its pile (fraction 0) sorts first
     upper = np.concatenate([np.ones(n_x), n_odd])
-    row_upper = np.concatenate([np.ones(2 * n_members), budgets[binds]])
+    kept = np.bincount(inst, weights=np.where(free, 0, parts), minlength=budgets.size)
     row_lower = np.concatenate([np.ones(2 * n_members), np.zeros(n_inst)])
-    x, diagnostics = _solve(cost, lower, upper, LinearConstraint(A, row_lower, row_upper),
-                            offset)
+    row_upper = np.concatenate([np.ones(2 * n_members), (budgets - kept)[rows]])
+    res = milp(cost, integrality=np.ones(cost.size), bounds=Bounds(lower, upper),
+               constraints=LinearConstraint(A, row_lower, row_upper),
+               options={"mip_rel_gap": 0})
+    if res.status != 0:
+        return None, res
+    x = np.rint(res.x)
+    value = A @ x  # integer coefficients and values: exact in float64
+    if not (np.all((lower <= x) & (x <= upper))
+            and np.all((row_lower <= value) & (value <= row_upper))):
+        raise ConsistencyError("the solver's answer breaks a bound or row of its program")
 
+    placed = parts.copy()
     chosen = np.flatnonzero(x[:n_x])
-    parts[member[owner[chosen]]] = rank[chosen]
-    # The first y_j odd collision-free points of binding instance j sit at 1.
+    placed[member[owner[chosen]]] = rank[chosen]
+    # The first y_j free odd collision-free points of instance j sit at 1.
     j = row[inst[single]]
     within = np.arange(single.size) - (np.cumsum(n_odd) - n_odd)[j]
-    parts[single[within < x[n_x:][j]]] = 1
-    return parts, {**diagnostics, "points": int(np.count_nonzero(solved))}
-
-
-def _solve(cost, lower, upper, constraints, offset) -> tuple:
-    """An optimal integer solution of the program and its diagnostics: the
-    LP bound, then the restricted solve, then the full MILP if need be
-    (module docstring).  ``offset`` is added to the objective and bound."""
-    lp = _milp(cost, np.zeros(cost.size), lower, upper, constraints)
-    if lp.status == 2:
-        raise _infeasible(lp)
-    bound = None
-    if lp.status == 0:
-        # integer costs: the MILP optimum is at least the LP optimum rounded
-        # up; the slack can only lower the bound
-        bound = math.ceil(lp.fun - _LP_SLACK * max(1.0, abs(lp.fun))) + offset
-        found = _restricted_solve(cost, lower, upper, constraints, lp.x)
-        if found is not None:
-            x, nodes = found
-            objective = int(cost @ x) + offset
-            if objective <= bound:
-                return x, {"path": "lp+restricted", "objective": objective, "lp_bound": bound,
-                           "gap": 0.0, "nodes": nodes}
-    res = _milp(cost, np.ones(cost.size), lower, upper, constraints)
-    if res.status != 0:
-        raise _infeasible(res)
-    x = np.rint(res.x).astype(np.int64)
-    return x, {"path": "milp", "objective": int(cost @ x) + offset, "lp_bound": bound,
-               "gap": float(res.mip_gap), "nodes": int(res.mip_node_count)}
-
-
-def _restricted_solve(cost, lower, upper, constraints, x_lp):
-    """The MILP over the variables the LP left fractional, every other one
-    fixed at its rounded LP value: the integer solution and the solver's
-    node count, or None if it is infeasible.  The solution is checked
-    against every bound and row in exact integer arithmetic."""
-    from scipy.optimize import LinearConstraint
-
-    x = np.rint(x_lp)
-    free = np.abs(x_lp - x) > _INTEGRAL_TOLERANCE
-    A = constraints.A.tocsc()
-    nodes = 0
-    if free.any():
-        A_free = A[:, free]
-        used = np.diff(A_free.tocsr().indptr) > 0
-        fixed = A[:, ~free] @ x[~free]
-        res = _milp(cost[free], np.ones(int(free.sum())), lower[free], upper[free],
-                    LinearConstraint(A_free[used], (constraints.lb - fixed)[used],
-                                     (constraints.ub - fixed)[used]))
-        if res.status != 0:
-            return None
-        x[free] = np.rint(res.x)
-        nodes = int(res.mip_node_count)
-    row = A @ x  # integer coefficients and values: exact in float64
-    if (np.all((lower <= x) & (x <= upper))
-            and np.all((constraints.lb <= row) & (row <= constraints.ub))):
-        return x.astype(np.int64), nodes
-    return None
-
-
-def _milp(cost, integrality, lower, upper, constraints):
-    """One HiGHS solve through scipy, at a relative gap of 0: a MILP
-    answer is optimal, not just within HiGHS's default gap of 1e-4."""
-    from scipy.optimize import Bounds, milp
-
-    return milp(cost, integrality=integrality, bounds=Bounds(lower, upper),
-                constraints=constraints, options={"mip_rel_gap": 0})
+    placed[single] = within < x[n_x:][j]
+    return placed, res
 
 
 def _infeasible(res) -> CapacityError:

@@ -82,10 +82,12 @@ _CLOSED_FORM_TOL = 1e-12  # per unit of |u|, closed-form overlap vs direct sum
 class OrbitSpectrum:
     """Eigenphases (radians per machine cycle) with spectral weights.
 
-    ``period`` is the orbit period for point spectra and None for the
-    aperiodic (absolutely continuous) case, which carries no finite phase
-    list at all.  ``minimal`` is set only by ``minimal_periodic_spectrum``,
-    whose arrays are read-only, and sends ``overlap_at`` to the closed form.
+    ``period`` is the orbit period for point spectra, one phase per
+    element of the orbit, and None for the aperiodic (absolutely
+    continuous) case, which carries no finite phase list at all.  The
+    arrays are read-only copies of the caller's, so what was checked stays
+    true.  ``minimal`` is set only by ``minimal_periodic_spectrum`` and
+    sends ``overlap_at`` to the closed form.
     """
 
     phases: np.ndarray
@@ -94,14 +96,19 @@ class OrbitSpectrum:
     minimal: bool = field(init=False, default=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        for name in ("phases", "weights"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
         if self.period is None:
             if self.phases.size or self.weights.size:
                 raise PreconditionError("aperiodic spectra carry no finite phase list")
             return
         if self.phases.shape != self.weights.shape:
             raise PreconditionError("phases and weights must have matching shapes")
+        if self.period != self.phases.size:
+            raise PreconditionError(f"period {self.period} must equal the number of phases "
+                                    f"({self.phases.size})")
         if not np.all(np.isfinite(self.phases)):
             raise PreconditionError("spectral phases must be finite")
         if np.any(self.weights < 0):
@@ -116,8 +123,7 @@ class OrbitSpectrum:
     @functools.cached_property
     def _mean_abs_phase(self) -> float:
         """sum w_k |phase_k| of a point spectrum for
-        ``complexity.mean_abs_phase``, taken once, on first use, like a
-        profile's CDF: later writes to the arrays are not seen."""
+        ``complexity.mean_abs_phase``, taken once, on first use."""
         return float(np.dot(self.weights, np.abs(self.phases)))
 
 
@@ -129,9 +135,11 @@ class AmplitudeProfile:
     the cycle positions 0..p-1 for periodic profiles, or the symmetric
     range (-K, K] for aperiodic truncations, index j at array position
     j - indices.start.  ``errors.check_run`` reads it; an integer array
-    becomes that range, and an empty run raises PreconditionError.  The
-    readout distribution |a|^2 is stored once, as ``probabilities``, and
-    its running sum (CDF) once, on the first ``draw``.  ``captured`` is the
+    becomes that range, and an empty run raises PreconditionError.
+    ``amplitudes`` is a read-only copy of the caller's array, and the
+    readout distribution |a|^2 is stored once, read-only, as
+    ``probabilities``, so the two cannot drift apart; its running sum (CDF)
+    is stored once, on the first ``draw``.  ``captured`` is the
     total probability sum |a|^2 over the stored indices; a value that is
     NaN or disagrees with that sum by more than 1e-10 is rejected, since
     ``draw`` decides o = 1 by ``captured`` and the index by the CDF.
@@ -144,13 +152,17 @@ class AmplitudeProfile:
     probabilities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=complex))
+        amplitudes = np.array(self.amplitudes, dtype=complex)
+        amplitudes.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amplitudes)
         object.__setattr__(self, "indices", check_run("profile indices", self.indices))
         if not self.indices or self.amplitudes.shape != (len(self.indices),):
             raise PreconditionError("need one amplitude per index, on at least one index")
         if not self.captured <= 1.0 + _WEIGHT_SUM_TOL:
             raise PreconditionError("captured probability exceeds 1")
-        object.__setattr__(self, "probabilities", np.abs(self.amplitudes) ** 2)
+        probabilities = np.abs(self.amplitudes) ** 2
+        probabilities.flags.writeable = False
+        object.__setattr__(self, "probabilities", probabilities)
         total = float(np.sum(self.probabilities))
         if not abs(self.captured - total) <= _PROFILE_TOL:
             raise PreconditionError(
@@ -187,7 +199,6 @@ def minimal_periodic_spectrum(p: int) -> OrbitSpectrum:
     k = np.arange(p)
     spec = OrbitSpectrum(phases=2.0 * np.pi * (k / p + (k % 2)), weights=np.full(p, 1.0 / p),
                          period=p)
-    spec.phases.flags.writeable = spec.weights.flags.writeable = False
     object.__setattr__(spec, "minimal", True)
     return spec
 
@@ -309,6 +320,7 @@ def halfstep_profile_periodic(p: int) -> AmplitudeProfile:
     direct = _halfstep_rows(np.where(j % 2, -1.0, 1.0) / p)
     check_residual(f"profile closed form vs direct sum at p={p}",
                    np.max(np.abs(closed - direct)), _PROFILE_TOL, points=p)
+    del j, direct  # freed before the profile copies ``closed``
     captured = float(np.sum(np.abs(closed) ** 2))
     check_residual(f"minimal profile capture vs 1 at p={p}", abs(captured - 1.0), _PROFILE_TOL)
     return AmplitudeProfile(amplitudes=closed, indices=range(p), captured=min(captured, 1.0),

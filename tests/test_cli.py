@@ -194,8 +194,7 @@ def test_pack_command(tmp_path):
     assert data["disjoint"] and data["energy_bound_ok"] and data["grid_ok"]
     # the solver's figures sit beside the report body, not inside it
     assert report["diagnostics"] == {"checks": [], "solver": {
-        "path": "lp+restricted", "objective": -15, "lp_bound": -15, "gap": 0.0, "nodes": 0,
-        "points": 21}}
+        "path": "closed", "objective": -15, "bound": -15, "gap": 0.0, "nodes": 0, "points": 0}}
 
 
 def test_schrodinger_builtin_pair(tmp_path):
@@ -577,13 +576,15 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_packing_with_no_binding_budget_leaves_scipy_unloaded():
-    # at n = 2 no budget row can bind, so every pile is ranked in closed form
+    # at n = 2 no budget row can bind; at n = 4 some can, but the closed-form
+    # ranking of every pile keeps within every budget, so no solver runs
     src = str(Path(halfcycle.__file__).resolve().parents[1])
-    code = ("import halfcycle.cli, sys; assert halfcycle.cli.main(['pack', '--n', '2']) == 0;"
-            " assert 'scipy' not in sys.modules")
-    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert json.loads(run.stdout)["diagnostics"]["solver"]["path"] == "closed"
+    for n in ("2", "4"):
+        code = (f"import halfcycle.cli, sys; assert halfcycle.cli.main(['pack', '--n', '{n}']) == 0;"
+                " assert 'scipy' not in sys.modules")
+        run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert json.loads(run.stdout)["diagnostics"]["solver"]["path"] == "closed"
 
 
 # one small command per subcommand, and the complexity scan whose cross-check

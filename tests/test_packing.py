@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import halfcycle.packing
-from halfcycle import CapacityError, PreconditionError, overlap_at, pack_spectrum
+from halfcycle import (CapacityError, ConsistencyError, PreconditionError, overlap_at,
+                       pack_spectrum)
 
 
 def instance(packed, n, m):
@@ -136,8 +137,8 @@ def test_report_matches_an_exact_fraction_reference(n_max, nu):
     assert report["disjoint"] and report["energy_bound_ok"] and report["grid_ok"]
 
 
-# on pack_spectrum(3), denominator 64: point 3 (144, size 1, whose grid step
-# is 16) moved down to the unused 143; the last point (size 3) moved onto
+# on pack_spectrum(3), denominator 64: point 3 (16, size 1, whose grid step
+# is 16) moved down to the unused 15; the last point (size 3) moved onto
 # the anchor 0; and the anchor, instance (0, 0) of budget 2 * 64, moved up
 # by 10**6 units of 2pi to a value no other point has
 EDITS = {
@@ -155,7 +156,7 @@ def flags(packed):
 @pytest.mark.parametrize("flag", EDITS)
 def test_each_flag_turns_off_alone(flag):
     packed = pack_spectrum(3)
-    assert packed.denominator == 64 and packed.values[3] == 144
+    assert packed.denominator == 64 and packed.values[3] == 16
     bad = edited(packed, EDITS[flag])
     assert flags(bad) == {name: name != flag for name in flags(packed)}
     assert bad.to_dict() == {"n_max": 3, "nu_exponents": [0, 1, 2, 3], **reference_report(bad)}
@@ -230,13 +231,12 @@ def test_an_exponent_past_int64_meets_the_point_cap(exponent):
         pack_spectrum(1, [-exponent, 0])
 
 
-def test_energy_infeasibility_is_an_error_not_a_silent_overrun(monkeypatch):
-    # nu_n = n is proven infeasible at size 6, with or without the split of
-    # the program; a faster-growing sequence is fine
+def test_energy_infeasibility_is_an_error_not_a_silent_overrun():
+    # nu_n = n is proven infeasible at size 6, by pack_spectrum and by the
+    # whole program; a faster-growing sequence is fine
     with pytest.raises(CapacityError, match="solver status 2"):
         pack_spectrum(6)
-    with pytest.raises(CapacityError, match="solver status 2"):
-        full_milp(monkeypatch, 6, None)
+    assert full_milp(6, None) == "infeasible"
     report = pack_spectrum(5, [0, 2, 4, 6, 8, 10]).to_dict()
     assert report["disjoint"] and report["energy_bound_ok"]
 
@@ -246,77 +246,178 @@ def test_default_exponents_pack_at_size_five():
     assert report["disjoint"] and report["energy_bound_ok"] and report["grid_ok"]
 
 
-def test_every_solve_asks_for_a_zero_gap(monkeypatch):
-    # at HiGHS's default relative gap of 1e-4 a MILP may stop short of the
-    # optimum (it does at (6, nu = 2n), too slow to run here), so no solve
-    # may leave the gap at its default
+def solver_calls(monkeypatch):
+    """The variable count of every scipy.optimize.milp call from now on,
+    each checked to ask for a relative gap of 0: at HiGHS's default of 1e-4
+    a MILP may stop short of the optimum (it does at (6, nu = 2n) with the
+    whole coupled program), so no solve may leave the gap at its default."""
     import scipy.optimize
-    solve, gaps = scipy.optimize.milp, []
+    solve, sizes = scipy.optimize.milp, []
 
-    def spy(*args, **kwargs):
-        gaps.append((kwargs.get("options") or {}).get("mip_rel_gap"))
-        return solve(*args, **kwargs)
+    def spy(c, *args, **kwargs):
+        assert (kwargs.get("options") or {}).get("mip_rel_gap") == 0
+        sizes.append(len(c))
+        return solve(c, *args, **kwargs)
 
     monkeypatch.setattr(scipy.optimize, "milp", spy)
-    assert pack_spectrum(5).diagnostics["path"] == "milp"  # LP, restricted, full MILP
-    assert pack_spectrum(5, [0, 2, 4, 6, 8, 10]).diagnostics["path"] == "lp+restricted"
-    assert len(gaps) >= 4 and all(gap == 0 for gap in gaps)
+    return sizes
 
 
-def full_milp(monkeypatch, n_max, nu):
-    """pack_spectrum with every budget row kept and the restricted solve
-    turned off, so that one gap-0 MILP over the whole program decides."""
-    with monkeypatch.context() as patch:
-        patch.setattr(halfcycle.packing, "_binding_rows",
-                      lambda inst, odd, size, budgets: np.ones(budgets.size, dtype=bool))
-        patch.setattr(halfcycle.packing, "_restricted_solve", lambda *args: None)
-        return pack_spectrum(n_max, nu)
+def test_every_solve_asks_for_a_zero_gap(monkeypatch):
+    # one solve on the restricted path; two, the restricted one then the
+    # coupled program, where the packing is infeasible
+    sizes = solver_calls(monkeypatch)
+    assert pack_spectrum(5).diagnostics["path"] == "restricted"
+    assert pack_spectrum(5, [0, 2, 4, 6, 8, 10]).diagnostics["path"] == "restricted"
+    assert len(sizes) == 2
+    with pytest.raises(CapacityError, match="solver status 2"):
+        pack_spectrum(6)
+    assert len(sizes) == 4
+
+
+def test_the_coupled_program_decides_where_the_restricted_answer_falls_short(monkeypatch):
+    # with the restricted solve made to fail at (5), the coupled part of the
+    # program is solved; its answer is the whole program's optimum too
+    solve = halfcycle.packing._solve
+    calls = []
+
+    def first_fails(*args):
+        calls.append(args[0].sum())
+        placed, res = solve(*args)
+        return (None if len(calls) == 1 else placed), res
+
+    monkeypatch.setattr(halfcycle.packing, "_solve", first_fails)
+    packed = pack_spectrum(5)
+    got = packed.diagnostics
+    objective, parity = full_milp(5, None)
+    assert (got["path"], got["gap"], got["objective"]) == ("milp", 0, objective)
+    assert got["bound"] <= objective and got["points"] == calls[1] > calls[0]
+    report = packed.to_dict()
+    assert report["parity_compliance"] == parity
+    assert report["disjoint"] and report["energy_bound_ok"] and report["grid_ok"]
+
+
+def test_an_answer_that_breaks_its_program_is_refused(monkeypatch):
+    # each solve's answer is checked in integers: one that leaves every pile
+    # member without a rank trips the bug trap instead of becoming a packing
+    import scipy.optimize
+    solve = scipy.optimize.milp
+
+    def zeroed(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.x = np.zeros_like(res.x)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "milp", zeroed)
+    with pytest.raises(ConsistencyError, match="breaks a bound or row of its program"):
+        pack_spectrum(5)
+
+
+def full_milp(n_max, nu):
+    """The optimum of the whole packing program, built here from the
+    congruence alone and solved as one gap-0 MILP, with no closed-form or
+    restricted step.  A point in a pile of L >= 2 has one binary per
+    candidate integer part 0..L-1 and takes one of them, each part of a pile
+    goes to at most one point, and the anchor (point 0) takes 0.  The points
+    alone in their pile are interchangeable within their instance, so each
+    instance has two integers: how many of its even-k and of its odd-k such
+    points sit at 1, the rest at 0.  Every instance's parts keep within its
+    budget.  Returns the objective of ``pack_spectrum``'s diagnostics
+    (parity misses less the odd points alone) and the parity compliance, or
+    "infeasible"."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    nu = list(range(n_max + 1)) if nu is None else list(nu)
+    shift = n_max + nu[-1]
+    denom = 2 ** shift
+    nums, insts, ks = [], [], []
+    for n, v in enumerate(nu):
+        m, k = np.divmod(np.arange(2 ** (n + v)), 2 ** v)
+        nums.append(((m << (shift - n - v)) + (k << (shift - v))) % denom)
+        insts.append(2 ** n - 1 + m)
+        ks.append(k % 2)
+    num, inst, odd = (np.concatenate(a) for a in (nums, insts, ks))
+    n_inst = int(inst[-1]) + 1
+    budget = (2 * np.bincount(inst) * denom
+              - np.bincount(inst, weights=num).astype(np.int64)) // denom
+    pile = np.unique(num, return_inverse=True)[1]
+    size = np.bincount(pile)[pile]
+    collided = np.flatnonzero(size >= 2)  # the anchor, point 0, first
+    collided = collided[np.argsort(pile[collided], kind="stable")]
+    length = size[collided]
+    owner = np.repeat(np.arange(collided.size), length)
+    part = np.arange(owner.size) - (np.cumsum(length) - length)[owner]
+    first = np.searchsorted(pile[collided], pile[collided])  # of each one's pile
+    alone = (size == 1) & (np.arange(num.size) > 0)  # the anchor keeps 0
+    alone = [np.bincount(inst[alone & (odd == b)], minlength=n_inst) for b in (0, 1)]
+    # variables: x[collided point, part], then per instance how many of its
+    # even and of its odd points alone sit at 1; rows: one per collided
+    # point, one per (pile, part), one budget per instance
+    x = np.arange(owner.size)
+    n_x, n_c = owner.size, collided.size
+    A = coo_array((np.r_[np.ones(2 * n_x), part, np.ones(2 * n_inst)],
+                   (np.r_[owner, n_c + first[owner] + part, 2 * n_c + inst[collided[owner]],
+                          2 * n_c + np.tile(np.arange(n_inst), 2)],
+                    np.r_[x, x, x, n_x + np.arange(2 * n_inst)])),
+                  shape=(2 * n_c + n_inst, n_x + 2 * n_inst))
+    lower = np.zeros(A.shape[1])
+    lower[0] = size[0] >= 2  # the anchor's part 0, if it is in a pile
+    cost = np.r_[(part % 2 != odd[collided[owner]]).astype(float), np.ones(n_inst),
+                 -np.ones(n_inst)]
+    rows = LinearConstraint(A, np.r_[np.ones(2 * n_c), np.zeros(n_inst)],
+                            np.r_[np.ones(2 * n_c), budget])
+    res = milp(cost, integrality=np.ones(cost.size), bounds=Bounds(lower, np.r_[
+        np.ones(n_x), alone[0], alone[1]]), constraints=rows, options={"mip_rel_gap": 0})
+    if res.status == 2:
+        return "infeasible"
+    assert res.status == 0
+    objective = int(round(res.fun))
+    return objective, (num.size - objective - int(alone[1].sum())) / num.size
 
 
 @pytest.mark.parametrize("n_max, nu, path", [
     (0, None, None), (1, None, None), (2, None, None), (3, None, None),
-    (4, None, "lp+restricted"),
-    (5, None, "milp"),  # the restricted solve is infeasible
-    (5, [0, 2, 4, 6, 8, 10], "lp+restricted"),
+    (4, None, "closed"),
+    (5, None, "restricted"),
+    (5, [0, 2, 4, 6, 8, 10], "restricted"),
     (3, [0, 3, 5, 7], None), (4, [1, 2, 3, 5, 6], None),
     (4, [0, 1, 2, 4, 5], None), (4, [0, 2, 4, 6, 8], None),
     (1, [0, 2], "closed"), (2, [0, 2, 4], "closed"), (3, [0, 2, 4, 6], None),
     (3, [0, 1, 3, 6], None), (3, [0, 3, 4, 5], None),
     (4, [0, 1, 2, 3, 7], None), (4, [1, 2, 4, 5, 9], None),
 ])
-def test_lp_path_reaches_the_full_milp_optimum(monkeypatch, n_max, nu, path):
+def test_lp_path_reaches_the_full_milp_optimum(n_max, nu, path):
+    # every input here is packed without the coupled program, so the bound
+    # of the budget-free ranking proves each answer optimal
     packed = pack_spectrum(n_max, nu)
-    reference = full_milp(monkeypatch, n_max, nu)
-    got, ref = packed.diagnostics, reference.diagnostics
-    assert ref["path"] == "milp" and ref["gap"] == 0 and got["gap"] == 0
+    got = packed.diagnostics
+    objective, parity = full_milp(n_max, nu)
     if path:
         assert got["path"] == path
-    assert got["objective"] == ref["objective"] >= got["lp_bound"]
-    assert got["lp_bound"] >= ref["lp_bound"]  # both bound the one optimum from below
-    if got["path"] != "milp":
-        assert got["objective"] == got["lp_bound"]  # proven optimal by the bound
+    assert got["path"] in ("closed", "restricted") and got["gap"] == 0
+    assert got["objective"] == got["bound"] == objective
     assert (got["points"] == 0) == (got["path"] == "closed")
-    assert got["points"] <= ref["points"] <= packed.values.size
+    assert got["points"] <= packed.values.size
     report = packed.to_dict()
-    assert report["parity_compliance"] == reference.to_dict()["parity_compliance"]
+    assert report["parity_compliance"] == parity
     assert report["disjoint"] and report["energy_bound_ok"] and report["grid_ok"]
 
 
 @pytest.mark.parametrize("n_max, objective", [(0, 0), (1, -1), (2, -4)])
 def test_no_budget_row_binds_up_to_size_two(n_max, objective):
     assert pack_spectrum(n_max).diagnostics == {
-        "path": "closed", "objective": objective, "lp_bound": objective, "gap": 0.0,
+        "path": "closed", "objective": objective, "bound": objective, "gap": 0.0,
         "nodes": 0, "points": 0}
 
 
 def test_the_solver_gets_only_the_coupled_part(monkeypatch):
-    # at (5, nu = 2n) the whole program has 19,538 variables over 37,449
-    # points; most budget rows cannot bind, and their piles are ranked apart
-    sizes, solve = [], halfcycle.packing._solve
-    monkeypatch.setattr(halfcycle.packing, "_solve",
-                        lambda cost, *args: sizes.append(cost.size) or solve(cost, *args))
+    # at (5, nu = 2n) the closed-form ranking breaks few budgets: only the
+    # piles in those instances, and the odd collision-free points of the
+    # instances they load, are re-placed, 64 of 37,449 points
+    sizes = solver_calls(monkeypatch)
     packed = pack_spectrum(5, [0, 2, 4, 6, 8, 10])
-    assert (packed.values.size, packed.diagnostics["points"], sizes) == (37449, 2633, [7204])
+    assert (packed.values.size, packed.diagnostics["points"], sizes) == (37449, 64, [260])
 
 
 def exponent_sequences():
@@ -331,16 +432,15 @@ def exponent_sequences():
 @given(nu=exponent_sequences())
 def test_split_and_whole_programs_agree(nu):
     n_max = len(nu) - 1
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        try:
-            got = pack_spectrum(n_max, nu).diagnostics["objective"]
-        except CapacityError as exc:
-            got = str(exc)
-        try:
-            ref = full_milp(monkeypatch, n_max, nu).diagnostics["objective"]
-        except CapacityError as exc:
-            ref = str(exc)
-    assert got == ref
+    try:
+        got = pack_spectrum(n_max, nu).diagnostics
+    except CapacityError as exc:
+        assert "solver status 2" in str(exc)
+        got = {"objective": "infeasible"}
+    ref = full_milp(n_max, nu)
+    assert got["objective"] == (ref if ref == "infeasible" else ref[0])
+    if got.get("path") in ("closed", "restricted"):
+        assert got["objective"] == got["bound"]
 
 
 def test_nu_sequence_validation():

@@ -14,6 +14,7 @@ from halfcycle import (CapacityError, ConsistencyError, PreconditionError,
                        aperiodic_spectrum, centered_window, chirped_pair, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, minimal_periodic_spectrum, nu_of,
                        obstruction_certificate, overlap_at, pack_spectrum, spectral)
+from halfcycle.complexity import mean_abs_phase
 from halfcycle.errors import DEFAULT_PERIOD_CAP, check_residual, recorded_checks
 from halfcycle.spectral import AmplitudeProfile, OrbitSpectrum, _halfstep_rows
 
@@ -290,6 +291,35 @@ def test_profile_refuses_a_nan_capture():
         with pytest.raises(PreconditionError, match="captured probability"):
             AmplitudeProfile(amplitudes=amplitudes, indices=range(1), captured=captured,
                              period=None)
+
+
+def test_spectrum_keeps_what_it_validated():
+    phases, weights = np.array([0.5, -1.0]), np.array([0.5, 0.5])
+    spec = OrbitSpectrum(phases=phases, weights=weights, period=2)
+    phases[:], weights[:] = np.nan, 5.0  # the caller's arrays stay the caller's
+    assert spec.phases.tolist() == [0.5, -1.0] and spec.weights.tolist() == [0.5, 0.5]
+    assert mean_abs_phase(spec) == 0.75
+    for array in (spec.phases, spec.weights, minimal_periodic_spectrum(4).phases):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5.0
+
+
+@pytest.mark.parametrize("period", [0, 1, 7])
+def test_a_point_spectrum_has_one_phase_per_period_step(period):
+    with pytest.raises(PreconditionError,
+                       match=rf"^period {period} must equal the number of phases \(2\)$"):
+        OrbitSpectrum(phases=[0.0, np.pi], weights=[0.5, 0.5], period=period)
+
+
+def test_profile_keeps_what_it_validated():
+    amplitudes = np.full(4, 0.5, dtype=complex)
+    profile = AmplitudeProfile(amplitudes=amplitudes, indices=range(4), captured=1.0, period=4)
+    amplitudes[:] = 10.0
+    assert np.abs(profile.amplitudes).tolist() == [0.5] * 4 and nu_of(profile, range(4)) == 1.0
+    for array in (profile.amplitudes, profile.probabilities,
+                  halfstep_profile_periodic(8).amplitudes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 # --- properties -------------------------------------------------------------
