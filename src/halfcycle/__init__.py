@@ -11,8 +11,9 @@ certificates (schrodinger).
 
 This namespace exports what the command line, the demos and the
 benchmark call or name.  Helpers used only inside their own module
-(``measure.majority_error_bound``, ``schrodinger.kinetic_form``,
-``complexity.APERIODIC_MEAN_ABS_PHASE``) and result types that callers
+(``measure.majority_error_bound``, ``schrodinger.kinetic_form``), the
+constant that only the command line and the demos read
+(``complexity.APERIODIC_MEAN_ABS_PHASE``), and result types that callers
 receive but never name (``cycle.CycleReport``, ``measure.RunReport``) are
 imported from that module.
 """
@@ -27,7 +28,7 @@ from .measure import halting_demo, repeat_error_free, run_error_bounded, run_err
 from .packing import PackedSpectra, pack_spectrum
 from .schrodinger import (GridFunctionSet, chirped_pair, identical_pair, obstruction_certificate,
                           read_grid_functions)
-from .spectral import (AmplitudeProfile, aperiodic_spectrum, halfstep_profile_aperiodic,
-                       halfstep_profile_periodic, minimal_periodic_spectrum, nu_of, overlap_at)
+from .spectral import (AmplitudeProfile, halfstep_profile_aperiodic, halfstep_profile_periodic,
+                       minimal_periodic_spectrum, nu_of, overlap_at)
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import reports
-from .complexity import check_lower_bound, complexity, mean_abs_phase, zero_count
+from .complexity import APERIODIC_MEAN_ABS_PHASE, check_lower_bound, complexity, zero_count
 from .cycle import _ratio, build_alpha_cycle, verify_cycle
 from .ensemble import get_density, moment_experiment
 from .errors import HalfcycleError, PreconditionError, check_length, recorded_checks
@@ -37,8 +37,8 @@ from .measure import halting_demo
 from .packing import pack_spectrum
 from .schrodinger import (chirped_pair, identical_pair, obstruction_certificate,
                           read_grid_functions)
-from .spectral import (aperiodic_spectrum, halfstep_profile_aperiodic,
-                       halfstep_profile_periodic, minimal_periodic_spectrum)
+from .spectral import (halfstep_profile_aperiodic, halfstep_profile_periodic,
+                       minimal_periodic_spectrum)
 
 # each drawing command's sub-stream; renumbering one would change every seed's draws
 _STREAMS = {"instant": 2, "stats": 3}
@@ -186,15 +186,17 @@ def cmd_schrodinger(args) -> int:
 
 def cmd_complexity(args) -> int:
     check_length("grid", args.grid)
-    spec = aperiodic_spectrum() if args.aperiodic else minimal_periodic_spectrum(args.period)
     t_grid = np.linspace(0.0, 1.0, args.grid)
-    values = complexity(spec, t_grid)
-    phase = mean_abs_phase(spec)
     bound = zeros = None
-    if not args.aperiodic:
+    if args.period is not None:
+        spec = minimal_periodic_spectrum(args.period)
+        phase, values = spec.mean_abs_phase, complexity(spec, t_grid)
         bound = check_lower_bound(spec, t_grid)
         # zero_count needs 256 samples; coarser grids get their own scan
         zeros = bound.zero_count if args.grid >= 256 else zero_count(spec, 256)
+    else:  # a non-halting orbit has no point spectrum, only its mean |phase|
+        phase = APERIODIC_MEAN_ABS_PHASE
+        values = t_grid * phase
     if args.out_format == "csv":
         _emit(args.out, reports.complexity_csv, t_grid, values, phase, zeros)
         return 0 if bound is None or bound.ok else 1

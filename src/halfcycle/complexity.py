@@ -2,9 +2,13 @@
 
 With the machine cycle and action scale fixed to 1, the complexity of
 evolving for time t is C(t) = t * sum_k w_k |phase_k|: time multiplied by
-the mean absolute eigenphase.  It is dimensionless, linear in t,
-nonnegative, and zero only when all weight sits at phase 0.  Squared
-state distance is bounded by twice this cost,
+the mean absolute eigenphase, which each spectrum takes once as its
+``OrbitSpectrum.mean_abs_phase``.  It is dimensionless, linear in t,
+nonnegative, and zero only when all weight sits at phase 0.  A
+non-halting orbit has no point spectrum; its uniform phase density on
+[0, 2pi) has mean |phase| pi, ``APERIODIC_MEAN_ABS_PHASE``, and its cost
+is t times that constant.  Squared state distance is bounded by twice
+this cost,
 
     ||q_t - q_0||^2 = 2 - 2*Re(overlap(t)) <= 2*C(t),
 
@@ -43,11 +47,6 @@ APERIODIC_MEAN_ABS_PHASE = float(np.pi)  # uniform phase density on [0, 2pi)
 _ZERO_FLOOR = 1e-12  # overlap components this small count as zero
 
 
-def mean_abs_phase(spec: OrbitSpectrum) -> float:
-    """sum w|phase|, evaluated once per spectrum however often it is read."""
-    return APERIODIC_MEAN_ABS_PHASE if spec.aperiodic else spec._mean_abs_phase
-
-
 def _times(spec: OrbitSpectrum, t, scale: float = 1.0) -> np.ndarray:
     """``t`` as a float array, every time finite and nonnegative and
     ``scale`` * C(t) finite (at the largest time, since C grows with t),
@@ -56,18 +55,17 @@ def _times(spec: OrbitSpectrum, t, scale: float = 1.0) -> np.ndarray:
     if not np.all((t_arr >= 0) & np.isfinite(t_arr)):
         raise PreconditionError("time must be finite and nonnegative")
     t_max = float(np.max(t_arr, initial=0.0))
-    if not np.isfinite(scale * (t_max * mean_abs_phase(spec))):
+    if not np.isfinite(scale * (t_max * spec.mean_abs_phase)):
         raise PreconditionError(f"time {t_max!r} is too long: C(t) times {scale:g} overflows")
     return t_arr
 
 
 def complexity(spec: OrbitSpectrum, t):
     """C(t) = t * sum w|phase|, a float for scalar t and an ndarray for an
-    array; for aperiodic orbits the mean absolute phase is pi (uniform density).
-    A negative, NaN or infinite t, or one whose C(t) is not finite, raises
-    PreconditionError."""
+    array.  A negative, NaN or infinite t, or one whose C(t) is not finite,
+    raises PreconditionError."""
     t_arr = _times(spec, t)
-    value = t_arr * mean_abs_phase(spec)
+    value = t_arr * spec.mean_abs_phase
     return float(value) if t_arr.ndim == 0 else value
 
 
@@ -91,7 +89,7 @@ def check_lower_bound(spec: OrbitSpectrum, t_grid) -> BoundReport:
         raise PreconditionError("the time grid must be one-dimensional with at least one point")
     vals = overlap_at(spec, t)
     lhs = 2.0 - 2.0 * np.real(vals)
-    rhs = 2.0 * (t * mean_abs_phase(spec))  # doubling is exact: each reading is 2 * C(t)
+    rhs = 2.0 * (t * spec.mean_abs_phase)  # doubling is exact: each reading is 2 * C(t)
     slack = lhs - rhs
     worst = int(np.argmax(slack))
     # lhs is a rounded difference of O(1) quantities; give it float headroom

@@ -119,7 +119,7 @@ class PackedInstance:
         # exact: numerators stay below 2^53 and the denominator is a power of 2
         phases = 2.0 * np.pi * (self.numerators / self.denominator)
         weights = np.full(self.period, 1.0 / self.period)
-        return OrbitSpectrum(phases=phases, weights=weights, period=self.period)
+        return OrbitSpectrum(phases=phases, weights=weights)
 
 
 @dataclass(eq=False)

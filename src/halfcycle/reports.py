@@ -11,12 +11,15 @@ every column: ``%.17g`` and ``%d`` give the text of ``format(x, ".17g")``
 and ``str``, and ``%r`` the stock JSON text of every int and finite float
 (its ``nan``/``inf`` are replaced by ``NaN``/``Infinity``).  The rest of a
 JSON report takes one recursive pass (``_encode``) that writes what the
-stock ``indent=2, sort_keys=True`` encoder would.
+stock ``indent=2, sort_keys=True`` encoder would, a numpy integer or bool
+scalar as its Python value.
 """
 
 from __future__ import annotations
 
 import json
+
+import numpy as np
 
 _BLOCK = 4096
 
@@ -61,6 +64,8 @@ def _encode(obj, indent: int, write) -> None:
     indented by ``indent`` spaces; its members add 2."""
     if isinstance(obj, Table):
         return _json_table(obj, indent, write) if len(obj.columns[0]) else write("[]")
+    if isinstance(obj, (np.integer, np.bool_)):  # the size rule admits numpy integers
+        obj = obj.item()
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return write(json.dumps(obj))
     pad = "\n" + " " * (indent + 2)

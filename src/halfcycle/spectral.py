@@ -2,14 +2,18 @@
 
 Units are fixed throughout: one machine cycle of evolution is one time
 unit, and eigenphases are radians per machine cycle (phases of the
-evolution generator taken mod 4pi).  The overlap function of a point
-spectrum is
+evolution generator taken mod 4pi).  An ``OrbitSpectrum`` is a point
+spectrum, one phase per element of a periodic orbit, and its period is
+its phase count.  Its overlap function is
 
     overlap(u) = sum_k w_k * exp(-i * phase_k * u),
 
 the Fourier transform of the spectral weights; its value at half-integer
 times u = j - 1/2 is the amplitude of the transient state at one half
-machine cycle against computational state j.
+machine cycle against computational state j.  A non-halting orbit has no
+finite eigenphase list and so no ``OrbitSpectrum``: it enters through its
+closed-form amplitudes (``halfstep_profile_aperiodic``, below) and its
+mean |phase| pi (``complexity.APERIODIC_MEAN_ABS_PHASE``).
 
 The half-step sums
 
@@ -80,19 +84,18 @@ _CLOSED_FORM_TOL = 1e-12  # per unit of |u|, closed-form overlap vs direct sum
 
 @dataclass(frozen=True, eq=False)
 class OrbitSpectrum:
-    """Eigenphases (radians per machine cycle) with spectral weights.
+    """Eigenphases (radians per machine cycle) with spectral weights: a
+    point spectrum, one phase per element of the orbit.
 
-    ``period`` is the orbit period for point spectra, one phase per
-    element of the orbit, and None for the aperiodic (absolutely
-    continuous) case, which carries no finite phase list at all.  The
-    arrays are read-only copies of the caller's, so what was checked stays
-    true.  ``minimal`` is set only by ``minimal_periodic_spectrum`` and
-    sends ``overlap_at`` to the closed form.
+    ``phases`` and ``weights`` are read-only one-dimensional copies of the
+    caller's arrays, of one length, so what was checked stays true;
+    ``period`` is that length.  ``minimal`` is set only by
+    ``minimal_periodic_spectrum`` and sends ``overlap_at`` to the closed
+    form.
     """
 
     phases: np.ndarray
     weights: np.ndarray
-    period: int | None
     minimal: bool = field(init=False, default=False)
 
     def __post_init__(self):
@@ -100,15 +103,8 @@ class OrbitSpectrum:
             array = np.array(getattr(self, name), dtype=float)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        if self.period is None:
-            if self.phases.size or self.weights.size:
-                raise PreconditionError("aperiodic spectra carry no finite phase list")
-            return
-        if self.phases.shape != self.weights.shape:
-            raise PreconditionError("phases and weights must have matching shapes")
-        if self.period != self.phases.size:
-            raise PreconditionError(f"period {self.period} must equal the number of phases "
-                                    f"({self.phases.size})")
+        if self.phases.ndim != 1 or self.phases.shape != self.weights.shape:
+            raise PreconditionError("phases and weights must be one-dimensional and of one length")
         if not np.all(np.isfinite(self.phases)):
             raise PreconditionError("spectral phases must be finite")
         if np.any(self.weights < 0):
@@ -117,13 +113,12 @@ class OrbitSpectrum:
             raise PreconditionError("spectral weights must sum to 1")
 
     @property
-    def aperiodic(self) -> bool:
-        return self.period is None
+    def period(self) -> int:
+        return self.phases.size
 
     @functools.cached_property
-    def _mean_abs_phase(self) -> float:
-        """sum w_k |phase_k| of a point spectrum for
-        ``complexity.mean_abs_phase``, taken once, on first use."""
+    def mean_abs_phase(self) -> float:
+        """sum w_k |phase_k|, the C(1) of ``complexity``, taken once, on first use."""
         return float(np.dot(self.weights, np.abs(self.phases)))
 
 
@@ -182,12 +177,6 @@ class AmplitudeProfile:
         return u < self.captured, index
 
 
-def aperiodic_spectrum() -> OrbitSpectrum:
-    """Marker spectrum for non-halting orbits (uniform phase density on
-    [0, 2pi); no finite eigenphase list exists)."""
-    return OrbitSpectrum(phases=np.empty(0), weights=np.empty(0), period=None)
-
-
 def minimal_periodic_spectrum(p: int) -> OrbitSpectrum:
     """phases_k = 2pi*(k/p + k mod 2), k = 0..p-1, all weights 1/p.
 
@@ -197,8 +186,7 @@ def minimal_periodic_spectrum(p: int) -> OrbitSpectrum:
     """
     check_length("period", p, 2, even=True)
     k = np.arange(p)
-    spec = OrbitSpectrum(phases=2.0 * np.pi * (k / p + (k % 2)), weights=np.full(p, 1.0 / p),
-                         period=p)
+    spec = OrbitSpectrum(phases=2.0 * np.pi * (k / p + (k % 2)), weights=np.full(p, 1.0 / p))
     object.__setattr__(spec, "minimal", True)
     return spec
 
@@ -225,18 +213,13 @@ def _halfstep_rows(y_rows: np.ndarray, twist=None) -> np.ndarray:
 def overlap_at(spec: OrbitSpectrum, u):
     """sum_k w_k * exp(-i*phase_k*u) for scalar or array u.
 
-    Only defined for point spectra; aperiodic orbits are handled through
-    their closed-form amplitude profile instead.  A minimal spectrum takes
-    the closed form, cross-checked on one block of the direct sum
-    (``_cross_check``); every other spectrum takes the direct sum, whose u
-    values go in blocks of about _OVERLAP_BLOCK / len(phases), so memory
-    stays O(_OVERLAP_BLOCK + len(phases)) whatever the size of u.  A
-    NaN or infinite u, or one whose product with some phase overflows,
-    raises PreconditionError.
+    A minimal spectrum takes the closed form, cross-checked on one block
+    of the direct sum (``_cross_check``); every other spectrum takes the
+    direct sum, whose u values go in blocks of about _OVERLAP_BLOCK /
+    len(phases), so memory stays O(_OVERLAP_BLOCK + len(phases)) whatever
+    the size of u.  A NaN or infinite u, or one whose product with some
+    phase overflows, raises PreconditionError.
     """
-    if spec.aperiodic:
-        raise PreconditionError("overlap_at needs a point spectrum; "
-                                "use halfstep_profile_aperiodic for aperiodic orbits")
     u_arr = np.asarray(u, dtype=float)
     flat = u_arr.reshape(-1)
     # max |u| * max |phase| with no temporary array: NaN or infinite if any

@@ -29,7 +29,7 @@ def test_criterion_01_closed_form_agreement():
         profile = hc.halfstep_profile_periodic(p)
         spec = hc.minimal_periodic_spectrum(p)
         # an unmarked copy, so overlap_at takes the direct sum, not the closed form
-        summed = OrbitSpectrum(phases=spec.phases, weights=spec.weights, period=p)
+        summed = OrbitSpectrum(phases=spec.phases, weights=spec.weights)
         direct = hc.overlap_at(summed, np.arange(p) - 0.5)
         worst = max(worst, float(np.max(np.abs(profile.amplitudes - direct))))
     elapsed = time.perf_counter() - start

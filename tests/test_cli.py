@@ -15,6 +15,7 @@ import sys
 import tempfile
 import time
 import warnings
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -220,7 +221,11 @@ def test_complexity_command(tmp_path):
     assert 0.0 <= check["max_residual"] < 1e-14
     assert bound["max_slack_violation"] <= 0.0 <= bound["worst_t"] <= 1.0
     code, payload = run_cli(["complexity", "--aperiodic", "--grid", "50"], tmp_path)
-    assert code == 0 and json.loads(payload)["diagnostics"] == {"checks": [], "lower_bound": None}
+    data = json.loads(payload)
+    assert code == 0 and data["diagnostics"] == {"checks": [], "lower_bound": None}
+    # a non-halting orbit: uniform phase density, mean |phase| pi, C(t) = t * pi
+    assert data["mean_abs_phase"] == math.pi and len(data["readings"]) == 50
+    assert all(value == t * math.pi for t, value in data["readings"])
 
 
 def test_complexity_cost_does_not_grow_with_the_period(tmp_path):
@@ -241,7 +246,7 @@ def test_complexity_cost_does_not_grow_with_the_period(tmp_path):
 
 def test_complexity_takes_the_mean_abs_phase_once(tmp_path, monkeypatch):
     # complexity, check_lower_bound and the report body all read it
-    original = OrbitSpectrum.__dict__["_mean_abs_phase"].func
+    original = OrbitSpectrum.__dict__["mean_abs_phase"].func
     periods = []
 
     def counted(spec):
@@ -249,8 +254,8 @@ def test_complexity_takes_the_mean_abs_phase_once(tmp_path, monkeypatch):
         return original(spec)
 
     cached = functools.cached_property(counted)
-    cached.__set_name__(OrbitSpectrum, "_mean_abs_phase")
-    monkeypatch.setattr(OrbitSpectrum, "_mean_abs_phase", cached)
+    cached.__set_name__(OrbitSpectrum, "mean_abs_phase")
+    monkeypatch.setattr(OrbitSpectrum, "mean_abs_phase", cached)
     code, payload = run_cli(["complexity", "--period", "64", "--grid", "300"], tmp_path)
     assert code == 0 and periods == [64]
     assert json.loads(payload)["mean_abs_phase"] == original(halfcycle.minimal_periodic_spectrum(64))
@@ -632,6 +637,19 @@ PAYLOADS = st.recursive(
 def test_render_json_matches_stock_encoder(payload):
     expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
     assert reports.render_json(payload) == expected
+
+
+def test_reports_write_numpy_integers_as_their_python_values():
+    # the size rule admits numpy integers, and each lands in its result's report
+    inc, rng = halfcycle.load_machine("incrementer"), np.random.default_rng(0)
+    results = [
+        halfcycle.moment_experiment(np.array([8]), halfcycle.get_density("uniform"), 2, rng),
+        halfcycle.pack_spectrum(np.int64(2)),
+        halfcycle.halting_demo(inc, halfcycle.initial_config(inc, "0"), np.int64(100), 200,
+                               Fraction(3, 4), rng)]
+    for body in (result.to_dict() for result in results):
+        expected = json.dumps(body, indent=2, sort_keys=True, default=lambda x: x.item()) + "\n"
+        assert reports.render_json(body) == expected
 
 
 def stock_lines(payload) -> list:

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfcycle import (PreconditionError, aperiodic_spectrum, check_lower_bound, complexity,
+from halfcycle import (PreconditionError, check_lower_bound, complexity,
                        minimal_periodic_spectrum, overlap_at, zero_count)
-from halfcycle.complexity import APERIODIC_MEAN_ABS_PHASE
 from halfcycle.spectral import OrbitSpectrum
 
 
 def single_phase(phase):
-    return OrbitSpectrum(phases=np.array([phase]), weights=np.array([1.0]), period=1)
+    return OrbitSpectrum(phases=np.array([phase]), weights=np.array([1.0]))
 
 
 def test_zero_phase_has_zero_cost():
@@ -33,12 +32,6 @@ def test_minimal_p2_values():
 def test_minimal_p4_mean_abs_phase():
     spec = minimal_periodic_spectrum(4)
     assert complexity(spec, 1.0) == pytest.approx(7 * math.pi / 4)
-
-
-def test_aperiodic_mean_abs_phase_is_pi():
-    spec = aperiodic_spectrum()
-    assert complexity(spec, 1.0) == APERIODIC_MEAN_ABS_PHASE == pytest.approx(math.pi)
-    assert complexity(spec, 0.5) == pytest.approx(math.pi / 2)
 
 
 def test_cost_is_linear_in_t():
@@ -73,7 +66,7 @@ def test_a_time_whose_cost_overflows_is_refused():
         check_lower_bound(minimal_periodic_spectrum(8), [0.0, 1.7e308])
     # here C(t) is 2.6e8 and 2 * C(t) is finite, but 2t is not: the bound
     # is read as 2 * C(t), without a RuntimeWarning (an error in this suite)
-    report = check_lower_bound(OrbitSpectrum([1e-300, 2e-300], [0.5, 0.5], 2), [0.0, 1.7e308])
+    report = check_lower_bound(OrbitSpectrum([1e-300, 2e-300], [0.5, 0.5]), [0.0, 1.7e308])
     assert report.ok and report.n_points == 2
 
 
@@ -148,7 +141,7 @@ def point_spectra(draw):
     raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
     phases = draw(st.lists(st.floats(0.0, 4 * math.pi), min_size=n, max_size=n))
     return OrbitSpectrum(phases=np.asarray(phases),
-                         weights=np.asarray(raw) / np.sum(raw), period=n)
+                         weights=np.asarray(raw) / np.sum(raw))
 
 
 @given(point_spectra())
@@ -241,7 +234,7 @@ def oracle_zero_count(p, n):
 def test_zero_count_matches_40_digit_oracle(p, n):
     # the direct-sum scan on the same spectrum follows the same rule
     spec = minimal_periodic_spectrum(p)
-    direct = OrbitSpectrum(phases=spec.phases, weights=spec.weights, period=p)
+    direct = OrbitSpectrum(phases=spec.phases, weights=spec.weights)
     expected = oracle_zero_count(p, n)
     assert zero_count(spec, n) == check_lower_bound(direct, np.linspace(0, 1, n)).zero_count \
         == expected
