@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from halfcycle import (PreconditionError, check_lower_bound, complexity,
                        minimal_periodic_spectrum, overlap_at, zero_count)
+from halfcycle.complexity import APERIODIC_MEAN_ABS_PHASE
 from halfcycle.spectral import OrbitSpectrum
 
 
@@ -32,6 +33,17 @@ def test_minimal_p2_values():
 def test_minimal_p4_mean_abs_phase():
     spec = minimal_periodic_spectrum(4)
     assert complexity(spec, 1.0) == pytest.approx(7 * math.pi / 4)
+
+
+def test_aperiodic_mean_abs_phase_is_pi():
+    # the uniform phase density on [0, 2pi) is the limit of evenly spaced
+    # equal-weight point spectra, whose C(1) is pi*(P-1)/P
+    assert APERIODIC_MEAN_ABS_PHASE == pytest.approx(math.pi)
+    for period in (16, 1024):
+        spec = OrbitSpectrum(phases=2 * np.pi * np.arange(period) / period,
+                             weights=np.full(period, 1.0 / period))
+        assert complexity(spec, 1.0) == pytest.approx(math.pi * (period - 1) / period)
+        assert APERIODIC_MEAN_ABS_PHASE - complexity(spec, 1.0) <= 4.0 / period
 
 
 def test_cost_is_linear_in_t():
