@@ -54,15 +54,18 @@ def _uniform_grid(x) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GridFunctionSet:
     """Complex functions on one strictly increasing uniform grid, each
-    scaled to unit discrete norm sum(|f|^2)*h = 1: the functions are copied
-    once into a complex (n, G) array, never aliasing the caller's, and
-    divided by their norms in place; a zero or non-finite one is refused."""
+    scaled to unit discrete norm sum(|f|^2)*h = 1: the grid is kept as a
+    read-only copy, and the functions are copied once into a read-only
+    complex (n, G) array, divided by their norms in place, so neither
+    aliases the caller's; a zero or non-finite function is refused."""
 
     x: np.ndarray
     functions: np.ndarray  # shape (n, G)
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _uniform_grid(self.x))
+        x = _uniform_grid(self.x).copy()
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
         functions = np.array(self.functions, dtype=complex, ndmin=2)
         if functions.ndim != 2 or functions.shape[1] != self.x.size:
             raise PreconditionError("functions must be sampled on the grid")
@@ -72,6 +75,7 @@ class GridFunctionSet:
         if not np.all(np.isfinite(norms)):
             raise PreconditionError("cannot normalize a non-finite function")
         functions /= norms[:, np.newaxis]
+        functions.flags.writeable = False
         object.__setattr__(self, "functions", functions)
 
     @property

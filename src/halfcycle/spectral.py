@@ -138,6 +138,7 @@ class AmplitudeProfile:
     total probability sum |a|^2 over the stored indices; a value that is
     NaN or disagrees with that sum by more than 1e-10 is rejected, since
     ``draw`` decides o = 1 by ``captured`` and the index by the CDF.
+    ``period`` is None or the index count of a run that starts at 0.
     """
 
     amplitudes: np.ndarray
@@ -147,10 +148,13 @@ class AmplitudeProfile:
     probabilities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        indices = check_run("profile indices", self.indices)
+        if self.period is not None and (indices.start, len(indices)) != (0, self.period):
+            raise PreconditionError("period must be the index count of a run from 0")
         amplitudes = np.array(self.amplitudes, dtype=complex)
         amplitudes.flags.writeable = False
         object.__setattr__(self, "amplitudes", amplitudes)
-        object.__setattr__(self, "indices", check_run("profile indices", self.indices))
+        object.__setattr__(self, "indices", indices)
         if not self.indices or self.amplitudes.shape != (len(self.indices),):
             raise PreconditionError("need one amplitude per index, on at least one index")
         if not self.captured <= 1.0 + _WEIGHT_SUM_TOL:

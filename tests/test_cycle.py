@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfcycle import (CapacityError, PreconditionError, alpha_for_period,
-                       build_alpha_cycle, centered_window, cycle_result,
-                       initial_config, load_machine, run, verify_cycle)
-from halfcycle.cycle import LabeledCycle
+                       build_alpha_cycle, centered_window, initial_config, load_machine,
+                       run, verify_cycle)
+from halfcycle.cycle import LabeledCycle, cycle_result
 from halfcycle.machine import Configuration, TMSpec, Trace
 
 HALTING_MACHINES = {"incrementer": "01", "unary_successor": "1", "parity": "01"}

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from halfcycle import (AmplitudeProfile, PreconditionError, build_alpha_cycle,
-                       cycle_result, halfstep_profile_aperiodic,
-                       halfstep_profile_periodic, halting_demo, initial_config,
-                       load_machine, nu_of, repeat_error_free, run, run_error_bounded,
-                       run_error_free)
-from halfcycle.measure import BatchSummary, RunReport, majority_error_bound
+                       halfstep_profile_aperiodic, halfstep_profile_periodic, halting_demo,
+                       initial_config, load_machine, nu_of, repeat_error_free, run,
+                       run_error_bounded)
+from halfcycle.cycle import cycle_result
+from halfcycle.measure import BatchSummary, RunReport, majority_error_bound, run_error_free
 
 
 def synthetic_profile(probs):

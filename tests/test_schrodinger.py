@@ -253,6 +253,21 @@ def test_grid_function_set_normalizes_a_copy_and_refuses_a_zero_function():
         GridFunctionSet(x, [np.ones(8), np.zeros(8)])
 
 
+def test_grid_function_set_keeps_what_it_validated():
+    # a certificate reads the grid and functions the set checked, whatever
+    # the caller later does to its own arrays
+    x = np.linspace(-8.0, 8.0, 64)
+    base = np.exp(-x ** 2 / 2.0)
+    gset = GridFunctionSet(x, [base, base * np.exp(1j * x ** 2)])
+    before = obstruction_certificate(gset).to_dict()
+    x[1] = x[0] + 10.0
+    assert obstruction_certificate(gset).to_dict() == before
+    assert before["spacing"] == pytest.approx(16.0 / 63.0)
+    for array in (gset.x, gset.functions, chirped_pair(64).functions):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] *= 2.0
+
+
 def test_building_and_certifying_stay_near_the_functions_held():
     # at 2^16 points a pair holds 2.5 MiB (grid and functions).  Building it
     # with one copy of the functions, normalized in place, peaks at 2.0x

@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 from halfcycle import (AmplitudeProfile, CapacityError, PreconditionError, alpha_for_period,
-                       build_alpha_cycle, centered_window, chirped_pair, cycle_result,
-                       get_density, halfstep_profile_aperiodic, halfstep_profile_periodic,
+                       build_alpha_cycle, centered_window, chirped_pair, get_density,
+                       halfstep_profile_aperiodic, halfstep_profile_periodic,
                        halting_demo, identical_pair, initial_config, load_machine,
                        minimal_periodic_spectrum, moment_experiment, nu_from_y, nu_of,
                        obstruction_certificate, pack_spectrum, repeat_error_free, run,
                        run_error_bounded, zero_count)
 from halfcycle import ensemble
 from halfcycle.cli import cmd_complexity
+from halfcycle.cycle import cycle_result
 from halfcycle.ensemble import DensitySpec
 from halfcycle.errors import DEFAULT_PERIOD_CAP as CAP
 from halfcycle.errors import check_indices, check_length

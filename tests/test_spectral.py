@@ -317,6 +317,15 @@ def test_profile_keeps_what_it_validated():
             array[0] = 1.0
 
 
+@pytest.mark.parametrize("indices, period", [(np.arange(4), 7), (np.arange(4), 3),
+                                             (range(5, 9), 4), (range(-2, 2), 4)])
+def test_profile_refuses_a_period_its_indices_contradict(indices, period):
+    # a period is the index count of a run from 0; a caller reads it as the size
+    with pytest.raises(PreconditionError, match="period"):
+        AmplitudeProfile(amplitudes=np.full(4, 0.5), indices=indices, captured=1.0,
+                         period=period)
+
+
 # --- properties -------------------------------------------------------------
 
 @st.composite
