@@ -57,7 +57,10 @@ scipy.optimize.milp at a relative gap of 0:
      closed-form part and those rows lowered by the kept parts.  Its answer
      is feasible for the whole program, since a row it leaves out either
      cannot bind or has only kept points, which fit; when its objective
-     reaches the bound it is optimal (path "restricted");
+     reaches the bound it is optimal (path "restricted").  It reaches the
+     bound only if each pile misses parity on its surplus alone, so the
+     members of the other parity take ranks of their own parity only; that
+     drops no answer at the bound;
   3. otherwise the coupled part of the whole program is solved (path
      "milp"), and its verdict is the program's: if it is infeasible,
      CapacityError is raised.
@@ -212,8 +215,8 @@ def pack_spectrum(n_max: int, nu_exponents=None) -> PackedSpectra:
     or in total raise CapacityError before anything is allocated.  The cap
     bounds the points, not the solves: an infeasible instance is refused
     with CapacityError only after them, which for (7, [0, 2, 4, 6, 8, 10,
-    11, 12]) took 78-98 s and 920 MB, and for (7, [1, 3, 5, 7, 9, 10, 11,
-    12]) 110-147 s and 1080 MB (1 BLAS thread, 2-vCPU Intel Xeon)."""
+    11, 12]) took 50-53 s and 920-990 MB, and for (7, [1, 3, 5, 7, 9, 10,
+    11, 12]) 70-73 s and 1080 MB (1 BLAS thread, 2-vCPU Intel Xeon)."""
     nu = _validate_nu(n_max, nu_exponents)
     total_points = sum(2 ** (n + nu[n]) for n in range(n_max + 1))
     if total_points > DEFAULT_POINT_CAP:
@@ -276,13 +279,16 @@ def _assign_ranks(inst, odd, pile, budgets) -> tuple:
         return parts, {"path": "closed", "objective": bound, "bound": bound, "gap": 0.0,
                        "nodes": 0, "points": 0}
     binds = _binding_rows(inst, odd, size, budgets)
-    for path, seed in (("restricted", over), ("milp", binds)):
+    # a point may miss parity at the bound only if its parity is its pile's surplus
+    surplus = (np.bincount(pile, weights=1 - odd)[pile] >= (size + 1) // 2) != odd
+    for path, seed, loose in (("restricted", over, surplus),
+                              ("milp", binds, np.full(pile.size, True))):
         # the piles with a member in a seed instance, the instances they
         # load whose rows can bind, and those instances' odd collision-free points
         piles = (size >= 2) & (np.bincount(pile, weights=seed[inst]) > 0)[pile]
         rows = seed | (binds & (np.bincount(inst, weights=piles, minlength=budgets.size) > 0))
         free = piles | (odd_single & rows[inst])
-        placed, res = _solve(free, rows, parts, inst, odd, pile, size, budgets)
+        placed, res = _solve(free, rows, loose, parts, inst, odd, pile, size, budgets)
         if placed is None:
             continue
         objective = _objective(placed, odd, odd_single)
@@ -298,12 +304,14 @@ def _objective(parts, odd, odd_single) -> int:
     return int(np.count_nonzero(parts % 2 != odd) - np.count_nonzero(odd_single))
 
 
-def _solve(free, rows, parts, inst, odd, pile, size, budgets) -> tuple:
+def _solve(free, rows, loose, parts, inst, odd, pile, size, budgets) -> tuple:
     """Re-place the ``free`` points (whole piles, and odd collision-free
     points of ``rows`` instances) by one gap-0 MILP, every other point kept
     at its part in ``parts`` and each ``rows`` instance's budget row lowered
     by its kept parts; a gap of 0 makes the answer optimal, not just within
-    HiGHS's default gap of 1e-4.  Returns the new parts, or None if that
+    HiGHS's default gap of 1e-4.  A pile member not in ``loose`` takes only
+    ranks of its own parity, which at the restricted step drops no answer at
+    the bound (module docstring).  Returns the new parts, or None if that
     program is infeasible, and the solver's result.  An answer that breaks
     a bound or row of the program, checked in exact integer arithmetic,
     raises ConsistencyError."""
@@ -315,15 +323,16 @@ def _solve(free, rows, parts, inst, odd, pile, size, budgets) -> tuple:
     single = np.flatnonzero(free & (size == 1))
     row = np.cumsum(rows) - 1  # instance -> its budget row, if it has one
     n_members, n_inst = member.size, int(row[-1]) + 1
-    # Rows: one per member, one per (pile, rank), one per budget.
-    # x[member i, rank r] is variable start[i] + r; its rank row is
-    # n_members + first[i] + r, first[i] being the first member of i's pile.
+    # Rows: one per member, one per (pile, rank), one per budget.  The variables
+    # x[member i, rank r] are the allowed pairs in (i, r) order; one's rank row
+    # is n_members + first[i] + r, first[i] being the first member of i's pile.
     length = size[member]
-    start = np.cumsum(length) - length
     first = np.searchsorted(pile[member], pile[member])
-    n_x = int(length.sum())
     owner = np.repeat(np.arange(n_members), length)
-    rank = np.arange(n_x) - start[owner]
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(length) - length, length)
+    allowed = loose[member[owner]] | (rank % 2 == odd[member[owner]])
+    owner, rank = owner[allowed], rank[allowed]
+    n_x = owner.size
     loaded = (rank > 0) & rows[inst[member[owner]]]
     var = np.arange(n_x)
     A = coo_array((np.concatenate([np.ones(2 * n_x), rank[loaded], np.ones(n_inst)]),

@@ -9,10 +9,10 @@ Tables arrive as a ``Table`` of columns.  In both formats one printf-style
 row template formats ``_BLOCK`` rows at a time, each from its own slice of
 every column: ``%.17g`` and ``%d`` give the text of ``format(x, ".17g")``
 and ``str``, and ``%r`` the stock JSON text of every int and finite float
-(its ``nan``/``inf`` are replaced by ``NaN``/``Infinity``).  The rest of a
-JSON report takes one recursive pass (``_encode``) that writes what the
-stock ``indent=2, sort_keys=True`` encoder would, a numpy integer or bool
-scalar as its Python value.
+(``nan``/``inf`` become ``NaN``/``Infinity`` in blocks with an ``n``).  The
+rest of a JSON report takes one recursive pass (``_encode``) that writes
+what the stock ``indent=2, sort_keys=True`` encoder would, a numpy
+integer or bool scalar as its Python value.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ def _rows(template: str, table: Table, write, start: int = 0, stop: int | None =
             part = column[first:last]
             values[i::width] = part.tolist() if hasattr(part, "tolist") else part
         text = (template * (last - first)) % tuple(values)
-        write(text.replace("nan", "NaN").replace("inf", "Infinity") if "%r" in template else text)
+        write(text.replace("nan", "NaN").replace("inf", "Infinity")
+              if "%r" in template and "n" in text else text)
 
 
 def _json_table(table: Table, indent: int, write) -> None:

@@ -745,6 +745,21 @@ def test_tables_of_many_blocks_render_as_their_rows():
         reports.Table(range(3), [1.0, 2.0])
 
 
+def test_a_second_block_alone_with_nan_and_inf_is_rewritten():
+    # the first block is finite, so it has no "n" and is written as formatted;
+    # the second holds a NaN and an inf: JSON writes NaN/Infinity, CSV nan/inf
+    n = reports._BLOCK + 3
+    values = np.arange(n) / 7
+    values[[reports._BLOCK + 1, reports._BLOCK + 2]] = math.nan, math.inf
+    payload = {"rows": reports.Table(range(n), values)}
+    text = reports.render_json(payload)
+    assert text.split("\n") == stock_lines(as_rows(payload))
+    assert (text.count("NaN"), text.count("Infinity"), "nan" in text, "inf" in text) == (
+        1, 1, False, False)
+    assert csv_text(reports.complexity_csv, range(n), values, 0.5, None) == csv_reference(
+        ["t", "mean_abs_phase", "complexity"], [(t, 0.5, v) for t, v in enumerate(values)])
+
+
 def test_failed_report_leaves_the_old_out_file(tmp_path, monkeypatch):
     out = tmp_path / "out.json"
     out.write_bytes(b"old report\n")

@@ -414,10 +414,70 @@ def test_no_budget_row_binds_up_to_size_two(n_max, objective):
 def test_the_solver_gets_only_the_coupled_part(monkeypatch):
     # at (5, nu = 2n) the closed-form ranking breaks few budgets: only the
     # piles in those instances, and the odd collision-free points of the
-    # instances they load, are re-placed, 64 of 37,449 points
+    # instances they load, are re-placed, 64 of 37,449 points, each pile
+    # member offered only the ranks that keep its pile's parity misses at
+    # their least
     sizes = solver_calls(monkeypatch)
     packed = pack_spectrum(5, [0, 2, 4, 6, 8, 10])
-    assert (packed.values.size, packed.diagnostics["points"], sizes) == (37449, 64, [260])
+    assert (packed.values.size, packed.diagnostics["points"], sizes) == (37449, 64, [212])
+
+
+def parity_optimal_pairs(free, odd, pile, size):
+    """The (member, rank) pairs of the piles of the ``free`` points that an
+    answer at the closed-form bound may use, and all of their pairs: a pile
+    of L members, e of them even, misses parity on at least |e - ceil(L/2)|
+    members, and only when its even members take no odd rank (e < ceil(L/2))
+    or its odd members take no even rank (e >= ceil(L/2))."""
+    optimal = every = 0
+    for p in np.unique(pile[free & (size >= 2)]):
+        length = int(size[pile == p][0])
+        evens = int(np.count_nonzero((pile == p) & (odd == 0)))
+        even_ranks, odd_ranks = (length + 1) // 2, length // 2
+        optimal += (evens * length + (length - evens) * odd_ranks if evens >= even_ranks
+                    else evens * even_ranks + (length - evens) * length)
+        every += length * length
+    return optimal, every
+
+
+@pytest.mark.parametrize("n_max, nu, columns", [
+    (5, None, [528]), (5, [0, 2, 4, 6, 8, 10], [212]), (6, None, None)])
+def test_the_restricted_solve_gets_only_parity_optimal_pairs(monkeypatch, n_max, nu, columns):
+    # the restricted program offers each pile only the pairs of its
+    # parity-optimal answers; the coupled one, run where the restricted
+    # answer falls short (the refused (6)), offers every pair
+    sizes = solver_calls(monkeypatch)
+    solve, expected = halfcycle.packing._solve, []
+
+    def counted(free, rows, loose, parts, inst, odd, pile, size, budgets):
+        optimal, every = parity_optimal_pairs(free, odd, pile, size)
+        expected.append((every if expected else optimal) + int(np.count_nonzero(rows)))
+        return solve(free, rows, loose, parts, inst, odd, pile, size, budgets)
+
+    monkeypatch.setattr(halfcycle.packing, "_solve", counted)
+    try:
+        assert pack_spectrum(n_max, nu).diagnostics["path"] == "restricted"
+    except CapacityError:
+        assert len(sizes) == 2
+    assert sizes == expected
+    if columns:
+        assert sizes == columns
+
+
+@pytest.mark.parametrize("n_max, nu", [
+    (5, None), (5, [0, 2, 4, 6, 8, 10]), (6, [0, 2, 4, 6, 8, 10, 12])])
+def test_restricted_answers_miss_parity_per_pile_as_the_closed_form(n_max, nu):
+    # the closed-form ranking misses parity on |e - ceil(L/2)| members of a
+    # pile of L with e even ones, and on none alone in their pile; a
+    # restricted answer reaches the bound, so each of its piles does the same
+    packed = pack_spectrum(n_max, nu)
+    assert packed.diagnostics["path"] == "restricted"
+    k = np.concatenate([np.arange(inst.period) for inst in packed.instances])
+    part, fraction = np.divmod(packed.values, packed.denominator)
+    pile = np.unique(fraction, return_inverse=True)[1]
+    length = np.bincount(pile)
+    evens = np.bincount(pile, weights=k % 2 == 0).astype(int)
+    misses = np.bincount(pile, weights=part % 2 != k % 2).astype(int)
+    assert np.array_equal(misses, np.where(length >= 2, abs(evens - (length + 1) // 2), 0))
 
 
 def exponent_sequences():
