@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError, check_length
+from .errors import PreconditionError, check_length, check_ratio
 from .machine import Trace, tape_content
 
 
@@ -96,13 +96,6 @@ class CycleReport:
     checks: tuple
 
 
-def _ratio(alpha) -> Fraction:
-    """``alpha`` as a Fraction in (0, 1); compared first, so nan and inf are refused."""
-    if not (0 < alpha < 1):
-        raise PreconditionError("alpha must lie strictly between 0 and 1")
-    return Fraction(alpha)
-
-
 def build_alpha_cycle(trace: Trace, alpha, source: str = "") -> LabeledCycle:
     """Turn a halted trace into a waiting cycle with ratio at least ``alpha``.
 
@@ -111,7 +104,7 @@ def build_alpha_cycle(trace: Trace, alpha, source: str = "") -> LabeledCycle:
     even by construction (no parity padding is ever needed).  The cycle
     refuses a trace that did not halt and a period over the cap.
     """
-    alpha = _ratio(alpha)
+    alpha = check_ratio(alpha)
     w = max(1, math.ceil(alpha / (1 - alpha) * trace.n_steps))
     return LabeledCycle(trace=trace, w=w, alpha_requested=alpha, source=source)
 
@@ -136,7 +129,7 @@ def centered_window(p: int, alpha) -> range:
     """The contiguous result window of length 2*ceil(alpha*p/2) centered on
     index p/2, as used for synthetic period-p experiments."""
     check_length("period", p, 2, even=True)
-    alpha = _ratio(alpha)
+    alpha = check_ratio(alpha)
     w = max(1, math.ceil(alpha * p / 2))
     return range(p // 2 - w, p // 2 + w)
 

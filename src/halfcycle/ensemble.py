@@ -264,7 +264,7 @@ class StatsReport:
 
     def var_p_spread(self) -> float:
         vals = [r.var_times_p for r in self.rows if math.isfinite(r.var_times_p)]
-        if len(vals) < 2:
+        if len(vals) < 2 or min(vals) == 0:  # all draws of a period can share one mass
             return float("nan")
         return max(vals) / min(vals)
 
@@ -309,9 +309,11 @@ def moment_experiment(p_list, density: DensitySpec, trials: int, rng) -> StatsRe
     check it against.  The trial count, every period (even, at least 4)
     and the total draws, the sum of the periods times the trials (at most
     _DRAW_CAP, else CapacityError), are checked before anything is drawn;
-    an empty list or a non-finite draw raises PreconditionError.
+    the periods are read as a tuple, so an array works like a list, and an
+    empty one or a non-finite draw raises PreconditionError.
     """
     check_length("trials", trials)
+    p_list = tuple(p_list)
     if not p_list:
         raise PreconditionError("need at least one period")
     for p in p_list:

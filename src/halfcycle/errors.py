@@ -1,12 +1,13 @@
 """Exception types shared across the package, the one size rule, the one
-index rule, the one run rule and the one self-check rule.
+run rule, the one ratio rule and the one self-check rule.
 
-Every length that comes from outside (a period, a step budget, a trial,
-run or majority count, a grid or a truncation) is checked by
-:func:`check_length` once, before anything of that size is built: not an
-integer or below its minimum, it raises PreconditionError; above its cap,
-CapacityError.  Index and exponent lists are read by :func:`check_indices`,
-and windows and profile index sets, each one run, by :func:`check_run`.
+Every value that comes from outside is read here, once, before anything
+of its size is built.  A length (a period, a step budget, a trial, run or
+majority count, a grid, a truncation or a packing exponent) is checked by
+:func:`check_length`: not an integer or below its minimum, it raises
+PreconditionError; above its cap, CapacityError.  A window or a profile's
+index set is one run of consecutive integers, read by :func:`check_run`,
+and a waiting ratio alpha is read by :func:`check_ratio`.
 
 Every cross-check of a closed form against an independent evaluation
 goes through :func:`check_residual`, which raises ConsistencyError on a
@@ -17,6 +18,7 @@ opens one.
 
 import contextlib
 import contextvars
+from fractions import Fraction
 
 import numpy as np
 
@@ -60,13 +62,16 @@ def check_length(name: str, n: int, minimum: int = 1, *, even: bool = False,
         raise CapacityError(f"{name} {n} exceeds cap {cap}")
 
 
-def check_indices(name: str, values, span: str = "int64") -> np.ndarray:
-    """The index rule: ``values`` (a range, an integer array or any iterable
-    of ints that are not bools) as a one-dimensional integer array, possibly
-    empty, else PreconditionError; an index that int64 cannot hold is named
-    as outside the ``span`` range."""
+def check_run(name: str, values, span: str = "int64") -> range:
+    """The run rule: ``values`` (a range, an integer array or any iterable
+    of ints that are not bools) as one step-1 range of consecutive
+    ascending integers, possibly empty, else PreconditionError; an index
+    that int64 cannot hold is named as outside the ``span`` range."""
+    not_a_run = f"{name} must be one run of consecutive ascending integers"
     if isinstance(values, range):
-        return np.arange(values.start, values.stop, values.step)
+        if len(values) > 1 and values.step != 1:
+            raise PreconditionError(not_a_run)
+        return range(values.start, values.start + len(values))
     listed = not isinstance(values, np.ndarray)
     if listed:
         values = list(values)
@@ -79,21 +84,18 @@ def check_indices(name: str, values, span: str = "int64") -> np.ndarray:
     if (idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu")
             or (listed and not {bool, np.bool_}.isdisjoint(map(type, values)))):
         raise PreconditionError(f"{name} must be a one-dimensional list of integers")
-    return idx.astype(np.int64, copy=False)
-
-
-def check_run(name: str, values, span: str = "int64") -> range:
-    """The run rule: ``values`` (a range, or anything ``check_indices`` reads)
-    as one step-1 range of consecutive ascending integers, possibly empty."""
-    if isinstance(values, range):
-        if len(values) > 1 and values.step != 1:
-            raise PreconditionError(f"{name} must be one run of consecutive ascending integers")
-        return range(values.start, values.start + len(values))
-    idx = check_indices(name, values, span)
     if idx.size > 1 and np.any(np.diff(idx) != 1):  # at most one index is a run
-        raise PreconditionError(f"{name} must be one run of consecutive ascending integers")
+        raise PreconditionError(not_a_run)
     start = int(idx[0]) if idx.size else 0
     return range(start, start + idx.size)
+
+
+def check_ratio(alpha) -> Fraction:
+    """The ratio rule: ``alpha`` as a Fraction in (0, 1), else
+    PreconditionError; compared first, so nan and inf are refused."""
+    if not (0 < alpha < 1):
+        raise PreconditionError("alpha must lie strictly between 0 and 1")
+    return Fraction(alpha)
 
 
 def check_residual(what: str, residual: float, tol: float, points: int = 1) -> float:

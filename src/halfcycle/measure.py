@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycle import LabeledCycle, _ratio, build_alpha_cycle, cycle_result
-from .errors import PreconditionError, check_length
+from .cycle import LabeledCycle, build_alpha_cycle, cycle_result
+from .errors import PreconditionError, check_length, check_ratio
 from .machine import run
 from .spectral import (AmplitudeProfile, halfstep_profile_aperiodic,
                        halfstep_profile_periodic, nu_of)
@@ -252,7 +252,7 @@ def halting_demo(spec, config, budget: int, K: int, alpha, rng,
     does not depend on whether the machine halts.
     """
     check_length("K", K)
-    alpha = _ratio(alpha)
+    alpha = check_ratio(alpha)
     _check_vote(majority_m, max_trials)
     trace = run(spec, config, budget)
     if trace.halted:

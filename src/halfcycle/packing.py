@@ -7,6 +7,8 @@ congruence
     phase_k / 2pi  =  m * 2^-(n + nu_n) + k * 2^-nu_n   (mod 1),
 
 with nu_n a strictly increasing exponent sequence (default nu_n = n).
+Each nu_n is the log2 of a period, so it is a size, read by the size rule
+of ``errors.check_length`` with minimum 0 and bounded by the point cap.
 Only the nonnegative integer part of phase/2pi is free.  The assignment
 below chooses those integer parts so that
 
@@ -91,8 +93,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CapacityError, ConsistencyError, PreconditionError, check_indices,
-                     check_length)
+from .errors import CapacityError, ConsistencyError, PreconditionError, check_length
 from .spectral import OrbitSpectrum
 
 ENERGY_BUDGET_OVER_2PI = 2  # mean phase <= 4pi
@@ -180,28 +181,17 @@ def _largest_size_fits(n_max: int, exponent: int) -> None:
                             f"which exceed cap {DEFAULT_POINT_CAP}")
 
 
-def _read_exponents(values) -> tuple:
-    """The exponents as Python ints, by the index rule of ``errors.check_indices``,
-    except that an exponent int64 cannot hold is kept: like 2**62, it then
-    meets the sequence checks and the point cap, not the int64 range."""
-    if not isinstance(values, (range, np.ndarray)):
-        values = list(values)  # check_indices reads its bools from the list
-    if not isinstance(values, range):
-        read = np.asarray(values)
-        if (read.ndim == 1 and read.dtype in (object, np.uint64)
-                and all(type(v) is int for v in read.tolist())):
-            return tuple(read.tolist())
-    return tuple(check_indices("exponents", values).tolist())
-
-
 def _validate_nu(n_max: int, nu_exponents) -> tuple:
     check_length("n_max", n_max, 0, cap=math.inf)  # the point cap follows
     _largest_size_fits(n_max, 2 * n_max)  # nu_n >= n, before any sequence is built
-    nu = tuple(range(n_max + 1)) if nu_exponents is None else _read_exponents(nu_exponents)
+    if isinstance(nu_exponents, np.ndarray) and nu_exponents.ndim != 1:
+        raise PreconditionError("exponents must be a one-dimensional list of integers")
+    nu = tuple(range(n_max + 1)) if nu_exponents is None else tuple(nu_exponents)
     if len(nu) != n_max + 1:
         raise PreconditionError("need one exponent per size 0..n_max")
-    if any(v < 0 for v in nu):
-        raise PreconditionError("exponents must be nonnegative")
+    for v in nu:  # each is the log2 of a period, a size; the point cap follows
+        check_length("exponent", v, 0, cap=math.inf)
+    nu = tuple(map(int, nu))  # Python ints, for exact powers and the report
     if any(b <= a for a, b in zip(nu, nu[1:])):
         raise PreconditionError("exponent sequence must be strictly increasing")
     _largest_size_fits(n_max, n_max + nu[-1])  # before any power is formed

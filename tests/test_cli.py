@@ -169,6 +169,16 @@ def test_stats_single_trial_flagged_not_crashed(tmp_path):
     assert row["variance_defined"] is False
 
 
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_stats_two_point_at_period_four_writes_its_report(tmp_path, seed):
+    # every two-point draw at p = 4 has window mass 1/2, so a var*p can be
+    # exactly 0; the spread of the rows was once divided by it
+    code, payload = run_cli(["stats", "--p", "4,8", "--trials", "2", "--density", "two-point",
+                             "--seed", str(seed)], tmp_path)
+    assert code == 0
+    assert [row["p"] for row in json.loads(payload)["stats"]["rows"]] == [4, 8]
+
+
 def test_stats_diagnostics_beside_the_report(tmp_path):
     code, payload = run_cli(["stats", "--p", "64", "--trials", "5000", "--seed", "9"], tmp_path)
     assert code == 0

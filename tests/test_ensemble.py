@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from halfcycle import (DENSITIES, CapacityError, ConsistencyError, PreconditionError,
                        alpha_for_period, centered_window, ensemble, get_density,
                        halfstep_profile_periodic, nu_from_y, nu_of, moment_experiment)
-from halfcycle.ensemble import DensitySpec
+from halfcycle.ensemble import DensitySpec, StatsReport
 from halfcycle.errors import DEFAULT_PERIOD_CAP, recorded_checks
 from halfcycle.spectral import _halfstep_rows, _halfstep_twist
 
@@ -268,6 +269,13 @@ def test_moment_experiment_two_point_variance_collapses():
     assert large.mean == pytest.approx(1 - 1024 ** -0.5, abs=3 * large.stderr + 1e-12)
     assert large.var < uni.rows[0].var
     assert large.var_times_p < two.rows[0].var_times_p  # deviation scale collapses
+
+
+def test_spread_of_a_zero_deviation_scale_is_nan():
+    # a spread over a var*p of 0 is no number, as with fewer than two rows
+    rows = tuple(SimpleNamespace(var_times_p=v) for v in (0.0, 2.0))
+    assert math.isnan(StatsReport("two-point", 2, 3.0, rows).var_p_spread())
+    assert StatsReport("two-point", 2, 3.0, rows[1:] * 2).var_p_spread() == 1.0
 
 
 def test_moment_experiment_single_trial_flags_variance():

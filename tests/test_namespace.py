@@ -49,18 +49,40 @@ def test_only_the_command_line_opens_the_check_recorder():
     assert (opens, defines) == (["cli.py"], ["errors.py"])
 
 
-def test_one_run_rule_reads_every_window():
-    # a window or a profile's index set is one run, read by errors.check_run;
-    # besides it, check_indices reads only the exponents of a packing
+def rule_calls(rule):
+    """``file:function`` of every call of ``rule`` in the package, and the
+    files that define a function of that name."""
     defines, calls = [], []
     for path in sorted((ROOT / "src" / "halfcycle").glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
             if isinstance(func, ast.FunctionDef):
-                defines += [path.name] if func.name == "positions" else []
+                defines += [path.name] if func.name == rule else []
                 calls += [f"{path.name}:{func.name}" for node in ast.walk(func)
                           if isinstance(node, ast.Call) and getattr(node.func, "id", None)
-                          == "check_indices"]
-    assert (defines, sorted(calls)) == ([], ["errors.py:check_run", "packing.py:_read_exponents"])
+                          == rule]
+    return defines, sorted(calls)
+
+
+def test_one_run_rule_reads_every_window():
+    # a window or a profile's index set is one run, read by errors.check_run
+    # alone; no module keeps an index-list reader or a positions helper of its own
+    assert rule_calls("check_run") == (["errors.py"], [
+        "ensemble.py:nu_from_y", "spectral.py:__post_init__", "spectral.py:nu_of"])
+    assert [rule_calls(name)[0] for name in ("check_indices", "positions")] == [[], []]
+
+
+def test_one_ratio_rule_reads_every_alpha():
+    # a waiting ratio from outside is read by errors.check_ratio, which no
+    # module imports from cycle; no module imports a private name of cycle
+    assert rule_calls("check_ratio") == (["errors.py"], [
+        "cli.py:cmd_cycle", "cycle.py:build_alpha_cycle", "cycle.py:centered_window",
+        "measure.py:halting_demo"])
+    private = [f"{path.name}:{alias.name}"
+               for path in sorted((ROOT / "src" / "halfcycle").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.module == "cycle"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_one_readout_draws_every_measurement():

@@ -227,7 +227,8 @@ def test_an_exponent_past_int64_meets_the_point_cap(exponent):
         pack_spectrum(1, [0, exponent])
     with pytest.raises(PreconditionError, match="strictly increasing"):
         pack_spectrum(2, [0, exponent, 5])
-    with pytest.raises(PreconditionError, match="nonnegative"):
+    # each exponent is a size, read by the size rule
+    with pytest.raises(PreconditionError, match=f"^exponent {-exponent} must be at least 0$"):
         pack_spectrum(1, [-exponent, 0])
 
 

@@ -1,6 +1,6 @@
 """The size rule: every length that comes from outside is checked once,
 for being an integer and against its minimum and DEFAULT_PERIOD_CAP,
-before anything is built; and the index rule for lists of indices."""
+before anything is built; and the run rule for windows and index sets."""
 
 import tracemalloc
 from fractions import Fraction
@@ -21,7 +21,7 @@ from halfcycle.cli import cmd_complexity
 from halfcycle.cycle import cycle_result
 from halfcycle.ensemble import DensitySpec
 from halfcycle.errors import DEFAULT_PERIOD_CAP as CAP
-from halfcycle.errors import check_indices, check_length
+from halfcycle.errors import check_length, check_run
 
 INC = load_machine("incrementer")
 LOOP = load_machine("loop")
@@ -111,6 +111,15 @@ def test_moment_experiment_caps_its_total_draws_before_drawing():
     assert (64 + 256 + 1024) * 100_000 <= ensemble._DRAW_CAP
 
 
+def test_moment_experiment_reads_an_array_of_periods_like_a_list():
+    # numpy refuses the truth value of an array; the periods are read as a tuple first
+    report = moment_experiment(np.array([8, 16]), UNIFORM, 3, rng())
+    assert [row.p for row in report.rows] == [8, 16]
+    assert report.to_dict() == moment_experiment([8, 16], UNIFORM, 3, rng()).to_dict()
+    with pytest.raises(PreconditionError, match="^need at least one period$"):
+        moment_experiment(np.array([], dtype=np.int64), UNIFORM, 3, rng())
+
+
 def test_check_length_messages():
     check_length("period", 2, 2, even=True)
     check_length("grid", 8, cap=8)
@@ -144,6 +153,8 @@ NOT_INTEGERS = {
     "nu_from_y-window": lambda: nu_from_y(Y8, [1.5]),
     "pack_spectrum-exponent": lambda: pack_spectrum(2, [0, 1.5, 3]),
     "pack_spectrum-bool-exponent": lambda: pack_spectrum(1, [0, True]),
+    "pack_spectrum-0d-exponents": lambda: pack_spectrum(0, np.array(0)),
+    "pack_spectrum-2d-exponents": lambda: pack_spectrum(0, np.array([[0]])),
     "profile-indices": lambda: AmplitudeProfile(np.ones(2), np.array([0.0, 1.0]), 2.0, None),
     "run-budget": lambda: run(INC, initial_config(INC, "0"), 3.5),
     "zero_count-resolution": lambda: zero_count(minimal_periodic_spectrum(4), 256.5),
@@ -177,7 +188,7 @@ def test_integer_rule_passes_numpy_integers_and_any_iterable_of_ints():
                  (j for j in window)):
         assert nu_of(PROFILE, same) == nu
     assert nu_of(PROFILE, []) == nu_of(PROFILE, range(0)) == nu_from_y(Y8, []) == 0.0
-    assert check_indices("window", []).dtype == np.int64
+    assert check_run("window", []) == check_run("window", np.array([], dtype=np.int32)) == range(0)
     assert pack_spectrum(2, np.array([0, 1, 2])).nu_exponents == (0, 1, 2)
 
 
