@@ -174,6 +174,7 @@ def cmd_pack(args) -> int:
 
 
 def cmd_schrodinger(args) -> int:
+    check_length("grid", args.grid, 8)  # unused with files, but refused all the same
     if args.functions:
         gset = read_grid_functions(args.functions)
     elif args.builtin == "identical":
@@ -200,15 +201,15 @@ def cmd_complexity(args) -> int:
         values = t_grid * phase
     if args.out_format == "csv":
         _emit(args.out, reports.complexity_csv, t_grid, values, phase, zeros)
-        return 0 if bound is None or bound.ok else 1
-    body = {
-        "mean_abs_phase": phase,
-        "zero_count": zeros,
-        "lower_bound_ok": None if bound is None else bound.ok,
-        "readings": reports.Table(t_grid, values),
-    }
-    _emit_json(args, body, lower_bound=None if bound is None else {
-        "max_slack_violation": bound.max_slack_violation, "worst_t": bound.worst_t})
+    else:
+        body = {
+            "mean_abs_phase": phase,
+            "zero_count": zeros,
+            "lower_bound_ok": None if bound is None else bound.ok,
+            "readings": reports.Table(t_grid, values),
+        }
+        _emit_json(args, body, lower_bound=None if bound is None else {
+            "max_slack_violation": bound.max_slack_violation, "worst_t": bound.worst_t})
     return 0 if bound is None or bound.ok else 1
 
 
@@ -219,69 +220,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Half-cycle measurement experiments on periodic Turing computations",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("profile", help="half-cycle amplitude table")
-    group = p.add_mutually_exclusive_group(required=True)
+    # each flag two or more subcommands share is defined once, in a parent parser
+    common, machine_run, truncation, out_format, spectrum = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    common.add_argument("--seed", type=int)
+    common.add_argument("--out", default=None)
+    machine_run.add_argument("--machine", required=True)
+    machine_run.add_argument("--input", default="", dest="input_word")
+    machine_run.add_argument("--alpha", type=float, default=0.75)
+    machine_run.add_argument("--budget", type=int, default=10000)
+    truncation.add_argument("--K", type=int, default=1000, dest="truncation")
+    out_format.add_argument("--format", choices=("csv", "json"), default="json",
+                            dest="out_format")
+    group = spectrum.add_mutually_exclusive_group(required=True)
     group.add_argument("--period", type=int)
     group.add_argument("--aperiodic", action="store_true")
-    p.add_argument("--K", type=int, default=1000, dest="truncation")
-    p.add_argument("--format", choices=("csv", "json"), default="json", dest="out_format")
-    common(p)
-    p.set_defaults(handler=cmd_profile)
 
-    p = sub.add_parser("cycle", help="build and verify a waiting cycle")
-    p.add_argument("--machine", required=True)
-    p.add_argument("--input", default="", dest="input_word")
-    p.add_argument("--alpha", type=float, default=0.75)
-    p.add_argument("--budget", type=int, default=10000)
-    common(p)
-    p.set_defaults(handler=cmd_cycle)
+    def command(name, handler, summary, *parents):
+        p = sub.add_parser(name, parents=[*parents, common], help=summary)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("instant", help="halting demo via the retry procedures")
-    p.add_argument("--machine", required=True)
-    p.add_argument("--input", default="", dest="input_word")
-    p.add_argument("--alpha", type=float, default=0.75)
-    p.add_argument("--K", type=int, default=1000, dest="truncation")
+    command("profile", cmd_profile, "half-cycle amplitude table",
+            spectrum, truncation, out_format)
+    command("cycle", cmd_cycle, "build and verify a waiting cycle", machine_run)
+    p = command("instant", cmd_instant, "halting demo via the retry procedures",
+                machine_run, truncation)
     p.add_argument("--majority", type=int, default=15)
-    p.add_argument("--budget", type=int, default=10000)
     p.add_argument("--trials", type=int, default=10 ** 6,
                    help="measurement-trial cap before a run is inconclusive")
-    common(p)
-    p.set_defaults(handler=cmd_instant)
-
-    p = sub.add_parser("stats", help="random-implementation moment experiment")
+    p = command("stats", cmd_stats, "random-implementation moment experiment", out_format)
     p.add_argument("--p", default="64,256,1024")
     p.add_argument("--density", default="uniform")
     p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--format", choices=("csv", "json"), default="json", dest="out_format")
-    common(p)
-    p.set_defaults(handler=cmd_stats)
-
-    p = sub.add_parser("pack", help="bounded-energy spectrum packing")
+    p = command("pack", cmd_pack, "bounded-energy spectrum packing")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--nu", default=None, help="comma-separated exponents")
-    common(p)
-    p.set_defaults(handler=cmd_pack)
-
-    p = sub.add_parser("schrodinger", help="shared-orbit obstruction certificate")
+    p = command("schrodinger", cmd_schrodinger, "shared-orbit obstruction certificate")
     p.add_argument("functions", nargs="*", help="CSV files (x, re, im)")
     p.add_argument("--builtin", choices=("chirped", "identical"), default="chirped")
     p.add_argument("--grid", type=int, default=1024)
-    common(p)
-    p.set_defaults(handler=cmd_schrodinger)
-
-    p = sub.add_parser("complexity", help="evolution-cost readings and zero counts")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--period", type=int)
-    group.add_argument("--aperiodic", action="store_true")
+    p = command("complexity", cmd_complexity, "evolution-cost readings and zero counts",
+                spectrum, out_format)
     p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--format", choices=("csv", "json"), default="json", dest="out_format")
-    common(p)
-    p.set_defaults(handler=cmd_complexity)
     return parser
 
 

@@ -157,15 +157,13 @@ def get_density(name: str) -> DensitySpec:
 def nu_from_y(y, window) -> float:
     """Window mass of the implementation with branch imbalances ``y``, one
     per phase class, each in [-1/p, 1/p] for p = y.size, over the run
-    ``window`` (``errors.check_run``), by direct summation."""
+    ``window`` inside range(p) (``errors.check_run``), by direct summation."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or not y.size:
         raise PreconditionError("need one imbalance per phase class, in one dimension")
     if not np.all(np.abs(y) <= 1.0 / y.size + 1e-15):
         raise PreconditionError("imbalances must lie in [-1/p, 1/p]")
-    window = check_run("window", window)
-    if window and (window.start < 0 or window.stop > y.size):
-        raise PreconditionError("window indices outside [0, p)")
+    window = check_run("window", window, range(y.size))
     return float(_direct_window_masses(y[np.newaxis, :], window, None)[0])
 
 
@@ -263,7 +261,12 @@ class StatsReport:
     rows: tuple
 
     def var_p_spread(self) -> float:
-        vals = [r.var_times_p for r in self.rows if math.isfinite(r.var_times_p)]
+        # a row's var*p reads 0 when its deviation is within the rounding of its
+        # masses, each a sum of p terms, so about p*eps of the mean: at p = 4
+        # every two-point draw has mass 1/2, yet var*p can read 2.5e-32
+        eps = np.finfo(float).eps
+        vals = [0.0 if math.sqrt(r.var) <= r.p * eps * abs(r.mean) else r.var_times_p
+                for r in self.rows if math.isfinite(r.var_times_p)]
         if len(vals) < 2 or min(vals) == 0:  # all draws of a period can share one mass
             return float("nan")
         return max(vals) / min(vals)

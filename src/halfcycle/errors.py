@@ -7,7 +7,8 @@ majority count, a grid, a truncation or a packing exponent) is checked by
 :func:`check_length`: not an integer or below its minimum, it raises
 PreconditionError; above its cap, CapacityError.  A window or a profile's
 index set is one run of consecutive integers, read by :func:`check_run`,
-and a waiting ratio alpha is read by :func:`check_ratio`.
+which also refuses a window outside the run it is read from, and a
+waiting ratio alpha is read by :func:`check_ratio`.
 
 Every cross-check of a closed form against an independent evaluation
 goes through :func:`check_residual`, which raises ConsistencyError on a
@@ -62,32 +63,41 @@ def check_length(name: str, n: int, minimum: int = 1, *, even: bool = False,
         raise CapacityError(f"{name} {n} exceeds cap {cap}")
 
 
-def check_run(name: str, values, span: str = "int64") -> range:
+def check_run(name: str, values, within: range | None = None) -> range:
     """The run rule: ``values`` (a range, an integer array or any iterable
     of ints that are not bools) as one step-1 range of consecutive
-    ascending integers, possibly empty, else PreconditionError; an index
-    that int64 cannot hold is named as outside the ``span`` range."""
+    ascending integers, possibly empty, else PreconditionError.  A
+    nonempty run must lie inside the run ``within``, if given, else
+    PreconditionError naming its first index outside ("index 8 outside
+    range(0, 8)"); an index that int64 cannot hold is named the same way,
+    or as outside int64 range when no ``within`` is given."""
+    outside = f"outside {'int64 range' if within is None else within}"
     not_a_run = f"{name} must be one run of consecutive ascending integers"
     if isinstance(values, range):
         if len(values) > 1 and values.step != 1:
             raise PreconditionError(not_a_run)
-        return range(values.start, values.start + len(values))
-    listed = not isinstance(values, np.ndarray)
-    if listed:
-        values = list(values)
-    idx = np.asarray(values)
-    if idx.ndim == 1 and idx.dtype in (object, np.uint64):  # may hold ints past int64
-        for v in idx.tolist():
-            if isinstance(v, int) and not -2 ** 63 <= v < 2 ** 63:
-                raise PreconditionError(f"index {v} outside {span} range")
-    # numpy reads [True, 2] as [1, 2]; a bool is no index
-    if (idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu")
-            or (listed and not {bool, np.bool_}.isdisjoint(map(type, values)))):
-        raise PreconditionError(f"{name} must be a one-dimensional list of integers")
-    if idx.size > 1 and np.any(np.diff(idx) != 1):  # at most one index is a run
-        raise PreconditionError(not_a_run)
-    start = int(idx[0]) if idx.size else 0
-    return range(start, start + idx.size)
+        run = range(values.start, values.start + len(values))
+    else:
+        listed = not isinstance(values, np.ndarray)
+        if listed:
+            values = list(values)
+        idx = np.asarray(values)
+        if idx.ndim == 1 and idx.dtype in (object, np.uint64):  # may hold ints past int64
+            for v in idx.tolist():
+                if isinstance(v, int) and not -2 ** 63 <= v < 2 ** 63:
+                    raise PreconditionError(f"index {v} {outside}")
+        # numpy reads [True, 2] as [1, 2]; a bool is no index
+        if (idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu")
+                or (listed and not {bool, np.bool_}.isdisjoint(map(type, values)))):
+            raise PreconditionError(f"{name} must be a one-dimensional list of integers")
+        if idx.size > 1 and np.any(np.diff(idx) != 1):  # at most one index is a run
+            raise PreconditionError(not_a_run)
+        start = int(idx[0]) if idx.size else 0
+        run = range(start, start + idx.size)
+    if run and within is not None and (run.start < within.start or run.stop > within.stop):
+        raise PreconditionError(
+            f"index {run.start if run.start not in within else within.stop} {outside}")
+    return run
 
 
 def check_ratio(alpha) -> Fraction:

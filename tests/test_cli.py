@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, file output, seeded determinism."""
 
+import argparse
 import contextlib
 import errno
 import functools
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 import halfcycle
 from halfcycle import (halfstep_profile_aperiodic, halfstep_profile_periodic, overlap_at,
                        reports, spectral)
-from halfcycle.cli import main
+from halfcycle.cli import build_parser, main
 from halfcycle.errors import DEFAULT_PERIOD_CAP as CAP
 from halfcycle.spectral import OrbitSpectrum
 
@@ -169,14 +170,17 @@ def test_stats_single_trial_flagged_not_crashed(tmp_path):
     assert row["variance_defined"] is False
 
 
-@pytest.mark.parametrize("seed", [1, 2, 7])
+@pytest.mark.parametrize("seed", [1, 2, 7, 10])
 def test_stats_two_point_at_period_four_writes_its_report(tmp_path, seed):
-    # every two-point draw at p = 4 has window mass 1/2, so a var*p can be
-    # exactly 0; the spread of the rows was once divided by it
+    # every two-point draw at p = 4 has window mass 1/2, so a var*p is 0 up
+    # to rounding (seed 10 reads 2.5e-32); the spread of the rows was once
+    # divided by it
     code, payload = run_cli(["stats", "--p", "4,8", "--trials", "2", "--density", "two-point",
                              "--seed", str(seed)], tmp_path)
     assert code == 0
-    assert [row["p"] for row in json.loads(payload)["stats"]["rows"]] == [4, 8]
+    stats = json.loads(payload)["stats"]
+    assert [row["p"] for row in stats["rows"]] == [4, 8]
+    assert math.isnan(stats["var_p_spread"])
 
 
 def test_stats_diagnostics_beside_the_report(tmp_path):
@@ -355,6 +359,8 @@ BAD_FILES |= {"gauss.csv": gaussian_csv(), "nan.csv": gaussian_csv(10, "nan"),
     # an empty exponent list is refused like ",", not read as the default
     ["pack", "--n", "1", "--nu", ""],
     ["pack", "--n", "1", "--nu", ","],
+    # a grid is checked even where files give the functions
+    ["schrodinger", "{tmp}/gauss.csv", "{tmp}/gauss.csv", "--grid", "-5"],
 ])
 def test_complexity_bad_input_rejected(args, tmp_path, capsys):
     # grids, periods, K, step budgets, trial and majority counts, waiting
@@ -381,6 +387,8 @@ _ALPHA = "alpha must lie strictly between 0 and 1"
     (["instant", "--machine", "loop", "--budget", "100", "--alpha", "5"], _ALPHA),
     (["instant", "--machine", "loop", "--budget", "100", "--alpha", "nan"], _ALPHA),
     (["cycle", "--machine", "loop", "--budget", "2000000", "--alpha", "5"], _ALPHA),
+    # --grid is unused with files, but checked before any file is read
+    (["schrodinger", "missing.csv", "missing.csv", "--grid", "-5"], "grid -5 must be at least 8"),
 ])
 def test_arguments_are_refused_before_the_machine_runs(args, error, tmp_path, monkeypatch,
                                                          capsys):
@@ -580,6 +588,59 @@ def test_rerunning_a_reports_config_reproduces_it(argv, tmp_path, capsys):
                                                      if "--seed" in argv else 0)
     assert (code, payload) == run_cli(argv_of(config), tmp_path, "second.json")
     assert capsys.readouterr().err == ""
+
+
+_SEED_OUT = {"--seed": ("seed", None, False, None), "--out": ("out", None, False, None)}
+_FORMAT = {"--format": ("out_format", "json", False, ("csv", "json"))}
+_SPECTRUM = {"--period": ("period", None, False, None),
+             "--aperiodic": ("aperiodic", False, False, None)}
+_MACHINE_RUN = {"--machine": ("machine", None, True, None),
+                "--input": ("input_word", "", False, None),
+                "--alpha": ("alpha", 0.75, False, None),
+                "--budget": ("budget", 10000, False, None)}
+_K = {"--K": ("truncation", 1000, False, None)}
+OPTION_TABLES = {
+    "profile": _SPECTRUM | _K | _FORMAT | _SEED_OUT,
+    "cycle": _MACHINE_RUN | _SEED_OUT,
+    "instant": _MACHINE_RUN | _K | _SEED_OUT | {
+        "--majority": ("majority", 15, False, None),
+        "--trials": ("trials", 10 ** 6, False, None)},
+    "stats": _FORMAT | _SEED_OUT | {"--p": ("p", "64,256,1024", False, None),
+                                    "--density": ("density", "uniform", False, None),
+                                    "--trials": ("trials", 100000, False, None)},
+    "pack": _SEED_OUT | {"--n": ("n", None, True, None), "--nu": ("nu", None, False, None)},
+    "schrodinger": _SEED_OUT | {
+        "--builtin": ("builtin", "chirped", False, ("chirped", "identical")),
+        "--grid": ("grid", 1024, False, None)},
+    "complexity": _SPECTRUM | _FORMAT | _SEED_OUT | {"--grid": ("grid", 1024, False, None)},
+}
+
+
+def subparsers():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_subcommand_keeps_its_option_table():
+    # a flag shared by several subcommands has one default, one dest and
+    # one set of choices in each; --period and --aperiodic are one required choice
+    tables, groups = {}, {}
+    for name, p in subparsers().items():
+        tables[name] = {a.option_strings[-1]: (a.dest, a.default, a.required, a.choices)
+                        for a in p._actions if a.option_strings and a.dest != "help"}
+        groups[name] = [(sorted(a.dest for a in g._group_actions), g.required)
+                        for g in p._mutually_exclusive_groups]
+    assert tables == OPTION_TABLES
+    assert groups == {name: [(["aperiodic", "period"], True)] if "--period" in table else []
+                      for name, table in OPTION_TABLES.items()}
+
+
+@pytest.mark.parametrize("name", OPTION_TABLES)
+def test_help_exits_0_for_every_subcommand(name, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([name, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: halfcycle {name} ")
 
 
 def test_import_leaves_scipy_unloaded():

@@ -207,9 +207,9 @@ def test_nu_from_y_zero_sample():
 
 
 def test_nu_from_y_window_validation():
-    with pytest.raises(PreconditionError, match=r"outside \[0, p\)"):
+    with pytest.raises(PreconditionError, match=r"^index 9 outside range\(0, 8\)$"):
         nu_from_y(np.zeros(8), [9])
-    with pytest.raises(PreconditionError, match=r"outside \[0, p\)"):
+    with pytest.raises(PreconditionError, match=r"^index -1 outside range\(0, 8\)$"):
         nu_from_y(np.zeros(8), [-1])
     y = np.array([(-1) ** k / 8 for k in range(8)])
     for window in ([1, 1], [3, 5], range(3, 0, -1)):
@@ -272,9 +272,15 @@ def test_moment_experiment_two_point_variance_collapses():
 
 
 def test_spread_of_a_zero_deviation_scale_is_nan():
-    # a spread over a var*p of 0 is no number, as with fewer than two rows
-    rows = tuple(SimpleNamespace(var_times_p=v) for v in (0.0, 2.0))
+    # a spread over a var*p of 0 is no number, as with fewer than two rows;
+    # so is one over a var*p of rounding noise, as seed 10 of the two-point
+    # density draws at p = 4, where every mass is 1/2
+    def row(p, var):
+        return SimpleNamespace(p=p, mean=0.5, var=var, var_times_p=var * p)
+    rows = (row(4, 0.0), row(8, 0.25))
     assert math.isnan(StatsReport("two-point", 2, 3.0, rows).var_p_spread())
+    noise = (row(4, 6.162975822039155e-33), row(8, 0.25))
+    assert math.isnan(StatsReport("two-point", 2, 3.0, noise).var_p_spread())
     assert StatsReport("two-point", 2, 3.0, rows[1:] * 2).var_p_spread() == 1.0
 
 

@@ -69,6 +69,16 @@ def test_one_run_rule_reads_every_window():
     assert rule_calls("check_run") == (["errors.py"], [
         "ensemble.py:nu_from_y", "spectral.py:__post_init__", "spectral.py:nu_of"])
     assert [rule_calls(name)[0] for name in ("check_indices", "positions")] == [[], []]
+    # check_run alone refuses a window outside the run it is read from
+    refusals = [f"{path.name}:{func.name}"
+                for path in sorted((ROOT / "src" / "halfcycle").glob("*.py"))
+                for func in ast.walk(ast.parse(path.read_text()))
+                if isinstance(func, ast.FunctionDef) and func.name != "check_run"
+                and any(isinstance(node, ast.Raise) and "outside" in ast.unparse(node)
+                        for node in ast.walk(func))
+                and any(isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                        == "check_run" for node in ast.walk(func))]
+    assert refusals == []
 
 
 def test_one_ratio_rule_reads_every_alpha():

@@ -192,6 +192,14 @@ def test_integer_rule_passes_numpy_integers_and_any_iterable_of_ints():
     assert pack_spectrum(2, np.array([0, 1, 2])).nu_exponents == (0, 1, 2)
 
 
+@pytest.mark.parametrize("window, index", [(range(-2, 1), -2), ([1, 2, 3], 3), ([5], 5)])
+def test_a_window_outside_an_aperiodic_profile_names_its_first_index_outside(window, index):
+    profile = halfstep_profile_aperiodic(2)  # indices range(-1, 3)
+    with pytest.raises(PreconditionError, match=rf"^index {index} outside range\(-1, 3\)$"):
+        nu_of(profile, window)
+    assert nu_of(profile, range(9, 9)) == 0.0  # an empty window is valid anywhere
+
+
 @pytest.mark.parametrize("window, index", [
     ([2 ** 70], 2 ** 70),  # a Python int numpy keeps as an object
     (np.array([2 ** 63], dtype=np.uint64), 2 ** 63),  # would wrap to -2**63 as int64
@@ -199,6 +207,8 @@ def test_integer_rule_passes_numpy_integers_and_any_iterable_of_ints():
 ], ids=["object", "uint64", "negative"])
 def test_an_index_past_int64_is_named_as_outside_the_profile(window, index):
     profile = halfstep_profile_periodic(8)
-    with pytest.raises(PreconditionError, match=f"^index {index} outside profile range$"):
+    with pytest.raises(PreconditionError, match=rf"^index {index} outside range\(0, 8\)$"):
         nu_of(profile, window)
+    with pytest.raises(PreconditionError, match=f"^index {index} outside int64 range$"):
+        check_run("window", window)
     assert nu_of(profile, np.array([3, 4], dtype=np.uint64)) == nu_of(profile, [3, 4])
